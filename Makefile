@@ -2,11 +2,15 @@
 
 GO ?= go
 
-.PHONY: all ci vet build test race parallel-smoke pdes-smoke pdes-exec-smoke chaos-smoke chaos-lossy-smoke oracle-smoke open-smoke bench-smoke serve-smoke bench-check-smoke bench bench-check bench-plot
+.PHONY: all ci fmt vet build test race parallel-smoke pdes-smoke pdes-exec-smoke chaos-smoke chaos-lossy-smoke oracle-smoke open-smoke bench-smoke serve-smoke bench-check-smoke bench bench-check bench-plot
 
 all: ci
 
-ci: vet build test race parallel-smoke pdes-smoke pdes-exec-smoke chaos-smoke chaos-lossy-smoke oracle-smoke open-smoke bench-smoke serve-smoke bench-check-smoke
+ci: fmt vet build test race parallel-smoke pdes-smoke pdes-exec-smoke chaos-smoke chaos-lossy-smoke oracle-smoke open-smoke bench-smoke serve-smoke bench-check-smoke
+
+# gofmt -l prints the files it would rewrite; any name is a failure.
+fmt:
+	@test -z "$$(gofmt -l .)" || { echo "gofmt -l:"; gofmt -l .; exit 1; }
 
 vet:
 	$(GO) vet ./...
@@ -17,9 +21,10 @@ build:
 test:
 	$(GO) test ./...
 
-# The merged executor is single-goroutine-at-a-time by construction,
-# but the epoch-parallel shard executor (PR 10) runs real worker
-# goroutines inside the kernel, so internal/sim and the bench layer
+# A serial or merged run stays on the goroutine that called Run (procs
+# are coroutines it switches to), but the epoch-parallel shard executor
+# (PR 10) runs real worker goroutines inside the kernel, and they resume
+# proc coroutines too, so internal/sim and the bench layer
 # (singleflight caches, Prewarm worker pool, the parallel-vs-serial
 # determinism tests) get the full -cpu=1,2,4 spread; the other
 # concurrent packages — wsrt, openload, serve, store — run at the

@@ -46,8 +46,9 @@
 // cores) before rendering; tables and figures are always rendered
 // serially from the warmed cache, so the output is byte-identical at
 // any -j. -shards K additionally splits each simulation's event kernel
-// into K conservative-lookahead shards (byte-identical at any K; 0
-// picks K from the host cores -j leaves over). -shard-exec parallel
+// into K conservative-lookahead shards (byte-identical at any K; the
+// default is 1, the serial kernel, as in btsim and simd, and 0 picks K
+// from the host cores -j leaves over). -shard-exec parallel
 // additionally runs each sharded simulation's shard event streams on a
 // bounded pool of host workers (-exec-workers; the pool draws from the
 // same host-core budget) — still byte-identical; see DESIGN.md §17.
@@ -177,8 +178,8 @@ func run() int {
 	size := flag.String("size", "ref", "input size: test, ref, or big")
 	appList := flag.String("apps", "", "comma-separated app subset (default: all 13)")
 	jobs := flag.Int("j", 0, "host workers for the simulation fan-out (0 = all host cores, 1 = serial)")
-	shards := flag.Int("shards", 0,
-		"conservative-lookahead kernel shards per simulation, byte-identical at any count (0 = host cores left over by -j, 1 = serial)")
+	shards := flag.Int("shards", 1,
+		"conservative-lookahead kernel shards per simulation, byte-identical at any count (1 = serial, 0 = host cores left over by -j)")
 	shardExec := flag.String("shard-exec", "merged",
 		"sharded-kernel executor: merged, or parallel (epoch-parallel host worker pool; byte-identical results)")
 	execWorkers := flag.Int("exec-workers", 0,

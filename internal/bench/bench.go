@@ -298,21 +298,8 @@ func (s *Suite) simulate(ctx context.Context, cfgName, appName string) (r *stats
 		return nil, err
 	}
 	m := machine.New(cfg)
-	if done := ctx.Done(); done != nil {
-		// Wall-clock cancellation: a watcher interrupts the kernel when
-		// the context dies mid-run; the kernel aborts at its next event
-		// with the usual watchdog dump. The watcher is released on every
-		// exit path so a completed run leaks nothing.
-		stopWatch := make(chan struct{})
-		defer close(stopWatch)
-		go func() {
-			select {
-			case <-done:
-				m.Kernel.Interrupt(fmt.Sprintf("%s on %s cancelled: %v", appName, cfgName, ctx.Err()))
-			case <-stopWatch:
-			}
-		}()
-	}
+	// Wall-clock cancellation, released on every exit path.
+	defer m.InterruptOn(ctx, appName+" on "+cfgName)()
 	rt := wsrt.New(m, wsrt.AutoVariant(m))
 	rt.Grain = grainFor(app, s.Grain)
 	rt.Tracer = s.Tracer

@@ -55,10 +55,10 @@ type SuiteBench struct {
 	// concurrency is the mean number of distinct shards firing per
 	// lookahead epoch — the ceiling an epoch-parallel executor could
 	// extract from this worklist.
-	CrossShardPosts  uint64  `json:"cross_shard_posts,omitempty"`
-	ShardViolations  uint64  `json:"shard_violations,omitempty"`
-	AvgConcurrency   float64 `json:"avg_shard_concurrency,omitempty"`
-	WallVsSerial     float64 `json:"wall_speedup_vs_serial,omitempty"`
+	CrossShardPosts uint64  `json:"cross_shard_posts,omitempty"`
+	ShardViolations uint64  `json:"shard_violations,omitempty"`
+	AvgConcurrency  float64 `json:"avg_shard_concurrency,omitempty"`
+	WallVsSerial    float64 `json:"wall_speedup_vs_serial,omitempty"`
 	// Parallel-executor accounting (ShardExec == "parallel" only): token
 	// handoffs into the worker pool, callbacks run inline on the worker
 	// already holding the token, cross-shard posts deferred through
@@ -71,10 +71,10 @@ type SuiteBench struct {
 
 // HostBenchReport is one measurement of the current binary.
 type HostBenchReport struct {
-	Date         string     `json:"date"`
-	GoVersion    string     `json:"go_version"`
-	HostCPUs     int        `json:"host_cpus"`
-	Size         string     `json:"size"`
+	Date         string      `json:"date"`
+	GoVersion    string      `json:"go_version"`
+	HostCPUs     int         `json:"host_cpus"`
+	Size         string      `json:"size"`
 	Kernel       KernelBench `json:"kernel"`
 	Table3Serial SuiteBench  `json:"table3_serial"`
 	// Table3Sharded re-measures the same worklist on a K-way sharded
@@ -97,7 +97,7 @@ type BenchFile struct {
 	After  *HostBenchReport `json:"after"`
 	// Speedup ratios (before/after wall, before/after allocs-per-event),
 	// present when both sections are.
-	Table3WallSpeedup    float64 `json:"table3_wall_speedup,omitempty"`
+	Table3WallSpeedup         float64 `json:"table3_wall_speedup,omitempty"`
 	KernelAllocsPerEventRatio float64 `json:"kernel_allocs_per_event_ratio,omitempty"`
 }
 

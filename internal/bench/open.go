@@ -86,8 +86,8 @@ func (s *Suite) simulateOpen(ctx context.Context, cfgName, scenario string, faul
 		s.SimHook(cfgName, "open:"+sp.Workload)
 	}
 	r, err = openload.Run(ctx, cfgName, sp, openload.Options{
-		Scenario:  scenario,
-		FaultSeed: faultSeed,
+		Scenario:    scenario,
+		FaultSeed:   faultSeed,
 		Oracle:      s.Oracle,
 		Deadline:    s.Deadline,
 		Shards:      s.Shards,

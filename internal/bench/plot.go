@@ -23,12 +23,12 @@ import (
 
 // plot geometry, in SVG user units (pixels).
 const (
-	plotW     = 640
-	plotH     = 200
-	plotPadL  = 64 // room for the y-axis value labels
-	plotPadR  = 16
-	plotPadT  = 12
-	plotPadB  = 24
+	plotW    = 640
+	plotH    = 200
+	plotPadL = 64 // room for the y-axis value labels
+	plotPadR = 16
+	plotPadT = 12
+	plotPadB = 24
 )
 
 // seriesPoint is one plotted measurement.

@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"context"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -131,6 +132,35 @@ func TestSuiteDeadline(t *testing.T) {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("deadline error missing %q:\n%v", want, err)
 		}
+	}
+}
+
+// TestAbortedRunsReleaseMachine: a run cut short by the watchdog leaves
+// nothing behind. Before aborted runs were unwound, 20 of these kept
+// 1280 parked goroutines and 242 MB of machines alive.
+func TestAbortedRunsReleaseMachine(t *testing.T) {
+	abortedRun := func() {
+		s := NewSuite(apps.Test)
+		s.Deadline = 20000 // cycles: every core is up and parked mid-task
+		if _, err := s.Run("bT/HCC-DTS-gwb", "cilk5-cs"); err == nil || !strings.Contains(err.Error(), "deadline") {
+			t.Fatalf("err = %v, want a deadline abort", err)
+		}
+	}
+	abortedRun()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	goroutines := runtime.NumGoroutine()
+	for i := 0; i < 20; i++ {
+		abortedRun()
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if n := runtime.NumGoroutine(); n != goroutines {
+		t.Errorf("%d goroutines after 20 aborted runs, %d before", n, goroutines)
+	}
+	if grown := int64(after.HeapAlloc) - int64(before.HeapAlloc); grown > 16<<20 {
+		t.Errorf("live heap grew %d MiB over 20 aborted runs", grown>>20)
 	}
 }
 

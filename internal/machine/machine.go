@@ -7,6 +7,7 @@
 package machine
 
 import (
+	"context"
 	"fmt"
 
 	"bigtiny/internal/cache"
@@ -275,6 +276,23 @@ func (m *Machine) Spawn(core int, body func(*cpu.Core)) {
 		c.Bind(p)
 		body(c)
 	})
+}
+
+// InterruptOn ties the machine's run to ctx: when ctx is cancelled the
+// kernel is interrupted and Run fails at its next event with "<what>
+// cancelled: <cause>" and the watchdog dump. A context that is already
+// dead interrupts here and now — nothing in a run parks the simulating
+// goroutine, so a watcher alone could lose that race by the whole run.
+// Call the returned release once the run is over.
+func (m *Machine) InterruptOn(ctx context.Context, what string) (release func() bool) {
+	interrupt := func() {
+		m.Kernel.Interrupt(fmt.Sprintf("%s cancelled: %v", what, ctx.Err()))
+	}
+	if ctx.Err() != nil {
+		interrupt()
+		return func() bool { return false }
+	}
+	return context.AfterFunc(ctx, interrupt)
 }
 
 // Run drives the simulation to completion. With the oracle enabled,

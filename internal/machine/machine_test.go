@@ -1,6 +1,8 @@
 package machine
 
 import (
+	"context"
+	"strings"
 	"testing"
 
 	"bigtiny/internal/cache"
@@ -102,6 +104,43 @@ func TestSmokeRunSimpleProgram(t *testing.T) {
 	}
 	if !done[0] || !done[1] {
 		t.Fatal("threads did not finish")
+	}
+}
+
+// TestInterruptOn: a context that is already dead aborts the run before
+// its first event, whatever the goroutine scheduler does; one cancelled
+// mid-run aborts it from then on. The core below never stops by itself.
+func TestInterruptOn(t *testing.T) {
+	spin := func(c *cpu.Core) {
+		for {
+			c.Compute(10)
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	m := New(mustCfg(t, "bT8/HCC-gwb"))
+	defer m.InterruptOn(ctx, "dead job")()
+	m.Spawn(0, spin)
+	err := m.Run()
+	if err == nil || !strings.Contains(err.Error(), "interrupted: dead job cancelled: context canceled") {
+		t.Fatalf("err = %v, want the interrupt", err)
+	}
+	if m.Kernel.Fired() != 0 {
+		t.Fatalf("%d events fired under a dead context", m.Kernel.Fired())
+	}
+
+	ctx, cancel = context.WithCancel(context.Background())
+	defer cancel()
+	m = New(mustCfg(t, "bT8/HCC-gwb"))
+	defer m.InterruptOn(ctx, "live job")()
+	m.Spawn(0, spin)
+	m.Kernel.At(1000, cancel)
+	err = m.Run()
+	if err == nil || !strings.Contains(err.Error(), "interrupted: live job cancelled: context canceled") {
+		t.Fatalf("err = %v, want the interrupt", err)
+	}
+	if m.Kernel.Now() < 1000 {
+		t.Fatalf("interrupted at cycle %d, before the cancel at 1000", m.Kernel.Now())
 	}
 }
 

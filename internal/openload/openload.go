@@ -191,18 +191,7 @@ func Run(ctx context.Context, cfgName string, sp Spec, opt Options) (*Result, er
 	cfg.ExecWorkers = opt.ExecWorkers
 
 	m := machine.New(cfg)
-	if done := ctx.Done(); done != nil {
-		stopWatch := make(chan struct{})
-		defer close(stopWatch)
-		go func() {
-			select {
-			case <-done:
-				m.Kernel.Interrupt(fmt.Sprintf("openload: %s on %s cancelled: %v",
-					sp.Workload, cfgName, ctx.Err()))
-			case <-stopWatch:
-			}
-		}()
-	}
+	defer m.InterruptOn(ctx, "openload: "+sp.Workload+" on "+cfgName)()
 
 	rt := wsrt.New(m, wsrt.AutoVariant(m))
 	fid := rt.RegisterFunc("open:"+sp.Workload, openFootprint)
@@ -214,8 +203,8 @@ func Run(ctx context.Context, cfgName string, sp Spec, opt Options) (*Result, er
 	}
 
 	// Per-request bookkeeping. Task bodies run on simulated cores, but
-	// the kernel executes one goroutine at a time with a strict
-	// happens-before hand-off, so plain Go variables are race-free.
+	// the kernel runs one of them at a time with a happens-before edge
+	// at every switch, so plain Go variables are race-free.
 	n := sp.Requests
 	doneAt := make([]sim.Time, n)
 	isDone := make([]bool, n)

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -320,6 +321,32 @@ func TestWallTimeout(t *testing.T) {
 	resp, body = postJob(t, ts.URL, JobRequest{Config: testCfg, App: "cilk5-mt", Size: "empty"})
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("fast job after a timeout: status %d\n%s", resp.StatusCode, body)
+	}
+}
+
+// TestWallTimeoutsLeakNothing: a job killed mid-run by the wall-clock
+// budget unwinds its 64 parked procs, so timeouts do not cost the daemon
+// goroutines (or the machines their stacks pin) for the rest of its life.
+func TestWallTimeoutsLeakNothing(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, WallTimeout: 100 * time.Millisecond, QuarantineAfter: 100})
+	timeOut := func() {
+		t.Helper()
+		resp, body := postJob(t, ts.URL, JobRequest{Config: "bT/HCC-DTS-gwb", App: "cilk5-cs", Size: "big"})
+		if resp.StatusCode != http.StatusGatewayTimeout {
+			t.Fatalf("big job under a 100 ms budget: status %d, want 504\n%s", resp.StatusCode, body)
+		}
+		if !strings.Contains(string(body), "blocked since cycle") {
+			t.Fatalf("the timeout did not land mid-run; no proc was parked:\n%s", body)
+		}
+	}
+	timeOut() // also brings up the client connection's goroutines
+	before := runtime.NumGoroutine()
+	for i := 0; i < 5; i++ {
+		timeOut()
+	}
+	// A leak is 64 goroutines a job; the slack is for the HTTP stack.
+	if after := runtime.NumGoroutine(); after > before+4 {
+		t.Fatalf("%d goroutines after 5 more timed-out jobs, %d before", after, before)
 	}
 }
 

@@ -31,8 +31,8 @@ import (
 type ExecMode int
 
 const (
-	// ExecMerged (the default) dispatches every event from whichever
-	// goroutine holds the control token — the PR 9 behavior.
+	// ExecMerged (the default) dispatches every event from the goroutine
+	// inside Run and the proc coroutines it switches to.
 	ExecMerged ExecMode = iota
 	// ExecParallel routes each shard's plain callbacks to a fixed host
 	// worker goroutine and buffers cross-shard posts in per-shard
@@ -236,10 +236,10 @@ func (ex *execState) workerMain(w *execWorker) {
 	k := ex.k
 	for fn := range w.cont {
 		if !k.fire(fn) {
-			k.parkDispatch(false)
+			k.parkDispatch(w)
 			continue
 		}
-		k.dispatch(nil, false, w)
+		k.dispatch(nil, w)
 	}
 }
 

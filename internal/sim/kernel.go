@@ -1,12 +1,11 @@
 // Package sim provides a deterministic discrete-event simulation kernel.
 //
 // The kernel owns a time-ordered event queue. Simulated hardware threads
-// (Procs) run ordinary Go code in goroutines, but a single control token
-// — passed by direct channel handoff from whichever goroutine yields to
-// whichever runs next — guarantees that exactly one goroutine executes
-// at any moment. All simulator state can therefore be mutated without
-// locks, and a given seed and workload always produce the same cycle
-// counts.
+// (Procs) run ordinary Go code on coroutines that the goroutine inside
+// Run switches to and from, so exactly one of them executes at any
+// moment and the Go scheduler is not involved in a simulated context
+// switch. All simulator state can therefore be mutated without locks,
+// and a given seed and workload always produce the same cycle counts.
 //
 // The queue is built for host speed without giving up determinism: heap
 // entries are small values (no per-event heap allocation, no interface
@@ -19,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"iter"
 	"strings"
 	"sync/atomic"
 )
@@ -31,7 +31,7 @@ const Forever = Time(^uint64(0))
 
 // KernelParanoid, when set before NewKernel, disables the WaitUntil
 // fast path (see Proc.WaitUntil): every timed wait goes through a real
-// queue event and a goroutine handoff, exactly as the pre-fast-path
+// queue event and a dispatch, exactly as the pre-fast-path
 // kernel behaved. The two modes must produce bit-identical cycle
 // counts; equivalence tests flip this to prove it. It is read once at
 // NewKernel time, so flip it only between simulations.
@@ -52,12 +52,12 @@ type eventRef struct {
 }
 
 // eventSlot holds a scheduled event: either a plain callback (fn) or a
-// proc resumption (proc). The distinction lets the dispatcher hand
-// control directly to a resuming proc instead of calling through an
-// opaque closure. Slots are recycled through a free list; gen
-// increments on every free, so a stale Timer handle (slot fired, was
-// compacted, or got reused) can be recognized by generation mismatch.
-// A slot with neither fn nor proc is a tombstone (stopped Timer).
+// proc resumption (proc). The distinction lets the dispatcher switch
+// to a resuming proc instead of calling through an opaque closure.
+// Slots are recycled through a free list; gen increments on every free,
+// so a stale Timer handle (slot fired, was compacted, or got reused)
+// can be recognized by generation mismatch. A slot with neither fn nor
+// proc is a tombstone (stopped Timer).
 type eventSlot struct {
 	fn   func()
 	proc *Proc
@@ -116,18 +116,23 @@ type Kernel struct {
 	// stops and returns it, modelling a machine crash.
 	err error
 
-	// Direct-handoff dispatch state (see dispatch). done returns the
-	// control token to the kernel goroutine when a dispatcher running on
-	// a proc goroutine hits a run-level condition; the condition itself
-	// travels in the fields below and is consumed by Run.
+	// Dispatch state (see dispatch). A dispatcher on a proc coroutine
+	// leaves what runs next — a proc, or a callback and the pool worker
+	// owning it — in next* for its resumer (see resume). done returns the
+	// control token to the kernel goroutine when a parallel-executor
+	// worker hits a run-level condition; the condition itself travels in
+	// the fields below, whoever saw it, and is consumed by Run.
+	nextProc    *Proc
+	nextFn      func()
+	nextWorker  *execWorker
 	done        chan struct{}
 	stopHit     bool
 	deadlineHit bool
 	deadlineAt  Time
 	// cbPanic carries a panic out of an event callback (or a
 	// resume-after-finish bug) back to Run, which re-panics with it:
-	// simulator bugs stay loud no matter which goroutine held the token
-	// when they fired.
+	// simulator bugs stay loud no matter who held the token when they
+	// fired.
 	cbPanic any
 
 	// dumpHooks are extra diagnostic writers (registered by higher
@@ -175,7 +180,7 @@ func (k *Kernel) Scheduled() uint64 { return k.scheduled }
 func (k *Kernel) Fired() uint64 { return k.fired }
 
 // FastWaits returns the number of timed waits satisfied in place by
-// the WaitUntil fast path (no event, no goroutine switch).
+// the WaitUntil fast path (no event, no switch).
 func (k *Kernel) FastWaits() uint64 { return k.fastWaits }
 
 // fail records a simulated-software crash.
@@ -300,8 +305,8 @@ func (k *Kernel) scheduleOn(shard int16, t Time, fn func()) (int32, uint32) {
 
 // scheduleResume queues proc p to resume at time t. Resumes are tagged
 // in the slot (rather than hidden in a closure) so the dispatcher can
-// hand the control token straight to p's goroutine. On a sharded
-// kernel a resume always lands on the proc's home shard.
+// switch to p's coroutine. On a sharded kernel a resume always lands on
+// the proc's home shard.
 func (k *Kernel) scheduleResume(t Time, p *Proc) {
 	if t < k.now {
 		panic(fmt.Sprintf("sim: schedule at %d before now %d", t, k.now))
@@ -502,56 +507,55 @@ func (k *Kernel) peekLive() (Time, bool) {
 	return 0, false
 }
 
-// dispatchOutcome says how a dispatch loop ended for its caller.
+// dispatchOutcome says how a dispatch loop ended for its caller; a proc
+// coroutine passes it on to its resumer when it switches back.
 type dispatchOutcome int
 
 const (
 	// dispatchSelf: the dispatching proc popped its own resume — it
-	// keeps the token and continues its body with no goroutine switch.
+	// keeps the token and continues its body with no switch.
 	dispatchSelf dispatchOutcome = iota
-	// dispatchHandoff: the token was handed to another proc's goroutine;
-	// the caller must park (or exit, if its body has finished).
+	// dispatchHandoff: the token goes elsewhere — sent to a pool worker,
+	// or, from a proc coroutine, to where next* tell the resumer.
 	dispatchHandoff
 	// dispatchStopped: a run-level condition (error, stop predicate,
-	// empty queue, deadline, callback panic) returned the token to the
-	// kernel goroutine, which consumes the condition in Run.
+	// empty queue, deadline, interrupt, callback panic) is recorded in
+	// the kernel for Run to consume; it must not be evaluated again.
 	dispatchStopped
 )
 
-// dispatch is the event loop, runnable from any goroutine that holds
-// the control token: the kernel goroutine inside Run (onKernel true),
-// a proc yielding in WaitUntil/Block (self = that proc), a proc whose
-// body just returned (self nil, onKernel false), or a parallel-executor
-// worker that just fired a callback (onWorker = that worker). Exactly
-// one goroutine runs it at a time — the token is only ever passed
-// through a channel handoff — so it may touch all kernel state
-// lock-free.
+// dispatch is the event loop, runnable by whoever holds the control
+// token: the kernel goroutine inside Run (self and onWorker nil), a
+// proc yielding in WaitUntil/Block (self = that proc), or a
+// parallel-executor worker that just fired a callback (onWorker = that
+// worker). Exactly one of them runs it at a time — the token only moves
+// by a coroutine switch or a worker-channel send — so it may touch all
+// kernel state lock-free.
 //
-// Running the dispatcher on whichever goroutine just yielded is the
-// point: handing control from proc A to proc B costs one channel
-// handoff (A→B) instead of two (A→kernel→B), pure callbacks between
-// resumes run inline with no switch at all, and a proc that pops its
-// own resume just keeps going. Event pop order is identical to a
-// kernel-centric loop, so cycle counts are unchanged.
-func (k *Kernel) dispatch(self *Proc, onKernel bool, onWorker *execWorker) dispatchOutcome {
+// Running the dispatcher on the proc that just yielded is the point:
+// pure callbacks between resumes run inline with no switch at all, and
+// a proc that pops its own resume just keeps going; only another proc's
+// resume sends it back to its resumer. Event pop order is identical to
+// a kernel-centric loop, so cycle counts are unchanged.
+func (k *Kernel) dispatch(self *Proc, onWorker *execWorker) dispatchOutcome {
 	for {
 		if k.err != nil || k.cbPanic != nil {
-			return k.parkDispatch(onKernel)
+			return k.parkDispatch(onWorker)
 		}
 		if k.intrReason.Load() != nil {
 			k.interruptHit = true
-			return k.parkDispatch(onKernel)
+			return k.parkDispatch(onWorker)
 		}
 		if k.sh == nil {
 			if len(k.queue) == 0 {
-				return k.parkDispatch(onKernel)
+				return k.parkDispatch(onWorker)
 			}
 		} else if !k.sh.hasQueued() {
-			return k.parkDispatch(onKernel)
+			return k.parkDispatch(onWorker)
 		}
 		if k.stop != nil && k.stop() {
 			k.stopHit = true
-			return k.parkDispatch(onKernel)
+			return k.parkDispatch(onWorker)
 		}
 		var ref eventRef
 		if k.sh == nil {
@@ -576,7 +580,7 @@ func (k *Kernel) dispatch(self *Proc, onKernel bool, onWorker *execWorker) dispa
 		p, fn := s.proc, s.fn
 		if ref.at > k.maxTime {
 			k.deadlineHit, k.deadlineAt = true, ref.at
-			return k.parkDispatch(onKernel)
+			return k.parkDispatch(onWorker)
 		}
 		k.now = ref.at
 		// Free before firing: a fired timer cannot be stopped
@@ -590,17 +594,22 @@ func (k *Kernel) dispatch(self *Proc, onKernel bool, onWorker *execWorker) dispa
 		if p != nil {
 			if p.finished {
 				k.cbPanic = fmt.Sprintf("sim: resuming finished proc %q", p.name)
-				return k.parkDispatch(onKernel)
+				return k.parkDispatch(onWorker)
 			}
 			if p == self {
 				return dispatchSelf
 			}
-			if !p.started {
-				p.started = true
-				go p.main()
+			if self != nil {
+				k.nextProc = p
+				return dispatchHandoff
 			}
-			p.cont <- struct{}{}
-			return dispatchHandoff
+			switch k.resume(p, onWorker) {
+			case dispatchHandoff:
+				return dispatchHandoff
+			case dispatchStopped:
+				return k.parkDispatch(onWorker)
+			}
+			continue
 		}
 		if k.sh != nil && k.sh.exec != nil {
 			// Parallel executor: a plain callback belongs to its shard's
@@ -608,24 +617,65 @@ func (k *Kernel) dispatch(self *Proc, onKernel bool, onWorker *execWorker) dispa
 			// fires the callback and keeps dispatching. A callback whose
 			// worker already holds the token runs inline — on a run of
 			// same-shard events (the loser tree's fast path) every event
-			// after the first costs zero handoffs.
+			// after the first costs zero handoffs. A proc coroutine leaves
+			// the send to its resumer, or two goroutines would hold the token.
 			ex := k.sh.exec
 			if w := ex.workerFor(ref.shard); w != onWorker {
 				ex.handoffs++
+				if self != nil {
+					k.nextFn, k.nextWorker = fn, w
+					return dispatchHandoff
+				}
 				w.cont <- fn
 				return dispatchHandoff
 			}
 			ex.inline++
 		}
 		if !k.fire(fn) {
-			return k.parkDispatch(onKernel)
+			return k.parkDispatch(onWorker)
 		}
 	}
 }
 
+// resume switches from a real goroutine (the kernel's, or pool worker
+// onWorker) to p's coroutine, then to each proc the yielding
+// dispatchers name in turn. It returns dispatchSelf when the caller
+// keeps the token and should dispatch on, dispatchHandoff when the
+// token went to another worker, dispatchStopped on a run-level
+// condition. Procs never resume each other: iter.Pull panics once
+// control comes back round to a coroutine waiting inside next.
+func (k *Kernel) resume(p *Proc, onWorker *execWorker) dispatchOutcome {
+	for {
+		if p.next == nil {
+			p.next, p.stop = iter.Pull(p.main)
+		}
+		out, yielded := p.next()
+		if !yielded {
+			return dispatchSelf
+		}
+		if out == dispatchStopped {
+			return dispatchStopped
+		}
+		if p = k.nextProc; p != nil {
+			k.nextProc = nil
+			continue
+		}
+		fn, w := k.nextFn, k.nextWorker
+		k.nextFn, k.nextWorker = nil, nil
+		if w != onWorker {
+			w.cont <- fn
+			return dispatchHandoff
+		}
+		if !k.fire(fn) {
+			return dispatchStopped
+		}
+		return dispatchSelf
+	}
+}
+
 // fire runs a callback, trapping a panic into cbPanic (re-panicked by
-// Run) so a buggy callback fails identically whichever goroutine held
-// the token. Reports whether the callback completed.
+// Run) so a buggy callback fails identically whoever held the token.
+// Reports whether the callback completed.
 func (k *Kernel) fire(fn func()) (ok bool) {
 	ok = true
 	defer func() {
@@ -638,11 +688,11 @@ func (k *Kernel) fire(fn func()) (ok bool) {
 	return
 }
 
-// parkDispatch ends a dispatch on a run-level condition: a dispatcher
-// on a proc goroutine signals the kernel goroutine awake; the kernel
-// goroutine just returns to Run, which owns the condition handling.
-func (k *Kernel) parkDispatch(onKernel bool) dispatchOutcome {
-	if !onKernel {
+// parkDispatch ends a dispatch on a run-level condition: a pool worker
+// signals the kernel goroutine awake; the kernel goroutine just returns
+// to Run; a proc coroutine passes the outcome on to its resumer.
+func (k *Kernel) parkDispatch(onWorker *execWorker) dispatchOutcome {
+	if onWorker != nil {
 		k.done <- struct{}{}
 	}
 	return dispatchStopped
@@ -651,7 +701,9 @@ func (k *Kernel) parkDispatch(onKernel bool) dispatchOutcome {
 // Run processes events until the queue is empty or stop returns true.
 // stop is checked between events and may be nil. It returns an error if
 // the deadline was exceeded or if Procs remain unfinished when the event
-// queue drains (a simulated-software deadlock).
+// queue drains (a simulated-software deadlock). An error (or a callback
+// panic) ends the simulation for good and unwinds the unfinished procs;
+// after a stop-predicate return they stay parked for the next Run.
 func (k *Kernel) Run(stop func() bool) error {
 	k.stop = stop
 	defer func() { k.stop = nil }()
@@ -667,10 +719,16 @@ func (k *Kernel) Run(stop func() bool) error {
 		k.sh.exec.start()
 		defer k.sh.exec.stop()
 	}
+	aborted := true
+	defer func() {
+		if aborted {
+			k.reap()
+		}
+	}()
 	for {
-		if k.dispatch(nil, true, nil) == dispatchHandoff {
-			// The token is circulating among proc goroutines; park until
-			// a dispatcher hits a run-level condition.
+		if k.dispatch(nil, nil) == dispatchHandoff {
+			// The token is with the pool workers; park until one of them
+			// hits a run-level condition.
 			<-k.done
 		}
 		if v := k.cbPanic; v != nil {
@@ -682,6 +740,7 @@ func (k *Kernel) Run(stop func() bool) error {
 		}
 		if k.stopHit {
 			k.stopHit = false
+			aborted = false
 			return nil
 		}
 		if k.deadlineHit {
@@ -703,7 +762,27 @@ func (k *Kernel) Run(stop func() bool) error {
 			return k.watchdogErr("deadlock: event queue empty with unfinished procs")
 		}
 	}
+	aborted = false
 	return nil
+}
+
+// reap unwinds every parked proc once Run has failed, so an aborted
+// simulation's coroutines do not stay behind pinning the whole machine:
+// stop makes the pending suspend report false, which yield turns into a
+// procReaped panic that runs the body's deferred calls and ends in
+// main's recover. The fast path is off meanwhile, so a wait reached
+// from a deferred call gets to yield (which re-raises) instead of
+// advancing the clock.
+func (k *Kernel) reap() {
+	paranoid := k.paranoid
+	k.paranoid = true
+	for _, p := range k.procs {
+		if p.stop != nil && !p.finished {
+			p.reaped = true
+			p.stop()
+		}
+	}
+	k.paranoid = paranoid
 }
 
 // AddDumpHook registers a diagnostic writer invoked by DumpState after
@@ -734,7 +813,7 @@ func (k *Kernel) DumpState(w io.Writer) {
 			continue
 		}
 		state := "blocked"
-		if !p.started {
+		if p.next == nil {
 			state = "never started"
 		}
 		fmt.Fprintf(w, "  proc %q: %s since cycle %d\n", p.name, state, p.blockedSince)

@@ -2,20 +2,26 @@ package sim
 
 import "fmt"
 
-// Proc is a simulated hardware thread context. The body function runs in
-// its own goroutine but only ever executes while it holds the kernel's
-// control token, so Proc code may freely mutate shared simulator state.
-// A Proc gives up control by calling WaitUntil/Delay (advancing its
-// local time), by calling Block, or by returning from its body; in each
-// case its goroutine runs the dispatcher and hands the token directly
-// to whatever fires next (see Kernel.dispatch).
+// Proc is a simulated hardware thread context. The body function runs
+// on its own coroutine (iter.Pull, created when the proc first runs)
+// and only ever executes while it holds the kernel's control token, so
+// Proc code may freely mutate shared simulator state. A Proc gives up
+// control by calling WaitUntil/Delay (advancing its local time), by
+// calling Block, or by returning from its body; in the first two cases
+// it runs the dispatcher itself (see Kernel.dispatch).
 type Proc struct {
-	k        *Kernel
-	name     string
-	cont     chan struct{} // token delivery: "you run now"
+	k    *Kernel
+	name string
+	// next resumes the coroutine and stop unwinds it (nil until the proc
+	// first runs); suspend switches back to whoever called next and
+	// reports false once stop was called.
+	next     func() (dispatchOutcome, bool)
+	stop     func()
+	suspend  func(dispatchOutcome) bool
 	finished bool
-	started  bool
-	body     func(*Proc)
+	// reaped: unwound by Kernel.reap (unfinished, so dumps still list it).
+	reaped bool
+	body   func(*Proc)
 	// shard is the event shard all of this proc's resume events land on
 	// (always 0 on a serial kernel). Fixed at NewProcOn time.
 	shard int16
@@ -23,6 +29,9 @@ type Proc struct {
 	// reports it for unfinished procs.
 	blockedSince Time
 }
+
+// procReaped is the panic value that unwinds a reaped proc's stack.
+type procReaped struct{}
 
 // NewProc registers a simulated thread that begins executing body at
 // time start. The body receives the Proc so it can wait on simulated
@@ -43,7 +52,6 @@ func (k *Kernel) NewProcOn(shard int, name string, start Time, body func(*Proc))
 	p := &Proc{
 		k:     k,
 		name:  name,
-		cont:  make(chan struct{}),
 		body:  body,
 		shard: int16(shard),
 	}
@@ -55,22 +63,21 @@ func (k *Kernel) NewProcOn(shard int, name string, start Time, body func(*Proc))
 // Shard returns the proc's home event shard (0 on a serial kernel).
 func (p *Proc) Shard() int { return int(p.shard) }
 
-// main is the proc's goroutine: wait for the first token delivery, run
-// the body (trapping a crash into the kernel error), then pass the
-// token on — the goroutine that just finished is the dispatcher for
+// main is the coroutine: run the body, trapping a crash into the kernel
+// error. When it returns, next reports false and the resumer dispatches
 // whatever fires next.
-func (p *Proc) main() {
-	<-p.cont
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				p.k.fail(fmt.Errorf("sim: proc %q crashed: %v", p.name, r))
+func (p *Proc) main(suspend func(dispatchOutcome) bool) {
+	p.suspend = suspend
+	defer func() {
+		if r := recover(); r != nil {
+			if _, ok := r.(procReaped); ok {
+				return
 			}
-			p.finished = true
-		}()
-		p.body(p)
+			p.k.fail(fmt.Errorf("sim: proc %q crashed: %v", p.name, r))
+		}
+		p.finished = true
 	}()
-	p.k.dispatch(nil, false, nil)
+	p.body(p)
 }
 
 // Kernel returns the kernel this proc runs on.
@@ -134,14 +141,22 @@ func (p *Proc) Unblock(t Time) {
 }
 
 // yield passes the control token on by running the dispatcher on this
-// goroutine. If the dispatcher pops this proc's own resume event it
-// returns immediately — no goroutine switch; otherwise the token has
-// left (to another proc, or to the kernel on a run-level condition)
-// and the proc parks until a later dispatcher delivers it back.
+// coroutine. If the dispatcher pops this proc's own resume event it
+// returns immediately — no switch at all; otherwise the proc switches
+// back to its resumer, which delivers the token, and continues when a
+// later resumer calls next. suspend reporting false means the kernel is
+// reaping the proc: unwind the body to main's recover. Waits reached
+// from its deferred calls land here again and re-raise.
 func (p *Proc) yield() {
+	if p.reaped {
+		panic(procReaped{})
+	}
 	p.blockedSince = p.k.now
-	if p.k.dispatch(p, false, nil) == dispatchSelf {
+	out := p.k.dispatch(p, nil)
+	if out == dispatchSelf {
 		return
 	}
-	<-p.cont
+	if !p.suspend(out) {
+		panic(procReaped{})
+	}
 }

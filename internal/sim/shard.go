@@ -56,8 +56,8 @@ const maxShards = 64
 
 // shardQueue is one shard's private slice of the event queue. The
 // host-performance counters are plain fields owned by the control-token
-// holder (the token moves by channel handoff, which is a happens-before
-// edge, so single-writer discipline holds across goroutines); paying an
+// holder (the token moves by coroutine switch or worker-channel send,
+// both happens-before edges, so single-writer discipline holds); paying an
 // atomic RMW per event on them is measurable at ref scale. External
 // observers — watchdogs, serving layers, tests — read the published
 // mirrors instead, refreshed every epochPublishStride active epochs and

@@ -11,11 +11,11 @@ import (
 // below it).
 func TestDigestGolden(t *testing.T) {
 	cases := []struct {
-		name                 string
-		samples              []uint64
-		p50, p90, p99, p999  uint64
-		min, max             uint64
-		mean                 float64
+		name                string
+		samples             []uint64
+		p50, p90, p99, p999 uint64
+		min, max            uint64
+		mean                float64
 	}{
 		{
 			name:    "one-to-ten",
@@ -144,9 +144,9 @@ func TestQuantileFloatBoundaries(t *testing.T) {
 		{0.001, 1000, 1},
 		{0.999, 1, 1},
 		{0.5, 2, 1},
-		{0.5, 3, 2},   // 1.5 -> ceil 2
-		{0.75, 4, 3},  // exact integer product
-		{0.25, 8, 2},  // exact binary fraction
+		{0.5, 3, 2},     // 1.5 -> ceil 2
+		{0.75, 4, 3},    // exact integer product
+		{0.25, 8, 2},    // exact binary fraction
 		{1.0 / 3, 3, 1}, // non-decimal q exercises the FMA fallback
 		{1.0 / 3, 6, 2},
 		{2.0 / 3, 3, 2},
