@@ -2,11 +2,30 @@
 
 GO ?= go
 
-.PHONY: all ci fmt vet build test race parallel-smoke pdes-smoke pdes-exec-smoke chaos-smoke chaos-lossy-smoke oracle-smoke open-smoke bench-smoke serve-smoke bench-check-smoke bench bench-check bench-plot
+SMOKES := parallel-smoke pdes-smoke pdes-exec-smoke chaos-smoke chaos-lossy-smoke oracle-smoke open-smoke bench-smoke fuzz-smoke serve-smoke bench-check-smoke
+
+.PHONY: all ci smokes fmt vet build test race $(SMOKES) bench bench-check bench-plot
 
 all: ci
 
-ci: fmt vet build test race parallel-smoke pdes-smoke pdes-exec-smoke chaos-smoke chaos-lossy-smoke oracle-smoke open-smoke bench-smoke serve-smoke bench-check-smoke
+# The smokes drive the three CLIs. ci builds them once into a temp dir
+# and hands it down as BIN; a smoke run on its own go-runs what it needs.
+ifdef BIN
+BTSIM := $(BIN)/btsim
+PAPERBENCH := $(BIN)/paperbench
+SIMD := $(BIN)/simd
+else
+BTSIM := $(GO) run ./cmd/btsim
+PAPERBENCH := $(GO) run ./cmd/paperbench
+SIMD := $(GO) run ./cmd/simd
+endif
+
+ci: fmt vet build test race
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	$(GO) build -o "$$dir/" ./cmd/btsim ./cmd/paperbench ./cmd/simd && \
+	$(MAKE) --no-print-directory smokes BIN="$$dir"
+
+smokes: $(SMOKES)
 
 # gofmt -l prints the files it would rewrite; any name is a failure.
 fmt:
@@ -38,7 +57,7 @@ race:
 # plus the bench determinism tests means -j cannot change any result
 # (see EXPERIMENTS.md "Host-parallel runs").
 parallel-smoke:
-	$(GO) run ./cmd/paperbench -size test -apps cilk5-cs,ligra-bfs -j 4 table4 fig6 uli
+	$(PAPERBENCH) -size test -apps cilk5-cs,ligra-bfs -j 4 table4 fig6 uli
 
 # Sharded-kernel equivalence gate: the same run serial and on a 4-way
 # conservative-lookahead sharded kernel must print byte-identical
@@ -46,9 +65,8 @@ parallel-smoke:
 # hold; see DESIGN.md "Conservative-lookahead parallel simulation").
 pdes-smoke:
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
-	$(GO) build -o "$$dir/btsim" ./cmd/btsim && \
-	"$$dir/btsim" -config bT/HCC-DTS-gwb -app cilk5-cs -size test > "$$dir/serial.txt" && \
-	"$$dir/btsim" -config bT/HCC-DTS-gwb -app cilk5-cs -size test -shards 4 > "$$dir/sharded.txt" && \
+	$(BTSIM) -config bT/HCC-DTS-gwb -app cilk5-cs -size test > "$$dir/serial.txt" && \
+	$(BTSIM) -config bT/HCC-DTS-gwb -app cilk5-cs -size test -shards 4 > "$$dir/sharded.txt" && \
 	cmp "$$dir/serial.txt" "$$dir/sharded.txt" && echo "pdes-smoke: serial and 4-shard runs identical"
 
 # Epoch-parallel executor equivalence gate: the same runs with each
@@ -58,9 +76,8 @@ pdes-smoke:
 # stderr, like shard accounting; see DESIGN.md §17).
 pdes-exec-smoke:
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
-	$(GO) build -o "$$dir/paperbench" ./cmd/paperbench && \
-	"$$dir/paperbench" -size test -apps cilk5-cs -shards 1 -json "$$dir/serial.json" table4 uli > "$$dir/serial.txt" && \
-	"$$dir/paperbench" -size test -apps cilk5-cs -shards 4 -shard-exec parallel -json "$$dir/par.json" table4 uli > "$$dir/par.txt" && \
+	$(PAPERBENCH) -size test -apps cilk5-cs -shards 1 -json "$$dir/serial.json" table4 uli > "$$dir/serial.txt" && \
+	$(PAPERBENCH) -size test -apps cilk5-cs -shards 4 -shard-exec parallel -json "$$dir/par.json" table4 uli > "$$dir/par.txt" && \
 	cmp "$$dir/serial.txt" "$$dir/par.txt" && cmp "$$dir/serial.json" "$$dir/par.json" && \
 	echo "pdes-exec-smoke: serial and 4-shard parallel-executor runs identical (tables and JSON)"
 
@@ -68,7 +85,7 @@ pdes-exec-smoke:
 # the 8-core chaos machine, output verified against the serial
 # reference (see EXPERIMENTS.md "Fault injection & chaos runs").
 chaos-smoke:
-	$(GO) run ./cmd/paperbench -apps cilk5-cs,ligra-bfs chaos
+	$(PAPERBENCH) -apps cilk5-cs,ligra-bfs chaos
 
 # Survivability pass: one app under the lossy-ULI and core-loss
 # scenarios (steal messages dropped, a tiny core fail-stopped mid-run);
@@ -76,12 +93,12 @@ chaos-smoke:
 # shadowing every memory operation (see EXPERIMENTS.md "Recovery
 # experiments").
 chaos-lossy-smoke:
-	$(GO) run ./cmd/paperbench -apps cilk5-cs -faults lossy-uli,core-loss chaos
+	$(PAPERBENCH) -apps cilk5-cs -faults lossy-uli,core-loss chaos
 
 # Memory-ordering oracle pass on a fault-free run: zero violations and
 # zero simulated-cycle overhead expected.
 oracle-smoke:
-	$(GO) run ./cmd/btsim -config bT8/HCC-DTS-gwb -app cilk5-cs -oracle
+	$(BTSIM) -config bT8/HCC-DTS-gwb -app cilk5-cs -oracle
 
 # Open-system determinism gate: the same bursty overload run under full
 # lossy chaos, twice, must print byte-identical reports (seeded
@@ -89,10 +106,9 @@ oracle-smoke:
 # are all deterministic; see EXPERIMENTS.md "Open-system experiments").
 open-smoke:
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
-	$(GO) build -o "$$dir/btsim" ./cmd/btsim && \
-	"$$dir/btsim" -open -config bT8/HCC-DTS-gwb -workload rmat-query -arrival bursty \
+	$(BTSIM) -open -config bT8/HCC-DTS-gwb -workload rmat-query -arrival bursty \
 		-rate 8 -requests 32 -open-seed 1 -inflight 8 -faults chaos-lossy-all > "$$dir/a.txt" && \
-	"$$dir/btsim" -open -config bT8/HCC-DTS-gwb -workload rmat-query -arrival bursty \
+	$(BTSIM) -open -config bT8/HCC-DTS-gwb -workload rmat-query -arrival bursty \
 		-rate 8 -requests 32 -open-seed 1 -inflight 8 -faults chaos-lossy-all > "$$dir/b.txt" && \
 	cmp "$$dir/a.txt" "$$dir/b.txt" && echo "open-smoke: identical under chaos-lossy-all"
 
@@ -103,13 +119,21 @@ open-smoke:
 bench-smoke:
 	$(GO) test -run xxx -bench . -benchtime 1x ./internal/sim .
 
+# Five seconds of the event-queue fuzzer (pushes, stops, waits against a
+# sorted model; see internal/sim/queue_test.go). A crasher lands in
+# internal/sim/testdata/fuzz and fails every later `go test` until it
+# is fixed. Minimising each new-coverage input would eat the budget, so
+# that is capped at one run.
+fuzz-smoke:
+	$(GO) test -run xxx -fuzz FuzzEventQueue -fuzztime 5s -fuzzminimizetime 1x ./internal/sim
+
 # Service self-test: start simd on a random port with a temp store,
 # POST a tiny job under the full lossy chaos scenario, assert HTTP 200,
 # the ULI accounting identity (reqs == acks + nacks + drops) in the
 # returned JSON, and a byte-identical repeat; then drain gracefully via
 # a real SIGTERM and exit 0 (see EXPERIMENTS.md "Running the service").
 serve-smoke:
-	$(GO) run ./cmd/simd -smoke
+	$(SIMD) -smoke
 
 # Regenerate BENCH_PR10.json and append this commit's measurement to
 # the cumulative BENCH.json trajectory: the kernel microbenchmark, a
@@ -139,4 +163,4 @@ bench-check:
 # summarize → compare → verdict → exit-code pipeline in under a second,
 # on bit-identical simulated cycles, so it cannot flake on any host.
 bench-check-smoke:
-	$(GO) run ./cmd/paperbench bench-check -gates bench/gates-smoke.toml -iterations 2
+	$(PAPERBENCH) bench-check -gates bench/gates-smoke.toml -iterations 2

@@ -395,6 +395,12 @@ func run() int {
 		fmt.Fprintln(out)
 	}
 
+	if *verbose {
+		scheduled, fired, fastWaits := s.HostCounters()
+		fmt.Fprintf(os.Stderr, "paperbench: kernel: %d events scheduled, %d fired, %d waits elided, %d coroutine resumes\n",
+			scheduled, fired, fastWaits, s.Resumes())
+	}
+
 	// Shard accounting mirrors btsim's: stderr only, so stdout stays
 	// byte-comparable across shard counts.
 	if gotShards > 1 {

@@ -118,6 +118,7 @@ type Suite struct {
 	eventsScheduled atomic.Uint64
 	eventsFired     atomic.Uint64
 	fastWaits       atomic.Uint64
+	resumes         atomic.Uint64
 	// Shard-decomposition totals (zero unless Shards > 1): cross-shard
 	// event posts, conservative-lookahead violations, and epoch
 	// accounting, summed over every sharded simulation (see
@@ -321,6 +322,7 @@ func (s *Suite) simulate(ctx context.Context, cfgName, appName string) (r *stats
 	s.eventsScheduled.Add(m.Kernel.Scheduled())
 	s.eventsFired.Add(m.Kernel.Fired())
 	s.fastWaits.Add(m.Kernel.FastWaits())
+	s.resumes.Add(m.Kernel.Resumes())
 	if st := m.ShardStats(); st != nil {
 		s.shardCrossPosts.Add(st.CrossPosts)
 		s.shardViolations.Add(st.Violations)
@@ -357,6 +359,18 @@ func (s *Suite) HostCounters() (scheduled, fired, fastWaits uint64) {
 		fastWaits += fw
 	}
 	return scheduled, fired, fastWaits
+}
+
+// Resumes returns the coroutine switches into a proc (sim.Kernel.Resumes)
+// over the same simulations as HostCounters.
+func (s *Suite) Resumes() uint64 {
+	n := s.resumes.Load()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for _, sub := range s.subs {
+		n += sub.Resumes()
+	}
+	return n
 }
 
 // ShardObs is the shard-decomposition accounting a suite accumulates

@@ -53,7 +53,10 @@ func runKernelMode(t *testing.T, cfgName, appName string, size apps.Size, parano
 // on and off — total cycles, the per-class cycle attribution big and
 // tiny, and every other collected statistic (cache, NoC, DRAM, ULI,
 // runtime counters). Any divergence means the wait elision changed the
-// simulation, not just its host speed.
+// simulation, not just its host speed. The same pairs are the ground
+// truth for wait chains: every idle thief's backoff is a
+// sim.Proc.WaitChain (cpu.Core.Spin), whose steps the dispatcher walks
+// with the fast path on and the proc itself runs in paranoid mode.
 func TestFastPathMatchesParanoid(t *testing.T) {
 	configs := []string{"bT/HCC-DTS-gwb", "bT/HCC-gwt"}
 	for _, size := range []apps.Size{apps.Empty, apps.Unit} {

@@ -104,6 +104,14 @@ type Core struct {
 	// fracIssue accumulates sub-cycle issue debt for wide issue.
 	fracIssue int
 
+	// Spin's state while its wait chain is out (see spinStep): the
+	// instructions left, the chunk size, and the fetch stall the chunk
+	// just issued still has to wait out. spinChain is spinStep as a
+	// value, made once.
+	spinLeft, spinChunk int
+	spinStall           sim.Time
+	spinChain           func() (sim.Time, bool)
+
 	// sbuf holds completion times of outstanding stores in a fixed
 	// inline buffer (sbLen entries live). Even simple in-order cores
 	// have a store buffer: stores retire in the background and the core
@@ -146,6 +154,7 @@ func New(id int, cfg Config, l1d *cache.L1, u *uli.Unit) *Core {
 // Bind attaches the simulated thread running on this core.
 func (c *Core) Bind(p *sim.Proc) {
 	c.proc = p
+	c.spinChain = c.spinStep
 	if c.ULI != nil {
 		c.ULI.Bind(p)
 	}
@@ -243,6 +252,17 @@ func (c *Core) Compute(n int) {
 		return
 	}
 	c.poll()
+	cycles, fetchStall := c.issue(n)
+	c.attribute(ClassOther, c.proc.Now()+cycles)
+	if fetchStall > 0 {
+		c.attribute(ClassInstFetch, c.proc.Now()+fetchStall)
+	}
+}
+
+// issue retires n non-memory instructions on the books — instruction
+// count, issue debt, straggler draw, I-cache walk — and returns the
+// issue cycles and the fetch stall the caller has to wait out.
+func (c *Core) issue(n int) (sim.Time, sim.Time) {
 	c.Insts += uint64(n)
 	// Issue: IssueWidth instructions per cycle, with sub-cycle debt
 	// carried across calls.
@@ -260,22 +280,80 @@ func (c *Core) Compute(n int) {
 	// functions land at staggered direct-mapped sets instead of
 	// systematically aliasing.
 	base := uint64(c.curFunc) * (1<<20 + 37*iBlockBytes)
-	pc := c.curPC
+	pc, size := c.curPC, c.curSize
+	// The tag array is a power of two (64 or 1024 entries) and the PC
+	// normally sits inside a footprint of at least one block, so the set
+	// index is a mask and the wrap one compare-subtract; the divisions
+	// stay for any other case (SetFunc can shrink the footprint under a
+	// live PC).
+	mask := len(c.iTags) - 1
+	pow2 := len(c.iTags)&mask == 0
+	inside := pc < size && size >= iBlockBytes
 	for i := 0; i < n; i += iBlockBytes / 4 {
 		blk := (base + pc) / iBlockBytes
-		idx := int(blk) % len(c.iTags)
+		idx := int(blk) & mask
+		if !pow2 {
+			idx = int(blk) % len(c.iTags)
+		}
 		if c.iTags[idx] != blk {
 			c.iTags[idx] = blk
 			fetchStall += iMissPenalty
 		}
-		pc = (pc + iBlockBytes) % c.curSize
+		if pc += iBlockBytes; !inside {
+			pc %= size
+		} else if pc >= size {
+			pc -= size
+		}
 	}
 	c.curPC = pc
-	now := c.proc.Now()
-	c.attribute(ClassOther, now+sim.Time(cycles))
-	if fetchStall > 0 {
-		c.attribute(ClassInstFetch, c.proc.Now()+fetchStall)
+	return sim.Time(cycles), fetchStall
+}
+
+// Spin executes n non-memory instructions in chunks of at most chunk,
+// with an interrupt poll at every chunk boundary: it is exactly
+//
+//	for ; n > 0; n -= chunk {
+//		c.Compute(min(n, chunk))
+//	}
+//
+// but the chunks between two polls that have something to do cost no
+// switch to this core's thread: their waits form a sim.Proc.WaitChain,
+// which the kernel walks through spinStep.
+func (c *Core) Spin(n, chunk int) {
+	for n > 0 {
+		c.poll()
+		c.spinLeft, c.spinChunk = n, chunk
+		c.proc.WaitChain(c.issueSpin(), c.spinChain)
+		n = c.spinLeft
 	}
+}
+
+// issueSpin issues Spin's next chunk — Compute after its poll — and
+// returns when the chunk's issue cycles end.
+func (c *Core) issueSpin() sim.Time {
+	m := min(c.spinLeft, c.spinChunk)
+	c.spinLeft -= m
+	cycles, stall := c.issue(m)
+	c.spinStall = stall
+	c.Cycles[ClassOther] += uint64(cycles)
+	return c.proc.Now() + cycles
+}
+
+// spinStep is Spin's chain step, called when one of its waits ends: wait
+// out the chunk's fetch stall if it has one, then issue the next chunk
+// — unless the spin is over or the chunk boundary's poll would do
+// something, which ends the chain so the thread itself takes the
+// interrupt.
+func (c *Core) spinStep() (sim.Time, bool) {
+	if stall := c.spinStall; stall > 0 {
+		c.spinStall = 0
+		c.Cycles[ClassInstFetch] += uint64(stall)
+		return c.proc.Now() + stall, true
+	}
+	if c.spinLeft <= 0 || (c.ULI != nil && !c.ULI.PollIdle()) {
+		return 0, false
+	}
+	return c.issueSpin(), true
 }
 
 // shorten approximates out-of-order overlap: stalls beyond the issue

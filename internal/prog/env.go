@@ -32,6 +32,10 @@ type Env interface {
 
 	// Compute executes n abstract non-memory instructions.
 	Compute(n int)
+	// Spin executes n abstract non-memory instructions in chunks of at
+	// most chunk, each chunk boundary an interrupt point: a loop of
+	// Compute calls, cheaper to simulate.
+	Spin(n, chunk int)
 	// IdleUntil parks the thread until cycle t (no-op when t has
 	// passed), remaining responsive to interrupts. Open-system load
 	// drivers use it to sleep between arrivals without burning compute.
@@ -89,6 +93,9 @@ func (e *SimEnv) Now() sim.Time { return e.Core.Now() }
 
 // Compute burns n abstract instructions on the core.
 func (e *SimEnv) Compute(n int) { e.Core.Compute(n) }
+
+// Spin burns n abstract instructions in interruptible chunks.
+func (e *SimEnv) Spin(n, chunk int) { e.Core.Spin(n, chunk) }
 
 // IdleUntil parks the core until cycle t, polling for interrupts.
 func (e *SimEnv) IdleUntil(t sim.Time) { e.Core.IdleUntil(t) }
@@ -165,6 +172,9 @@ func (e *NativeEnv) Now() sim.Time { return 0 }
 
 // Compute counts n instructions.
 func (e *NativeEnv) Compute(n int) { e.Insts += uint64(n) }
+
+// Spin counts n instructions.
+func (e *NativeEnv) Spin(n, chunk int) { e.Compute(n) }
 
 // IdleUntil is a no-op natively: there is no clock to wait on.
 func (e *NativeEnv) IdleUntil(t sim.Time) {}

@@ -7,11 +7,11 @@
 // switch. All simulator state can therefore be mutated without locks,
 // and a given seed and workload always produce the same cycle counts.
 //
-// The queue is built for host speed without giving up determinism: heap
-// entries are small values (no per-event heap allocation, no interface
-// boxing), callbacks live in a slab recycled through a free list, and
-// Timer handles carry a generation stamp so Stop on a recycled slot is
-// detected instead of corrupting an unrelated event. See DESIGN.md §12.
+// The queue is built for host speed without giving up determinism:
+// callbacks live in a slab recycled through a free list (no per-event
+// allocation, no boxing) that a timing wheel links in place, and Timer
+// handles carry a generation stamp so Stop on a recycled slot is
+// detected instead of hitting an unrelated event. See DESIGN.md §12.
 package sim
 
 import (
@@ -61,8 +61,11 @@ type eventRef struct {
 type eventSlot struct {
 	fn   func()
 	proc *Proc
+	at   Time // firing time, while the slot sits in the timing wheel
 	gen  uint32
-	next int32 // free-list link; meaningful only while free
+	// next links the free list or, in the wheel, the slot's bucket; prev
+	// is the bucket's back link, or inOverflow.
+	next, prev int32
 	// shard mirrors the queue the slot's ref lives on, so Timer.Stop on
 	// a sharded kernel can credit the tombstone to the right queue.
 	shard int16
@@ -73,16 +76,9 @@ type eventSlot struct {
 type Kernel struct {
 	now   Time
 	seq   uint64
-	queue eventHeap
 	slots []eventSlot
 	free  int32 // head of the slot free list, -1 when empty
-	// tombstones counts cancelled timers still occupying queue entries.
-	// They are skipped for free at pop time, but a workload that arms
-	// and cancels timers much faster than events fire would grow the
-	// queue without bound, so the queue compacts itself when tombstones
-	// outnumber half the live events.
-	tombstones int
-	procs      []*Proc
+	procs []*Proc
 
 	// sh holds the event-shard state when Shard was called; nil on a
 	// serial kernel, whose hot paths pay only this nil check (see
@@ -97,11 +93,12 @@ type Kernel struct {
 	stop func() bool
 
 	// Host-performance counters (free to maintain, exported for the
-	// benchmarking rig): events scheduled, callbacks fired, and timed
-	// waits satisfied in place without a queue event.
+	// benchmarking rig): events scheduled, callbacks fired, timed waits
+	// satisfied in place without a queue event, and coroutine resumes.
 	scheduled uint64
 	fired     uint64
 	fastWaits uint64
+	resumes   uint64
 
 	// maxTime aborts runaway simulations (e.g. a livelocked runtime).
 	maxTime Time
@@ -139,6 +136,9 @@ type Kernel struct {
 	// layers: ULI fabric state, runtime deque occupancy, ...) appended
 	// to DumpState output and watchdog errors.
 	dumpHooks []func(io.Writer)
+
+	// queue is the serial kernel's; last, because the wheel is large.
+	queue eventQueue
 }
 
 // NewKernel returns an empty kernel positioned at cycle 0.
@@ -183,6 +183,9 @@ func (k *Kernel) Fired() uint64 { return k.fired }
 // the WaitUntil fast path (no event, no switch).
 func (k *Kernel) FastWaits() uint64 { return k.fastWaits }
 
+// Resumes returns the number of switches into a proc coroutine.
+func (k *Kernel) Resumes() uint64 { return k.resumes }
+
 // fail records a simulated-software crash.
 func (k *Kernel) fail(err error) {
 	if k.err == nil {
@@ -226,7 +229,8 @@ func (k *Kernel) freeSlot(idx int32) {
 }
 
 // eventHeap is a binary min-heap of eventRef values ordered by refLess.
-// The serial kernel owns one; a sharded kernel owns one per shard.
+// The serial kernel's queue keeps one as overflow behind its timing
+// wheel; a sharded kernel owns one per shard.
 type eventHeap []eventRef
 
 // push adds a heap entry (sift-up on the value slice).
@@ -295,7 +299,7 @@ func (k *Kernel) scheduleOn(shard int16, t Time, fn func()) (int32, uint32) {
 	idx, gen := k.allocSlot(fn, nil)
 	ref := eventRef{at: t, seq: k.seq, idx: idx, shard: shard}
 	if k.sh == nil {
-		k.queue.push(ref)
+		k.queue.push(k.slots, ref)
 		return idx, gen
 	}
 	k.slots[idx].shard = shard
@@ -316,7 +320,7 @@ func (k *Kernel) scheduleResume(t Time, p *Proc) {
 	idx, _ := k.allocSlot(nil, p)
 	ref := eventRef{at: t, seq: k.seq, idx: idx, shard: p.shard}
 	if k.sh == nil {
-		k.queue.push(ref)
+		k.queue.push(k.slots, ref)
 		return
 	}
 	k.slots[idx].shard = p.shard
@@ -384,8 +388,8 @@ func (t *Timer) Stop() bool {
 	if s.gen != t.gen || s.fn == nil {
 		return false
 	}
-	s.fn = nil
 	if sh := t.k.sh; sh != nil {
+		s.fn = nil
 		sq := &sh.queues[s.shard]
 		sq.tombstones++
 		t.k.compactQueue(&sq.q, &sq.tombstones)
@@ -395,8 +399,14 @@ func (t *Timer) Stop() bool {
 		sh.refreshLeaf(t.k, s.shard)
 		return true
 	}
-	t.k.tombstones++
-	t.k.compactQueue(&t.k.queue, &t.k.tombstones)
+	if q := &t.k.queue; s.prev != inOverflow {
+		q.unlink(t.k.slots, t.idx)
+		t.k.freeSlot(t.idx)
+	} else {
+		s.fn = nil
+		q.tombstones++
+		t.k.compactQueue(&q.over, &q.tombstones)
+	}
 	return true
 }
 
@@ -430,7 +440,7 @@ const compactTombstoneFloor = 32
 // compactQueue rebuilds one heap without tombstones once cancelled
 // entries outnumber half the live events, bounding queue growth under
 // arm/cancel churn (the ULI steal timeout pattern) to O(live events).
-// The serial queue and every shard queue compact independently.
+// The serial overflow and every shard queue compact independently.
 func (k *Kernel) compactQueue(q *eventHeap, tombstones *int) {
 	if *tombstones < compactTombstoneFloor {
 		return
@@ -470,7 +480,7 @@ func (k *Kernel) QueueLen() int {
 		}
 		return n
 	}
-	return len(k.queue)
+	return k.queue.len()
 }
 
 // Tombstones returns the number of cancelled entries still queued,
@@ -483,7 +493,7 @@ func (k *Kernel) Tombstones() int {
 		}
 		return n
 	}
-	return k.tombstones
+	return k.queue.tombstones
 }
 
 // peekLive returns the firing time of the earliest live event,
@@ -495,13 +505,17 @@ func (k *Kernel) peekLive() (Time, bool) {
 		ref, ok := k.sh.peekMin()
 		return ref.at, ok
 	}
-	for len(k.queue) > 0 {
-		ref := k.queue[0]
+	q := &k.queue
+	if q.n > 0 {
+		return q.min, true
+	}
+	for len(q.over) > 0 {
+		ref := q.over[0]
 		if s := &k.slots[ref.idx]; s.fn != nil || s.proc != nil {
 			return ref.at, true
 		}
-		k.queue.popRoot()
-		k.tombstones--
+		q.over.popRoot()
+		q.tombstones--
 		k.freeSlot(ref.idx)
 	}
 	return 0, false
@@ -547,7 +561,7 @@ func (k *Kernel) dispatch(self *Proc, onWorker *execWorker) dispatchOutcome {
 			return k.parkDispatch(onWorker)
 		}
 		if k.sh == nil {
-			if len(k.queue) == 0 {
+			if k.queue.len() == 0 {
 				return k.parkDispatch(onWorker)
 			}
 		} else if !k.sh.hasQueued() {
@@ -559,12 +573,12 @@ func (k *Kernel) dispatch(self *Proc, onWorker *execWorker) dispatchOutcome {
 		}
 		var ref eventRef
 		if k.sh == nil {
-			ref = k.queue.popRoot()
+			ref = k.queue.pop(k)
 			s := &k.slots[ref.idx]
 			if s.proc == nil && s.fn == nil {
 				// A stopped Timer: skip without advancing time, so cancelled
 				// timeouts leave no trace in the cycle count.
-				k.tombstones--
+				k.queue.tombstones--
 				k.freeSlot(ref.idx)
 				continue
 			}
@@ -583,6 +597,9 @@ func (k *Kernel) dispatch(self *Proc, onWorker *execWorker) dispatchOutcome {
 			return k.parkDispatch(onWorker)
 		}
 		k.now = ref.at
+		if k.sh == nil {
+			k.queue.advance(k, ref.at)
+		}
 		// Free before firing: a fired timer cannot be stopped
 		// retroactively (its handle's generation is now stale), and the
 		// callback may immediately reuse the slot for a new event.
@@ -595,6 +612,9 @@ func (k *Kernel) dispatch(self *Proc, onWorker *execWorker) dispatchOutcome {
 			if p.finished {
 				k.cbPanic = fmt.Sprintf("sim: resuming finished proc %q", p.name)
 				return k.parkDispatch(onWorker)
+			}
+			if p.chain != nil && k.walk(p) {
+				continue
 			}
 			if p == self {
 				return dispatchSelf
@@ -649,6 +669,7 @@ func (k *Kernel) resume(p *Proc, onWorker *execWorker) dispatchOutcome {
 		if p.next == nil {
 			p.next, p.stop = iter.Pull(p.main)
 		}
+		k.resumes++
 		out, yielded := p.next()
 		if !yielded {
 			return dispatchSelf
@@ -671,6 +692,29 @@ func (k *Kernel) resume(p *Proc, onWorker *execWorker) dispatchOutcome {
 		}
 		return dispatchSelf
 	}
+}
+
+// walk runs p's chain steps (see Proc.WaitChain) on the caller's stack,
+// from a wait that just ended — the dispatcher popped its resume, or it
+// was elided — taking every further wait it can in place. It returns
+// true once a wait had to be queued (or a step panicked, trapped as in
+// fire): p stays parked and the dispatcher moves on through its
+// top-of-loop checks, as after p's own yield. False: the chain is over.
+func (k *Kernel) walk(p *Proc) (queued bool) {
+	defer func() {
+		if r := recover(); r != nil {
+			k.cbPanic = r
+			queued = true
+		}
+	}()
+	for t, ok := p.chain(); ok; t, ok = p.chain() {
+		if !p.wait(t, false) {
+			p.blockedSince = k.now
+			return true
+		}
+	}
+	p.chain = nil
+	return false
 }
 
 // fire runs a callback, trapping a panic into cbPanic (re-panicked by

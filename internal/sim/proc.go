@@ -28,6 +28,8 @@ type Proc struct {
 	// blockedSince is the cycle at which the proc last yielded; DumpState
 	// reports it for unfinished procs.
 	blockedSince Time
+	// chain is the step of the WaitChain the proc is parked in, if any.
+	chain func() (Time, bool)
 }
 
 // procReaped is the panic value that unwinds a reaped proc's stack.
@@ -110,20 +112,53 @@ func (p *Proc) Name() string { return p.name }
 //
 // KernelParanoid disables the fast path entirely; equivalence tests
 // run both modes and require bit-identical cycle counts.
-func (p *Proc) WaitUntil(t Time) {
+func (p *Proc) WaitUntil(t Time) { p.wait(t, true) }
+
+// wait is WaitUntil when yield is set. When it is not, a wait that has
+// to go through the queue is only queued, and reported unfinished: the
+// caller will yield, or is a dispatcher acting for p (Kernel.walk).
+func (p *Proc) wait(t Time, yield bool) (done bool) {
 	k := p.k
 	if t <= k.now {
-		return
+		return true
 	}
 	if !k.paranoid && t <= k.maxTime && k.err == nil &&
 		k.intrReason.Load() == nil && (k.stop == nil || !k.stop()) {
 		if at, ok := k.peekLive(); !ok || at > t {
 			k.now = t
 			k.fastWaits++
-			return
+			return true
 		}
 	}
 	k.scheduleResume(t, p)
+	if yield {
+		p.yield()
+	}
+	return yield
+}
+
+// WaitChain is WaitUntil(t) followed by as many further waits as step
+// asks for: each time a wait ends, step returns the time the next one
+// ends, or ok == false to end the chain. Under KernelParanoid it is the
+// loop below; otherwise it behaves exactly like it, except that once a
+// wait has gone through the queue the later steps run on the stack of
+// whoever dispatches the proc's resume (Kernel.walk), and the proc is
+// switched to only when the chain ends. Every wait still schedules the
+// event the loop would, so only Kernel.Resumes can tell the two apart.
+// A step must not wait, block, or care whose stack it is on; a time at
+// or before now is a zero-length wait.
+func (p *Proc) WaitChain(t Time, step func() (next Time, ok bool)) {
+	k := p.k
+	if k.paranoid {
+		for ok := true; ok; t, ok = step() {
+			p.WaitUntil(t)
+		}
+		return
+	}
+	p.chain = step
+	if p.wait(t, false) && !k.walk(p) {
+		return
+	}
 	p.yield()
 }
 

@@ -203,7 +203,7 @@ func (k *Kernel) Shard(n int, lookahead Time) {
 	if k.sh != nil {
 		panic("sim: Shard called twice")
 	}
-	if len(k.queue) > 0 || len(k.slots) > 0 || len(k.procs) > 0 {
+	if k.queue.len() > 0 || len(k.slots) > 0 || len(k.procs) > 0 {
 		panic("sim: Shard on a non-empty kernel")
 	}
 	width := int32(1)

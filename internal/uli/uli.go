@@ -342,6 +342,22 @@ func (u *Unit) unblockAt(at sim.Time) {
 // Bind attaches the simulated thread that runs on this unit's core.
 func (u *Unit) Bind(p *sim.Proc) { u.proc = p }
 
+// salvageDue and requestDue are Poll's two conditions: stale-ACK
+// payloads it may hand to the salvage hook, and a buffered request it
+// may deliver.
+func (u *Unit) salvageDue() bool {
+	return len(u.late) > 0 && u.enabled && !u.handling && u.salvage != nil
+}
+
+func (u *Unit) requestDue() bool {
+	return u.pending != nil && u.enabled && !u.handling
+}
+
+// PollIdle reports whether Poll would return without doing anything, so
+// that a caller may skip the call — and whatever it costs to get to a
+// place that can make it.
+func (u *Unit) PollIdle() bool { return !u.salvageDue() && !u.requestDue() }
+
 // Poll must be called by the core model at every instruction boundary.
 // First it drains the salvage mailbox (tasks from stale ACKs), then, if
 // a buffered request is deliverable, the ULI handler runs inline on
@@ -349,7 +365,7 @@ func (u *Unit) Bind(p *sim.Proc) { u.proc = p }
 // send. Poll returns after the response is sent; the victim resumes its
 // interrupted work.
 func (u *Unit) Poll(proc *sim.Proc) {
-	if len(u.late) > 0 && u.enabled && !u.handling && u.salvage != nil {
+	if u.salvageDue() {
 		// Salvage under the same discipline as a handler run: handling
 		// is held so an arriving steal request cannot interrupt the
 		// salvage's own deque operations.
@@ -361,7 +377,7 @@ func (u *Unit) Poll(proc *sim.Proc) {
 		}
 		u.handling = false
 	}
-	if u.pending == nil || !u.enabled || u.handling {
+	if !u.requestDue() {
 		return
 	}
 	req := u.pending

@@ -615,16 +615,9 @@ func (c *Ctx) idleBackoff() {
 		// backoff to spread the retry storm.
 		n += c.env.Rand().Intn(n)
 	}
-	// Spin in short chunks: every Compute boundary is an interrupt
-	// point, so a backing-off worker still services incoming ULI steal
-	// requests promptly (a monolithic 4K-cycle block would hold DTS
-	// requests hostage for its whole duration).
-	for n > 0 {
-		chunk := n
-		if chunk > 128 {
-			chunk = 128
-		}
-		c.env.Compute(chunk)
-		n -= chunk
-	}
+	// Spin in short chunks: every chunk boundary is an interrupt point,
+	// so a backing-off worker still services incoming ULI steal requests
+	// promptly (a monolithic 4K-cycle block would hold DTS requests
+	// hostage for its whole duration).
+	c.env.Spin(n, 128)
 }
