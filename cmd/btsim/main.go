@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	btsim -config bT/HCC-DTS-gwb -app ligra-bfs [-size ref] [-grain N] [-deadline cycles] [-shards K]
+//	btsim -config bT/HCC-DTS-gwb -app ligra-bfs [-size ref] [-grain N] [-deadline cycles]
 //	btsim -config bT8/HCC-DTS-gwb -app ligra-bfs -faults chaos-all [-fault-seed N]
 //	btsim -config bT8/HCC-DTS-gwb -app ligra-bfs -faults lossy-uli -oracle
 //	btsim -open -config bT8/HCC-DTS-gwb -workload rmat-query -arrival bursty -rate 8 -requests 64
@@ -17,11 +17,6 @@
 // task DAG, and the report is shed/completed accounting plus exact
 // end-to-end latency percentiles. -faults/-fault-seed/-oracle/-deadline
 // compose with -open; -app/-size/-grain do not apply.
-//
-// -shards K partitions the event kernel into K conservative-lookahead
-// shards (see DESIGN.md); every counter above is byte-identical at any
-// K, and a shard-accounting summary goes to stderr so stdout stays
-// comparable across shard counts.
 package main
 
 import (
@@ -54,12 +49,6 @@ func main() {
 	oracleOn := flag.Bool("oracle", false, "shadow the run with the memory-ordering oracle")
 	deadline := flag.Uint64("deadline", 0,
 		"simulated-cycle deadline; the run fails with a machine-state dump past it (0 = config watchdog default)")
-	shards := flag.Int("shards", 1,
-		"conservative-lookahead event-kernel shards; results are byte-identical at any count (1 = serial)")
-	shardExec := flag.String("shard-exec", "merged",
-		"sharded-kernel executor: merged, or parallel (epoch-parallel host worker pool; byte-identical results)")
-	execWorkers := flag.Int("exec-workers", 0,
-		"parallel-executor worker pool bound (0 = one worker per shard)")
 	traceFile := flag.String("trace", "", "write a cycle-stamped scheduler trace to this file")
 	openMode := flag.Bool("open", false, "run an open-system serving experiment instead of a closed-loop kernel")
 	workload := flag.String("workload", "rmat-query", "open-system per-request workload (see openload.Workloads)")
@@ -108,34 +97,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	// Reject a bad -shards before any simulation work, same fail-fast
-	// policy as -faults: a typo should not silently run serial.
-	if *shards < 1 {
-		fmt.Fprintf(os.Stderr, "btsim: -shards %d: shard count must be at least 1\n", *shards)
-		os.Exit(2)
-	}
-	if *shards > 1 {
-		cfg, err := machine.Lookup(*cfgName)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "btsim:", err)
-			os.Exit(2)
-		}
-		if n := cfg.NumCores(); *shards > n {
-			fmt.Fprintf(os.Stderr, "btsim: -shards %d exceeds config %s's %d cores\n",
-				*shards, *cfgName, n)
-			os.Exit(2)
-		}
-		if *shards > machine.MaxShards {
-			fmt.Fprintf(os.Stderr, "btsim: warning: -shards %d capped at the %d-shard kernel limit\n",
-				*shards, machine.MaxShards)
-		}
-	}
-	execMode, err := sim.ParseExecMode(*shardExec)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "btsim: -shard-exec:", err)
-		os.Exit(2)
-	}
-
 	if *openMode {
 		runOpen(*cfgName, openload.Spec{
 			Workload:    *workload,
@@ -146,22 +107,16 @@ func main() {
 			MaxInFlight: *inflight,
 			Horizon:     sim.Time(*horizon),
 		}, openload.Options{
-			Scenario:    *faults,
-			FaultSeed:   *faultSeed,
-			Oracle:      *oracleOn,
-			Deadline:    sim.Time(*deadline),
-			Shards:      *shards,
-			ShardExec:   execMode,
-			ExecWorkers: *execWorkers,
+			Scenario:  *faults,
+			FaultSeed: *faultSeed,
+			Oracle:    *oracleOn,
+			Deadline:  sim.Time(*deadline),
 		})
 		return
 	}
 
 	s := bench.NewSuite(sz)
 	s.Grain = *grain
-	s.Shards = *shards
-	s.ShardExec = execMode
-	s.ExecWorkers = *execWorkers
 	s.FaultScenario = *faults
 	s.FaultSeed = *faultSeed
 	s.Oracle = *oracleOn
@@ -173,18 +128,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "btsim:", err)
 		os.Exit(1)
-	}
-	// Shard accounting goes to stderr so stdout is byte-comparable
-	// across shard counts (the pdes-smoke CI gate diffs it).
-	if *shards > 1 {
-		o := s.ShardObs()
-		fmt.Fprintf(os.Stderr, "btsim: shards %d: %d cross-shard posts, %d lookahead violations, avg concurrency %.2f\n",
-			*shards, o.CrossPosts, o.Violations, o.AvgConcurrency())
-		if execMode == sim.ExecParallel {
-			eo := s.ExecObs()
-			fmt.Fprintf(os.Stderr, "btsim: shard-exec parallel: %d handoffs, %d inline, %d outboxed, %d flushes\n",
-				eo.Handoffs, eo.Inline, eo.Outboxed, eo.Flushes)
-		}
 	}
 	if *traceFile != "" {
 		f, err := os.Create(*traceFile)
@@ -246,10 +189,6 @@ func runOpen(cfgName string, sp openload.Spec, opt openload.Options) {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "btsim:", err)
 		os.Exit(1)
-	}
-	if r.Shard != nil {
-		fmt.Fprintf(os.Stderr, "btsim: shards %d (lookahead %d): %d cross-shard posts, %d lookahead violations, avg concurrency %.2f\n",
-			r.Shard.Shards, r.Shard.Lookahead, r.Shard.CrossPosts, r.Shard.Violations, r.Shard.AvgConcurrency())
 	}
 	fmt.Printf("workload   : %s (%s arrivals, rate %g/kcycle, seed %d)\n",
 		sp.Workload, sp.Arrival, sp.RatePerK, sp.Seed)

@@ -46,19 +46,6 @@ type ChaosResult struct {
 // at least one fault was actually injected. Determinism is the caller's
 // check: the same (app, scenario, seed) always yields the same Cycles.
 func RunChaos(appName, scenarioName string, seed uint64) (*ChaosResult, error) {
-	return RunChaosShards(appName, scenarioName, seed, 0)
-}
-
-// RunChaosShards is RunChaos on a sharded event kernel (shards <= 1
-// runs serial). Sharding cannot change any result — the equivalence
-// suite proves chaos cells byte-identical at every K.
-func RunChaosShards(appName, scenarioName string, seed uint64, shards int) (*ChaosResult, error) {
-	return RunChaosExec(appName, scenarioName, seed, shards, sim.ExecMerged)
-}
-
-// RunChaosExec is RunChaosShards with an explicit shard executor; the
-// parallel executor is equally invisible in every result.
-func RunChaosExec(appName, scenarioName string, seed uint64, shards int, exec sim.ExecMode) (*ChaosResult, error) {
 	app, err := apps.ByName(appName)
 	if err != nil {
 		return nil, err
@@ -76,8 +63,6 @@ func RunChaosExec(appName, scenarioName string, seed uint64, shards int, exec si
 	// Every chaos run shadows the caches with the memory-ordering oracle:
 	// faults must never produce a load no legal per-location order allows.
 	cfg.Oracle = true
-	cfg.Shards = shards
-	cfg.ShardExec = exec
 
 	m := machine.New(cfg)
 	rt := wsrt.New(m, wsrt.AutoVariant(m))
@@ -149,26 +134,16 @@ type chaosJob struct {
 // scenarios is nil) and writes a per-run table: cycles, fault count,
 // and the cycle inflation versus the fault-free run of the same app.
 // Runs fan out over a bounded pool of jobs host workers (jobs <= 0
-// means runtime.NumCPU()); each run is an independent simulation on a
-// shards-way sharded kernel (<= 1 serial), so the table is identical
-// at any jobs count, any shard count, and either shard executor. Jobs
-// and shards draw from one host-core budget, same as Suite.Prewarm.
-// The table itself is rendered serially, in fixed (app, scenario)
-// order, after all runs finish.
-func Chaos(w io.Writer, appNames, scenarios []string, seed uint64, jobs, shards int, exec sim.ExecMode) error {
+// means runtime.NumCPU()); each run is an independent simulation, so
+// the table is identical at any jobs count. The table itself is
+// rendered serially, in fixed (app, scenario) order, after all runs
+// finish.
+func Chaos(w io.Writer, appNames, scenarios []string, seed uint64, jobs int) error {
 	if scenarios == nil {
 		scenarios = ChaosScenarios
 	}
 	if jobs <= 0 {
 		jobs = runtime.NumCPU()
-	}
-	if shards > 1 {
-		if budget := runtime.NumCPU() / shards; jobs > budget {
-			jobs = budget
-			if jobs < 1 {
-				jobs = 1
-			}
-		}
 	}
 
 	// Flatten the (app, scenario) grid — "none" baselines first-per-app —
@@ -190,7 +165,7 @@ func Chaos(w io.Writer, appNames, scenarios []string, seed uint64, jobs, shards 
 		go func(i int, c cell) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			r, err := RunChaosExec(c.app, c.scenario, seed, shards, exec)
+			r, err := RunChaos(c.app, c.scenario, seed)
 			results[i] = chaosJob{r, err}
 		}(i, c)
 	}

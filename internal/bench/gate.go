@@ -14,7 +14,6 @@ import (
 	"bigtiny/internal/atomicio"
 	"bigtiny/internal/fault"
 	"bigtiny/internal/machine"
-	"bigtiny/internal/sim"
 	"bigtiny/internal/stats"
 )
 
@@ -53,17 +52,6 @@ type Gate struct {
 	Size apps.Size
 	// Grain overrides the cell's task granularity (0 = app default).
 	Grain int
-	// Shards splits the measuring suite's event kernel into
-	// conservative-lookahead shards (table3/cell kinds; <= 1 serial).
-	// sim_cycles baselines are shared with the serial series by
-	// construction — a sharded sim_cycles gate is the byte-identity
-	// property as a standing check.
-	Shards int
-	// ShardExec picks the shard executor for a sharded gate
-	// (sim.ExecParallel runs the epoch-parallel worker pool). A
-	// deterministic metric gated under the parallel executor is the
-	// executor's byte-identity promise as a standing check.
-	ShardExec sim.ExecMode
 	// Host marks a wall-clock gate whose baseline only holds on the
 	// host that blessed it; bench-check skips these unless the caller
 	// opts in (paperbench: -host-gates or PAPERBENCH_HOST_GATES=1).
@@ -134,18 +122,6 @@ func (g *Gate) Validate() error {
 	if g.Iterations < 0 {
 		return fmt.Errorf("gate %s: negative iterations", g.Series())
 	}
-	if g.Shards < 0 {
-		return fmt.Errorf("gate %s: negative shards", g.Series())
-	}
-	if g.Shards > machine.MaxShards {
-		return fmt.Errorf("gate %s: %d shards exceeds the %d-shard kernel limit", g.Series(), g.Shards, machine.MaxShards)
-	}
-	if g.Kind == "kernel" && g.Shards > 1 {
-		return fmt.Errorf("gate %s: the kernel microbenchmark has no shard knob", g.Series())
-	}
-	if g.ShardExec == sim.ExecParallel && g.Shards <= 1 {
-		return fmt.Errorf("gate %s: shard_exec = \"parallel\" needs shards > 1", g.Series())
-	}
 	if g.Kind == "cell" {
 		if _, err := machine.Lookup(g.Config); err != nil {
 			return fmt.Errorf("gate %s: %w", g.Series(), err)
@@ -180,18 +156,6 @@ func (g *Gate) Validate() error {
 // be compared against a differently-shaped re-measurement; renaming a
 // series orphans (and effectively resets) its baseline.
 func (g *Gate) Series() string {
-	// Sharded variants are differently-shaped measurements, so the
-	// count joins the name; serial gates keep their pre-shard names, so
-	// existing baselines stay attached. The parallel executor likewise
-	// tags the name — deterministic metrics would share a baseline by
-	// construction, but wall-clock ones must not.
-	shard := ""
-	if g.Shards > 1 {
-		shard = fmt.Sprintf(",k%d", g.Shards)
-		if g.ShardExec == sim.ExecParallel {
-			shard += ",par"
-		}
-	}
 	switch g.Kind {
 	case "kernel":
 		return "gate:kernel:" + g.Metric
@@ -200,15 +164,15 @@ func (g *Gate) Series() string {
 		if len(g.Apps) > 0 {
 			apps = strings.Join(g.Apps, "+")
 		}
-		return fmt.Sprintf("gate:table3[%s,%s%s]:%s", g.Size, apps, shard, g.Metric)
+		return fmt.Sprintf("gate:table3[%s,%s]:%s", g.Size, apps, g.Metric)
 	case "open":
 		scen := g.Scenario
 		if scen == "" {
 			scen = "none"
 		}
-		return fmt.Sprintf("gate:open[%s%s]:%s:%s:r%g:%s", g.Size, shard, g.Config, scen, g.Rate, g.Metric)
+		return fmt.Sprintf("gate:open[%s]:%s:%s:r%g:%s", g.Size, g.Config, scen, g.Rate, g.Metric)
 	default:
-		return fmt.Sprintf("gate:cell[%s%s]:%s:%s:g%d:%s", g.Size, shard, g.Config, g.App, g.Grain, g.Metric)
+		return fmt.Sprintf("gate:cell[%s]:%s:%s:g%d:%s", g.Size, g.Config, g.App, g.Grain, g.Metric)
 	}
 }
 
@@ -331,16 +295,6 @@ func setGateKey(g *Gate, key, raw string) error {
 			return fmt.Errorf("key %q: %w", key, err)
 		}
 		g.Rate = v
-	case "shard_exec":
-		v, err := str()
-		if err != nil {
-			return err
-		}
-		mode, err := sim.ParseExecMode(v)
-		if err != nil {
-			return fmt.Errorf("key %q: %w", key, err)
-		}
-		g.ShardExec = mode
 	case "metric":
 		v, err := str()
 		if err != nil {
@@ -381,12 +335,6 @@ func setGateKey(g *Gate, key, raw string) error {
 			return fmt.Errorf("key %q: %w", key, err)
 		}
 		g.Iterations = v
-	case "shards":
-		v, err := strconv.Atoi(stripComment(raw))
-		if err != nil {
-			return fmt.Errorf("key %q: %w", key, err)
-		}
-		g.Shards = v
 	case "host":
 		v, err := strconv.ParseBool(stripComment(raw))
 		if err != nil {
@@ -562,7 +510,7 @@ func measureGate(g *Gate, hook func(string, string), progress io.Writer) (float6
 		if len(names) == 0 {
 			names = AppNames()
 		}
-		b, err := benchSuite(g.Size, names, g.Shards, g.ShardExec, hook, progress)
+		b, err := benchSuite(g.Size, names, hook, progress)
 		if err != nil {
 			return 0, err
 		}
@@ -588,8 +536,6 @@ func measureGate(g *Gate, hook func(string, string), progress io.Writer) (float6
 		s := NewSuite(g.Size)
 		s.SimHook = hook
 		s.Progress = progress
-		s.Shards = g.Shards
-		s.ShardExec = g.ShardExec
 		t0 := time.Now()
 		r, err := s.OpenRun(g.Config, g.Scenario, sw.FaultSeed, sw.spec(g.Rate))
 		if err != nil {
@@ -607,7 +553,7 @@ func measureGate(g *Gate, hook func(string, string), progress io.Writer) (float6
 			return wall, nil
 		}
 	default: // cell
-		c, err := benchCell(g.Size, g.Grain, g.Shards, g.ShardExec, g.Config, g.App, hook, progress)
+		c, err := benchCell(g.Size, g.Grain, g.Config, g.App, hook, progress)
 		if err != nil {
 			return 0, err
 		}

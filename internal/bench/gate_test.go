@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"bigtiny/internal/apps"
-	"bigtiny/internal/sim"
 	"bigtiny/internal/stats"
 )
 
@@ -64,11 +63,9 @@ threshold = 0.25
 	}
 }
 
-// TestParseGatesOpenAndExec pins the open-gate and shard-executor
-// grammar: scenario/rate select the DefaultOpenSweep cell, shard_exec
-// tags the series so parallel-executor baselines never mix with merged
-// ones.
-func TestParseGatesOpenAndExec(t *testing.T) {
+// TestParseGatesOpen pins the open-gate grammar: scenario/rate select
+// the DefaultOpenSweep cell.
+func TestParseGatesOpen(t *testing.T) {
 	src := `
 [[gate]]
 kind = "open"
@@ -77,16 +74,6 @@ scenario = "chaos-lossy-all"
 rate = 4
 size = "test"
 metric = "latency_p99"
-threshold = 0.05
-
-[[gate]]
-kind = "cell"
-config = "bT8/HCC-DTS-gwb"
-app = "cilk5-cs"
-size = "test"
-shards = 4
-shard_exec = "parallel"
-metric = "sim_cycles"
 threshold = 0.05
 `
 	gates, err := ParseGates(strings.NewReader(src))
@@ -100,18 +87,15 @@ threshold = 0.05
 	if s := g.Series(); s != "gate:open[test]:bT8/HCC-DTS-gwb:chaos-lossy-all:r4:latency_p99" {
 		t.Fatalf("open series = %q", s)
 	}
-	if gates[1].ShardExec != sim.ExecParallel {
-		t.Fatalf("exec gate = %+v", gates[1])
-	}
-	if s := gates[1].Series(); s != "gate:cell[test,k4,par]:bT8/HCC-DTS-gwb:cilk5-cs:g0:sim_cycles" {
-		t.Fatalf("parallel cell series = %q", s)
-	}
 }
 
-// TestParseGatesRejects: a typo must not silently un-gate a series.
+// TestParseGatesRejects: a typo must not silently un-gate a series, and
+// the retired shards/shard_exec keys fail like any other unknown key.
 func TestParseGatesRejects(t *testing.T) {
 	cases := map[string]string{
 		"unknown key":     "[[gate]]\nkind = \"kernel\"\nmetric = \"ns_per_event\"\nthreshold = 0.1\ntreshold = 0.1\n",
+		"retired shards":  "[[gate]]\nkind = \"cell\"\nconfig = \"bT/MESI\"\napp = \"cilk5-cs\"\nmetric = \"sim_cycles\"\nthreshold = 0.1\nshards = 4\n",
+		"retired exec":    "[[gate]]\nkind = \"cell\"\nconfig = \"bT/MESI\"\napp = \"cilk5-cs\"\nmetric = \"sim_cycles\"\nthreshold = 0.1\nshard_exec = \"parallel\"\n",
 		"unknown kind":    "[[gate]]\nkind = \"kernle\"\nmetric = \"ns_per_event\"\nthreshold = 0.1\n",
 		"unknown metric":  "[[gate]]\nkind = \"kernel\"\nmetric = \"nsec\"\nthreshold = 0.1\n",
 		"zero threshold":  "[[gate]]\nkind = \"kernel\"\nmetric = \"ns_per_event\"\n",
@@ -120,8 +104,6 @@ func TestParseGatesRejects(t *testing.T) {
 		"key outside":     "kind = \"kernel\"\n",
 		"no gates":        "# empty\n",
 		"unquoted string": "[[gate]]\nkind = kernel\nmetric = \"ns_per_event\"\nthreshold = 0.1\n",
-		"bad exec mode":   "[[gate]]\nkind = \"cell\"\nconfig = \"bT8/MESI\"\napp = \"cilk5-cs\"\nshards = 4\nshard_exec = \"turbo\"\nmetric = \"sim_cycles\"\nthreshold = 0.1\n",
-		"parallel serial": "[[gate]]\nkind = \"cell\"\nconfig = \"bT8/MESI\"\napp = \"cilk5-cs\"\nshard_exec = \"parallel\"\nmetric = \"sim_cycles\"\nthreshold = 0.1\n",
 		"open no rate":    "[[gate]]\nkind = \"open\"\nconfig = \"bT8/MESI\"\nmetric = \"latency_p99\"\nthreshold = 0.1\n",
 		"open bad fault":  "[[gate]]\nkind = \"open\"\nconfig = \"bT8/MESI\"\nscenario = \"nope\"\nrate = 4\nmetric = \"latency_p99\"\nthreshold = 0.1\n",
 		"open bad config": "[[gate]]\nkind = \"open\"\nconfig = \"bT/NOPE\"\nrate = 4\nmetric = \"latency_p99\"\nthreshold = 0.1\n",
@@ -256,11 +238,9 @@ func TestBenchCheckDetectsSlowdown(t *testing.T) {
 }
 
 // TestBenchCheckOpenGateDeterministic: the open-system latency gate
-// measures a deterministic number — repeated checks of an unchanged
-// tree return the exact same p99, so the gate can never flake — and the
-// parallel-executor cell gate is the byte-identity promise in gate
-// form: its sim_cycles baseline holds no matter which executor blessed
-// it.
+// and a cell's sim_cycles gate measure deterministic numbers — repeated
+// checks of an unchanged tree return the exact same values, so neither
+// gate can flake.
 func TestBenchCheckOpenGateDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
@@ -274,7 +254,6 @@ func TestBenchCheckOpenGateDeterministic(t *testing.T) {
 		},
 		{
 			Kind: "cell", Config: "bT8/HCC-DTS-gwb", App: "cilk5-cs", Size: apps.Empty,
-			Shards: 4, ShardExec: sim.ExecParallel,
 			Metric: "sim_cycles", Threshold: 0.05, Iterations: 2,
 		},
 	}

@@ -56,18 +56,6 @@ func (s *Suite) Prewarm(work []Work, jobs int) error {
 	if jobs <= 0 {
 		jobs = runtime.NumCPU()
 	}
-	// Suite-level jobs and per-run shards draw from one host-core
-	// budget: never run more than NumCPU() worth of jobs × shards. A
-	// caller that asked for both explicitly gets the jobs side clamped
-	// (HostBudget lets CLIs warn before it comes to this).
-	if s.Shards > 1 {
-		if budget := runtime.NumCPU() / s.Shards; jobs > budget {
-			jobs = budget
-			if jobs < 1 {
-				jobs = 1
-			}
-		}
-	}
 	seen := make(map[string]bool, len(work))
 	queue := make([]Work, 0, len(work))
 	for _, w := range work {
@@ -106,45 +94,6 @@ func (s *Suite) Prewarm(work []Work, jobs int) error {
 	}
 	wg.Wait()
 	return firstErr
-}
-
-// HostBudget resolves the (jobs, shards) pair against one shared
-// host-core budget of hostCPUs (<= 0 means runtime.NumCPU()): at most
-// hostCPUs cores' worth of parallel simulations × shards per
-// simulation. Zero-valued inputs are resolved from the cores the other
-// side leaves over — `-j 4` on a 16-core host defaults shards to 4;
-// `-shards 8` defaults jobs to 2. When both are explicit and their
-// product oversubscribes the host, jobs is clamped (shards is the
-// user's accuracy/decomposition choice; job count is pure throughput)
-// and clamped reports it so the CLI can warn.
-func HostBudget(jobs, shards, hostCPUs int) (gotJobs, gotShards int, clamped bool) {
-	if hostCPUs <= 0 {
-		hostCPUs = runtime.NumCPU()
-	}
-	switch {
-	case jobs <= 0 && shards <= 0:
-		return hostCPUs, 1, false
-	case shards <= 0:
-		gotShards = hostCPUs / jobs
-		if gotShards < 1 {
-			gotShards = 1
-		}
-		return jobs, gotShards, false
-	case jobs <= 0:
-		gotJobs = hostCPUs / shards
-		if gotJobs < 1 {
-			gotJobs = 1
-		}
-		return gotJobs, shards, false
-	}
-	if jobs*shards > hostCPUs {
-		gotJobs = hostCPUs / shards
-		if gotJobs < 1 {
-			gotJobs = 1
-		}
-		return gotJobs, shards, gotJobs != jobs
-	}
-	return jobs, shards, false
 }
 
 // run and view build Work items at the suite's own size/grain.

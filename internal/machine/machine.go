@@ -45,20 +45,6 @@ type Config struct {
 	DRAMBytesPerCycle float64
 	// Deadline aborts runaway simulations (cycles); 0 = none.
 	Deadline sim.Time
-	// Shards splits the event kernel into that many conservative-
-	// lookahead shards (PDES decomposition, DESIGN.md §16). <= 1 runs
-	// the serial kernel; values beyond the tile count degrade to one
-	// shard per tile. Results are byte-identical at any value.
-	Shards int
-	// ShardExec selects the sharded kernel's executor: the default
-	// merged dispatch, or the epoch-parallel worker pool
-	// (sim.ExecParallel). Ignored when the kernel ends up serial.
-	// Results are byte-identical in either mode (DESIGN.md §17).
-	ShardExec sim.ExecMode
-	// ExecWorkers bounds the parallel executor's worker pool; <= 0
-	// means one worker per shard (the pool is clamped to the shard
-	// count either way).
-	ExecWorkers int
 	// Faults, when non-nil, selects a fault-injection scenario; New
 	// builds a fresh Injector seeded with FaultSeed for each machine,
 	// so one Config can build many machines without shared state.
@@ -86,12 +72,6 @@ type Machine struct {
 	Faults *fault.Injector
 	// Oracle is the memory-ordering checker (nil unless Cfg.Oracle).
 	Oracle *oracle.Checker
-	// plan is the tile→shard partition (nil unless Cfg.Shards > 1).
-	plan *ShardPlan
-	// async is the oracle's drain-goroutine wrapper (nil unless the
-	// parallel executor and the oracle are both on); Run closes it
-	// before reading the verdict.
-	async *oracle.Async
 }
 
 // New builds a machine from cfg.
@@ -133,17 +113,6 @@ func New(cfg Config) *Machine {
 		mcs = append(mcs, mc)
 	}
 
-	var plan *ShardPlan
-	if n := clampShards(cfg.Shards, cfg.NumCores()); n > 1 {
-		plan = planShards(n, mesh, coreNodes, bankNodes)
-		k.Shard(plan.Shards, plan.Lookahead)
-		workers := cfg.ExecWorkers
-		if workers <= 0 {
-			workers = plan.Shards
-		}
-		k.SetShardExec(cfg.ShardExec, workers)
-	}
-
 	cs := cache.NewSystem(cache.Config{
 		NumCores:      cfg.NumCores(),
 		CoreNode:      coreNodes,
@@ -158,11 +127,6 @@ func New(cfg Config) *Machine {
 		fabric = uli.NewFabric(k, cfg.Rows+1, cfg.Cols, cfg.NumCores(),
 			func(core int) noc.NodeID { return coreNodes[core] })
 		fabric.Faults = inj
-		if plan != nil {
-			// ULI deliveries are cross-core messages: route each to the
-			// receiving core's event shard.
-			fabric.ShardOf = func(core int) int { return plan.CoreShard[core] }
-		}
 		if sc := inj.Scenario(); sc.Lossy() {
 			// Steal-path messages can vanish: arm the thief-side timeout.
 			// Left at zero otherwise so fault-free runs schedule no
@@ -173,23 +137,13 @@ func New(cfg Config) *Machine {
 	}
 
 	var chk *oracle.Checker
-	var async *oracle.Async
 	if cfg.Oracle {
 		chk = oracle.New(cfg.NumCores())
-		if k.ShardExecMode() == sim.ExecParallel {
-			// Oracle checking is order-dependent but feeds nothing back
-			// into simulated time, so under the parallel executor the
-			// observations are recorded in dispatch order and applied on a
-			// drain goroutine; Run closes the wrapper before reading the
-			// verdict, so Ops and Err() are bit-identical to sync checking.
-			async = oracle.NewAsync(chk)
-		}
 	}
 
 	m := &Machine{
 		Cfg: cfg, Kernel: k, Mesh: mesh, Mem: backing, Cache: cs,
-		ULI: fabric, MCs: mcs, Faults: inj, Oracle: chk, plan: plan,
-		async: async,
+		ULI: fabric, MCs: mcs, Faults: inj, Oracle: chk,
 	}
 	for c := 0; c < cfg.NumCores(); c++ {
 		big := c < cfg.NumBig
@@ -203,9 +157,7 @@ func New(cfg Config) *Machine {
 			l1 = cache.NewL1(cs, c, cfg.TinyProto, cfg.L1TinyBytes, 2)
 		}
 		l1.Faults = inj
-		if async != nil {
-			l1.Oracle = async
-		} else if chk != nil {
+		if chk != nil {
 			// Guarded assignment: a typed-nil Checker in the interface
 			// field would defeat the L1's nil check.
 			l1.Oracle = chk
@@ -265,14 +217,9 @@ func placeCores(mesh *noc.Mesh, cfg Config) []noc.NodeID {
 func (m *Machine) Big(core int) bool { return core < m.Cfg.NumBig }
 
 // Spawn starts body as the software thread on the given core at time 0.
-// On a sharded machine the thread lives on its tile's event shard.
 func (m *Machine) Spawn(core int, body func(*cpu.Core)) {
 	c := m.Cores[core]
-	shard := 0
-	if m.plan != nil {
-		shard = m.plan.CoreShard[core]
-	}
-	m.Kernel.NewProcOn(shard, fmt.Sprintf("core%d", core), 0, func(p *sim.Proc) {
+	m.Kernel.NewProc(fmt.Sprintf("core%d", core), 0, func(p *sim.Proc) {
 		c.Bind(p)
 		body(c)
 	})
@@ -300,16 +247,7 @@ func (m *Machine) InterruptOn(ctx context.Context, what string) (release func() 
 // precedence over a kernel error (deadline/deadlock), because an
 // ordering bug is usually the *cause* of the hang.
 func (m *Machine) Run() error {
-	if m.async != nil {
-		// The defer keeps the drain goroutine from leaking when the
-		// kernel panics; the explicit Close below is the one that orders
-		// the tail batch before the verdict read.
-		defer m.async.Close()
-	}
 	err := m.Kernel.Run(nil)
-	if m.async != nil {
-		m.async.Close()
-	}
 	if oerr := m.Oracle.Err(); oerr != nil {
 		if err != nil {
 			return fmt.Errorf("%w (and the run failed: %v)", oerr, err)

@@ -99,15 +99,6 @@ type Options struct {
 	Oracle bool
 	// Deadline, when nonzero, overrides the config's watchdog deadline.
 	Deadline sim.Time
-	// Shards splits the event kernel into conservative-lookahead shards
-	// (machine.Config.Shards); results are byte-identical at any value.
-	Shards int
-	// ShardExec selects the sharded kernel's executor
-	// (machine.Config.ShardExec); byte-identical in either mode.
-	ShardExec sim.ExecMode
-	// ExecWorkers bounds the parallel executor's worker pool
-	// (machine.Config.ExecWorkers); <= 0 means one worker per shard.
-	ExecWorkers int
 }
 
 // Result is the outcome of one open-system run.
@@ -142,11 +133,6 @@ type Result struct {
 	FaultTotal uint64
 	RT         wsrt.RunStats
 	OracleOps  uint64
-
-	// Shard is the event-kernel decomposition accounting when the run
-	// was sharded (Options.Shards > 1), nil otherwise. Host-side
-	// observability only: no serving metric above depends on it.
-	Shard *sim.ShardStats
 }
 
 // Arrivals lists the supported arrival process names.
@@ -186,9 +172,6 @@ func Run(ctx context.Context, cfgName string, sp Spec, opt Options) (*Result, er
 		cfg.FaultSeed = opt.FaultSeed
 	}
 	cfg.Oracle = opt.Oracle
-	cfg.Shards = opt.Shards
-	cfg.ShardExec = opt.ShardExec
-	cfg.ExecWorkers = opt.ExecWorkers
 
 	m := machine.New(cfg)
 	defer m.InterruptOn(ctx, "openload: "+sp.Workload+" on "+cfgName)()
@@ -307,7 +290,6 @@ func Run(ctx context.Context, cfgName string, sp Spec, opt Options) (*Result, er
 	if m.Oracle != nil {
 		r.OracleOps = m.Oracle.Ops
 	}
-	r.Shard = m.ShardStats()
 	return r, nil
 }
 

@@ -37,18 +37,15 @@ const Forever = Time(^uint64(0))
 // NewKernel time, so flip it only between simulations.
 var KernelParanoid bool
 
-// eventRef is one heap entry: the firing time, a sequence number that
-// breaks same-time ties in scheduling order (determinism), the index
-// of the slot holding the callback, and the event shard it is queued
-// on (always 0 on an unsharded kernel). Refs are plain values — a heap
-// is a []eventRef and sifting moves 24-byte records (the shard tag
-// lives in what used to be padding), never pointers the GC has to
-// trace.
+// eventRef is one queue entry: the firing time, a sequence number that
+// breaks same-time ties in scheduling order (determinism), and the index
+// of the slot holding the callback. Refs are plain values — the
+// overflow heap is a []eventRef and sifting moves 24-byte records,
+// never pointers the GC has to trace.
 type eventRef struct {
-	at    Time
-	seq   uint64
-	idx   int32
-	shard int16
+	at  Time
+	seq uint64
+	idx int32
 }
 
 // eventSlot holds a scheduled event: either a plain callback (fn) or a
@@ -66,9 +63,6 @@ type eventSlot struct {
 	// next links the free list or, in the wheel, the slot's bucket; prev
 	// is the bucket's back link, or inOverflow.
 	next, prev int32
-	// shard mirrors the queue the slot's ref lives on, so Timer.Stop on
-	// a sharded kernel can credit the tombstone to the right queue.
-	shard int16
 }
 
 // Kernel is the discrete-event engine. The zero value is not usable;
@@ -79,11 +73,6 @@ type Kernel struct {
 	slots []eventSlot
 	free  int32 // head of the slot free list, -1 when empty
 	procs []*Proc
-
-	// sh holds the event-shard state when Shard was called; nil on a
-	// serial kernel, whose hot paths pay only this nil check (see
-	// shard.go and DESIGN.md §16).
-	sh *shardSet
 
 	// paranoid disables the WaitUntil fast path (see KernelParanoid).
 	paranoid bool
@@ -114,15 +103,10 @@ type Kernel struct {
 	err error
 
 	// Dispatch state (see dispatch). A dispatcher on a proc coroutine
-	// leaves what runs next — a proc, or a callback and the pool worker
-	// owning it — in next* for its resumer (see resume). done returns the
-	// control token to the kernel goroutine when a parallel-executor
-	// worker hits a run-level condition; the condition itself travels in
-	// the fields below, whoever saw it, and is consumed by Run.
+	// leaves the proc that runs next in nextProc for its resumer (see
+	// resume). A run-level condition travels in the fields below,
+	// whoever saw it, and is consumed by Run.
 	nextProc    *Proc
-	nextFn      func()
-	nextWorker  *execWorker
-	done        chan struct{}
 	stopHit     bool
 	deadlineHit bool
 	deadlineAt  Time
@@ -137,7 +121,7 @@ type Kernel struct {
 	// to DumpState output and watchdog errors.
 	dumpHooks []func(io.Writer)
 
-	// queue is the serial kernel's; last, because the wheel is large.
+	// queue is last, because the wheel is large.
 	queue eventQueue
 }
 
@@ -147,7 +131,6 @@ func NewKernel() *Kernel {
 		maxTime:  Forever,
 		free:     -1,
 		paranoid: KernelParanoid,
-		done:     make(chan struct{}),
 	}
 }
 
@@ -193,14 +176,6 @@ func (k *Kernel) fail(err error) {
 	}
 }
 
-// refLess orders heap entries by (time, scheduling order).
-func refLess(a, b eventRef) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	return a.seq < b.seq
-}
-
 // allocSlot takes a slot off the free list (or grows the slab) and
 // installs the event payload — a callback or a proc resumption.
 // Returns the slot index and its current generation.
@@ -228,103 +203,24 @@ func (k *Kernel) freeSlot(idx int32) {
 	k.free = idx
 }
 
-// eventHeap is a binary min-heap of eventRef values ordered by refLess.
-// The serial kernel's queue keeps one as overflow behind its timing
-// wheel; a sharded kernel owns one per shard.
-type eventHeap []eventRef
-
-// push adds a heap entry (sift-up on the value slice).
-func (h *eventHeap) push(ref eventRef) {
-	*h = append(*h, ref)
-	q := *h
-	i := len(q) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !refLess(q[i], q[parent]) {
-			break
-		}
-		q[i], q[parent] = q[parent], q[i]
-		i = parent
-	}
-}
-
-// popRoot removes and returns the minimum heap entry.
-func (h *eventHeap) popRoot() eventRef {
-	q := *h
-	root := q[0]
-	n := len(q) - 1
-	q[0] = q[n]
-	q = q[:n]
-	*h = q
-	q.siftDown(0)
-	return root
-}
-
-func (q eventHeap) siftDown(i int) {
-	n := len(q)
-	for {
-		l := 2*i + 1
-		if l >= n {
-			return
-		}
-		m := l
-		if r := l + 1; r < n && refLess(q[r], q[l]) {
-			m = r
-		}
-		if !refLess(q[m], q[i]) {
-			return
-		}
-		q[i], q[m] = q[m], q[i]
-		i = m
-	}
-}
-
-// schedule allocates a slot for fn and queues it at time t. On a
-// sharded kernel the event lands on the shard of the event currently
-// dispatching (a plain callback is machinery of whoever scheduled it);
-// message deliveries that belong to a *different* component use
-// AtOn/scheduleOn to name the receiving shard explicitly.
-func (k *Kernel) schedule(t Time, fn func()) (int32, uint32) {
-	var shard int16
-	if k.sh != nil {
-		shard = k.sh.cur()
-	}
-	return k.scheduleOn(shard, t, fn)
-}
-
-// scheduleOn is schedule with an explicit target shard.
-func (k *Kernel) scheduleOn(shard int16, t Time, fn func()) (int32, uint32) {
+// schedule allocates a slot for a callback fn or a resumption of proc
+// p and queues it at time t. Resumes are tagged in the slot (rather
+// than hidden in a closure) so the dispatcher can switch to p's
+// coroutine.
+func (k *Kernel) schedule(t Time, fn func(), p *Proc) (int32, uint32) {
 	k.seq++
 	k.scheduled++
-	idx, gen := k.allocSlot(fn, nil)
-	ref := eventRef{at: t, seq: k.seq, idx: idx, shard: shard}
-	if k.sh == nil {
-		k.queue.push(k.slots, ref)
-		return idx, gen
-	}
-	k.slots[idx].shard = shard
-	k.sh.enqueue(k, ref)
+	idx, gen := k.allocSlot(fn, p)
+	k.queue.push(k.slots, eventRef{at: t, seq: k.seq, idx: idx})
 	return idx, gen
 }
 
-// scheduleResume queues proc p to resume at time t. Resumes are tagged
-// in the slot (rather than hidden in a closure) so the dispatcher can
-// switch to p's coroutine. On a sharded kernel a resume always lands on
-// the proc's home shard.
+// scheduleResume queues proc p to resume at time t.
 func (k *Kernel) scheduleResume(t Time, p *Proc) {
 	if t < k.now {
 		panic(fmt.Sprintf("sim: schedule at %d before now %d", t, k.now))
 	}
-	k.seq++
-	k.scheduled++
-	idx, _ := k.allocSlot(nil, p)
-	ref := eventRef{at: t, seq: k.seq, idx: idx, shard: p.shard}
-	if k.sh == nil {
-		k.queue.push(k.slots, ref)
-		return
-	}
-	k.slots[idx].shard = p.shard
-	k.sh.enqueue(k, ref)
+	k.schedule(t, nil, p)
 }
 
 // At schedules fn to run at time t. Scheduling in the past is an error
@@ -333,33 +229,11 @@ func (k *Kernel) At(t Time, fn func()) {
 	if t < k.now {
 		panic(fmt.Sprintf("sim: schedule at %d before now %d", t, k.now))
 	}
-	k.schedule(t, fn)
+	k.schedule(t, fn, nil)
 }
 
 // After schedules fn to run d cycles from now.
 func (k *Kernel) After(d Time, fn func()) { k.At(k.now+d, fn) }
-
-// AtOn schedules fn at time t on an explicit event shard — the entry
-// point for cross-shard message delivery (a NoC send, a ULI response):
-// the event belongs to the *receiving* component's shard even though
-// the sender schedules it. On a serial kernel it is exactly At. A post
-// to another shard closer than the kernel's lookahead is counted as a
-// lookahead violation (see ShardStats); it cannot perturb results —
-// dispatch order is the global (time, seq) order regardless — but it
-// flags a latency bound the partitioning relied on as broken.
-func (k *Kernel) AtOn(shard int, t Time, fn func()) {
-	if t < k.now {
-		panic(fmt.Sprintf("sim: schedule at %d before now %d", t, k.now))
-	}
-	if k.sh == nil {
-		k.schedule(t, fn)
-		return
-	}
-	if shard < 0 || shard >= len(k.sh.queues) {
-		panic(fmt.Sprintf("sim: AtOn shard %d out of range [0,%d)", shard, len(k.sh.queues)))
-	}
-	k.scheduleOn(int16(shard), t, fn)
-}
 
 // Timer is a cancellable one-shot event, the building block for
 // simulated-cycle timeouts (e.g. the ULI steal-request timeout). A
@@ -388,24 +262,13 @@ func (t *Timer) Stop() bool {
 	if s.gen != t.gen || s.fn == nil {
 		return false
 	}
-	if sh := t.k.sh; sh != nil {
-		s.fn = nil
-		sq := &sh.queues[s.shard]
-		sq.tombstones++
-		t.k.compactQueue(&sq.q, &sq.tombstones)
-		// The stop (or the compaction it triggered) may have removed or
-		// replaced this shard's cached root; re-seat its leaf in the
-		// merge tree. An interior tombstone returns in O(1).
-		sh.refreshLeaf(t.k, s.shard)
-		return true
-	}
 	if q := &t.k.queue; s.prev != inOverflow {
 		q.unlink(t.k.slots, t.idx)
 		t.k.freeSlot(t.idx)
 	} else {
 		s.fn = nil
 		q.tombstones++
-		t.k.compactQueue(&q.over, &q.tombstones)
+		q.compact(t.k)
 	}
 	return true
 }
@@ -426,85 +289,25 @@ func (k *Kernel) TimerAt(t Time, fn func()) *Timer {
 	if t < k.now {
 		panic(fmt.Sprintf("sim: timer at %d before now %d", t, k.now))
 	}
-	idx, gen := k.schedule(t, fn)
+	idx, gen := k.schedule(t, fn, nil)
 	return &Timer{k: k, idx: idx, gen: gen}
 }
 
 // TimerAfter schedules fn d cycles from now, cancellable.
 func (k *Kernel) TimerAfter(d Time, fn func()) *Timer { return k.TimerAt(k.now+d, fn) }
 
-// compactTombstoneFloor keeps tiny queues from compacting constantly;
-// below it the lazy pop-time skip is always cheaper.
-const compactTombstoneFloor = 32
-
-// compactQueue rebuilds one heap without tombstones once cancelled
-// entries outnumber half the live events, bounding queue growth under
-// arm/cancel churn (the ULI steal timeout pattern) to O(live events).
-// The serial overflow and every shard queue compact independently.
-func (k *Kernel) compactQueue(q *eventHeap, tombstones *int) {
-	if *tombstones < compactTombstoneFloor {
-		return
-	}
-	if live := len(*q) - *tombstones; *tombstones <= live/2 {
-		return
-	}
-	heap := *q
-	w := 0
-	for _, ref := range heap {
-		if s := &k.slots[ref.idx]; s.fn == nil && s.proc == nil {
-			k.freeSlot(ref.idx)
-			continue
-		}
-		heap[w] = ref
-		w++
-	}
-	heap = heap[:w]
-	*q = heap
-	*tombstones = 0
-	for i := w/2 - 1; i >= 0; i-- {
-		heap.siftDown(i)
-	}
-}
-
 // QueueLen returns the number of queue entries, including
-// not-yet-reclaimed tombstones (diagnostics and tests). On a sharded
-// kernel it sums over shard queues.
-func (k *Kernel) QueueLen() int {
-	if k.sh != nil {
-		n := 0
-		for i := range k.sh.queues {
-			n += len(k.sh.queues[i].q)
-		}
-		if ex := k.sh.exec; ex != nil {
-			n += ex.pending
-		}
-		return n
-	}
-	return k.queue.len()
-}
+// not-yet-reclaimed tombstones (diagnostics and tests).
+func (k *Kernel) QueueLen() int { return k.queue.len() }
 
-// Tombstones returns the number of cancelled entries still queued,
-// summed over shard queues on a sharded kernel.
-func (k *Kernel) Tombstones() int {
-	if k.sh != nil {
-		n := 0
-		for i := range k.sh.queues {
-			n += k.sh.queues[i].tombstones
-		}
-		return n
-	}
-	return k.queue.tombstones
-}
+// Tombstones returns the number of cancelled entries still queued.
+func (k *Kernel) Tombstones() int { return k.queue.tombstones }
 
 // peekLive returns the firing time of the earliest live event,
 // discarding any tombstones it finds at the root on the way. Tombstone
 // reclamation has no observable effect on simulated time, so doing it
 // here (from a Proc's wait) is equivalent to doing it in Run.
 func (k *Kernel) peekLive() (Time, bool) {
-	if k.sh != nil {
-		ref, ok := k.sh.peekMin()
-		return ref.at, ok
-	}
 	q := &k.queue
 	if q.n > 0 {
 		return q.min, true
@@ -529,8 +332,8 @@ const (
 	// dispatchSelf: the dispatching proc popped its own resume — it
 	// keeps the token and continues its body with no switch.
 	dispatchSelf dispatchOutcome = iota
-	// dispatchHandoff: the token goes elsewhere — sent to a pool worker,
-	// or, from a proc coroutine, to where next* tell the resumer.
+	// dispatchHandoff: a proc coroutine passes the token to the proc
+	// nextProc names, by way of its resumer.
 	dispatchHandoff
 	// dispatchStopped: a run-level condition (error, stop predicate,
 	// empty queue, deadline, interrupt, callback panic) is recorded in
@@ -539,79 +342,57 @@ const (
 )
 
 // dispatch is the event loop, runnable by whoever holds the control
-// token: the kernel goroutine inside Run (self and onWorker nil), a
-// proc yielding in WaitUntil/Block (self = that proc), or a
-// parallel-executor worker that just fired a callback (onWorker = that
-// worker). Exactly one of them runs it at a time — the token only moves
-// by a coroutine switch or a worker-channel send — so it may touch all
-// kernel state lock-free.
+// token: the goroutine inside Run (self nil), or a proc yielding in
+// WaitUntil/Block (self = that proc). Exactly one of them runs it at a
+// time — the token only moves by a coroutine switch — so it may touch
+// all kernel state lock-free.
 //
 // Running the dispatcher on the proc that just yielded is the point:
 // pure callbacks between resumes run inline with no switch at all, and
 // a proc that pops its own resume just keeps going; only another proc's
 // resume sends it back to its resumer. Event pop order is identical to
 // a kernel-centric loop, so cycle counts are unchanged.
-func (k *Kernel) dispatch(self *Proc, onWorker *execWorker) dispatchOutcome {
+func (k *Kernel) dispatch(self *Proc) dispatchOutcome {
 	for {
 		if k.err != nil || k.cbPanic != nil {
-			return k.parkDispatch(onWorker)
+			return dispatchStopped
 		}
 		if k.intrReason.Load() != nil {
 			k.interruptHit = true
-			return k.parkDispatch(onWorker)
+			return dispatchStopped
 		}
-		if k.sh == nil {
-			if k.queue.len() == 0 {
-				return k.parkDispatch(onWorker)
-			}
-		} else if !k.sh.hasQueued() {
-			return k.parkDispatch(onWorker)
+		if k.queue.len() == 0 {
+			return dispatchStopped
 		}
 		if k.stop != nil && k.stop() {
 			k.stopHit = true
-			return k.parkDispatch(onWorker)
+			return dispatchStopped
 		}
-		var ref eventRef
-		if k.sh == nil {
-			ref = k.queue.pop(k)
-			s := &k.slots[ref.idx]
-			if s.proc == nil && s.fn == nil {
-				// A stopped Timer: skip without advancing time, so cancelled
-				// timeouts leave no trace in the cycle count.
-				k.queue.tombstones--
-				k.freeSlot(ref.idx)
-				continue
-			}
-		} else {
-			var live bool
-			if ref, live = k.sh.popMin(k); !live {
-				// Only tombstones were queued and popMin reclaimed them
-				// all; loop back to the empty check.
-				continue
-			}
-		}
+		ref := k.queue.pop(k)
 		s := &k.slots[ref.idx]
 		p, fn := s.proc, s.fn
+		if p == nil && fn == nil {
+			// A stopped Timer: skip without advancing time, so cancelled
+			// timeouts leave no trace in the cycle count.
+			k.queue.tombstones--
+			k.freeSlot(ref.idx)
+			continue
+		}
 		if ref.at > k.maxTime {
 			k.deadlineHit, k.deadlineAt = true, ref.at
-			return k.parkDispatch(onWorker)
+			return dispatchStopped
 		}
 		k.now = ref.at
-		if k.sh == nil {
-			k.queue.advance(k, ref.at)
-		}
+		k.queue.advance(k, ref.at)
 		// Free before firing: a fired timer cannot be stopped
 		// retroactively (its handle's generation is now stale), and the
 		// callback may immediately reuse the slot for a new event.
 		k.freeSlot(ref.idx)
 		k.fired++
-		if k.sh != nil {
-			k.sh.onFire(ref)
-		}
 		if p != nil {
 			if p.finished {
 				k.cbPanic = fmt.Sprintf("sim: resuming finished proc %q", p.name)
-				return k.parkDispatch(onWorker)
+				return dispatchStopped
 			}
 			if p.chain != nil && k.walk(p) {
 				continue
@@ -623,48 +404,24 @@ func (k *Kernel) dispatch(self *Proc, onWorker *execWorker) dispatchOutcome {
 				k.nextProc = p
 				return dispatchHandoff
 			}
-			switch k.resume(p, onWorker) {
-			case dispatchHandoff:
-				return dispatchHandoff
-			case dispatchStopped:
-				return k.parkDispatch(onWorker)
+			if k.resume(p) == dispatchStopped {
+				return dispatchStopped
 			}
 			continue
 		}
-		if k.sh != nil && k.sh.exec != nil {
-			// Parallel executor: a plain callback belongs to its shard's
-			// pool worker. The send carries the token with it; the worker
-			// fires the callback and keeps dispatching. A callback whose
-			// worker already holds the token runs inline — on a run of
-			// same-shard events (the loser tree's fast path) every event
-			// after the first costs zero handoffs. A proc coroutine leaves
-			// the send to its resumer, or two goroutines would hold the token.
-			ex := k.sh.exec
-			if w := ex.workerFor(ref.shard); w != onWorker {
-				ex.handoffs++
-				if self != nil {
-					k.nextFn, k.nextWorker = fn, w
-					return dispatchHandoff
-				}
-				w.cont <- fn
-				return dispatchHandoff
-			}
-			ex.inline++
-		}
 		if !k.fire(fn) {
-			return k.parkDispatch(onWorker)
+			return dispatchStopped
 		}
 	}
 }
 
-// resume switches from a real goroutine (the kernel's, or pool worker
-// onWorker) to p's coroutine, then to each proc the yielding
-// dispatchers name in turn. It returns dispatchSelf when the caller
-// keeps the token and should dispatch on, dispatchHandoff when the
-// token went to another worker, dispatchStopped on a run-level
-// condition. Procs never resume each other: iter.Pull panics once
-// control comes back round to a coroutine waiting inside next.
-func (k *Kernel) resume(p *Proc, onWorker *execWorker) dispatchOutcome {
+// resume switches from the goroutine inside Run to p's coroutine, then
+// to each proc the yielding dispatchers name in turn. It returns
+// dispatchSelf when the caller should dispatch on, and dispatchStopped
+// on a run-level condition. Procs never resume each other: iter.Pull
+// panics once control comes back round to a coroutine waiting inside
+// next.
+func (k *Kernel) resume(p *Proc) dispatchOutcome {
 	for {
 		if p.next == nil {
 			p.next, p.stop = iter.Pull(p.main)
@@ -677,20 +434,7 @@ func (k *Kernel) resume(p *Proc, onWorker *execWorker) dispatchOutcome {
 		if out == dispatchStopped {
 			return dispatchStopped
 		}
-		if p = k.nextProc; p != nil {
-			k.nextProc = nil
-			continue
-		}
-		fn, w := k.nextFn, k.nextWorker
-		k.nextFn, k.nextWorker = nil, nil
-		if w != onWorker {
-			w.cont <- fn
-			return dispatchHandoff
-		}
-		if !k.fire(fn) {
-			return dispatchStopped
-		}
-		return dispatchSelf
+		p, k.nextProc = k.nextProc, nil
 	}
 }
 
@@ -732,16 +476,6 @@ func (k *Kernel) fire(fn func()) (ok bool) {
 	return
 }
 
-// parkDispatch ends a dispatch on a run-level condition: a pool worker
-// signals the kernel goroutine awake; the kernel goroutine just returns
-// to Run; a proc coroutine passes the outcome on to its resumer.
-func (k *Kernel) parkDispatch(onWorker *execWorker) dispatchOutcome {
-	if onWorker != nil {
-		k.done <- struct{}{}
-	}
-	return dispatchStopped
-}
-
 // Run processes events until the queue is empty or stop returns true.
 // stop is checked between events and may be nil. It returns an error if
 // the deadline was exceeded or if Procs remain unfinished when the event
@@ -751,55 +485,36 @@ func (k *Kernel) parkDispatch(onWorker *execWorker) dispatchOutcome {
 func (k *Kernel) Run(stop func() bool) error {
 	k.stop = stop
 	defer func() { k.stop = nil }()
-	if k.sh != nil {
-		// Publish the token-owned shard (and executor) counters on every
-		// exit path, so ShardStats/ExecStats are exact after Run.
-		defer k.sh.publish()
-	}
-	if k.sh != nil && k.sh.exec != nil {
-		// Parallel executor: the pool lives for the duration of this Run.
-		// stop runs while Run holds the token, when every worker is
-		// parked at its channel receive, so the close/join is race-free.
-		k.sh.exec.start()
-		defer k.sh.exec.stop()
-	}
 	aborted := true
 	defer func() {
 		if aborted {
 			k.reap()
 		}
 	}()
-	for {
-		if k.dispatch(nil, nil) == dispatchHandoff {
-			// The token is with the pool workers; park until one of them
-			// hits a run-level condition.
-			<-k.done
-		}
-		if v := k.cbPanic; v != nil {
-			k.cbPanic = nil
-			panic(v)
-		}
-		if k.err != nil {
-			return k.err
-		}
-		if k.stopHit {
-			k.stopHit = false
-			aborted = false
-			return nil
-		}
-		if k.deadlineHit {
-			k.deadlineHit = false
-			return k.watchdogErr(fmt.Sprintf(
-				"deadline %d cycles exceeded (next event at %d)", k.maxTime, k.deadlineAt))
-		}
-		if k.interruptHit {
-			k.interruptHit = false
-			reason := *k.intrReason.Swap(nil)
-			return k.watchdogErr("interrupted: " + reason)
-		}
-		if k.QueueLen() == 0 {
-			break
-		}
+	// dispatch returns only on a run-level condition recorded below, or
+	// once the queue is empty.
+	k.dispatch(nil)
+	if v := k.cbPanic; v != nil {
+		k.cbPanic = nil
+		panic(v)
+	}
+	if k.err != nil {
+		return k.err
+	}
+	if k.stopHit {
+		k.stopHit = false
+		aborted = false
+		return nil
+	}
+	if k.deadlineHit {
+		k.deadlineHit = false
+		return k.watchdogErr(fmt.Sprintf(
+			"deadline %d cycles exceeded (next event at %d)", k.maxTime, k.deadlineAt))
+	}
+	if k.interruptHit {
+		k.interruptHit = false
+		reason := *k.intrReason.Swap(nil)
+		return k.watchdogErr("interrupted: " + reason)
 	}
 	for _, p := range k.procs {
 		if !p.finished {
@@ -849,9 +564,6 @@ func (k *Kernel) DumpState(w io.Writer) {
 	queued, dead := k.QueueLen(), k.Tombstones()
 	fmt.Fprintf(w, "kernel: cycle=%d queued-events=%d (%d cancelled) procs=%d/%d finished\n",
 		k.now, queued-dead, dead, finished, len(k.procs))
-	if k.sh != nil {
-		k.sh.dump(w)
-	}
 	for _, p := range k.procs {
 		if p.finished {
 			continue

@@ -289,3 +289,21 @@ func TestRandIntnRange(t *testing.T) {
 	}()
 	r.Intn(0)
 }
+
+// TestRunAgainAfterDrain: a Run that drains the queue leaves the kernel
+// usable; events scheduled afterwards fire in the next Run.
+func TestRunAgainAfterDrain(t *testing.T) {
+	k := NewKernel()
+	fired := 0
+	k.At(5, func() { fired++ })
+	if err := k.Run(nil); err != nil {
+		t.Fatal(err)
+	}
+	k.At(k.Now()+5, func() { fired++ })
+	if err := k.Run(nil); err != nil {
+		t.Fatal(err)
+	}
+	if fired != 2 || k.Now() != 10 {
+		t.Fatalf("fired=%d now=%d after two Runs, want 2/10", fired, k.Now())
+	}
+}

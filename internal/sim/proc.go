@@ -22,9 +22,6 @@ type Proc struct {
 	// reaped: unwound by Kernel.reap (unfinished, so dumps still list it).
 	reaped bool
 	body   func(*Proc)
-	// shard is the event shard all of this proc's resume events land on
-	// (always 0 on a serial kernel). Fixed at NewProcOn time.
-	shard int16
 	// blockedSince is the cycle at which the proc last yielded; DumpState
 	// reports it for unfinished procs.
 	blockedSince Time
@@ -37,33 +34,13 @@ type procReaped struct{}
 
 // NewProc registers a simulated thread that begins executing body at
 // time start. The body receives the Proc so it can wait on simulated
-// time. The proc lives on event shard 0; use NewProcOn to place it on
-// another shard of a sharded kernel.
+// time.
 func (k *Kernel) NewProc(name string, start Time, body func(*Proc)) *Proc {
-	return k.NewProcOn(0, name, start, body)
-}
-
-// NewProcOn is NewProc with an explicit home shard: every resume event
-// for the proc (including the initial one scheduled here) is queued on
-// that shard. On a serial kernel only shard 0 is valid.
-func (k *Kernel) NewProcOn(shard int, name string, start Time, body func(*Proc)) *Proc {
-	if shard < 0 || shard >= k.NumShards() {
-		panic(fmt.Sprintf("sim: proc %q on shard %d of a %d-shard kernel",
-			name, shard, k.NumShards()))
-	}
-	p := &Proc{
-		k:     k,
-		name:  name,
-		body:  body,
-		shard: int16(shard),
-	}
+	p := &Proc{k: k, name: name, body: body}
 	k.procs = append(k.procs, p)
 	k.scheduleResume(start, p)
 	return p
 }
-
-// Shard returns the proc's home event shard (0 on a serial kernel).
-func (p *Proc) Shard() int { return int(p.shard) }
 
 // main is the coroutine: run the body, trapping a crash into the kernel
 // error. When it returns, next reports false and the resumer dispatches
@@ -187,7 +164,7 @@ func (p *Proc) yield() {
 		panic(procReaped{})
 	}
 	p.blockedSince = p.k.now
-	out := p.k.dispatch(p, nil)
+	out := p.k.dispatch(p)
 	if out == dispatchSelf {
 		return
 	}

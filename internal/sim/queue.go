@@ -10,7 +10,7 @@ const (
 	inOverflow = -2
 )
 
-// eventQueue is the serial kernel's queue: a timing wheel of one-cycle
+// eventQueue is the kernel's queue: a timing wheel of one-cycle
 // buckets for the events in [cur, cur+wheelSize), and a binary heap for
 // everything later. A bucket is a FIFO threaded through the slots
 // (eventSlot.next/prev): push links, pop unlinks, nothing is sifted.
@@ -130,5 +130,95 @@ func (q *eventQueue) advance(k *Kernel, at Time) {
 			continue
 		}
 		q.push(k.slots, ref)
+	}
+}
+
+// compactTombstoneFloor keeps small overflows from compacting
+// constantly; below it the lazy pop-time skip is always cheaper.
+const compactTombstoneFloor = 32
+
+// compact rebuilds the overflow heap without tombstones once cancelled
+// entries outnumber half the live ones, bounding its growth under
+// arm/cancel churn of timers beyond the wheel to O(live events).
+func (q *eventQueue) compact(k *Kernel) {
+	if q.tombstones < compactTombstoneFloor {
+		return
+	}
+	if live := len(q.over) - q.tombstones; q.tombstones <= live/2 {
+		return
+	}
+	heap := q.over
+	w := 0
+	for _, ref := range heap {
+		if s := &k.slots[ref.idx]; s.fn == nil && s.proc == nil {
+			k.freeSlot(ref.idx)
+			continue
+		}
+		heap[w] = ref
+		w++
+	}
+	heap = heap[:w]
+	q.over = heap
+	q.tombstones = 0
+	for i := w/2 - 1; i >= 0; i-- {
+		heap.siftDown(i)
+	}
+}
+
+// refLess orders heap entries by (time, scheduling order).
+func refLess(a, b eventRef) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	return a.seq < b.seq
+}
+
+// eventHeap is a binary min-heap of eventRef values ordered by refLess:
+// the queue's overflow, behind the timing wheel.
+type eventHeap []eventRef
+
+// push adds a heap entry (sift-up on the value slice).
+func (h *eventHeap) push(ref eventRef) {
+	*h = append(*h, ref)
+	q := *h
+	i := len(q) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !refLess(q[i], q[parent]) {
+			break
+		}
+		q[i], q[parent] = q[parent], q[i]
+		i = parent
+	}
+}
+
+// popRoot removes and returns the minimum heap entry.
+func (h *eventHeap) popRoot() eventRef {
+	q := *h
+	root := q[0]
+	n := len(q) - 1
+	q[0] = q[n]
+	q = q[:n]
+	*h = q
+	q.siftDown(0)
+	return root
+}
+
+func (q eventHeap) siftDown(i int) {
+	n := len(q)
+	for {
+		l := 2*i + 1
+		if l >= n {
+			return
+		}
+		m := l
+		if r := l + 1; r < n && refLess(q[r], q[l]) {
+			m = r
+		}
+		if !refLess(q[m], q[i]) {
+			return
+		}
+		q[i], q[m] = q[m], q[i]
+		i = m
 	}
 }
