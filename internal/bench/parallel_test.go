@@ -1,12 +1,16 @@
 package bench
 
 import (
+	"bytes"
+	"context"
+	"math/rand"
 	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
 	"bigtiny/internal/apps"
+	"bigtiny/internal/stats"
 )
 
 // countingWriter counts progress lines; Suite serializes writes, but
@@ -107,6 +111,160 @@ func TestParallelMatchesSerial(t *testing.T) {
 		if !reflect.DeepEqual(v, pv[k]) {
 			t.Errorf("view %q diverged between -j 1 and -j 8", k)
 		}
+	}
+}
+
+// cell is one simulation's observable output: every collected
+// statistic and the canonical JSON export.
+type cell struct {
+	run *stats.Run
+	js  []byte
+}
+
+// trial fixes everything about a run except its config, its app, and
+// how many host workers share the suite.
+type trial struct {
+	size      apps.Size
+	grain     int
+	scenario  string
+	faultSeed uint64
+}
+
+// warm runs every cfgs × appNames cell on a fresh suite with the
+// memory-ordering oracle on, its work sharded over jobs host workers
+// by Prewarm, and returns each cell's output keyed by "cfg/app". The
+// ULI accounting identity is asserted on the way out.
+func (tr trial) warm(t *testing.T, cfgs, appNames []string, jobs int) map[string]cell {
+	t.Helper()
+	s := NewSuite(tr.size)
+	s.Grain = tr.grain
+	s.FaultScenario = tr.scenario
+	s.FaultSeed = tr.faultSeed
+	s.Oracle = true
+	var work []Work
+	for _, cfg := range cfgs {
+		for _, app := range appNames {
+			work = append(work, s.runWork(cfg, app))
+		}
+	}
+	if err := s.Prewarm(work, jobs); err != nil {
+		t.Fatalf("-j %d: %v", jobs, err)
+	}
+	out := map[string]cell{}
+	for _, w := range work {
+		r, err := s.Run(w.Cfg, w.App)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if u := r.ULI; u != nil && u.Reqs != u.Acks+u.Nacks+u.Drops {
+			t.Fatalf("%s on %s: ULI accounting identity violated: reqs=%d acks=%d nacks=%d drops=%d",
+				w.App, w.Cfg, u.Reqs, u.Acks, u.Nacks, u.Drops)
+		}
+		js, err := s.ResultJSON(context.Background(), w.Cfg, w.App)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[w.Cfg+"/"+w.App] = cell{r, js}
+	}
+	return out
+}
+
+// checkSharded compares every cell of a serial warm against the same
+// cell of a warm sharded over jobs host workers: the stats and the
+// JSON export must be byte-identical.
+func checkSharded(t *testing.T, serial, sharded map[string]cell, jobs int) {
+	t.Helper()
+	for key, want := range serial {
+		got, ok := sharded[key]
+		if !ok {
+			t.Fatalf("%s: missing from the -j %d warm", key, jobs)
+		}
+		if !reflect.DeepEqual(want.run, got.run) {
+			t.Fatalf("%s: stats diverge at -j %d:\nserial:  %+v\nsharded: %+v", key, jobs, want.run, got.run)
+		}
+		if !bytes.Equal(want.js, got.js) {
+			t.Fatalf("%s: JSON export diverges at -j %d:\nserial:  %s\nsharded: %s", key, jobs, want.js, got.js)
+		}
+	}
+}
+
+// TestShardedMatchesSerial: every app, at the Empty and Unit sizes, on
+// a DTS, an HCC, and a MESI machine, gives byte-identical stats and
+// JSON whether its runs go one at a time (-j 1) or are sharded over
+// host workers that simulate them at once.
+func TestShardedMatchesSerial(t *testing.T) {
+	cfgs := []string{"bT/HCC-DTS-gwb", "bT/HCC-gwb", "bT/MESI"}
+	for _, size := range []apps.Size{apps.Empty, apps.Unit} {
+		for _, appName := range AppNames() {
+			t.Run(size.String()+"/"+appName, func(t *testing.T) {
+				tr := trial{size: size}
+				serial := tr.warm(t, cfgs, []string{appName}, 1)
+				checkSharded(t, serial, tr.warm(t, cfgs, []string{appName}, len(cfgs)), len(cfgs))
+			})
+		}
+	}
+}
+
+// TestShardedMatchesSerialTestSize spot-checks real (Test-size)
+// workloads on a DTS and a non-DTS machine: cilk5-cs run alone at -j 1
+// must match the same run sharded over three host workers next to two
+// other apps, and so must those apps.
+func TestShardedMatchesSerialTestSize(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full Test-size equivalence runs are not short")
+	}
+	appNames := []string{"cilk5-cs", "cilk5-mt", "ligra-bfs"}
+	for _, cfgName := range []string{"bT/HCC-DTS-gwb", "bT/MESI"} {
+		t.Run(cfgName, func(t *testing.T) {
+			tr := trial{size: apps.Test}
+			serial := tr.warm(t, []string{cfgName}, appNames[:1], 1)
+			for key, c := range tr.warm(t, []string{cfgName}, appNames[1:], 1) {
+				serial[key] = c
+			}
+			checkSharded(t, serial, tr.warm(t, []string{cfgName}, appNames, 3), 3)
+		})
+	}
+}
+
+// TestShardedDifferentialStress is the randomized differential harness
+// for the host-parallel runner: each trial draws a random (app, size,
+// grain, fault scenario, fault seed) tuple and a fan-out, runs the
+// tuple alone at -j 1, then again with fan-out-1 other apps under the
+// same tuple, sharded over a random number of host workers, and
+// requires byte-identical stats and exports. The generator is seeded,
+// so a failure reproduces by trial index.
+func TestShardedDifferentialStress(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation-heavy")
+	}
+	rng := rand.New(rand.NewSource(20260808))
+	names := AppNames()
+	scenarios := append([]string{""}, ChaosScenarios...)
+	sizes := []apps.Size{apps.Empty, apps.Unit, apps.Test}
+	grains := []int{0, 1, 4}
+	fanouts := []int{2, 3, 4, 8, 64}
+
+	const trials = 10
+	for i := 0; i < trials; i++ {
+		app := rng.Intn(len(names))
+		tr := trial{
+			size:     sizes[rng.Intn(len(sizes))],
+			grain:    grains[rng.Intn(len(grains))],
+			scenario: scenarios[rng.Intn(len(scenarios))],
+		}
+		if tr.scenario != "" {
+			tr.faultSeed = uint64(rng.Intn(5) + 1)
+		}
+		fanout := fanouts[rng.Intn(len(fanouts))]
+		jobs := rng.Intn(fanout) + 1
+		var company []string
+		for j := 0; j < fanout && j < len(names); j++ {
+			company = append(company, names[(app+j)%len(names)])
+		}
+		t.Run(names[app]+"/"+tr.size.String(), func(t *testing.T) {
+			serial := tr.warm(t, []string{ChaosConfig}, company[:1], 1)
+			checkSharded(t, serial, tr.warm(t, []string{ChaosConfig}, company, jobs), jobs)
+		})
 	}
 }
 
