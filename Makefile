@@ -50,10 +50,10 @@ race:
 
 # Byte-identity against the past: re-run the commands whose full
 # output docs/golden holds (test-size `all` with a hash of its -json,
-# chaos, the stock open sweep, an -oracle verdict, a mid-run -deadline
-# dump) and compare byte for byte; a mismatch prints the first differing
-# line. golden-bless rewrites them; a PR that re-blesses says why in
-# CHANGES.md (see docs/golden/golden.sh).
+# chaos, the stock open sweep at ref and test size, an -oracle verdict,
+# a mid-run -deadline dump) and compare byte for byte; a mismatch prints
+# the first differing line. golden-bless rewrites them; a PR that
+# re-blesses says why in CHANGES.md (see docs/golden/golden.sh).
 golden-check:
 	@sh docs/golden/golden.sh check $(BIN)
 

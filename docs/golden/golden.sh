@@ -35,6 +35,7 @@ mkdir "$out"
 "$bin/paperbench" -size test -j 1 -json "$out/all.json" all >"$out/all.txt"
 "$bin/paperbench" -apps cilk5-cs,ligra-bfs chaos >"$out/chaos.txt"
 "$bin/paperbench" open >"$out/open.txt"
+"$bin/paperbench" -size test open >"$out/open-test.txt"
 "$bin/btsim" -config bT8/HCC-DTS-gwb -app cilk5-cs -oracle >"$out/oracle.txt"
 # A run past its deadline exits 1 with the machine-state dump on stderr;
 # that dump, taken mid-run, is the golden.
