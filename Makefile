@@ -2,9 +2,9 @@
 
 GO ?= go
 
-SMOKES := golden-check parallel-smoke chaos-smoke chaos-lossy-smoke oracle-smoke open-smoke bench-smoke fuzz-smoke serve-smoke bench-check-smoke
+SMOKES := golden-check parallel-smoke chaos-smoke chaos-lossy-smoke oracle-smoke open-smoke bench-smoke fuzz-smoke serve-smoke
 
-.PHONY: all ci smokes fmt vet build test race $(SMOKES) golden-bless bench bench-check bench-plot
+.PHONY: all ci smokes fmt vet build test race $(SMOKES) golden-bless trajectory
 
 all: ci
 
@@ -101,7 +101,7 @@ open-smoke:
 # One pass over every Go benchmark (kernel microbenchmarks and the
 # end-to-end artifact benchmarks) so a perf-rig regression — a bench
 # that panics, a metric that stops compiling — fails ci. Numbers from
-# -benchtime=1x are noise; `make bench` produces the real ones.
+# -benchtime=1x are noise; `go run ./benchmark` produces the real ones.
 bench-smoke:
 	$(GO) test -run xxx -bench . -benchtime 1x ./internal/sim .
 
@@ -121,30 +121,8 @@ fuzz-smoke:
 serve-smoke:
 	$(SIMD) -smoke
 
-# Regenerate BENCH_PR10.json and append this commit's measurement to
-# the cumulative BENCH.json trajectory: the kernel microbenchmark and a
-# strictly serial ref-size table3 pass, measured on this host. The PR file's
-# "before" baseline section is preserved; only "after" and the derived
-# speedup ratios are rewritten (see EXPERIMENTS.md "Profiling and
-# benchmarking").
-bench:
-	$(GO) run ./cmd/paperbench bench
-
 # Render the BENCH.json trajectory to the committed static page
-# (inline SVG, no scripts, no external assets).
-bench-plot:
-	$(GO) run ./cmd/paperbench bench-plot
-
-# Perf-regression gate: re-measure every series in bench/gates.toml and
-# compare against the baselines recorded in BENCH.json; exits non-zero
-# only when a series' whole confidence interval lands past its
-# threshold (see EXPERIMENTS.md "Regression gating"). Bless intentional
-# changes with:  go run ./cmd/paperbench bench-check -update-baseline
-bench-check:
-	$(GO) run ./cmd/paperbench bench-check
-
-# Single-cell deterministic gate for ci: exercises the whole measure →
-# summarize → compare → verdict → exit-code pipeline in under a second,
-# on bit-identical simulated cycles, so it cannot flake on any host.
-bench-check-smoke:
-	$(PAPERBENCH) bench-check -gates bench/gates-smoke.toml -iterations 2
+# (inline SVG, no scripts, no external assets). Import a benchmark run
+# first with:  go run ./cmd/paperbench trajectory RESULT.json
+trajectory:
+	$(GO) run ./cmd/paperbench trajectory

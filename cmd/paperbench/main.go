@@ -6,12 +6,10 @@
 //	           [-faults s1,s2] [-fault-seed N] [-deadline cycles]
 //	           [-cpuprofile f] [-memprofile f] [-v] [targets...]
 //	paperbench serve [simd flags]
-//	paperbench bench-check [-gates f] [-iterations N] [-confidence c]
-//	           [-bench-history f] [-check-json f] [-update-baseline] [-v]
-//	paperbench bench-plot [-bench-history f] [-o docs/bench.html]
+//	paperbench trajectory [-bench-history BENCH.json] [-o docs/bench.html] [RESULT.json ...]
 //
 // Targets: table3 table4 table5 fig4 fig5 fig6 fig7 fig8 uli energy
-// chaos open bench all (default: all except table5, which simulates a
+// chaos open all (default: all except table5, which simulates a
 // 256-core system and is the most expensive target, and chaos/open,
 // which are robustness sweeps rather than paper artifacts). The chaos
 // target runs every selected app under each fault-injection scenario
@@ -19,26 +17,14 @@
 // reference; it always uses test-size inputs regardless of -size. The
 // open target sweeps open-system serving load (seeded arrivals, latency
 // percentiles, shedding) across coherence configs with and without
-// fault injection; -open-json exports the cells. The bench target
-// measures host throughput (simulated cycles/sec, kernel events/sec,
-// allocs/event), writes it to -bench-out, and appends a per-commit
-// entry to the cumulative -bench-history trajectory (see EXPERIMENTS.md
-// "Profiling and benchmarking"), with a one-line hint when the new
-// numbers slipped enough that the regression gate would likely flag
-// them.
+// fault injection; -open-json exports the cells.
 //
-// The bench-check subcommand is the perf-regression gate: it
-// re-measures every series the -gates worklist declares (N iterations
-// each), compares the median's confidence interval against the
-// baseline recorded in the BENCH.json trajectory, prints a per-series
-// verdict table (ok / regressed / improved / too-noisy / no-baseline),
-// and exits non-zero iff a series significantly regressed past its
-// threshold. Intentional changes are blessed with -update-baseline
-// (see EXPERIMENTS.md "Regression gating").
-//
-// The bench-plot subcommand renders the BENCH.json trajectory as a
-// self-contained static HTML page (inline SVG, no scripts or external
-// assets) so the perf history is browsable from the repo.
+// The trajectory subcommand appends the untraced runs of the given
+// `go run ./benchmark -out` result files to the BENCH.json trajectory
+// (one entry per host and commit, one series per workload and
+// end-to-end metric of BENCHMARK.json, run from the repository root),
+// then renders the trajectory as a self-contained static HTML page
+// (inline SVG, no scripts or external assets).
 //
 // The 143 simulations behind the full evaluation are independent, so
 // paperbench fans them out over -j host workers (default: all host
@@ -53,12 +39,11 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
-	"os/exec"
 	"runtime"
 	"runtime/pprof"
 	"strings"
+	"time"
 
 	"bigtiny/internal/apps"
 	"bigtiny/internal/bench"
@@ -71,92 +56,44 @@ func main() {
 	if len(os.Args) > 1 && os.Args[1] == "serve" {
 		os.Exit(serve.Main("paperbench serve", os.Args[2:]))
 	}
-	if len(os.Args) > 1 && os.Args[1] == "bench-check" {
-		os.Exit(benchCheck(os.Args[2:]))
-	}
-	if len(os.Args) > 1 && os.Args[1] == "bench-plot" {
-		os.Exit(benchPlot(os.Args[2:]))
+	if len(os.Args) > 1 && os.Args[1] == "trajectory" {
+		os.Exit(trajectory(os.Args[2:]))
 	}
 	os.Exit(run())
 }
 
-// benchCheck is the perf-regression gate: re-measure every series the
-// gates worklist declares, compare each against its BENCH.json
-// trajectory baseline with a median-CI significance test, and exit
-// non-zero iff something significantly regressed (see EXPERIMENTS.md
-// "Regression gating").
-func benchCheck(args []string) int {
-	fs := flag.NewFlagSet("paperbench bench-check", flag.ContinueOnError)
-	gatesPath := fs.String("gates", "bench/gates.toml", "gates worklist (bent-style TOML; see EXPERIMENTS.md)")
-	iterations := fs.Int("iterations", bench.DefaultCheckIterations,
-		"samples per gated series (a gate's own iterations key wins)")
-	confidence := fs.Float64("confidence", bench.DefaultCheckConfidence, "median confidence-interval level")
-	history := fs.String("bench-history", "BENCH.json", "trajectory file holding the baselines")
-	checkJSON := fs.String("check-json", "", "also write the machine-readable verdict report to this file")
-	update := fs.Bool("update-baseline", false,
-		"bless the fresh medians as the new baselines (verdicts still report against the old ones)")
-	hostGates := fs.Bool("host-gates", false,
-		"also check gates marked host = true (per-host wall-clock baselines; PAPERBENCH_HOST_GATES=1 is equivalent)")
-	verbose := fs.Bool("v", false, "print per-iteration progress")
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if fs.NArg() > 0 {
-		fmt.Fprintf(os.Stderr, "paperbench bench-check: unexpected arguments %q\n", fs.Args())
-		return 2
-	}
-	gates, err := bench.LoadGates(*gatesPath)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "paperbench bench-check:", err)
-		return 2
-	}
-	opts := bench.CheckOptions{
-		Iterations:     *iterations,
-		Confidence:     *confidence,
-		UpdateBaseline: *update,
-		IncludeHost:    *hostGates || os.Getenv("PAPERBENCH_HOST_GATES") == "1",
-		Commit:         gitCommit(),
-	}
-	if *verbose {
-		opts.Progress = os.Stderr
-	}
-	rep, err := bench.BenchCheck(os.Stdout, gates, *history, opts)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "paperbench bench-check:", err)
-		return 1
-	}
-	if *checkJSON != "" {
-		if err := bench.WriteCheckJSON(*checkJSON, rep); err != nil {
-			fmt.Fprintln(os.Stderr, "paperbench bench-check:", err)
-			return 1
-		}
-	}
-	if rep.Failed() {
-		return 1
-	}
-	return 0
-}
-
-// benchPlot renders the BENCH.json trajectory to a static,
-// self-contained HTML page (inline SVG charts, no scripts).
-func benchPlot(args []string) int {
-	fs := flag.NewFlagSet("paperbench bench-plot", flag.ContinueOnError)
-	history := fs.String("bench-history", "BENCH.json", "trajectory file to render")
+// trajectory imports benchmark result files into the BENCH.json
+// trajectory and renders it to a static, self-contained HTML page
+// (inline SVG charts, no scripts). With no files it only renders.
+func trajectory(args []string) int {
+	fs := flag.NewFlagSet("paperbench trajectory", flag.ContinueOnError)
+	history := fs.String("bench-history", "BENCH.json", "trajectory file to append to and render")
 	out := fs.String("o", "docs/bench.html", "output HTML file")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 	if fs.NArg() > 0 {
-		fmt.Fprintf(os.Stderr, "paperbench bench-plot: unexpected arguments %q\n", fs.Args())
-		return 2
+		spec, err := bench.LoadBenchSpec("BENCHMARK.json")
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "paperbench trajectory:", err)
+			return 1
+		}
+		added, err := bench.ImportResults(*history, spec, fs.Args(), time.Now())
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "paperbench trajectory:", err)
+			return 1
+		}
+		for _, a := range added {
+			fmt.Printf("%s: %s @ %s: %d series (%s)\n", *history, a.Suite, a.Entry.Commit.ID, len(a.Entry.Benches), a.Entry.Commit.Message)
+		}
 	}
 	traj, err := bench.LoadTrajectory(*history)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "paperbench bench-plot:", err)
+		fmt.Fprintln(os.Stderr, "paperbench trajectory:", err)
 		return 1
 	}
 	if err := bench.WriteTrajectoryHTML(*out, traj, *history); err != nil {
-		fmt.Fprintln(os.Stderr, "paperbench bench-plot:", err)
+		fmt.Fprintln(os.Stderr, "paperbench trajectory:", err)
 		return 1
 	}
 	fmt.Printf("wrote %s\n", *out)
@@ -177,10 +114,6 @@ func run() int {
 		"per-run simulated-cycle deadline; a run past it fails with a machine-state dump (0 = each config's watchdog default)")
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the whole run to this file")
 	memProfile := flag.String("memprofile", "", "write a pprof heap profile at exit to this file")
-	benchOut := flag.String("bench-out", "BENCH_PR10.json",
-		"output file for the bench target (an existing 'before' baseline section is preserved)")
-	benchHistory := flag.String("bench-history", "BENCH.json",
-		"cumulative per-commit trajectory file the bench target appends to (empty = no trajectory)")
 	openJSON := flag.String("open-json", "",
 		"also dump the open target's sweep results as JSON to this file")
 	flag.Parse()
@@ -291,8 +224,7 @@ func run() int {
 	// caches over the host worker pool; the render loop below then
 	// draws from the cache in fixed order. Prewarm errors are not fatal
 	// here — the owning target re-encounters them serially and reports
-	// them with its usual context. (The bench target has no worklist:
-	// it measures its own strictly-serial pass on a private suite.)
+	// them with its usual context.
 	var work []bench.Work
 	for _, t := range targets {
 		if wl, ok := s.TargetWork(t, names); ok {
@@ -331,12 +263,6 @@ func run() int {
 			err = bench.Chaos(out, names, chaosScenarios, *faultSeed, *jobs)
 		case "open":
 			err = s.Open(out, bench.DefaultOpenSweep(sz))
-		case "bench":
-			var progress io.Writer
-			if *verbose {
-				progress = os.Stderr
-			}
-			err = bench.HostBench(out, sz, names, *benchOut, *benchHistory, gitCommit(), progress)
 		default:
 			err = fmt.Errorf("unknown target %q", t)
 		}
@@ -384,28 +310,4 @@ func run() int {
 		}
 	}
 	return 0
-}
-
-// gitCommit identifies HEAD for the benchmark trajectory, best-effort:
-// outside a git checkout (or without git on PATH) the entry is still
-// recorded, just unattributed with ID "unknown" — the trajectory never
-// dedups on that ID, so successive unattributed runs accumulate
-// instead of silently replacing each other.
-func gitCommit() bench.BenchCommit {
-	out, err := exec.Command("git", "log", "-1", "--format=%H%n%s%n%cI").Output()
-	if err != nil {
-		return bench.BenchCommit{ID: "unknown", Message: "unknown", Timestamp: ""}
-	}
-	lines := strings.SplitN(strings.TrimRight(string(out), "\n"), "\n", 3)
-	c := bench.BenchCommit{ID: "unknown", Message: "unknown"}
-	if len(lines) > 0 && lines[0] != "" {
-		c.ID = lines[0]
-	}
-	if len(lines) > 1 {
-		c.Message = lines[1]
-	}
-	if len(lines) > 2 {
-		c.Timestamp = lines[2]
-	}
-	return c
 }

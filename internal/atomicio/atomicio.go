@@ -7,9 +7,9 @@
 //
 // The pattern originated in internal/store (whose entries additionally
 // carry checksums); it lives here so every file the repo treats as
-// durable state — store entries, the BENCH perf trajectory, the
-// per-PR BENCH_*.json snapshots — shares one write path instead of
-// each caller re-implementing (or forgetting) the dance.
+// durable state — store entries, the BENCH.json perf trajectory and
+// the page rendered from it — shares one write path instead of each
+// caller re-implementing (or forgetting) the dance.
 package atomicio
 
 import (

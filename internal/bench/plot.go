@@ -13,7 +13,7 @@ import (
 )
 
 // This file renders the BENCH.json trajectory as a static HTML page
-// (`paperbench bench-plot`, committed as docs/bench.html): one inline
+// (`paperbench trajectory`, committed as docs/bench.html): one inline
 // SVG line chart per series, grouped by suite, with no scripts and no
 // external assets, so the repo's perf history is browsable anywhere a
 // file renders. Output is deterministic for a given trajectory —
@@ -182,7 +182,7 @@ func RenderTrajectoryHTML(w io.Writer, traj *TrajectoryFile, source string) erro
 		}
 	}
 	if total == 0 {
-		fmt.Fprint(w, "<p>No trajectory entries yet — run <code>paperbench bench</code> first.</p>\n")
+		fmt.Fprint(w, "<p>No trajectory entries yet — import a result file with <code>paperbench trajectory</code> first.</p>\n")
 	}
 	fmt.Fprint(w, "</body>\n</html>\n")
 	return nil

@@ -83,14 +83,15 @@ func TestRenderTrajectoryHTML(t *testing.T) {
 }
 
 // TestRenderTrajectoryHTMLEmpty: an empty trajectory renders a valid
-// page with a pointer at `paperbench bench`, not a panic or a blank.
+// page with a pointer at `paperbench trajectory`, not a panic or a
+// blank.
 func TestRenderTrajectoryHTMLEmpty(t *testing.T) {
 	var b strings.Builder
 	traj := &TrajectoryFile{Entries: map[string][]TrajectoryEntry{}}
 	if err := RenderTrajectoryHTML(&b, traj, "BENCH.json"); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(b.String(), "paperbench bench") {
+	if !strings.Contains(b.String(), "paperbench trajectory") {
 		t.Error("empty trajectory page missing the how-to-populate hint")
 	}
 }

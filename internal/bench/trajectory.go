@@ -3,6 +3,7 @@ package bench
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 	"sort"
 	"time"
@@ -10,19 +11,17 @@ import (
 	"bigtiny/internal/atomicio"
 )
 
-// This file maintains the cumulative benchmark trajectory: where a
-// BENCH_*.json carries one before/after pair for a single PR, the
-// trajectory file (BENCH.json) appends one entry per commit, in the
-// same shape the benchmark-action ecosystem renders, so the repo's
-// host-performance history is a single growing series rather than a
-// set of disconnected pairs. The trajectory is also where the
-// regression gate (gate.go) finds its baselines: bench-check compares
-// fresh measurements against the newest entry carrying each gated
-// series, and -update-baseline blesses new values by appending one.
+// This file maintains the repo's benchmark trajectory, BENCH.json: one
+// entry per (host, commit), in the shape the benchmark-action ecosystem
+// renders, with one suite per host. Entries come from the result files
+// `go run ./benchmark -out` writes: ImportResults pools their untraced
+// runs by host and commit, and each pool becomes one entry holding the
+// median of every end-to-end metric BENCHMARK.json lists, per workload.
 //
 // The file is the repo's whole perf history, so every write goes
 // through atomicio: a crash mid-append leaves the previous trajectory
-// intact, never a truncated JSON.
+// intact, never a truncated JSON. An import is all or nothing: every
+// result file is read and checked before the one write.
 
 // BenchCommit identifies the commit a trajectory entry measures.
 type BenchCommit struct {
@@ -53,24 +52,51 @@ type TrajectoryFile struct {
 	Entries    map[string][]TrajectoryEntry `json:"entries"`
 }
 
-// trajectorySuite is the series every paperbench bench run appends to;
-// gateSuite carries the regression-gate baselines bench-check blesses.
-const (
-	trajectorySuite = "paperbench host throughput"
-	gateSuite       = "paperbench regression gates"
-)
+// SuiteEntry is one entry and the suite it belongs to.
+type SuiteEntry struct {
+	Suite string
+	Entry TrajectoryEntry
+}
 
-// trajectoryBenches flattens a report into the named series. Names are
-// stable across PRs — renaming one would fork its plotted history.
-func trajectoryBenches(rep *HostBenchReport) []TrajectoryBench {
-	return []TrajectoryBench{
-		{Name: "kernel ns/event", Value: rep.Kernel.NsPerEvent, Unit: "ns/event"},
-		{Name: "kernel allocs/event", Value: rep.Kernel.AllocsPerEvent, Unit: "allocs/event"},
-		{Name: "table3 serial wall", Value: rep.Table3Serial.WallSec, Unit: "s"},
-		{Name: "table3 sim-cycles/sec", Value: rep.Table3Serial.SimCyclesPerSec, Unit: "cycles/s"},
-		{Name: "table3 events/sec", Value: rep.Table3Serial.EventsPerSec, Unit: "events/s"},
-		{Name: "table3 allocs/event", Value: rep.Table3Serial.AllocsPerEvent, Unit: "allocs/event"},
+// BenchSpec is what an import needs of BENCHMARK.json: the workloads,
+// and the end-to-end metrics with their units.
+type BenchSpec struct {
+	Workloads []struct {
+		Name string `json:"name"`
+	} `json:"workloads"`
+	EndToEnd []struct {
+		Name string `json:"name"`
+		Unit string `json:"unit"`
+	} `json:"end_to_end"`
+}
+
+// LoadBenchSpec reads BENCHMARK.json at path.
+func LoadBenchSpec(path string) (*BenchSpec, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return nil, fmt.Errorf("bench: run from the root of the repo: %w", err)
 	}
+	var s BenchSpec
+	if err := json.Unmarshal(data, &s); err != nil {
+		return nil, fmt.Errorf("bench: %s: %w", path, err)
+	}
+	if len(s.Workloads) == 0 || len(s.EndToEnd) == 0 {
+		return nil, fmt.Errorf("bench: %s lists no workloads or no end-to-end metrics", path)
+	}
+	return &s, nil
+}
+
+// benchRun is the part of one run in a benchmark result file that an
+// import reads.
+type benchRun struct {
+	Workload string `json:"workload"`
+	Trace    int    `json:"trace"`
+	Host     struct {
+		NProc    int    `json:"nproc"`
+		CPUModel string `json:"cpu_model"`
+		Commit   string `json:"commit"`
+	} `json:"host"`
+	Values map[string]float64 `json:"values"`
 }
 
 // LoadTrajectory reads the trajectory file at path. A missing file is
@@ -91,43 +117,135 @@ func LoadTrajectory(path string) (*TrajectoryFile, error) {
 	return &file, nil
 }
 
-// Baseline returns the most recent recorded value of the named series,
-// searching entries newest-first (suites in sorted order, so the
-// answer is deterministic), plus the commit ID that recorded it. ok is
-// false when no entry carries the series.
-func (f *TrajectoryFile) Baseline(series string) (value float64, commit string, ok bool) {
-	suites := make([]string, 0, len(f.Entries))
-	for s := range f.Entries {
-		suites = append(suites, s)
+// ImportResults pools the untraced runs of the benchmark result files by
+// host (CPU model and count) and commit, and appends one entry per pool
+// to the trajectory at historyPath. An entry has one series per
+// workload and end-to-end metric of spec, named "<workload>/<metric>":
+// the median of the pool's values, which is the number
+// `go run ./benchmark -compare` prints. A file that cannot be read,
+// holds no untraced run, or has a run that is not complete and positive
+// fails the whole import, and the trajectory is left untouched.
+func ImportResults(historyPath string, spec *BenchSpec, files []string, now time.Time) ([]SuiteEntry, error) {
+	if len(files) == 0 {
+		return nil, fmt.Errorf("bench: no result files to import")
 	}
-	sort.Strings(suites)
-	for _, s := range suites {
-		entries := f.Entries[s]
-		for i := len(entries) - 1; i >= 0; i-- {
-			for _, b := range entries[i].Benches {
-				if b.Name == series {
-					return b.Value, entries[i].Commit.ID, true
-				}
+	type poolKey struct{ suite, commit string }
+	var order []poolKey
+	pools := map[poolKey][]benchRun{}
+	for _, path := range files {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return nil, fmt.Errorf("bench: %w", err)
+		}
+		runs, err := parseResults(spec, data)
+		if err != nil {
+			return nil, fmt.Errorf("bench: %s: %w", path, err)
+		}
+		for _, r := range runs {
+			k := poolKey{fmt.Sprintf("benchmark on %s, nproc %d", r.Host.CPUModel, r.Host.NProc), r.Host.Commit}
+			if _, ok := pools[k]; !ok {
+				order = append(order, k)
 			}
+			pools[k] = append(pools[k], r)
 		}
 	}
-	return 0, "", false
+
+	adds := make([]SuiteEntry, 0, len(order))
+	for _, k := range order {
+		runs := pools[k]
+		var benches []TrajectoryBench
+		for _, w := range spec.Workloads {
+			for _, m := range spec.EndToEnd {
+				var vs []float64
+				for _, r := range runs {
+					if r.Workload == w.Name {
+						vs = append(vs, r.Values[m.Name])
+					}
+				}
+				if len(vs) == 0 {
+					return nil, fmt.Errorf("bench: %s at commit %q has no run of workload %s", k.suite, k.commit, w.Name)
+				}
+				benches = append(benches, TrajectoryBench{Name: w.Name + "/" + m.Name, Value: median(vs), Unit: m.Unit})
+			}
+		}
+		adds = append(adds, SuiteEntry{Suite: k.suite, Entry: TrajectoryEntry{
+			Commit:  BenchCommit{ID: k.commit, Message: fmt.Sprintf("%d untraced runs of go run ./benchmark", len(runs))},
+			Date:    now.UnixMilli(),
+			Tool:    "go",
+			Benches: benches,
+		}})
+	}
+	if err := appendEntries(historyPath, adds, now); err != nil {
+		return nil, err
+	}
+	return adds, nil
+}
+
+// parseResults returns the untraced runs of one result file, checked
+// against spec: a known workload, a host, and every end-to-end metric
+// present, finite and positive.
+func parseResults(spec *BenchSpec, data []byte) ([]benchRun, error) {
+	var file struct {
+		Runs []benchRun `json:"runs"`
+	}
+	if err := json.Unmarshal(data, &file); err != nil {
+		return nil, err
+	}
+	known := map[string]bool{}
+	for _, w := range spec.Workloads {
+		known[w.Name] = true
+	}
+	var runs []benchRun
+	for i, r := range file.Runs {
+		if r.Trace != 0 {
+			continue
+		}
+		switch {
+		case !known[r.Workload]:
+			return nil, fmt.Errorf("run %d: unknown workload %q", i, r.Workload)
+		case r.Host.NProc <= 0 || r.Host.CPUModel == "":
+			return nil, fmt.Errorf("run %d: no host cpu_model and nproc", i)
+		}
+		for _, m := range spec.EndToEnd {
+			v, ok := r.Values[m.Name]
+			if !ok || !(v > 0) || math.IsInf(v, 0) {
+				return nil, fmt.Errorf("run %d (%s): %s is missing or not a positive number", i, r.Workload, m.Name)
+			}
+		}
+		runs = append(runs, r)
+	}
+	if len(runs) == 0 {
+		return nil, fmt.Errorf("no untraced (trace 0) runs")
+	}
+	return runs, nil
+}
+
+// median is the middle value, or the mean of the two middle ones.
+func median(xs []float64) float64 {
+	s := append([]float64(nil), xs...)
+	sort.Float64s(s)
+	n := len(s)
+	if n%2 == 1 {
+		return s[n/2]
+	}
+	return (s[n/2-1] + s[n/2]) / 2
 }
 
 // dedupableCommit reports whether a commit ID identifies one specific
-// commit. The no-git fallback stamps entries with "unknown"; replacing
-// on that ID would collapse every unattributed run into one entry,
-// silently discarding history, so such entries always append.
+// commit. The benchmark stamps runs taken outside a git checkout with
+// "unknown"; replacing on that ID would collapse every unattributed
+// import into one entry, silently discarding history, so such entries
+// always append.
 func dedupableCommit(id string) bool {
 	return id != "" && id != "unknown"
 }
 
-// appendEntry appends one entry to the named suite's series in the
-// trajectory at path, creating the file if needed. Entries for the
-// same (dedupable) commit ID are replaced rather than duplicated, so
-// re-running `make bench` before committing does not stutter the
-// series. The write is atomic: a crash leaves the old file intact.
-func appendEntry(path, suite string, benches []TrajectoryBench, commit BenchCommit, now time.Time) error {
+// appendEntries adds each entry to its suite's series in the trajectory
+// at path, creating the file if needed. An entry for a (dedupable)
+// commit the suite already holds replaces it rather than duplicating
+// it, so re-importing a commit's results does not stutter the series.
+// The write is atomic: a crash leaves the old file intact.
+func appendEntries(path string, adds []SuiteEntry, now time.Time) error {
 	file, err := LoadTrajectory(path)
 	if err != nil {
 		return err
@@ -135,47 +253,28 @@ func appendEntry(path, suite string, benches []TrajectoryBench, commit BenchComm
 	if file.RepoURL == "" {
 		file.RepoURL = "local"
 	}
-
-	entry := TrajectoryEntry{
-		Commit:  commit,
-		Date:    now.UnixMilli(),
-		Tool:    "go",
-		Benches: benches,
-	}
-	series := file.Entries[suite]
-	replaced := false
-	if dedupableCommit(commit.ID) {
-		for i := range series {
-			if series[i].Commit.ID == commit.ID {
-				series[i] = entry
-				replaced = true
-				break
+	for _, a := range adds {
+		series := file.Entries[a.Suite]
+		replaced := false
+		if dedupableCommit(a.Entry.Commit.ID) {
+			for i := range series {
+				if series[i].Commit.ID == a.Entry.Commit.ID {
+					series[i] = a.Entry
+					replaced = true
+					break
+				}
 			}
 		}
+		if !replaced {
+			series = append(series, a.Entry)
+		}
+		file.Entries[a.Suite] = series
 	}
-	if !replaced {
-		series = append(series, entry)
-	}
-	file.Entries[suite] = series
-	file.LastUpdate = entry.Date
+	file.LastUpdate = now.UnixMilli()
 
 	data, err := json.MarshalIndent(file, "", "  ")
 	if err != nil {
 		return err
 	}
 	return atomicio.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// AppendTrajectory appends one host-throughput measurement of commit to
-// the trajectory file at path.
-func AppendTrajectory(path string, rep *HostBenchReport, commit BenchCommit, now time.Time) error {
-	return appendEntry(path, trajectorySuite, trajectoryBenches(rep), commit, now)
-}
-
-// AppendGateBaselines appends (or, for a known commit, replaces) one
-// entry of regression-gate baselines — this is how an intentional perf
-// change is blessed: re-measure with bench-check -update-baseline and
-// commit the refreshed trajectory.
-func AppendGateBaselines(path string, benches []TrajectoryBench, commit BenchCommit, now time.Time) error {
-	return appendEntry(path, gateSuite, benches, commit, now)
 }
