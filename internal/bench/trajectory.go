@@ -3,7 +3,6 @@ package bench
 import (
 	"encoding/json"
 	"fmt"
-	"math"
 	"os"
 	"sort"
 	"time"
@@ -126,9 +125,6 @@ func LoadTrajectory(path string) (*TrajectoryFile, error) {
 // holds no untraced run, or has a run that is not complete and positive
 // fails the whole import, and the trajectory is left untouched.
 func ImportResults(historyPath string, spec *BenchSpec, files []string, now time.Time) ([]SuiteEntry, error) {
-	if len(files) == 0 {
-		return nil, fmt.Errorf("bench: no result files to import")
-	}
 	type poolKey struct{ suite, commit string }
 	var order []poolKey
 	pools := map[poolKey][]benchRun{}
@@ -183,7 +179,7 @@ func ImportResults(historyPath string, spec *BenchSpec, files []string, now time
 
 // parseResults returns the untraced runs of one result file, checked
 // against spec: a known workload, a host, and every end-to-end metric
-// present, finite and positive.
+// present and positive (JSON has no NaN or infinity).
 func parseResults(spec *BenchSpec, data []byte) ([]benchRun, error) {
 	var file struct {
 		Runs []benchRun `json:"runs"`
@@ -208,7 +204,7 @@ func parseResults(spec *BenchSpec, data []byte) ([]benchRun, error) {
 		}
 		for _, m := range spec.EndToEnd {
 			v, ok := r.Values[m.Name]
-			if !ok || !(v > 0) || math.IsInf(v, 0) {
+			if !ok || v <= 0 {
 				return nil, fmt.Errorf("run %d (%s): %s is missing or not a positive number", i, r.Workload, m.Name)
 			}
 		}

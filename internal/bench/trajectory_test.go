@@ -372,10 +372,13 @@ func TestTrajectoryImportRejects(t *testing.T) {
 	}
 	for name, data := range cases {
 		r := writeFile(t, dir, "bad.json", data)
-		if _, err := ImportResults(path, spec, []string{r}, time.Now()); err == nil {
+		_, err := ImportResults(path, spec, []string{r}, time.Now())
+		after, _ := os.ReadFile(path)
+		switch {
+		case err == nil:
 			t.Errorf("%s: imported without error", name)
-		}
-		if after, _ := os.ReadFile(path); !bytes.Equal(after, before) {
+			writeFile(t, dir, "BENCH.json", before)
+		case !bytes.Equal(after, before):
 			t.Fatalf("%s: a rejected import rewrote the trajectory", name)
 		}
 	}
