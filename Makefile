@@ -4,7 +4,7 @@ GO ?= go
 
 SMOKES := golden-check parallel-smoke chaos-smoke chaos-lossy-smoke oracle-smoke open-smoke bench-smoke fuzz-smoke serve-smoke
 
-.PHONY: all ci smokes fmt vet build test race $(SMOKES) golden-bless trajectory
+.PHONY: all ci smokes fmt vet build test race $(SMOKES) golden-bless golden-ref trajectory
 
 all: ci
 
@@ -59,6 +59,13 @@ golden-check:
 
 golden-bless:
 	@sh docs/golden/golden.sh bless $(BIN)
+
+# The ref half: `paperbench -size ref table3 table4` (13 apps, about
+# 30 s on 2 CPUs, so not in ci) against docs/results-ref.txt lines 1-33
+# and the blank line after them. Run it on any change under
+# internal/{sim,cpu,cache,noc,uli,dram,wsrt,apps,machine}.
+golden-ref:
+	@sh docs/golden/golden.sh ref $(BIN)
 
 # Host-parallel determinism gate: fan a target subset out over 4
 # workers; the render pass reads only the warmed cache, so this passing

@@ -3,10 +3,14 @@
 # output of one deterministic command, blessed once; `check` re-runs
 # every command and compares byte for byte, printing the first differing
 # line of each mismatch. The -json of the `all` run is too large to
-# keep, so SHA256SUMS holds its hash instead.
+# keep, so SHA256SUMS holds its hash instead. `ref` is the ref-size
+# half: `paperbench -size ref table3 table4` (about 30 s on 2 CPUs)
+# against docs/results-ref.txt lines 1-33 and the blank line that ends
+# them.
 #
 #   sh docs/golden/golden.sh check [BINDIR]   (make golden-check)
 #   sh docs/golden/golden.sh bless [BINDIR]   (make golden-bless)
+#   sh docs/golden/golden.sh ref [BINDIR]     (make golden-ref)
 #
 # BINDIR holds built btsim and paperbench binaries; without it they are
 # built into a temp dir first. Run from the repository root. A bless
@@ -15,9 +19,9 @@ set -eu
 
 mode=${1:-}
 case $mode in
-check | bless) ;;
+check | bless | ref) ;;
 *)
-	echo "usage: $0 check|bless [BINDIR]" >&2
+	echo "usage: $0 check|bless|ref [BINDIR]" >&2
 	exit 2
 	;;
 esac
@@ -31,6 +35,30 @@ if [ -z "$bin" ]; then
 fi
 out=$tmp/out
 mkdir "$out"
+
+# compare NAME BLESSED NOW prints the first line where NOW departs from
+# BLESSED and sets bad; equal files print nothing.
+bad=0
+compare() {
+	cmp -s "$2" "$3" && return 0
+	bad=1
+	line=$(cmp "$2" "$3" 2>&1 | sed -n 's/.*line \([0-9][0-9]*\).*/\1/p')
+	line=${line:-1}
+	echo "golden-$mode: $1 differs from the blessed copy at line $line" >&2
+	echo "  blessed: $(sed -n "${line}p" "$2")" >&2
+	echo "  now:     $(sed -n "${line}p" "$3")" >&2
+}
+
+if [ "$mode" = ref ]; then
+	"$bin/paperbench" -size ref table3 table4 >"$out/ref.txt"
+	head -n 34 "$gold/../results-ref.txt" >"$tmp/results-ref.txt"
+	compare docs/results-ref.txt "$tmp/results-ref.txt" "$out/ref.txt"
+	if [ "$bad" -ne 0 ]; then
+		exit 1
+	fi
+	echo "golden-ref: ref table3 table4 identical to docs/results-ref.txt lines 1-33"
+	exit 0
+fi
 
 "$bin/paperbench" -size test -j 1 -json "$out/all.json" all >"$out/all.txt"
 "$bin/paperbench" -apps cilk5-cs,ligra-bfs chaos >"$out/chaos.txt"
@@ -52,7 +80,6 @@ if [ "$mode" = bless ]; then
 	exit 0
 fi
 
-bad=0
 for f in "$out"/*; do
 	name=$(basename "$f")
 	if [ ! -f "$gold/$name" ]; then
@@ -60,13 +87,7 @@ for f in "$out"/*; do
 		bad=1
 		continue
 	fi
-	cmp -s "$gold/$name" "$f" && continue
-	bad=1
-	line=$(cmp "$gold/$name" "$f" 2>&1 | sed -n 's/.*line \([0-9][0-9]*\).*/\1/p')
-	line=${line:-1}
-	echo "golden-check: $name differs from the blessed copy at line $line" >&2
-	echo "  blessed: $(sed -n "${line}p" "$gold/$name")" >&2
-	echo "  now:     $(sed -n "${line}p" "$f")" >&2
+	compare "$name" "$gold/$name" "$f"
 done
 if [ "$bad" -ne 0 ]; then
 	exit 1

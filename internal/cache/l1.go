@@ -45,7 +45,7 @@ type L1 struct {
 
 	numSets int
 	ways    int
-	sets    [][]l1Line
+	sets    [][]l1Line // a set is nil until allocSlot first fills it
 	tick    uint64
 
 	hitLat sim.Time
@@ -79,9 +79,6 @@ func NewL1(sys *System, core int, proto Protocol, sizeBytes, ways int) *L1 {
 		sets:    make([][]l1Line, numSets),
 		hitLat:  1,
 	}
-	for i := range l.sets {
-		l.sets[i] = make([]l1Line, ways)
-	}
 	sys.l1s[core] = l
 	return l
 }
@@ -89,9 +86,11 @@ func NewL1(sys *System, core int, proto Protocol, sizeBytes, ways int) *L1 {
 // Protocol returns the L1's coherence protocol.
 func (l *L1) Protocol() Protocol { return l.proto }
 
-func (l *L1) setFor(la mem.Addr) []l1Line {
-	return l.sets[int(la/mem.LineSize)%l.numSets]
-}
+func (l *L1) setIndex(la mem.Addr) int { return int(la/mem.LineSize) % l.numSets }
+
+// setFor returns la's set, nil (no ways, nothing valid) if no fill has
+// touched it yet.
+func (l *L1) setFor(la mem.Addr) []l1Line { return l.sets[l.setIndex(la)] }
 
 // find returns the line holding la, or nil.
 func (l *L1) find(la mem.Addr) *l1Line {
@@ -106,9 +105,15 @@ func (l *L1) find(la mem.Addr) *l1Line {
 
 // allocSlot makes room for la in its set, evicting the LRU victim if
 // needed (with any protocol-required writeback or directory notice),
-// and returns an empty installed line.
+// and returns an empty installed line. The set itself is allocated on
+// its first fill.
 func (l *L1) allocSlot(now sim.Time, la mem.Addr) *l1Line {
-	set := l.setFor(la)
+	si := l.setIndex(la)
+	set := l.sets[si]
+	if set == nil {
+		set = make([]l1Line, l.ways)
+		l.sets[si] = set
+	}
 	var victim *l1Line
 	for i := range set {
 		ln := &set[i]

@@ -2,7 +2,9 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -327,16 +329,59 @@ func TestWallTimeout(t *testing.T) {
 // TestWallTimeoutsLeakNothing: a job killed mid-run by the wall-clock
 // budget unwinds its 64 parked procs, so timeouts do not cost the daemon
 // goroutines (or the machines their stacks pin) for the rest of its life.
+// The budget runs out when the test says so, once the job has parked
+// procs, not after a fixed wall time a loaded host can spend building
+// the machine.
 func TestWallTimeoutsLeakNothing(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, WallTimeout: 100 * time.Millisecond, QuarantineAfter: 100})
+	s, ts := newTestServer(t, Config{Workers: 1, WallTimeout: time.Minute, QuarantineAfter: 100})
+	body, err := json.Marshal(JobRequest{Config: "bT/HCC-DTS-gwb", App: "cilk5-cs", Size: "big"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type answer struct {
+		status int
+		body   []byte
+		err    error
+	}
 	timeOut := func() {
 		t.Helper()
-		resp, body := postJob(t, ts.URL, JobRequest{Config: "bT/HCC-DTS-gwb", App: "cilk5-cs", Size: "big"})
-		if resp.StatusCode != http.StatusGatewayTimeout {
-			t.Fatalf("big job under a 100 ms budget: status %d, want 504\n%s", resp.StatusCode, body)
+		// A job's wall-clock context is a child of s.baseCtx: give this
+		// job a parent the test expires. The POST below carries the write
+		// to the worker that reads it.
+		parent, expire := context.WithCancel(context.Background())
+		s.baseCtx, s.baseCancel = parent, expire
+		idle := runtime.NumGoroutine()
+		answered := make(chan answer, 1)
+		go func() {
+			resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
+			if err != nil {
+				answered <- answer{err: err}
+				return
+			}
+			defer resp.Body.Close()
+			b, err := io.ReadAll(resp.Body)
+			answered <- answer{resp.StatusCode, b, err}
+		}()
+		// A proc's coroutine exists from its first resume, and only one
+		// proc runs at a time: once half of the 64 have one, procs are
+		// parked mid-run.
+		for runtime.NumGoroutine() < idle+32 {
+			select {
+			case a := <-answered:
+				t.Fatalf("big job answered before its procs started: status %d, %v\n%s", a.status, a.err, a.body)
+			case <-time.After(time.Millisecond):
+			}
 		}
-		if !strings.Contains(string(body), "blocked since cycle") {
-			t.Fatalf("the timeout did not land mid-run; no proc was parked:\n%s", body)
+		expire()
+		a := <-answered
+		if a.err != nil {
+			t.Fatal(a.err)
+		}
+		if a.status != http.StatusGatewayTimeout {
+			t.Fatalf("big job past its budget: status %d, want 504\n%s", a.status, a.body)
+		}
+		if !strings.Contains(string(a.body), "blocked since cycle") {
+			t.Fatalf("the timeout did not land mid-run; no proc was parked:\n%s", a.body)
 		}
 	}
 	timeOut() // also brings up the client connection's goroutines
