@@ -115,7 +115,7 @@ func TestL2EvictionRecallsMESIInclusion(t *testing.T) {
 			if !ln.valid || ln.state == stateI {
 				continue
 			}
-			if sys.peek(sys.bankFor(ln.tag), ln.tag) == nil {
+			if _, ok := sys.peek(sys.bankFor(ln.tag), ln.tag); !ok {
 				t.Fatalf("L1 holds %#x but L2 evicted it (inclusion broken)", uint64(ln.tag))
 			}
 		}

@@ -159,8 +159,8 @@ func TestDirectoryPrecisionProperty(t *testing.T) {
 		// Verify every L2 line's directory state against L1 truth.
 		for a := 0; a < nAddrs; a++ {
 			la := mem.LineAddr(base + mem.Addr(a)*64)
-			line := sys.peek(sys.bankFor(la), la)
-			if line == nil {
+			line, ok := sys.peek(sys.bankFor(la), la)
+			if !ok {
 				continue
 			}
 			for c := range protos {
