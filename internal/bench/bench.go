@@ -3,13 +3,14 @@
 // table and figure in the paper's evaluation (Tables III-V, Figures
 // 4-8, the §VI-C ULI overhead report, and the energy comparison).
 //
-// The suite is safe for concurrent use: Run and View serialize access
-// to the result caches and deduplicate in-flight simulations, so a
-// host-parallel driver (Prewarm, the parallel Chaos sweep, or plain
-// goroutines) can fan independent simulations out across host cores
-// while every caller of the same (config, app) pair shares one run.
-// Each simulation is fully contained in its own machine.New/wsrt.New
-// instance; results are bit-identical regardless of host parallelism.
+// The suite is safe for concurrent use: every cell — a simulation, a
+// Cilkview analysis or an open-system run — goes through one memo that
+// deduplicates in-flight work, so a host-parallel caller (Prewarm, the
+// parallel Chaos sweep, or plain goroutines) can fan independent
+// simulations out across host cores while every caller of the same
+// cell shares one run. Each simulation is fully contained in its own
+// machine.New/wsrt.New instance; results are bit-identical regardless
+// of host parallelism.
 package bench
 
 import (
@@ -18,13 +19,13 @@ import (
 	"io"
 	"math"
 	"runtime/debug"
+	"sort"
 	"sync"
 	"sync/atomic"
 
 	"bigtiny/internal/apps"
 	"bigtiny/internal/cilkview"
 	"bigtiny/internal/energy"
-	"bigtiny/internal/fault"
 	"bigtiny/internal/machine"
 	"bigtiny/internal/mem"
 	"bigtiny/internal/openload"
@@ -34,11 +35,12 @@ import (
 	"bigtiny/internal/wsrt"
 )
 
-// Suite runs (config, app) pairs on demand and caches the results so
-// several tables/figures can share one set of simulations. The
-// configuration fields must be set before the first Run/View call and
-// left alone afterwards; the methods may then be called from any
-// number of goroutines.
+// Suite runs cells on demand and caches the results so several
+// tables/figures can share one set of simulations. The configuration
+// fields must be set before the first Run/View call and left alone
+// afterwards; the methods may then be called from any number of
+// goroutines. The zero Suite is a test-size suite that does not verify
+// outputs; NewSuite returns a verifying one.
 type Suite struct {
 	// Size selects input scale for all runs.
 	Size apps.Size
@@ -76,59 +78,40 @@ type Suite struct {
 	// Leave nil outside tests.
 	SimHook func(cfgName, appName string)
 
-	// mu guards the caches and in-flight tables below. Simulations run
-	// outside the lock; flight entries make concurrent callers of the
-	// same key share one simulation (singleflight).
-	mu      sync.Mutex
-	results map[string]*stats.Run
-	views   map[string]cilkview.Report
-	// openResults caches open-system runs (OpenRun); keyed separately
-	// because their identity includes the arrival spec and a per-cell
-	// fault scenario rather than the suite-wide one.
-	openResults map[string]*openload.Result
-	flight      map[string]*flightCall
-	// subs memoizes the derived suites Table5/Fig4 need (same settings,
-	// different size or grain) so Prewarm and the serial render pass
-	// warm and read the same caches.
-	subs map[string]*Suite
+	// mu guards cells, the memo: one entry per cell key (see key), made
+	// by the first caller and shared by every concurrent caller of the
+	// same cell (singleflight). A successful entry stays as the cache;
+	// a failed one is removed, so the next call retries the cell.
+	// Cells compute outside the lock.
+	mu    sync.Mutex
+	cells map[string]*flightCall
 
-	// progressMu serializes Progress writes; set by NewSuite and shared
-	// with derived suites so parallel runs never interleave lines.
-	progressMu *sync.Mutex
+	// progressMu serializes Progress writes so parallel runs never
+	// interleave lines.
+	progressMu sync.Mutex
 
 	// Kernel host-performance counters accumulated (atomically) across
 	// every simulation this suite ran, for the benchmarking rig. They
 	// are host-side observability only and never feed tables or JSON
-	// exports. Derived suites (at) keep their own totals; HostCounters
-	// sums them.
+	// exports.
 	eventsScheduled atomic.Uint64
 	eventsFired     atomic.Uint64
 	fastWaits       atomic.Uint64
 	resumes         atomic.Uint64
 }
 
-// flightCall is one in-flight simulation or analysis; waiters block on
-// done and then read the result fields.
+// flightCall is one memo entry: a cell in flight or done. Waiters
+// block on done and then read val and err.
 type flightCall struct {
 	done chan struct{}
-	run  *stats.Run
-	view cilkview.Report
-	open *openload.Result
+	w    Work
+	val  any // *stats.Run, cilkview.Report or *openload.Result
 	err  error
 }
 
 // NewSuite returns a verifying suite at the given size.
 func NewSuite(size apps.Size) *Suite {
-	return &Suite{
-		Size:        size,
-		Verify:      true,
-		results:     make(map[string]*stats.Run),
-		views:       make(map[string]cilkview.Report),
-		openResults: make(map[string]*openload.Result),
-		flight:      make(map[string]*flightCall),
-		subs:        make(map[string]*Suite),
-		progressMu:  &sync.Mutex{},
-	}
+	return &Suite{Size: size, Verify: true}
 }
 
 // The evaluation's configuration lists.
@@ -141,43 +124,124 @@ var (
 	Table5Apps = []string{"cilk5-cs", "ligra-bc", "ligra-bfs", "ligra-cc", "ligra-tc"}
 )
 
-// at returns the suite whose Size/Grain match the arguments: s itself
-// when they equal s's own, otherwise a derived suite memoized on s
-// (created with the same Verify/Progress settings and sharing s's
-// progress lock). Table5 and Fig4 render through it, and Prewarm
-// resolves Work items through it, so both hit the same caches.
-func (s *Suite) at(size apps.Size, grain int) *Suite {
-	if size == s.Size && grain == s.Grain {
-		return s
-	}
-	key := fmt.Sprintf("%d|%d", size, grain)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if sub, ok := s.subs[key]; ok {
-		return sub
-	}
-	sub := NewSuite(size)
-	sub.Grain = grain
-	sub.Verify = s.Verify
-	sub.Progress = s.Progress
-	sub.Deadline = s.Deadline
-	sub.SimHook = s.SimHook
-	sub.progressMu = s.progressMu
-	s.subs[key] = sub
-	return sub
-}
-
-// runKey is the result-cache key for one (config, app) pair under the
-// suite's fault/oracle settings.
-func (s *Suite) runKey(cfgName, appName string) string {
-	key := cfgName + "|" + appName
-	if s.FaultScenario != "" {
-		key = fmt.Sprintf("%s|%s|%d", key, s.FaultScenario, s.FaultSeed)
+// key is the memo key of cell w under the suite's settings: the fields
+// that decide w's result and nothing else (a view has no config, an
+// open cell no app, size or grain). WriteJSON and WriteOpenJSON export
+// in key order.
+func (s *Suite) key(w Work) string {
+	var key string
+	switch {
+	case w.Open != nil:
+		key = fmt.Sprintf("open|%s|%s|%d|%s", w.Cfg, w.OpenScenario, w.OpenFaultSeed, w.Open.Key())
+	case w.View:
+		return fmt.Sprintf("view|%d|%d|%s", w.Size, w.Grain, w.App)
+	default:
+		key = fmt.Sprintf("run|%d|%d|%s|%s", w.Size, w.Grain, w.Cfg, w.App)
+		if s.FaultScenario != "" {
+			key = fmt.Sprintf("%s|%s|%d", key, s.FaultScenario, s.FaultSeed)
+		}
 	}
 	if s.Oracle {
 		key += "|oracle"
 	}
 	return key
+}
+
+// do returns cell w's result, computed at most once however many
+// goroutines ask for it at the same time, and remembered once it
+// succeeds. A done ctx interrupts a computation this call leads (the
+// kernel aborts with a machine-state dump) and stops waiting on one it
+// merely joined — the shared computation keeps the leader's context,
+// so one impatient waiter cannot kill a result other callers are
+// blocked on.
+func (s *Suite) do(ctx context.Context, w Work) (any, error) {
+	key := s.key(w)
+	s.mu.Lock()
+	if c, ok := s.cells[key]; ok {
+		s.mu.Unlock()
+		select {
+		case <-c.done: // a finished cell is returned even to a dead ctx
+		default:
+			select {
+			case <-c.done:
+			case <-ctx.Done():
+				return nil, fmt.Errorf("bench: %s: %w", w.name(), ctx.Err())
+			}
+		}
+		return c.val, c.err
+	}
+	if s.cells == nil {
+		s.cells = make(map[string]*flightCall)
+	}
+	c := &flightCall{done: make(chan struct{}), w: w}
+	s.cells[key] = c
+	s.mu.Unlock()
+
+	c.val, c.err = s.compute(ctx, w)
+	if c.err != nil {
+		s.mu.Lock()
+		delete(s.cells, key)
+		s.mu.Unlock()
+	}
+	close(c.done)
+	return c.val, c.err
+}
+
+// memo is do with the result's type: *stats.Run for a simulation,
+// cilkview.Report for a view, *openload.Result for an open cell.
+func memo[T any](ctx context.Context, s *Suite, w Work) (T, error) {
+	v, err := s.do(ctx, w)
+	t, _ := v.(T)
+	return t, err
+}
+
+// finished returns the memo's successful cells in key order. A failed
+// cell leaves the memo before its done closes, so every closed entry
+// is a success.
+func (s *Suite) finished() []*flightCall {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	keys := make([]string, 0, len(s.cells))
+	for k, c := range s.cells {
+		select {
+		case <-c.done:
+			keys = append(keys, k)
+		default: // still in flight
+		}
+	}
+	sort.Strings(keys)
+	out := make([]*flightCall, len(keys))
+	for i, k := range keys {
+		out[i] = s.cells[k]
+	}
+	return out
+}
+
+// compute performs one cell, uncached and lock-free: every simulation
+// builds its own machine and runtime, so concurrent cells share no
+// mutable state. A panic anywhere in the cell — app setup, the
+// simulation, verification, a test hook — is recovered into that
+// cell's error: one poisoned cell fails its own callers (the
+// singleflight leader and every duplicate waiter) and nothing else.
+func (s *Suite) compute(ctx context.Context, w Work) (val any, err error) {
+	defer func() {
+		if v := recover(); v != nil {
+			val, err = nil, fmt.Errorf("bench: panic in %s: %v\n%s", w.name(), v, debug.Stack())
+		}
+	}()
+	switch {
+	case w.Open != nil:
+		return s.simulateOpen(ctx, w)
+	case w.View:
+		return s.analyze(w)
+	}
+	return s.simulate(ctx, w)
+}
+
+// options is the run environment of a cell under the given fault
+// scenario: the suite's oracle and deadline settings with it.
+func (s *Suite) options(scenario string, faultSeed uint64) openload.Options {
+	return openload.Options{Scenario: scenario, FaultSeed: faultSeed, Oracle: s.Oracle, Deadline: s.Deadline}
 }
 
 // Run simulates app on the named machine configuration (cached).
@@ -189,140 +253,66 @@ func (s *Suite) Run(cfgName, appName string) (*stats.Run, error) {
 }
 
 // RunCtx is Run with cancellation: a done context interrupts an
-// in-flight simulation this call is leading (the kernel aborts with a
-// machine-state dump) and stops waiting on one it merely joined —
-// the shared simulation itself keeps the leader's context, so one
-// impatient waiter cannot kill a result other callers are blocked on.
+// in-flight simulation this call is leading and stops waiting on one
+// it merely joined (see do).
 func (s *Suite) RunCtx(ctx context.Context, cfgName, appName string) (*stats.Run, error) {
-	key := "run:" + s.runKey(cfgName, appName)
-	s.mu.Lock()
-	if r, ok := s.results[key]; ok {
-		s.mu.Unlock()
-		return r, nil
-	}
-	if c, ok := s.flight[key]; ok {
-		s.mu.Unlock()
-		select {
-		case <-c.done:
-			return c.run, c.err
-		case <-ctx.Done():
-			return nil, fmt.Errorf("bench: %s on %s: %w", appName, cfgName, ctx.Err())
-		}
-	}
-	c := &flightCall{done: make(chan struct{})}
-	s.flight[key] = c
-	s.mu.Unlock()
-
-	c.run, c.err = s.simulate(ctx, cfgName, appName)
-
-	s.mu.Lock()
-	if c.err == nil {
-		s.results[key] = c.run
-	}
-	delete(s.flight, key)
-	s.mu.Unlock()
-	close(c.done)
-	return c.run, c.err
+	return memo[*stats.Run](ctx, s, s.runWork(cfgName, appName))
 }
 
-// simulate performs one full simulation, uncached and lock-free: every
-// run builds its own machine and runtime, so concurrent simulations
-// share no mutable state. A panic anywhere in the cell — app setup,
-// the simulation, verification, a test hook — is recovered into that
-// cell's error: one poisoned (config, app) pair fails its own callers
-// (the singleflight leader and every duplicate waiter) and nothing
-// else.
-func (s *Suite) simulate(ctx context.Context, cfgName, appName string) (r *stats.Run, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			r, err = nil, fmt.Errorf("bench: panic in %s on %s: %v\n%s",
-				appName, cfgName, v, debug.Stack())
-		}
-	}()
+// simulate performs one closed-loop simulation at the cell's size and
+// grain under the suite's settings.
+func (s *Suite) simulate(ctx context.Context, w Work) (*stats.Run, error) {
 	if s.SimHook != nil {
-		s.SimHook(cfgName, appName)
+		s.SimHook(w.Cfg, w.App)
 	}
-	cfg, err := machine.Lookup(cfgName)
+	cfg, err := s.options(s.FaultScenario, s.FaultSeed).Config(w.Cfg)
 	if err != nil {
 		return nil, err
 	}
-	if s.Deadline > 0 {
-		cfg.Deadline = s.Deadline
-	}
-	if s.FaultScenario != "" {
-		sc, err := fault.Lookup(s.FaultScenario)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Faults = &sc
-		cfg.FaultSeed = s.FaultSeed
-	}
-	cfg.Oracle = s.Oracle
-	app, err := apps.ByName(appName)
+	app, err := apps.ByName(w.App)
 	if err != nil {
 		return nil, err
 	}
 	m := machine.New(cfg)
 	// Wall-clock cancellation, released on every exit path.
-	defer m.InterruptOn(ctx, appName+" on "+cfgName)()
+	defer m.InterruptOn(ctx, w.name())()
 	rt := wsrt.New(m, wsrt.AutoVariant(m))
-	rt.Grain = grainFor(app, s.Grain)
+	rt.Grain = grainFor(app, w.Grain)
 	rt.Tracer = s.Tracer
-	inst := app.Setup(rt, s.Size, s.Grain)
+	inst := app.Setup(rt, w.Size, w.Grain)
 	root := inst.Root
-	if cfgName == "IOx1" {
+	if w.Cfg == "IOx1" {
 		root = inst.SerialRoot
 	}
 	if err := rt.Run(root); err != nil {
-		return nil, fmt.Errorf("bench: %s on %s: %w", appName, cfgName, err)
+		return nil, fmt.Errorf("bench: %s: %w", w.name(), err)
 	}
 	if s.Verify {
 		read := func(a mem.Addr) uint64 { return m.Cache.DebugReadWord(a) }
 		if err := inst.Verify(read); err != nil {
-			return nil, fmt.Errorf("bench: %s on %s: verification failed: %w", appName, cfgName, err)
+			return nil, fmt.Errorf("bench: %s: verification failed: %w", w.name(), err)
 		}
 	}
-	r = stats.Collect(m, rt, appName)
+	r := stats.Collect(m, rt, w.App)
 	s.eventsScheduled.Add(m.Kernel.Scheduled())
 	s.eventsFired.Add(m.Kernel.Fired())
 	s.fastWaits.Add(m.Kernel.FastWaits())
 	s.resumes.Add(m.Kernel.Resumes())
-	s.progress("ran %-14s on %-16s: %12d cycles\n", appName, cfgName, r.Cycles)
+	s.progress("ran %-14s on %-16s: %12d cycles\n", w.App, w.Cfg, r.Cycles)
 	return r, nil
 }
 
 // HostCounters returns the kernel host-performance totals (events
 // scheduled, events fired, fast-path waits) over every simulation this
-// suite and its derived sub-suites have run.
+// suite has run.
 func (s *Suite) HostCounters() (scheduled, fired, fastWaits uint64) {
-	scheduled = s.eventsScheduled.Load()
-	fired = s.eventsFired.Load()
-	fastWaits = s.fastWaits.Load()
-	s.mu.Lock()
-	subs := make([]*Suite, 0, len(s.subs))
-	for _, sub := range s.subs {
-		subs = append(subs, sub)
-	}
-	s.mu.Unlock()
-	for _, sub := range subs {
-		sc, f, fw := sub.HostCounters()
-		scheduled += sc
-		fired += f
-		fastWaits += fw
-	}
-	return scheduled, fired, fastWaits
+	return s.eventsScheduled.Load(), s.eventsFired.Load(), s.fastWaits.Load()
 }
 
 // Resumes returns the coroutine switches into a proc (sim.Kernel.Resumes)
 // over the same simulations as HostCounters.
 func (s *Suite) Resumes() uint64 {
-	n := s.resumes.Load()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, sub := range s.subs {
-		n += sub.Resumes()
-	}
-	return n
+	return s.resumes.Load()
 }
 
 // progress writes one whole progress line under the shared lock.
@@ -339,54 +329,23 @@ func (s *Suite) progress(format string, args ...any) {
 // grain (cached). Concurrent callers of the same app share a single
 // analysis.
 func (s *Suite) View(appName string) (cilkview.Report, error) {
-	key := fmt.Sprintf("view:%s|%d|%d", appName, s.Size, s.Grain)
-	s.mu.Lock()
-	if v, ok := s.views[key]; ok {
-		s.mu.Unlock()
-		return v, nil
-	}
-	if c, ok := s.flight[key]; ok {
-		s.mu.Unlock()
-		<-c.done
-		return c.view, c.err
-	}
-	c := &flightCall{done: make(chan struct{})}
-	s.flight[key] = c
-	s.mu.Unlock()
-
-	c.view, c.err = s.analyze(appName)
-
-	s.mu.Lock()
-	if c.err == nil {
-		s.views[key] = c.view
-	}
-	delete(s.flight, key)
-	s.mu.Unlock()
-	close(c.done)
-	return c.view, c.err
+	return memo[cilkview.Report](context.Background(), s, s.viewWork(appName))
 }
 
-// analyze performs one Cilkview analysis with the same panic
-// containment simulate gives simulations: the native depth-first
-// executor runs app code on this goroutine, so a panicking app fails
-// its own cell instead of the process.
-func (s *Suite) analyze(appName string) (v cilkview.Report, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			v, err = cilkview.Report{}, fmt.Errorf("bench: panic analyzing %s: %v\n%s",
-				appName, r, debug.Stack())
-		}
-	}()
+// analyze performs one Cilkview analysis at the cell's size and grain.
+// The native depth-first executor runs app code on this goroutine, so
+// compute's panic containment covers it like a simulation.
+func (s *Suite) analyze(w Work) (cilkview.Report, error) {
 	if s.SimHook != nil {
-		s.SimHook("view", appName)
+		s.SimHook("view", w.App)
 	}
-	app, err := apps.ByName(appName)
+	app, err := apps.ByName(w.App)
 	if err != nil {
 		return cilkview.Report{}, err
 	}
 	return cilkview.Analyze(func(rt *wsrt.RT) wsrt.Body {
-		rt.Grain = grainFor(app, s.Grain)
-		return app.Setup(rt, s.Size, s.Grain).Root
+		rt.Grain = grainFor(app, w.Grain)
+		return app.Setup(rt, w.Size, w.Grain).Root
 	}), nil
 }
 

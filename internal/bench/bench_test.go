@@ -1,12 +1,14 @@
 package bench
 
 import (
+	"context"
 	"encoding/json"
 	"io"
 	"strings"
 	"testing"
 
 	"bigtiny/internal/apps"
+	"bigtiny/internal/stats"
 )
 
 func TestSuiteCachesRuns(t *testing.T) {
@@ -109,6 +111,32 @@ func TestFig4GranularityTrend(t *testing.T) {
 	}
 	if vf.Parallelism() <= vc.Parallelism() {
 		t.Fatalf("parallelism: grain2=%.1f <= grain64=%.1f", vf.Parallelism(), vc.Parallelism())
+	}
+}
+
+// TestOffGrainCellsKeepSuiteSettings: cells at a grain other than the
+// suite's own (Fig. 4's sweep) run under the suite's settings, here the
+// oracle, like every other cell.
+func TestOffGrainCellsKeepSuiteSettings(t *testing.T) {
+	if testing.Short() {
+		t.Skip("simulation-heavy")
+	}
+	s := &Suite{Oracle: true}
+	work := s.Fig4Work(nil)
+	if err := s.Prewarm(work, 0); err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range work {
+		if w.Cfg != "tiny64" {
+			continue
+		}
+		r, err := memo[*stats.Run](context.Background(), s, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.OracleOps == 0 {
+			t.Errorf("tiny64 at grain %d ran without the oracle", w.Grain)
+		}
 	}
 }
 

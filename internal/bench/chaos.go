@@ -3,16 +3,11 @@ package bench
 import (
 	"fmt"
 	"io"
-	"runtime"
-	"sync"
 
 	"bigtiny/internal/apps"
 	"bigtiny/internal/fault"
-	"bigtiny/internal/machine"
-	"bigtiny/internal/mem"
 	"bigtiny/internal/sim"
-	"bigtiny/internal/uli"
-	"bigtiny/internal/wsrt"
+	"bigtiny/internal/stats"
 )
 
 // ChaosConfig is the machine every chaos run uses: a small DTS system
@@ -20,79 +15,26 @@ import (
 // GPU-WB invalidate/flush discipline, NoC, DRAM) at test-input cost.
 const ChaosConfig = "bT8/HCC-DTS-gwb"
 
-// ChaosResult reports one chaos-invariance run.
-type ChaosResult struct {
-	App      string
-	Scenario string
-	Seed     uint64
-	Cycles   sim.Time
-	// Faults is the number of injected fault events; Summary breaks it
-	// down per site.
-	Faults  uint64
-	Summary string
-	// ULI is the fabric's protocol accounting (steal requests, drops,
-	// timeouts, ...) and RT the runtime's recovery counters, for
-	// invariant checks on lossy scenarios.
-	ULI uli.Stats
-	RT  wsrt.RunStats
-	// OracleOps is how many memory operations the ordering oracle
-	// checked (every chaos run shadows the caches with the oracle).
-	OracleOps uint64
-}
-
-// RunChaos runs one app under a named fault scenario on ChaosConfig and
-// checks the chaos invariants: the run finishes within its deadline,
-// the output equals the serial reference, and (for non-empty scenarios)
-// at least one fault was actually injected. Determinism is the caller's
+// RunChaos runs one app under a named fault scenario as a test-size
+// cell on ChaosConfig, shadowed by the memory-ordering oracle: faults
+// must never produce a load no legal per-location order allows. The
+// cell checks that the run finishes within its deadline and that the
+// output equals the serial reference; RunChaos adds that a non-empty
+// scenario injected at least one fault. Determinism is the caller's
 // check: the same (app, scenario, seed) always yields the same Cycles.
-func RunChaos(appName, scenarioName string, seed uint64) (*ChaosResult, error) {
-	app, err := apps.ByName(appName)
+func RunChaos(appName, scenarioName string, seed uint64) (*stats.Run, error) {
+	s := NewSuite(apps.Test)
+	s.FaultScenario, s.FaultSeed, s.Oracle = scenarioName, seed, true
+	r, err := s.Run(ChaosConfig, appName)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("chaos: %s (seed %d): %w", scenarioName, seed, err)
 	}
-	sc, err := fault.Lookup(scenarioName)
-	if err != nil {
-		return nil, err
-	}
-	cfg, err := machine.Lookup(ChaosConfig)
-	if err != nil {
-		return nil, err
-	}
-	cfg.Faults = &sc
-	cfg.FaultSeed = seed
-	// Every chaos run shadows the caches with the memory-ordering oracle:
-	// faults must never produce a load no legal per-location order allows.
-	cfg.Oracle = true
-
-	m := machine.New(cfg)
-	rt := wsrt.New(m, wsrt.AutoVariant(m))
-	rt.Grain = app.DefaultGrain
-	inst := app.Setup(rt, apps.Test, 0)
-	if err := rt.Run(inst.Root); err != nil {
-		return nil, fmt.Errorf("chaos: %s under %s (seed %d): %w",
-			appName, scenarioName, seed, err)
-	}
-	read := func(a mem.Addr) uint64 { return m.Cache.DebugReadWord(a) }
-	if err := inst.Verify(read); err != nil {
-		return nil, fmt.Errorf("chaos: %s under %s (seed %d): output diverged from serial reference: %w",
-			appName, scenarioName, seed, err)
-	}
-	res := &ChaosResult{
-		App:       appName,
-		Scenario:  scenarioName,
-		Seed:      seed,
-		Cycles:    m.Kernel.Now(),
-		Faults:    m.Faults.Total(),
-		Summary:   m.Faults.Summary(),
-		ULI:       m.ULI.Stats,
-		RT:        rt.Stats,
-		OracleOps: m.Oracle.Ops,
-	}
-	if !sc.Zero() && res.Faults == 0 {
+	// The run resolved the scenario name, so the lookup cannot fail.
+	if sc, _ := fault.Lookup(scenarioName); !sc.Zero() && r.FaultTotal == 0 {
 		return nil, fmt.Errorf("chaos: %s under %s (seed %d): scenario injected no faults",
 			appName, scenarioName, seed)
 	}
-	return res, nil
+	return r, nil
 }
 
 // slowdownStr formats the cycle inflation of a chaos run over its
@@ -124,12 +66,6 @@ var ChaosScenarios = func() []string {
 	return names
 }()
 
-// chaosJob is one (app, scenario) cell of the chaos table.
-type chaosJob struct {
-	res *ChaosResult
-	err error
-}
-
 // Chaos runs every app under every named scenario (ChaosScenarios when
 // scenarios is nil) and writes a per-run table: cycles, fault count,
 // and the cycle inflation versus the fault-free run of the same app.
@@ -142,9 +78,6 @@ func Chaos(w io.Writer, appNames, scenarios []string, seed uint64, jobs int) err
 	if scenarios == nil {
 		scenarios = ChaosScenarios
 	}
-	if jobs <= 0 {
-		jobs = runtime.NumCPU()
-	}
 
 	// Flatten the (app, scenario) grid — "none" baselines first-per-app —
 	// and run every cell through the worker pool.
@@ -156,38 +89,26 @@ func Chaos(w io.Writer, appNames, scenarios []string, seed uint64, jobs int) err
 			cells = append(cells, cell{appName, scName})
 		}
 	}
-	results := make([]chaosJob, len(cells))
-	sem := make(chan struct{}, jobs)
-	var wg sync.WaitGroup
-	for i, c := range cells {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, c cell) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			r, err := RunChaos(c.app, c.scenario, seed)
-			results[i] = chaosJob{r, err}
-		}(i, c)
-	}
-	wg.Wait()
+	runs := make([]*stats.Run, len(cells))
+	errs := make([]error, len(cells))
+	forEach(len(cells), jobs, func(i int) {
+		runs[i], errs[i] = RunChaos(cells[i].app, cells[i].scenario, seed)
+	})
 
 	fmt.Fprintf(w, "Chaos invariance (config %s, size test, seed %d)\n", ChaosConfig, seed)
 	fmt.Fprintf(w, "%-14s %-16s %12s %8s %9s\n", "app", "scenario", "cycles", "faults", "slowdown")
-	var base *ChaosResult
+	var base *stats.Run
 	for i, c := range cells {
-		j := results[i]
-		if j.err != nil {
-			return j.err
+		if errs[i] != nil {
+			return errs[i]
 		}
+		r, slowdown := runs[i], "1.00x"
 		if c.scenario == "none" {
-			base = j.res
-			fmt.Fprintf(w, "%-14s %-16s %12d %8d %9s\n",
-				c.app, "none", base.Cycles, base.Faults, "1.00x")
-			continue
+			base = r
+		} else {
+			slowdown = slowdownStr(base.Cycles, r.Cycles)
 		}
-		fmt.Fprintf(w, "%-14s %-16s %12d %8d %9s\n",
-			c.app, c.scenario, j.res.Cycles, j.res.Faults,
-			slowdownStr(base.Cycles, j.res.Cycles))
+		fmt.Fprintf(w, "%-14s %-16s %12d %8d %9s\n", c.app, c.scenario, r.Cycles, r.FaultTotal, slowdown)
 	}
 	return nil
 }

@@ -36,7 +36,7 @@ func TestChaosAllScenario(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if r.Faults == 0 {
+		if r.FaultTotal == 0 {
 			t.Fatalf("%s: chaos-all injected nothing", appName)
 		}
 	}
@@ -109,17 +109,17 @@ func TestChaosSeedReproducible(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if a.Cycles != b.Cycles || a.Faults != b.Faults {
+		if a.Cycles != b.Cycles || a.FaultTotal != b.FaultTotal {
 			t.Fatalf("%s: same seed diverged: %d/%d cycles, %d/%d faults",
-				scName, a.Cycles, b.Cycles, a.Faults, b.Faults)
+				scName, a.Cycles, b.Cycles, a.FaultTotal, b.FaultTotal)
 		}
 		c, err := RunChaos("cilk5-cs", scName, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if a.Cycles == c.Cycles && a.Summary == c.Summary {
+		if a.Cycles == c.Cycles && a.FaultSummary == c.FaultSummary {
 			t.Fatalf("%s: seeds 7 and 8 produced identical runs (%d cycles, %q)",
-				scName, a.Cycles, a.Summary)
+				scName, a.Cycles, a.FaultSummary)
 		}
 	}
 }
@@ -164,8 +164,8 @@ func TestNoneScenarioMatchesBaseline(t *testing.T) {
 			t.Fatalf("%s: none-scenario %d cycles vs bare %d cycles",
 				appName, none.Cycles, bare)
 		}
-		if none.Faults != 0 {
-			t.Fatalf("%s: none scenario injected %d faults", appName, none.Faults)
+		if none.FaultTotal != 0 {
+			t.Fatalf("%s: none scenario injected %d faults", appName, none.FaultTotal)
 		}
 	}
 }

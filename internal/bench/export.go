@@ -5,7 +5,6 @@ import (
 	"context"
 	"encoding/json"
 	"io"
-	"sort"
 
 	"bigtiny/internal/cpu"
 	"bigtiny/internal/energy"
@@ -128,21 +127,16 @@ func encodeRuns(w io.Writer, runs []RunJSON) error {
 	return enc.Encode(runs)
 }
 
-// WriteJSON emits every run cached in the suite (sorted by config then
-// app) as a JSON array. Run the desired tables/figures first; this
-// exports whatever they simulated.
+// WriteJSON emits every run cached in the suite at its own size and
+// grain (sorted by config then app) as a JSON array. Run the desired
+// tables/figures first; this exports whatever they simulated.
 func (s *Suite) WriteJSON(w io.Writer) error {
-	s.mu.Lock()
-	keys := make([]string, 0, len(s.results))
-	for k := range s.results {
-		keys = append(keys, k)
+	out := []RunJSON{}
+	for _, c := range s.finished() {
+		if r, ok := c.val.(*stats.Run); ok && c.w.Size == s.Size && c.w.Grain == s.Grain {
+			out = append(out, s.toJSON(r))
+		}
 	}
-	sort.Strings(keys)
-	out := make([]RunJSON, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, s.toJSON(s.results[k]))
-	}
-	s.mu.Unlock()
 	return encodeRuns(w, out)
 }
 

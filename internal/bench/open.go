@@ -6,8 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"runtime/debug"
-	"sort"
 
 	"bigtiny/internal/apps"
 	"bigtiny/internal/openload"
@@ -28,78 +26,33 @@ func (s *Suite) OpenRun(cfgName, scenario string, faultSeed uint64, sp openload.
 	return s.OpenRunCtx(context.Background(), cfgName, scenario, faultSeed, sp)
 }
 
-// openKey is the cache key for one open-system cell.
-func (s *Suite) openKey(cfgName, scenario string, faultSeed uint64, sp openload.Spec) string {
-	key := fmt.Sprintf("open:%s|%s|%d|%s", cfgName, scenario, faultSeed, sp.Key())
-	if s.Oracle {
-		key += "|oracle"
-	}
-	return key
-}
-
-// OpenRunCtx is OpenRun with cancellation, sharing the suite's
-// singleflight machinery: concurrent callers of the same cell join one
-// simulation, and a done context interrupts a simulation this call
-// leads without killing one it merely joined.
+// OpenRunCtx is OpenRun with cancellation, with RunCtx's semantics.
 func (s *Suite) OpenRunCtx(ctx context.Context, cfgName, scenario string, faultSeed uint64, sp openload.Spec) (*openload.Result, error) {
-	key := s.openKey(cfgName, scenario, faultSeed, sp)
-	s.mu.Lock()
-	if r, ok := s.openResults[key]; ok {
-		s.mu.Unlock()
-		return r, nil
-	}
-	if c, ok := s.flight[key]; ok {
-		s.mu.Unlock()
-		select {
-		case <-c.done:
-			return c.open, c.err
-		case <-ctx.Done():
-			return nil, fmt.Errorf("bench: open %s on %s: %w", sp.Workload, cfgName, ctx.Err())
-		}
-	}
-	c := &flightCall{done: make(chan struct{})}
-	s.flight[key] = c
-	s.mu.Unlock()
-
-	c.open, c.err = s.simulateOpen(ctx, cfgName, scenario, faultSeed, sp)
-
-	s.mu.Lock()
-	if c.err == nil {
-		s.openResults[key] = c.open
-	}
-	delete(s.flight, key)
-	s.mu.Unlock()
-	close(c.done)
-	return c.open, c.err
+	return memo[*openload.Result](ctx, s, openWork(cfgName, scenario, faultSeed, sp))
 }
 
-// simulateOpen runs one open-system cell with the suite's usual panic
-// containment: a poisoned cell fails its own callers and nothing else.
-func (s *Suite) simulateOpen(ctx context.Context, cfgName, scenario string, faultSeed uint64, sp openload.Spec) (r *openload.Result, err error) {
-	defer func() {
-		if v := recover(); v != nil {
-			r, err = nil, fmt.Errorf("bench: panic in open %s on %s: %v\n%s",
-				sp.Workload, cfgName, v, debug.Stack())
-		}
-	}()
+// openWork is the Work item of one open-system cell.
+func openWork(cfgName, scenario string, faultSeed uint64, sp openload.Spec) Work {
+	return Work{Cfg: cfgName, Open: &sp, OpenScenario: scenario, OpenFaultSeed: faultSeed}
+}
+
+// simulateOpen runs one open-system cell under its own fault scenario
+// and the suite's oracle and deadline settings.
+func (s *Suite) simulateOpen(ctx context.Context, w Work) (*openload.Result, error) {
+	sp := *w.Open
 	if s.SimHook != nil {
-		s.SimHook(cfgName, "open:"+sp.Workload)
+		s.SimHook(w.Cfg, "open:"+sp.Workload)
 	}
-	r, err = openload.Run(ctx, cfgName, sp, openload.Options{
-		Scenario:  scenario,
-		FaultSeed: faultSeed,
-		Oracle:    s.Oracle,
-		Deadline:  s.Deadline,
-	})
+	r, err := openload.Run(ctx, w.Cfg, sp, s.options(w.OpenScenario, w.OpenFaultSeed))
 	if err != nil {
 		return nil, err
 	}
-	scen := scenario
+	scen := w.OpenScenario
 	if scen == "" {
 		scen = "none"
 	}
 	s.progress("open %-10s on %-16s rate %5.1f %-16s: p99 %9d (%d/%d/%d)\n",
-		sp.Workload, cfgName, sp.RatePerK, scen,
+		sp.Workload, w.Cfg, sp.RatePerK, scen,
 		r.Latency.P99(), r.Completed, r.Shed, r.InFlightAtEnd)
 	return r, nil
 }
@@ -162,12 +115,8 @@ func (s *Suite) OpenWork(sw OpenSweep) []Work {
 	var work []Work
 	for _, cfg := range sw.Configs {
 		for _, rate := range sw.Rates {
-			sp := sw.spec(rate)
 			for _, scen := range sw.Scenarios {
-				work = append(work, Work{
-					Cfg: cfg, Open: &sp,
-					OpenScenario: scen, OpenFaultSeed: sw.FaultSeed,
-				})
+				work = append(work, openWork(cfg, scen, sw.FaultSeed, sw.spec(rate)))
 			}
 		}
 	}
@@ -307,17 +256,12 @@ func encodeOpenRuns(w io.Writer, runs []OpenRunJSON) error {
 // WriteOpenJSON emits every open-system cell cached in the suite,
 // sorted by cache key for deterministic bytes.
 func (s *Suite) WriteOpenJSON(w io.Writer) error {
-	s.mu.Lock()
-	keys := make([]string, 0, len(s.openResults))
-	for k := range s.openResults {
-		keys = append(keys, k)
+	out := []OpenRunJSON{}
+	for _, c := range s.finished() {
+		if r, ok := c.val.(*openload.Result); ok {
+			out = append(out, openToJSON(r))
+		}
 	}
-	sort.Strings(keys)
-	out := make([]OpenRunJSON, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, openToJSON(s.openResults[k]))
-	}
-	s.mu.Unlock()
 	return encodeOpenRuns(w, out)
 }
 

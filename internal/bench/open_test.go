@@ -131,14 +131,15 @@ func TestOpenResultJSONStable(t *testing.T) {
 // cell exactly once.
 func TestOpenWorkCoversSweep(t *testing.T) {
 	sw := testOpenSweep()
-	work := NewSuite(apps.Test).OpenWork(sw)
+	s := NewSuite(apps.Test)
+	work := s.OpenWork(sw)
 	want := len(sw.Configs) * len(sw.Rates) * len(sw.Scenarios)
 	if len(work) != want {
 		t.Fatalf("OpenWork: %d items, want %d", len(work), want)
 	}
 	seen := map[string]bool{}
 	for _, w := range work {
-		k := w.key()
+		k := s.key(w)
 		if seen[k] {
 			t.Errorf("duplicate work key %s", k)
 		}

@@ -3,13 +3,17 @@ package bench
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math/rand"
 	"reflect"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"bigtiny/internal/apps"
+	"bigtiny/internal/cilkview"
+	"bigtiny/internal/openload"
 	"bigtiny/internal/stats"
 )
 
@@ -30,8 +34,7 @@ func (c *countingWriter) Write(p []byte) (int, error) {
 
 // detWork is the worklist the determinism tests warm: a cross-section
 // of baselines, HCC, and DTS configs over both app families, plus a
-// Cilkview analysis and an off-default grain (exercising the derived
-// sub-suite path).
+// Cilkview analysis and cells at an off-default grain.
 func detWork(s *Suite) []Work {
 	var work []Work
 	for _, app := range []string{"cilk5-mt", "ligra-bfs"} {
@@ -45,26 +48,18 @@ func detWork(s *Suite) []Work {
 	return work
 }
 
-// snapshot flattens a suite's caches (including derived sub-suites)
-// into comparable maps.
+// snapshot flattens a suite's memo into comparable maps.
 func snapshot(s *Suite) (runs map[string]interface{}, views map[string]interface{}) {
 	runs = map[string]interface{}{}
 	views = map[string]interface{}{}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for k, v := range s.results {
-		runs[k] = *v
-	}
-	for k, v := range s.views {
-		views[k] = v
-	}
-	for name, sub := range s.subs {
-		sr, sv := snapshot(sub)
-		for k, v := range sr {
-			runs[name+"/"+k] = v
-		}
-		for k, v := range sv {
-			views[name+"/"+k] = v
+	for k, c := range s.cells {
+		switch v := c.val.(type) {
+		case *stats.Run:
+			runs[k] = *v
+		case cilkview.Report:
+			views[k] = v
 		}
 	}
 	return runs, views
@@ -268,67 +263,69 @@ func TestShardedDifferentialStress(t *testing.T) {
 	}
 }
 
-// TestRunSingleflight: concurrent callers of the same (config, app)
-// pair must share exactly one simulation and receive the same cached
-// result pointer.
+// TestRunSingleflight: concurrent callers of one cell — a simulation,
+// a Cilkview analysis or an open-system run — share exactly one
+// computation and receive the same result, and a joiner whose context
+// is already done stops waiting without killing the leader.
 func TestRunSingleflight(t *testing.T) {
-	s := NewSuite(apps.Test)
-	var cw countingWriter
-	s.Progress = &cw
-
-	const callers = 8
-	runs := make([]interface{}, callers)
-	errs := make([]error, callers)
-	var wg sync.WaitGroup
-	for i := 0; i < callers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			r, err := s.Run("bT/HCC-gwb", "cilk5-mt")
-			runs[i], errs[i] = r, err
-		}(i)
-	}
-	wg.Wait()
-
-	for i := 0; i < callers; i++ {
-		if errs[i] != nil {
-			t.Fatal(errs[i])
-		}
-		if runs[i] != runs[0] {
-			t.Fatalf("caller %d got a different *stats.Run than caller 0", i)
-		}
-	}
-	cw.mu.Lock()
-	lines := cw.lines
-	cw.mu.Unlock()
-	if lines != 1 {
-		t.Fatalf("%d simulations ran for one (config, app) pair, want 1", lines)
-	}
-}
-
-// TestViewSingleflight: same for concurrent Cilkview analyses.
-func TestViewSingleflight(t *testing.T) {
-	s := NewSuite(apps.Test)
-	const callers = 8
-	reports := make([]interface{}, callers)
-	var wg sync.WaitGroup
-	for i := 0; i < callers; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			v, err := s.View("cilk5-mt")
-			if err != nil {
-				t.Error(err)
-				return
+	sp := openload.Spec{Workload: "reduce", Arrival: "poisson", RatePerK: 4, Requests: 8, Seed: 1}
+	for _, tc := range []struct {
+		name string
+		w    Work
+	}{
+		{"run", Work{Cfg: robustCfg, App: "cilk5-mt", Size: apps.Empty}},
+		{"view", Work{App: "cilk5-mt", Size: apps.Empty, View: true}},
+		{"open", openWork(robustCfg, "", 0, sp)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewSuite(apps.Empty)
+			var computed atomic.Int32
+			entered := make(chan struct{})
+			release := make(chan struct{})
+			s.SimHook = func(cfg, app string) {
+				if computed.Add(1) == 1 {
+					close(entered)
+				}
+				<-release
 			}
-			reports[i] = v
-		}(i)
-	}
-	wg.Wait()
-	for i := 1; i < callers; i++ {
-		if !reflect.DeepEqual(reports[i], reports[0]) {
-			t.Fatalf("caller %d got a different report", i)
-		}
+
+			const callers = 8
+			vals := make([]any, callers)
+			errs := make([]error, callers)
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				vals[0], errs[0] = s.do(context.Background(), tc.w)
+			}()
+			<-entered // the leader is inside the cell
+			dead, cancel := context.WithCancel(context.Background())
+			cancel()
+			if _, err := s.do(dead, tc.w); !errors.Is(err, context.Canceled) {
+				t.Fatalf("joiner with a dead context: err = %v, want context.Canceled", err)
+			}
+			for i := 1; i < callers; i++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					vals[i], errs[i] = s.do(context.Background(), tc.w)
+				}()
+			}
+			close(release)
+			wg.Wait()
+
+			for i := 0; i < callers; i++ {
+				if errs[i] != nil {
+					t.Fatalf("caller %d: %v", i, errs[i])
+				}
+				if vals[i] != vals[0] {
+					t.Fatalf("caller %d got a different result than caller 0", i)
+				}
+			}
+			if n := computed.Load(); n != 1 {
+				t.Fatalf("%d computations for %d callers of one cell, want 1", n, callers)
+			}
+		})
 	}
 }
 

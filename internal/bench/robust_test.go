@@ -103,7 +103,7 @@ func TestPrewarmSurvivesPanickingWorker(t *testing.T) {
 // cell, and the suite keeps serving other views.
 func TestViewPanicContained(t *testing.T) {
 	s := NewSuite(apps.Empty)
-	if _, err := s.analyze("no-such-app"); err == nil {
+	if _, err := s.View("no-such-app"); err == nil {
 		t.Fatal("unknown app accepted")
 	}
 	s.SimHook = func(cfg, app string) {
@@ -111,7 +111,7 @@ func TestViewPanicContained(t *testing.T) {
 			panic("deliberate view panic")
 		}
 	}
-	if _, err := s.View("cilk5-cs"); err == nil || !strings.Contains(err.Error(), "panic analyzing cilk5-cs") {
+	if _, err := s.View("cilk5-cs"); err == nil || !strings.Contains(err.Error(), "panic in view cilk5-cs") {
 		t.Fatalf("view panic not contained: %v", err)
 	}
 	if _, err := s.View("cilk5-mt"); err != nil {

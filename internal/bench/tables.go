@@ -1,10 +1,12 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"io"
 
 	"bigtiny/internal/apps"
+	"bigtiny/internal/cilkview"
 	"bigtiny/internal/energy"
 	"bigtiny/internal/stats"
 )
@@ -142,29 +144,21 @@ func (s *Suite) Table4(w io.Writer, appNames []string) error {
 // five kernels with larger inputs: big.TINY/MESI speedup over O3x1, and
 // HCC-gwb / HCC-DTS-gwb speedups over big.TINY/MESI.
 func (s *Suite) Table5(w io.Writer) error {
-	big := s.at(sizeUp(s.Size), s.Grain)
-	fmt.Fprintf(w, "Table V: 256-core big.TINY system, larger inputs (size=%s)\n", big.Size)
+	size := sizeUp(s.Size)
+	fmt.Fprintf(w, "Table V: 256-core big.TINY system, larger inputs (size=%s)\n", size)
 	fmt.Fprintf(w, "%-12s | %10s | %12s %12s\n", "App", "b.T/MESI", "HCC-gwb", "HCC-DTS-gwb")
 	fmt.Fprintf(w, "%-12s | %10s | %12s %12s\n", "", "(vs O3x1)", "(vs b.T/MESI)", "(vs b.T/MESI)")
 	for _, app := range Table5Apps {
-		o31, err := big.Run("O3x1", app)
-		if err != nil {
-			return err
-		}
-		mesi, err := big.Run("bT256/MESI", app)
-		if err != nil {
-			return err
-		}
-		gwb, err := big.Run("bT256/HCC-gwb", app)
-		if err != nil {
-			return err
-		}
-		dts, err := big.Run("bT256/HCC-DTS-gwb", app)
-		if err != nil {
-			return err
+		var r [4]*stats.Run // O3x1, MESI, HCC-gwb, HCC-DTS-gwb
+		for i, cfg := range table5Configs {
+			var err error
+			r[i], err = memo[*stats.Run](context.Background(), s, Work{Cfg: cfg, App: app, Size: size, Grain: s.Grain})
+			if err != nil {
+				return err
+			}
 		}
 		fmt.Fprintf(w, "%-12s | %10.1f | %12.2f %12.2f\n",
-			app, stats.Speedup(o31, mesi), stats.Speedup(mesi, gwb), stats.Speedup(mesi, dts))
+			app, stats.Speedup(r[0], r[1]), stats.Speedup(r[1], r[2]), stats.Speedup(r[1], r[3]))
 	}
 	return nil
 }
@@ -182,13 +176,13 @@ func (s *Suite) Fig4(w io.Writer, grains []int) error {
 	if err != nil {
 		return err
 	}
+	ctx := context.Background()
 	for _, g := range grains {
-		sub := s.at(s.Size, g)
-		r, err := sub.Run("tiny64", "ligra-tc")
+		r, err := memo[*stats.Run](ctx, s, Work{Cfg: "tiny64", App: "ligra-tc", Size: s.Size, Grain: g})
 		if err != nil {
 			return err
 		}
-		view, err := sub.View("ligra-tc")
+		view, err := memo[cilkview.Report](ctx, s, Work{App: "ligra-tc", Size: s.Size, Grain: g, View: true})
 		if err != nil {
 			return err
 		}

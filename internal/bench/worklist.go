@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"sync"
@@ -9,10 +10,11 @@ import (
 	"bigtiny/internal/openload"
 )
 
-// Work names one unit a render target needs before it can draw: either
-// a simulation of App on Cfg or (View=true) a Cilkview analysis of App.
-// Size and Grain are absolute — the worklist constructors fill them in
-// from the suite — so a Work item fully determines its result.
+// Work names one cell of the suite's memo: a simulation of App on Cfg,
+// (View=true) a Cilkview analysis of App, or (Open set) an open-system
+// run on Cfg. Size and Grain are absolute — the worklist constructors
+// fill them in from the suite — so a Work item and the suite's settings
+// fully determine its result.
 type Work struct {
 	Cfg   string // machine configuration; unused when View is set
 	App   string
@@ -28,72 +30,66 @@ type Work struct {
 	OpenFaultSeed uint64
 }
 
-// key collapses duplicate work items (e.g. the bT/MESI baseline every
-// figure shares).
-func (w Work) key() string {
-	if w.Open != nil {
-		return fmt.Sprintf("o|%s|%s|%d|%s", w.Cfg, w.OpenScenario, w.OpenFaultSeed, w.Open.Key())
+// name names the cell in errors and interrupt reasons.
+func (w Work) name() string {
+	switch {
+	case w.Open != nil:
+		return fmt.Sprintf("open %s on %s", w.Open.Workload, w.Cfg)
+	case w.View:
+		return "view " + w.App
 	}
-	v := "r"
-	if w.View {
-		v = "v"
-	}
-	return fmt.Sprintf("%s|%s|%s|%d|%d", v, w.Cfg, w.App, int(w.Size), w.Grain)
+	return w.App + " on " + w.Cfg
 }
 
 // Prewarm executes every work item, fanning them out over a bounded
 // pool of jobs workers (jobs <= 0 means runtime.NumCPU()). Duplicate
-// items are collapsed, and the suite's singleflight layer dedups any
-// remaining overlap, so each distinct simulation runs exactly once.
-// Results land in the same caches the serial render paths read; a
-// render pass after Prewarm therefore does no simulation work and
-// emits output in its usual fixed order.
+// items are collapsed, and the memo dedups any remaining overlap, so
+// each distinct cell runs exactly once. Results land in the memo the
+// serial render paths read; a render pass after Prewarm therefore does
+// no simulation work and emits output in its usual fixed order.
 //
-// Prewarm returns the first error it saw, but warms every other item
-// regardless; the render pass will surface the same error with its
-// usual per-target context.
+// Prewarm returns the first error in worklist order, but warms every
+// other item regardless; the render pass will surface the same error
+// with its usual per-target context.
 func (s *Suite) Prewarm(work []Work, jobs int) error {
-	if jobs <= 0 {
-		jobs = runtime.NumCPU()
-	}
 	seen := make(map[string]bool, len(work))
 	queue := make([]Work, 0, len(work))
 	for _, w := range work {
-		if k := w.key(); !seen[k] {
+		if k := s.key(w); !seen[k] {
 			seen[k] = true
 			queue = append(queue, w)
 		}
 	}
+	errs := make([]error, len(queue))
+	forEach(len(queue), jobs, func(i int) {
+		_, errs[i] = s.do(context.Background(), queue[i])
+	})
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
 
+// forEach calls f(0) … f(n-1) over a bounded pool of jobs host workers
+// (jobs <= 0 means runtime.NumCPU()) and returns when every call has.
+func forEach(n, jobs int, f func(i int)) {
+	if jobs <= 0 {
+		jobs = runtime.NumCPU()
+	}
 	sem := make(chan struct{}, jobs)
 	var wg sync.WaitGroup
-	var errMu sync.Mutex
-	var firstErr error
-	for _, w := range queue {
+	for i := 0; i < n; i++ {
 		wg.Add(1)
 		sem <- struct{}{}
-		go func(w Work) {
+		go func() {
 			defer wg.Done()
 			defer func() { <-sem }()
-			var err error
-			if w.Open != nil {
-				_, err = s.OpenRun(w.Cfg, w.OpenScenario, w.OpenFaultSeed, *w.Open)
-			} else if w.View {
-				_, err = s.at(w.Size, w.Grain).View(w.App)
-			} else {
-				_, err = s.at(w.Size, w.Grain).Run(w.Cfg, w.App)
-			}
-			if err != nil {
-				errMu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				errMu.Unlock()
-			}
-		}(w)
+			f(i)
+		}()
 	}
 	wg.Wait()
-	return firstErr
 }
 
 // run and view build Work items at the suite's own size/grain.
@@ -141,13 +137,17 @@ func (s *Suite) Table4Work(appNames []string) []Work {
 	return work
 }
 
+// table5Configs are Table V's columns: the O3x1 baseline, then the
+// 256-core MESI, HCC-gwb and HCC-DTS-gwb machines.
+var table5Configs = []string{"O3x1", "bT256/MESI", "bT256/HCC-gwb", "bT256/HCC-DTS-gwb"}
+
 // Table5Work lists the 256-core weak-scaling runs Table5 performs
 // (at the scaled-up input size).
 func (s *Suite) Table5Work() []Work {
 	size := sizeUp(s.Size)
 	var work []Work
 	for _, app := range Table5Apps {
-		for _, cfg := range []string{"O3x1", "bT256/MESI", "bT256/HCC-gwb", "bT256/HCC-DTS-gwb"} {
+		for _, cfg := range table5Configs {
 			work = append(work, Work{Cfg: cfg, App: app, Size: size, Grain: s.Grain})
 		}
 	}

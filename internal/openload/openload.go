@@ -101,6 +101,30 @@ type Options struct {
 	Deadline sim.Time
 }
 
+// Config returns the named machine configuration in this environment:
+// the deadline override, the fault scenario with its seed, and the
+// oracle. Run builds its machine from it, and so does a closed-loop run
+// in the same environment (bench.Suite).
+func (opt Options) Config(cfgName string) (machine.Config, error) {
+	cfg, err := machine.Lookup(cfgName)
+	if err != nil {
+		return machine.Config{}, err
+	}
+	if opt.Deadline > 0 {
+		cfg.Deadline = opt.Deadline
+	}
+	if opt.Scenario != "" {
+		sc, err := fault.Lookup(opt.Scenario)
+		if err != nil {
+			return machine.Config{}, err
+		}
+		cfg.Faults = &sc
+		cfg.FaultSeed = opt.FaultSeed
+	}
+	cfg.Oracle = opt.Oracle
+	return cfg, nil
+}
+
 // Result is the outcome of one open-system run.
 type Result struct {
 	Config    string
@@ -156,23 +180,10 @@ func Run(ctx context.Context, cfgName string, sp Spec, opt Options) (*Result, er
 		return nil, err
 	}
 
-	cfg, err := machine.Lookup(cfgName)
+	cfg, err := opt.Config(cfgName)
 	if err != nil {
 		return nil, err
 	}
-	if opt.Deadline > 0 {
-		cfg.Deadline = opt.Deadline
-	}
-	if opt.Scenario != "" {
-		sc, err := fault.Lookup(opt.Scenario)
-		if err != nil {
-			return nil, err
-		}
-		cfg.Faults = &sc
-		cfg.FaultSeed = opt.FaultSeed
-	}
-	cfg.Oracle = opt.Oracle
-
 	m := machine.New(cfg)
 	defer m.InterruptOn(ctx, "openload: "+sp.Workload+" on "+cfgName)()
 

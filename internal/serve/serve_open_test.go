@@ -116,6 +116,7 @@ func TestOpenJobValidation(t *testing.T) {
 			t.Errorf("%s: kind %q, want invalid", tc.name, e.Kind)
 		}
 	}
+	checkSeedCanonical(t, ts.URL, openReq())
 }
 
 // TestQuarantineCounterResetsOnSuccess proves the consecutive-failure

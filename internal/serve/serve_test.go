@@ -571,4 +571,32 @@ func TestFaultJobRuns(t *testing.T) {
 	if n, _ := s.Store().Len(); n != 2 {
 		t.Fatalf("store has %d entries, want 2 distinct cells", n)
 	}
+	checkSeedCanonical(t, ts.URL, clean)
+	if n, _ := s.Store().Len(); n != 2 {
+		t.Fatalf("store has %d entries after non-canonical seeds, want the same 2 cells", n)
+	}
+}
+
+// checkSeedCanonical posts req under a scenario with fault_seed 0 and
+// under none with fault_seed 7; each must answer under the X-Simd-Key
+// of its canonical tuple (seed 1, the CLIs' default, and seed 0).
+func checkSeedCanonical(t *testing.T, url string, req JobRequest) {
+	t.Helper()
+	for _, tc := range []struct {
+		faults          string
+		seed, canonical uint64
+	}{
+		{"chaos-lossy-all", 0, 1},
+		{"", 7, 0},
+	} {
+		req.Faults, req.FaultSeed = tc.faults, tc.seed
+		resp, body := postJob(t, url, req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("faults %q seed %d: status %d\n%s", tc.faults, tc.seed, resp.StatusCode, body)
+		}
+		req.FaultSeed = tc.canonical
+		if got, want := resp.Header.Get("X-Simd-Key"), jobKey(req); got != want {
+			t.Errorf("faults %q seed %d: key %q, want the canonical %q", tc.faults, tc.seed, got, want)
+		}
+	}
 }

@@ -365,8 +365,19 @@ func validate(req *JobRequest) (apps.Size, *ErrorJSON) {
 	if _, err := machine.Lookup(req.Config); err != nil {
 		return fail(err)
 	}
+	var size apps.Size
 	switch req.Kind {
 	case "", "run":
+		if _, err := apps.ByName(req.App); err != nil {
+			return fail(err)
+		}
+		var err error
+		if size, err = apps.ParseSize(req.Size); err != nil {
+			return fail(err)
+		}
+		if req.Grain < 0 {
+			return fail(fmt.Errorf("serve: negative grain %d", req.Grain))
+		}
 	case "open":
 		if req.App != "" || req.Size != "" || req.Grain != 0 {
 			return fail(fmt.Errorf("serve: open jobs take workload/arrival, not app/size/grain"))
@@ -378,29 +389,8 @@ func validate(req *JobRequest) (apps.Size, *ErrorJSON) {
 		if err := openSpec(*req).Validate(); err != nil {
 			return fail(err)
 		}
-		if req.Faults == "" {
-			req.FaultSeed = 0
-		} else {
-			if _, err := fault.Lookup(req.Faults); err != nil {
-				return fail(err)
-			}
-			if req.FaultSeed == 0 {
-				req.FaultSeed = 1
-			}
-		}
-		return 0, nil
 	default:
 		return fail(fmt.Errorf("serve: unknown job kind %q (have run, open)", req.Kind))
-	}
-	if _, err := apps.ByName(req.App); err != nil {
-		return fail(err)
-	}
-	size, err := apps.ParseSize(req.Size)
-	if err != nil {
-		return fail(err)
-	}
-	if req.Grain < 0 {
-		return fail(fmt.Errorf("serve: negative grain %d", req.Grain))
 	}
 	if req.Faults == "" {
 		req.FaultSeed = 0
