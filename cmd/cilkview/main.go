@@ -29,16 +29,9 @@ func main() {
 	sweep := flag.String("sweep", "", "comma-separated granularities to sweep")
 	flag.Parse()
 
-	var sz apps.Size
-	switch *size {
-	case "test":
-		sz = apps.Test
-	case "ref":
-		sz = apps.Ref
-	case "big":
-		sz = apps.Big
-	default:
-		fmt.Fprintf(os.Stderr, "cilkview: unknown size %q\n", *size)
+	sz, err := apps.ParseSize(*size)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "cilkview:", err)
 		os.Exit(2)
 	}
 	app, err := apps.ByName(*appName)

@@ -30,45 +30,13 @@ func newTestSystem(t testing.TB, protos []Protocol, l1Bytes int) *System {
 	}
 	for b := 0; b < numBanks; b++ {
 		cfg.BankNode = append(cfg.BankNode, mesh.Node(1, b))
-		cfg.MCs = append(cfg.MCs, dram.NewController("mc", dram.DefaultConfig()))
+		cfg.MCs = append(cfg.MCs, dram.NewController(dram.DefaultConfig()))
 	}
 	sys := NewSystem(cfg, mesh, backing)
 	for c, p := range protos {
 		NewL1(sys, c, p, l1Bytes, 2)
 	}
 	return sys
-}
-
-func TestProtocolTaxonomy(t *testing.T) {
-	// Paper Table I, row by row.
-	m := PropertiesOf(MESI)
-	if m.Invalidation != WriterInitiated || m.Propagation != OwnerWriteBack || m.Granularity != LineGranularity {
-		t.Error("MESI row mismatch")
-	}
-	if m.NeedsInvalidate || m.NeedsFlush || m.AMOAtL2 {
-		t.Error("MESI should need no software coherence ops")
-	}
-	d := PropertiesOf(DeNovo)
-	if d.Invalidation != ReaderInitiated || d.Propagation != OwnerWriteBack || d.Granularity != WordGranularity {
-		t.Error("DeNovo row mismatch")
-	}
-	if !d.NeedsInvalidate || d.NeedsFlush || d.AMOAtL2 {
-		t.Error("DeNovo needs invalidate only")
-	}
-	wt := PropertiesOf(GPUWT)
-	if wt.Invalidation != ReaderInitiated || wt.Propagation != NoOwnerWriteThrough || wt.Granularity != WordGranularity {
-		t.Error("GPU-WT row mismatch")
-	}
-	if !wt.NeedsInvalidate || wt.NeedsFlush || !wt.AMOAtL2 {
-		t.Error("GPU-WT needs invalidate and L2 atomics")
-	}
-	wb := PropertiesOf(GPUWB)
-	if wb.Invalidation != ReaderInitiated || wb.Propagation != NoOwnerWriteBack || wb.Granularity != WordGranularity {
-		t.Error("GPU-WB row mismatch")
-	}
-	if !wb.NeedsInvalidate || !wb.NeedsFlush || !wb.AMOAtL2 {
-		t.Error("GPU-WB needs invalidate, flush, and L2 atomics")
-	}
 }
 
 func TestReadYourWriteAllProtocols(t *testing.T) {
@@ -369,8 +337,8 @@ func TestL2InclusionRecallsOnEviction(t *testing.T) {
 		L2SetsPerBank: 2,
 		L2Ways:        2,
 		MCs: []*dram.Controller{
-			dram.NewController("a", dram.DefaultConfig()),
-			dram.NewController("b", dram.DefaultConfig()),
+			dram.NewController(dram.DefaultConfig()),
+			dram.NewController(dram.DefaultConfig()),
 		},
 	}
 	sys := NewSystem(cfg, mesh, backing)

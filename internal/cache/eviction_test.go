@@ -24,7 +24,7 @@ func tinyL2System(t *testing.T, protos []Protocol) *System {
 	}
 	for b := 0; b < 2; b++ {
 		cfg.BankNode = append(cfg.BankNode, mesh.Node(1, b))
-		cfg.MCs = append(cfg.MCs, dram.NewController("mc", dram.DefaultConfig()))
+		cfg.MCs = append(cfg.MCs, dram.NewController(dram.DefaultConfig()))
 	}
 	sys := NewSystem(cfg, mesh, mem.New())
 	for c, p := range protos {

@@ -258,7 +258,7 @@ func (l *L1) Amo(now sim.Time, a mem.Addr, op AmoOp, arg1, arg2 uint64) (uint64,
 		panic("cache: unknown protocol")
 	}
 	if l.Oracle != nil {
-		newVal, wrote := applyAmo(op, old, arg1, arg2)
+		newVal, wrote := ApplyAmo(op, old, arg1, arg2)
 		l.Oracle.OnAmo(l.core, uint64(a), old, newVal, wrote)
 	}
 	return old, done

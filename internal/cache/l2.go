@@ -1,8 +1,6 @@
 package cache
 
 import (
-	"fmt"
-
 	"bigtiny/internal/dram"
 	"bigtiny/internal/mem"
 	"bigtiny/internal/noc"
@@ -43,10 +41,6 @@ type Config struct {
 	MCs []*dram.Controller
 }
 
-// DefaultL2Geometry returns the paper's per-bank geometry: 512KB, 8-way,
-// 64B lines -> 1024 sets.
-func DefaultL2Geometry() (sets, ways int) { return 1024, 8 }
-
 // System is the complete cache hierarchy: per-core L1s, the shared
 // banked L2 with its embedded directory, and the DRAM backing store.
 type System struct {
@@ -72,7 +66,7 @@ type System struct {
 type bank struct {
 	id   int
 	node noc.NodeID
-	res  *sim.Resource
+	res  sim.Resource
 	// sets[i] is empty until a fill first touches set i (see lookup): a
 	// run pays for the sets it uses, not for the bank's whole geometry.
 	sets []l2Set
@@ -130,7 +124,6 @@ func NewSystem(cfg Config, m *noc.Mesh, backing *mem.Memory) *System {
 		s.banks = append(s.banks, &bank{
 			id:   b,
 			node: cfg.BankNode[b],
-			res:  sim.NewResource(fmt.Sprintf("l2bank%d", b)),
 			sets: make([]l2Set, cfg.L2SetsPerBank),
 			mc:   cfg.MCs[b],
 		})

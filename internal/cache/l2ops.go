@@ -151,7 +151,7 @@ func (s *System) l2Amo(now sim.Time, core int, la mem.Addr, widx int, op AmoOp, 
 		line.dirty = true
 	}
 	old = line.data[widx]
-	if newVal, write := applyAmo(op, old, arg1, arg2); write {
+	if newVal, write := ApplyAmo(op, old, arg1, arg2); write {
 		line.data[widx] = newVal
 		line.dirty = true
 	}

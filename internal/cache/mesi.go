@@ -83,7 +83,7 @@ func (l *L1) amoMESI(now sim.Time, a mem.Addr, op AmoOp, arg1, arg2 uint64) (uin
 		ready = done
 	}
 	old := ln.data[w]
-	if newVal, write := applyAmo(op, old, arg1, arg2); write {
+	if newVal, write := ApplyAmo(op, old, arg1, arg2); write {
 		ln.data[w] = newVal
 	}
 	return old, ready + amoLocalLat

@@ -40,113 +40,6 @@ func (p Protocol) String() string {
 	return fmt.Sprintf("Protocol(%d)", int(p))
 }
 
-// Invalidation indicates who initiates invalidation of stale data.
-type Invalidation int
-
-// Invalidation strategies (Table I, "Who initiates invalidation?").
-const (
-	WriterInitiated Invalidation = iota
-	ReaderInitiated
-)
-
-func (i Invalidation) String() string {
-	if i == WriterInitiated {
-		return "Writer"
-	}
-	return "Reader"
-}
-
-// DirtyPropagation indicates how dirty data becomes visible.
-type DirtyPropagation int
-
-// Dirty propagation strategies (Table I, "How is dirty data propagated?").
-const (
-	OwnerWriteBack DirtyPropagation = iota
-	NoOwnerWriteThrough
-	NoOwnerWriteBack
-)
-
-func (d DirtyPropagation) String() string {
-	switch d {
-	case OwnerWriteBack:
-		return "Owner, Write-Back"
-	case NoOwnerWriteThrough:
-		return "No-Owner, Write-Through"
-	default:
-		return "No-Owner, Write-Back"
-	}
-}
-
-// Granularity is the unit at which writes are performed and ownership
-// is managed (Table I, "Write Granularity").
-type Granularity int
-
-// Write granularities.
-const (
-	LineGranularity Granularity = iota
-	WordGranularity
-)
-
-func (g Granularity) String() string {
-	if g == LineGranularity {
-		return "Line"
-	}
-	return "Word"
-}
-
-// Properties captures a protocol's row in paper Table I.
-type Properties struct {
-	Invalidation Invalidation
-	Propagation  DirtyPropagation
-	Granularity  Granularity
-	// NeedsInvalidate reports whether cache_invalidate is a real
-	// operation (true for all reader-initiated protocols).
-	NeedsInvalidate bool
-	// NeedsFlush reports whether cache_flush is a real operation (only
-	// GPU-WB: no ownership and write-back).
-	NeedsFlush bool
-	// AMOAtL2 reports whether atomics must be performed at the shared
-	// cache (protocols without ownership).
-	AMOAtL2 bool
-}
-
-// PropertiesOf returns the Table I classification of p.
-func PropertiesOf(p Protocol) Properties {
-	switch p {
-	case MESI:
-		return Properties{
-			Invalidation: WriterInitiated,
-			Propagation:  OwnerWriteBack,
-			Granularity:  LineGranularity,
-		}
-	case DeNovo:
-		return Properties{
-			Invalidation:    ReaderInitiated,
-			Propagation:     OwnerWriteBack,
-			Granularity:     WordGranularity,
-			NeedsInvalidate: true,
-		}
-	case GPUWT:
-		return Properties{
-			Invalidation:    ReaderInitiated,
-			Propagation:     NoOwnerWriteThrough,
-			Granularity:     WordGranularity,
-			NeedsInvalidate: true,
-			AMOAtL2:         true,
-		}
-	case GPUWB:
-		return Properties{
-			Invalidation:    ReaderInitiated,
-			Propagation:     NoOwnerWriteBack,
-			Granularity:     WordGranularity,
-			NeedsInvalidate: true,
-			NeedsFlush:      true,
-			AMOAtL2:         true,
-		}
-	}
-	panic("cache: unknown protocol")
-}
-
 // AmoOp selects an atomic read-modify-write operation.
 type AmoOp int
 
@@ -175,9 +68,9 @@ func (op AmoOp) String() string {
 	return fmt.Sprintf("amo(%d)", int(op))
 }
 
-// applyAmo computes the new value for op given the old value and
+// ApplyAmo computes the new value for op given the old value and
 // operands, and reports whether the write happens (CAS can fail).
-func applyAmo(op AmoOp, old, arg1, arg2 uint64) (newVal uint64, write bool) {
+func ApplyAmo(op AmoOp, old, arg1, arg2 uint64) (newVal uint64, write bool) {
 	switch op {
 	case AmoAdd:
 		return old + arg1, true

@@ -22,7 +22,7 @@ func rig(t *testing.T, cfg Config, proto cache.Protocol) (*sim.Kernel, *Core, *c
 		BankNode:      []noc.NodeID{mesh.Node(1, 0)},
 		L2SetsPerBank: 64,
 		L2Ways:        8,
-		MCs:           []*dram.Controller{dram.NewController("mc", dram.DefaultConfig())},
+		MCs:           []*dram.Controller{dram.NewController(dram.DefaultConfig())},
 	}, mesh, mem.New())
 	l1 := cache.NewL1(sys, 0, proto, cfg.L1IBytes, 2)
 	core := New(0, cfg, l1, nil)

@@ -26,7 +26,7 @@ func spinRig(cfg Config, faults *fault.Injector) (*sim.Kernel, [2]*Core) {
 		BankNode:      []noc.NodeID{mesh.Node(1, 0)},
 		L2SetsPerBank: 64,
 		L2Ways:        8,
-		MCs:           []*dram.Controller{dram.NewController("mc", dram.DefaultConfig())},
+		MCs:           []*dram.Controller{dram.NewController(dram.DefaultConfig())},
 	}, mesh, mem.New())
 	fab := uli.NewFabric(k, 2, 2, 2, func(core int) noc.NodeID { return nodes[core] })
 	var cores [2]*Core

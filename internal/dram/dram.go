@@ -6,15 +6,13 @@
 package dram
 
 import (
-	"fmt"
-
 	"bigtiny/internal/fault"
 	"bigtiny/internal/sim"
 )
 
 // Controller models one memory channel.
 type Controller struct {
-	res *sim.Resource
+	res sim.Resource
 	// Lat is the fixed access latency (row activation + CAS, in cycles).
 	Lat sim.Time
 	// LineCycles is the bandwidth occupancy of one 64-byte line transfer.
@@ -45,13 +43,12 @@ func DefaultConfig() Config {
 }
 
 // NewController builds a controller from cfg.
-func NewController(name string, cfg Config) *Controller {
+func NewController(cfg Config) *Controller {
 	lineCycles := sim.Time(float64(cfg.LineBytes) / cfg.BytesPerCycle)
 	if lineCycles < 1 {
 		lineCycles = 1
 	}
 	return &Controller{
-		res:        sim.NewResource(fmt.Sprintf("dram-%s", name)),
 		Lat:        cfg.AccessLat,
 		LineCycles: lineCycles,
 	}

@@ -3,7 +3,7 @@ package dram
 import "testing"
 
 func TestAccessLatency(t *testing.T) {
-	c := NewController("mc0", DefaultConfig())
+	c := NewController(DefaultConfig())
 	done := c.Access(100, false)
 	// 32 cycles of bandwidth + 60 cycles fixed latency.
 	if done != 100+32+60 {
@@ -15,7 +15,7 @@ func TestAccessLatency(t *testing.T) {
 }
 
 func TestBandwidthSerializes(t *testing.T) {
-	c := NewController("mc0", DefaultConfig())
+	c := NewController(DefaultConfig())
 	d1 := c.Access(0, false)
 	d2 := c.Access(0, true)
 	if d2 != d1+32 {
@@ -27,7 +27,7 @@ func TestBandwidthSerializes(t *testing.T) {
 }
 
 func TestIdleGapNoQueueing(t *testing.T) {
-	c := NewController("mc0", DefaultConfig())
+	c := NewController(DefaultConfig())
 	c.Access(0, false)
 	done := c.Access(1000, false)
 	if done != 1000+92 {
@@ -36,7 +36,7 @@ func TestIdleGapNoQueueing(t *testing.T) {
 }
 
 func TestMinimumLineCycles(t *testing.T) {
-	c := NewController("fast", Config{AccessLat: 5, BytesPerCycle: 1024, LineBytes: 64})
+	c := NewController(Config{AccessLat: 5, BytesPerCycle: 1024, LineBytes: 64})
 	done := c.Access(0, false)
 	if done != 1+5 {
 		t.Fatalf("done = %d, want 6 (line transfer floors at 1 cycle)", done)
@@ -44,7 +44,7 @@ func TestMinimumLineCycles(t *testing.T) {
 }
 
 func TestUtilization(t *testing.T) {
-	c := NewController("mc0", DefaultConfig())
+	c := NewController(DefaultConfig())
 	c.Access(0, false)
 	if got := c.Utilization(64); got != 0.5 {
 		t.Fatalf("utilization = %v, want 0.5", got)

@@ -108,7 +108,7 @@ func New(cfg Config) *Machine {
 	for b := 0; b < cfg.NumBanks; b++ {
 		col := b * cfg.Cols / cfg.NumBanks
 		bankNodes = append(bankNodes, mesh.Node(cfg.Rows, col))
-		mc := dram.NewController(fmt.Sprintf("mc%d", b), perMC)
+		mc := dram.NewController(perMC)
 		mc.Faults = inj
 		mcs = append(mcs, mc)
 	}

@@ -124,9 +124,6 @@ func (m *Memory) Alloc(n int) Addr {
 // AllocWords reserves n words and returns the base address.
 func (m *Memory) AllocWords(n int) Addr { return m.Alloc(n * WordSize) }
 
-// Brk reports the current allocation break (total footprint end).
-func (m *Memory) Brk() Addr { return m.brk }
-
 func checkAlign(a Addr) {
 	if a%WordSize != 0 {
 		panic(fmt.Sprintf("mem: unaligned word access at %#x", uint64(a)))

@@ -82,7 +82,7 @@ type Mesh struct {
 	// bursts into every message (see internal/fault).
 	Faults *fault.Injector
 
-	links   []*sim.Resource // directed links, indexed by linkIndex
+	links   []sim.Resource // directed links, indexed by node*numDirs + dir
 	Traffic Traffic
 	// HopsSum/Sends track average distance for reporting.
 	HopsSum uint64
@@ -102,19 +102,13 @@ const (
 // NewMesh builds a mesh with the paper's default flit size and hop
 // latencies.
 func NewMesh(rows, cols int) *Mesh {
-	m := &Mesh{
+	return &Mesh{
 		Rows: rows, Cols: cols,
 		FlitBytes:  16,
 		ChannelLat: 1,
 		RouterLat:  1,
+		links:      make([]sim.Resource, rows*cols*numDirs),
 	}
-	m.links = make([]*sim.Resource, rows*cols*numDirs)
-	for n := 0; n < rows*cols; n++ {
-		for d := 0; d < numDirs; d++ {
-			m.links[n*numDirs+d] = sim.NewResource(fmt.Sprintf("link(%d,%d)", n, d))
-		}
-	}
-	return m
 }
 
 // Node returns the NodeID for (row, col).
@@ -224,8 +218,7 @@ func (m *Mesh) SendLossy(now sim.Time, from, to NodeID, bytes int, cat Category,
 // (the link may be busy with earlier messages) and bandwidth (the link
 // is occupied one cycle per flit).
 func (m *Mesh) traverse(t sim.Time, row, col, dir, flits int, hopLat sim.Time) sim.Time {
-	link := m.links[(row*m.Cols+col)*numDirs+dir]
-	done := link.Acquire(t, sim.Time(flits))
+	done := m.links[(row*m.Cols+col)*numDirs+dir].Acquire(t, sim.Time(flits))
 	// The head flit leaves when it has been serviced for one cycle after
 	// any queueing delay; done-flits is the start-of-service time.
 	start := done - sim.Time(flits)
@@ -244,8 +237,8 @@ func (m *Mesh) AvgHops() float64 {
 // links for the elapsed time.
 func (m *Mesh) LinkUtilization(elapsed sim.Time) (maxU, meanU float64) {
 	var sum float64
-	for _, l := range m.links {
-		u := l.Utilization(elapsed)
+	for i := range m.links {
+		u := m.links[i].Utilization(elapsed)
 		sum += u
 		if u > maxU {
 			maxU = u

@@ -198,7 +198,7 @@ func (e *NativeEnv) Store(a mem.Addr, v uint64) {
 func (e *NativeEnv) Amo(a mem.Addr, op cache.AmoOp, arg1, arg2 uint64) uint64 {
 	e.Insts++
 	old := e.Mem.ReadWord(a)
-	if nv, write := applyAmoNative(op, old, arg1, arg2); write {
+	if nv, write := cache.ApplyAmo(op, old, arg1, arg2); write {
 		e.Mem.WriteWord(a, nv)
 	}
 	return old
@@ -230,23 +230,3 @@ func (e *NativeEnv) Rand() *sim.Rand { return e.rng }
 
 // Offline reports false: native execution cannot lose its only thread.
 func (e *NativeEnv) Offline() bool { return false }
-
-// applyAmoNative mirrors the cache package's AMO semantics.
-func applyAmoNative(op cache.AmoOp, old, arg1, arg2 uint64) (uint64, bool) {
-	switch op {
-	case cache.AmoAdd:
-		return old + arg1, true
-	case cache.AmoOr:
-		return old | arg1, true
-	case cache.AmoAnd:
-		return old & arg1, true
-	case cache.AmoXchg:
-		return arg1, true
-	case cache.AmoCAS:
-		if old == arg1 {
-			return arg2, true
-		}
-		return old, false
-	}
-	panic("prog: unknown AMO")
-}

@@ -563,7 +563,8 @@ func (s *Server) runJob(j *job) {
 func classify(err error) (kind string, status int) {
 	msg := err.Error()
 	// First line only: watchdog errors carry a multi-line machine dump
-	// whose counters ("0 cancelled") must not sway the classification.
+	// whose proc names and subsystem state must not sway the
+	// classification.
 	if i := strings.IndexByte(msg, '\n'); i >= 0 {
 		msg = msg[:i]
 	}

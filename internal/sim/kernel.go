@@ -52,9 +52,8 @@ type eventRef struct {
 // proc resumption (proc). The distinction lets the dispatcher switch
 // to a resuming proc instead of calling through an opaque closure.
 // Slots are recycled through a free list; gen increments on every free,
-// so a stale Timer handle (slot fired, was compacted, or got reused)
-// can be recognized by generation mismatch. A slot with neither fn nor
-// proc is a tombstone (stopped Timer).
+// so a stale Timer handle (slot fired, was stopped, or got reused) can
+// be recognized by generation mismatch.
 type eventSlot struct {
 	fn   func()
 	proc *Proc
@@ -236,16 +235,15 @@ func (k *Kernel) At(t Time, fn func()) {
 func (k *Kernel) After(d Time, fn func()) { k.At(k.now+d, fn) }
 
 // Timer is a cancellable one-shot event, the building block for
-// simulated-cycle timeouts (e.g. the ULI steal-request timeout). A
-// stopped timer's queue entry is skipped by Run without advancing
-// simulated time, so arming-and-cancelling timers is observationally
-// free: cycle counts are bit-identical to a run that never armed them.
+// simulated-cycle timeouts (e.g. the ULI steal-request timeout). Stop
+// takes the timer's entry off the queue, so arming-and-cancelling
+// timers is observationally free: cycle counts are bit-identical to a
+// run that never armed them.
 //
 // The handle names its event by (slot, generation): once the callback
-// fires — or a cancelled entry is reclaimed — the slot's generation
-// moves on, and a late Stop through the stale handle is a detected
-// no-op rather than a cancellation of whatever stranger now occupies
-// the recycled slot.
+// fires or the timer is stopped, the slot's generation moves on, and a
+// late Stop through the stale handle is a detected no-op rather than a
+// cancellation of whatever stranger now occupies the recycled slot.
 type Timer struct {
 	k   *Kernel
 	idx int32
@@ -255,21 +253,11 @@ type Timer struct {
 // Stop cancels the timer. It reports whether the cancellation was in
 // time (false if the callback already ran or Stop was already called).
 func (t *Timer) Stop() bool {
-	if t == nil || t.k == nil {
+	if !t.Active() {
 		return false
 	}
-	s := &t.k.slots[t.idx]
-	if s.gen != t.gen || s.fn == nil {
-		return false
-	}
-	if q := &t.k.queue; s.prev != inOverflow {
-		q.unlink(t.k.slots, t.idx)
-		t.k.freeSlot(t.idx)
-	} else {
-		s.fn = nil
-		q.tombstones++
-		q.compact(t.k)
-	}
+	t.k.queue.remove(t.k.slots, t.idx)
+	t.k.freeSlot(t.idx)
 	return true
 }
 
@@ -296,33 +284,8 @@ func (k *Kernel) TimerAt(t Time, fn func()) *Timer {
 // TimerAfter schedules fn d cycles from now, cancellable.
 func (k *Kernel) TimerAfter(d Time, fn func()) *Timer { return k.TimerAt(k.now+d, fn) }
 
-// QueueLen returns the number of queue entries, including
-// not-yet-reclaimed tombstones (diagnostics and tests).
+// QueueLen returns the number of queued events (diagnostics and tests).
 func (k *Kernel) QueueLen() int { return k.queue.len() }
-
-// Tombstones returns the number of cancelled entries still queued.
-func (k *Kernel) Tombstones() int { return k.queue.tombstones }
-
-// peekLive returns the firing time of the earliest live event,
-// discarding any tombstones it finds at the root on the way. Tombstone
-// reclamation has no observable effect on simulated time, so doing it
-// here (from a Proc's wait) is equivalent to doing it in Run.
-func (k *Kernel) peekLive() (Time, bool) {
-	q := &k.queue
-	if q.n > 0 {
-		return q.min, true
-	}
-	for len(q.over) > 0 {
-		ref := q.over[0]
-		if s := &k.slots[ref.idx]; s.fn != nil || s.proc != nil {
-			return ref.at, true
-		}
-		q.over.popRoot()
-		q.tombstones--
-		k.freeSlot(ref.idx)
-	}
-	return 0, false
-}
 
 // dispatchOutcome says how a dispatch loop ended for its caller; a proc
 // coroutine passes it on to its resumer when it switches back.
@@ -371,19 +334,12 @@ func (k *Kernel) dispatch(self *Proc) dispatchOutcome {
 		ref := k.queue.pop(k)
 		s := &k.slots[ref.idx]
 		p, fn := s.proc, s.fn
-		if p == nil && fn == nil {
-			// A stopped Timer: skip without advancing time, so cancelled
-			// timeouts leave no trace in the cycle count.
-			k.queue.tombstones--
-			k.freeSlot(ref.idx)
-			continue
-		}
 		if ref.at > k.maxTime {
 			k.deadlineHit, k.deadlineAt = true, ref.at
 			return dispatchStopped
 		}
 		k.now = ref.at
-		k.queue.advance(k, ref.at)
+		k.queue.advance(k.slots, ref.at)
 		// Free before firing: a fired timer cannot be stopped
 		// retroactively (its handle's generation is now stale), and the
 		// callback may immediately reuse the slot for a new event.
@@ -561,9 +517,8 @@ func (k *Kernel) DumpState(w io.Writer) {
 			finished++
 		}
 	}
-	queued, dead := k.QueueLen(), k.Tombstones()
-	fmt.Fprintf(w, "kernel: cycle=%d queued-events=%d (%d cancelled) procs=%d/%d finished\n",
-		k.now, queued-dead, dead, finished, len(k.procs))
+	fmt.Fprintf(w, "kernel: cycle=%d queued-events=%d procs=%d/%d finished\n",
+		k.now, k.QueueLen(), finished, len(k.procs))
 	for _, p := range k.procs {
 		if p.finished {
 			continue

@@ -29,10 +29,9 @@ func BenchmarkSchedule(b *testing.B) {
 	}
 }
 
-// BenchmarkTimerArmCancel measures the arm/cancel churn pattern the
-// ULI steal timeout produces: a timer armed far in the future and
-// stopped almost immediately. Tombstone compaction must keep the
-// queue from growing.
+// BenchmarkTimerArmCancel measures arm/cancel churn of a timer armed
+// beyond the wheel and stopped almost immediately: a push into the
+// overflow heap and a removal from it.
 func BenchmarkTimerArmCancel(b *testing.B) {
 	k := NewKernel()
 	b.ReportAllocs()

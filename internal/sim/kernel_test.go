@@ -196,7 +196,7 @@ func TestStopPredicate(t *testing.T) {
 }
 
 func TestResourceQueueing(t *testing.T) {
-	r := NewResource("bank")
+	var r Resource
 	// Back-to-back requests at the same instant serialize.
 	d1 := r.Acquire(100, 10)
 	d2 := r.Acquire(100, 10)
@@ -215,7 +215,7 @@ func TestResourceQueueing(t *testing.T) {
 }
 
 func TestResourceUtilization(t *testing.T) {
-	r := NewResource("link")
+	var r Resource
 	r.Acquire(0, 25)
 	if got := r.Utilization(100); got != 0.25 {
 		t.Fatalf("utilization = %v, want 0.25", got)
@@ -229,7 +229,7 @@ func TestResourceUtilization(t *testing.T) {
 // never overlap (each service occupies disjoint [done-service, done]).
 func TestResourceNoOverlapProperty(t *testing.T) {
 	f := func(arrivals []uint16, services []uint8) bool {
-		r := NewResource("x")
+		var r Resource
 		now := Time(0)
 		prevDone := Time(0)
 		for i, a := range arrivals {

@@ -101,7 +101,7 @@ func (p *Proc) wait(t Time, yield bool) (done bool) {
 	}
 	if !k.paranoid && t <= k.maxTime && k.err == nil &&
 		k.intrReason.Load() == nil && (k.stop == nil || !k.stop()) {
-		if at, ok := k.peekLive(); !ok || at > t {
+		if at, ok := k.queue.peek(); !ok || at > t {
 			k.now = t
 			k.fastWaits++
 			return true

@@ -4,7 +4,8 @@ import "math/bits"
 
 const (
 	// wheelSize is the timing wheel's width in cycles, a power of two.
-	// 8192 keeps the ULI steal timers (4096) where Stop is an unlink.
+	// 8192 keeps the ULI steal timers (4096) in the wheel, where Stop is
+	// an O(1) unlink.
 	wheelSize = 8192
 	// inOverflow in eventSlot.prev marks a slot in the overflow heap.
 	inOverflow = -2
@@ -16,14 +17,13 @@ const (
 // (eventSlot.next/prev): push links, pop unlinks, nothing is sifted.
 // DESIGN.md §12 "The queue" argues that pop order is still (time, seq).
 type eventQueue struct {
-	// cur, the window base, only ever takes the time of a live
-	// dispatched event, so cur <= now and no push lands below it.
+	// cur, the window base, only ever takes the time of a dispatched
+	// event, so cur <= now and no push lands below it.
 	cur Time
-	n   int  // wheel-resident entries; none is a tombstone
+	n   int  // wheel-resident entries
 	min Time // the earliest of them, while n > 0
-	// over holds the entries at >= cur+wheelSize, tombstones included.
-	over       eventHeap
-	tombstones int
+	// over holds the entries at >= cur+wheelSize.
+	over eventHeap
 	// l0 has a bit per occupied bucket, l1 a bit per nonzero l0 word.
 	l1 [(wheelSize/64 + 63) / 64]uint64
 	l0 [wheelSize / 64]uint64
@@ -105,7 +105,18 @@ func (q *eventQueue) scan(from int) int {
 	return -1
 }
 
-// pop removes the earliest entry (a tombstone only out of the overflow).
+// peek returns the firing time of the earliest entry.
+func (q *eventQueue) peek() (Time, bool) {
+	if q.n > 0 {
+		return q.min, true
+	}
+	if len(q.over) > 0 {
+		return q.over[0].at, true
+	}
+	return 0, false
+}
+
+// pop removes the earliest entry.
 func (q *eventQueue) pop(k *Kernel) eventRef {
 	if q.n == 0 {
 		return q.over.popRoot()
@@ -116,52 +127,30 @@ func (q *eventQueue) pop(k *Kernel) eventRef {
 	return eventRef{at: at, idx: idx}
 }
 
-// advance moves the window base to at, the time of the live event being
+// advance moves the window base to at, the time of the event being
 // dispatched, and migrates the overflow entries the window now covers —
 // here, before that event's callback can push behind them. Moved on any
 // other occasion, cur could pass a time something may still schedule at.
-func (q *eventQueue) advance(k *Kernel, at Time) {
+func (q *eventQueue) advance(slots []eventSlot, at Time) {
 	q.cur = at
 	for len(q.over) > 0 && q.over[0].at-at < wheelSize {
-		ref := q.over.popRoot()
-		if s := &k.slots[ref.idx]; s.fn == nil && s.proc == nil {
-			q.tombstones--
-			k.freeSlot(ref.idx)
-			continue
-		}
-		q.push(k.slots, ref)
+		q.push(slots, q.over.popRoot())
 	}
 }
 
-// compactTombstoneFloor keeps small overflows from compacting
-// constantly; below it the lazy pop-time skip is always cheaper.
-const compactTombstoneFloor = 32
-
-// compact rebuilds the overflow heap without tombstones once cancelled
-// entries outnumber half the live ones, bounding its growth under
-// arm/cancel churn of timers beyond the wheel to O(live events).
-func (q *eventQueue) compact(k *Kernel) {
-	if q.tombstones < compactTombstoneFloor {
+// remove takes slot idx's entry off the queue (Timer.Stop). An
+// overflow entry is found by a linear search: only a timer a wheel or
+// more ahead sits there, and no simulation stops one.
+func (q *eventQueue) remove(slots []eventSlot, idx int32) {
+	if slots[idx].prev != inOverflow {
+		q.unlink(slots, idx)
 		return
 	}
-	if live := len(q.over) - q.tombstones; q.tombstones <= live/2 {
-		return
-	}
-	heap := q.over
-	w := 0
-	for _, ref := range heap {
-		if s := &k.slots[ref.idx]; s.fn == nil && s.proc == nil {
-			k.freeSlot(ref.idx)
-			continue
+	for i, ref := range q.over {
+		if ref.idx == idx {
+			q.over.remove(i)
+			return
 		}
-		heap[w] = ref
-		w++
-	}
-	heap = heap[:w]
-	q.over = heap
-	q.tombstones = 0
-	for i := w/2 - 1; i >= 0; i-- {
-		heap.siftDown(i)
 	}
 }
 
@@ -177,31 +166,42 @@ func refLess(a, b eventRef) bool {
 // the queue's overflow, behind the timing wheel.
 type eventHeap []eventRef
 
-// push adds a heap entry (sift-up on the value slice).
+// push adds a heap entry.
 func (h *eventHeap) push(ref eventRef) {
 	*h = append(*h, ref)
-	q := *h
-	i := len(q) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !refLess(q[i], q[parent]) {
-			break
-		}
-		q[i], q[parent] = q[parent], q[i]
-		i = parent
-	}
+	h.siftUp(len(*h) - 1)
 }
 
 // popRoot removes and returns the minimum heap entry.
 func (h *eventHeap) popRoot() eventRef {
+	root := (*h)[0]
+	h.remove(0)
+	return root
+}
+
+// remove deletes entry i: the last entry takes its place and sifts
+// whichever way restores the heap order.
+func (h *eventHeap) remove(i int) {
 	q := *h
-	root := q[0]
 	n := len(q) - 1
-	q[0] = q[n]
+	q[i] = q[n]
 	q = q[:n]
 	*h = q
-	q.siftDown(0)
-	return root
+	if i < n {
+		q.siftDown(i)
+		q.siftUp(i)
+	}
+}
+
+func (q eventHeap) siftUp(i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !refLess(q[i], q[parent]) {
+			return
+		}
+		q[i], q[parent] = q[parent], q[i]
+		i = parent
+	}
 }
 
 func (q eventHeap) siftDown(i int) {

@@ -138,9 +138,9 @@ func queueProgram(t testing.TB, prog []byte) {
 			return
 		}
 	}
-	if len(order) != len(want) || k.QueueLen() != 0 || k.Tombstones() != 0 {
-		t.Errorf("%d events fired, want %d; %d entries and %d tombstones left queued",
-			len(order), len(want), k.QueueLen(), k.Tombstones())
+	if len(order) != len(want) || k.QueueLen() != 0 {
+		t.Errorf("%d events fired, want %d; %d entries left queued",
+			len(order), len(want), k.QueueLen())
 	}
 }
 
@@ -184,18 +184,18 @@ func TestQueueMigratesBeforeDirectPush(t *testing.T) {
 	}
 }
 
-// TestTimerStopInWheelIsImmediate: a timer inside the window is
-// unlinked by Stop, not left behind as a tombstone; one beyond it is a
-// tombstone until popped or compacted.
+// TestTimerStopInWheelIsImmediate: Stop takes a timer off the queue at
+// once, whether it is inside the window (an unlink) or beyond it (a
+// removal from the overflow heap).
 func TestTimerStopInWheelIsImmediate(t *testing.T) {
 	k := NewKernel()
 	near, far := k.TimerAt(100, func() {}), k.TimerAt(10*wheelSize, func() {})
 	k.At(50, func() {})
-	if !near.Stop() || k.QueueLen() != 2 || k.Tombstones() != 0 {
-		t.Fatalf("after near stop: %d queued, %d tombstones, want 2/0", k.QueueLen(), k.Tombstones())
+	if !near.Stop() || k.QueueLen() != 2 {
+		t.Fatalf("after near stop: %d queued, want 2", k.QueueLen())
 	}
-	if !far.Stop() || k.QueueLen() != 2 || k.Tombstones() != 1 {
-		t.Fatalf("after far stop: %d queued, %d tombstones, want 2/1", k.QueueLen(), k.Tombstones())
+	if !far.Stop() || k.QueueLen() != 1 {
+		t.Fatalf("after far stop: %d queued, want 1", k.QueueLen())
 	}
 	if near.Stop() || far.Stop() || near.Active() || far.Active() {
 		t.Fatal("stopped timers still stoppable")
@@ -203,7 +203,7 @@ func TestTimerStopInWheelIsImmediate(t *testing.T) {
 	if err := k.Run(nil); err != nil {
 		t.Fatal(err)
 	}
-	if k.Now() != 50 || k.QueueLen() != 0 || k.Tombstones() != 0 {
-		t.Fatalf("after run: now %d, %d queued, %d tombstones", k.Now(), k.QueueLen(), k.Tombstones())
+	if k.Now() != 50 || k.QueueLen() != 0 {
+		t.Fatalf("after run: now %d, %d queued", k.Now(), k.QueueLen())
 	}
 }

