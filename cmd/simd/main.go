@@ -30,5 +30,5 @@ import (
 )
 
 func main() {
-	os.Exit(serve.Main("simd", os.Args[1:]))
+	os.Exit(serve.Main(os.Args[1:]))
 }

@@ -114,6 +114,16 @@ func ByName(name string) (*App, error) {
 	return nil, fmt.Errorf("apps: unknown app %q", name)
 }
 
+// CheckGrain validates a task-granularity override from a CLI flag or
+// an API request: 0 means each app's DefaultGrain, and a negative
+// grain is an error rather than a silent default.
+func CheckGrain(grain int) error {
+	if grain < 0 {
+		return fmt.Errorf("apps: negative grain %d", grain)
+	}
+	return nil
+}
+
 // tableOrder gives the paper's Table III row order.
 func tableOrder(name string) int {
 	order := []string{

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"bigtiny/internal/apps"
+	"bigtiny/internal/openload"
 	"bigtiny/internal/stats"
 )
 
@@ -121,7 +122,7 @@ func TestOffGrainCellsKeepSuiteSettings(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	s := &Suite{Oracle: true}
+	s := &Suite{Env: openload.Options{Oracle: true}}
 	work := s.Fig4Work(nil)
 	if err := s.Prewarm(work, 0); err != nil {
 		t.Fatal(err)

@@ -181,8 +181,8 @@ func TestSuiteFaultScenario(t *testing.T) {
 	if base.FaultTotal != 0 {
 		t.Fatalf("fault-free suite run reported %d faults", base.FaultTotal)
 	}
-	s.FaultScenario = "uli-nack-storm"
-	s.FaultSeed = 1
+	s.Env.Scenario = "uli-nack-storm"
+	s.Env.FaultSeed = 1
 	stormy, err := s.Run(ChaosConfig, "cilk5-cs")
 	if err != nil {
 		t.Fatal(err)
@@ -196,7 +196,7 @@ func TestSuiteFaultScenario(t *testing.T) {
 	if _, err := s.Run(ChaosConfig, "cilk5-cs"); err != nil {
 		t.Fatal(err)
 	}
-	s.FaultScenario = "nonesuch"
+	s.Env.Scenario = "nonesuch"
 	if _, err := s.Run(ChaosConfig, "ligra-bc"); err == nil {
 		t.Fatal("unknown scenario accepted")
 	}

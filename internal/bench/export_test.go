@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"bigtiny/internal/apps"
+	"bigtiny/internal/openload"
 )
 
 // TestWriteJSONLossyAccounting: the JSON export must carry the full
@@ -18,9 +19,7 @@ func TestWriteJSONLossyAccounting(t *testing.T) {
 		t.Skip("simulation-heavy")
 	}
 	s := NewSuite(apps.Test)
-	s.FaultScenario = "lossy-uli"
-	s.FaultSeed = 1
-	s.Oracle = true
+	s.Env = openload.Options{Scenario: "lossy-uli", FaultSeed: 1, Oracle: true}
 	if _, err := s.Run(ChaosConfig, "cilk5-cs"); err != nil {
 		t.Fatal(err)
 	}
@@ -75,8 +74,8 @@ func TestWriteJSONRecoveryCounters(t *testing.T) {
 		t.Skip("simulation-heavy")
 	}
 	s := NewSuite(apps.Test)
-	s.FaultScenario = "core-loss"
-	s.FaultSeed = 1
+	s.Env.Scenario = "core-loss"
+	s.Env.FaultSeed = 1
 	run, err := s.Run(ChaosConfig, "cilk5-cs")
 	if err != nil {
 		t.Fatal(err)

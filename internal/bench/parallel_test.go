@@ -133,9 +133,7 @@ func (tr trial) warm(t *testing.T, cfgs, appNames []string, jobs int) map[string
 	t.Helper()
 	s := NewSuite(tr.size)
 	s.Grain = tr.grain
-	s.FaultScenario = tr.scenario
-	s.FaultSeed = tr.faultSeed
-	s.Oracle = true
+	s.Env = openload.Options{Scenario: tr.scenario, FaultSeed: tr.faultSeed, Oracle: true}
 	var work []Work
 	for _, cfg := range cfgs {
 		for _, app := range appNames {
@@ -404,11 +402,12 @@ func TestPrewarmReportsErrors(t *testing.T) {
 }
 
 // TestTargetWorkCoversTargets: every paperbench render target except
-// chaos declares a worklist.
+// chaos declares a worklist, and an unknown name none (paperbench
+// refuses it by that before anything runs).
 func TestTargetWorkCoversTargets(t *testing.T) {
 	s := NewSuite(apps.Test)
 	for _, target := range []string{
-		"table3", "table4", "table5", "fig4", "fig5", "fig6", "fig7", "fig8", "uli", "energy",
+		"table3", "table4", "table5", "fig4", "fig5", "fig6", "fig7", "fig8", "uli", "energy", "open", "view",
 	} {
 		work, ok := s.TargetWork(target, []string{"cilk5-mt"})
 		if !ok || len(work) == 0 {

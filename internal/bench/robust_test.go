@@ -123,7 +123,7 @@ func TestViewPanicContained(t *testing.T) {
 // into a structured error that carries the machine-state dump.
 func TestSuiteDeadline(t *testing.T) {
 	s := NewSuite(apps.Test)
-	s.Deadline = 10 // cycles; every real run blows this instantly
+	s.Env.Deadline = 10 // cycles; every real run blows this instantly
 	_, err := s.Run(robustCfg, "cilk5-cs")
 	if err == nil {
 		t.Fatal("10-cycle deadline did not fail the run")
@@ -141,7 +141,7 @@ func TestSuiteDeadline(t *testing.T) {
 func TestAbortedRunsReleaseMachine(t *testing.T) {
 	abortedRun := func() {
 		s := NewSuite(apps.Test)
-		s.Deadline = 20000 // cycles: every core is up and parked mid-task
+		s.Env.Deadline = 20000 // cycles: every core is up and parked mid-task
 		if _, err := s.Run("bT/HCC-DTS-gwb", "cilk5-cs"); err == nil || !strings.Contains(err.Error(), "deadline") {
 			t.Fatalf("err = %v, want a deadline abort", err)
 		}

@@ -11,10 +11,6 @@ import (
 	"bigtiny/internal/stats"
 )
 
-// appByName resolves an app, panicking on registry bugs (callers have
-// already validated names through Run).
-func appByName(name string) (*apps.App, error) { return apps.ByName(name) }
-
 // sizeUp maps a suite size to the Table V (weak-scaling) input size.
 func sizeUp(sz apps.Size) apps.Size {
 	if sz == apps.Test {
@@ -73,7 +69,7 @@ func (s *Suite) Table3(w io.Writer, appNames []string) error {
 		}
 		perApp[app] = sp
 
-		a, _ := appByName(app)
+		a, _ := apps.ByName(app)
 		fmt.Fprintf(w, "%-12s %-6s %9d %9d %6.1f %7.1f | %6.2f %6.2f %6.2f %7.2f | %5.2f %5.2f %5.2f | %5.2f %5.2f %5.2f\n",
 			app, a.Method, view.Work, view.Span, view.Parallelism(), view.IPT(),
 			sp.vsSerial["O3x1"], sp.vsSerial["O3x4"], sp.vsSerial["O3x8"], sp.vsSerial["bT/MESI"],
@@ -187,6 +183,29 @@ func (s *Suite) Fig4(w io.Writer, grains []int) error {
 			return err
 		}
 		fmt.Fprintf(w, "%-12d %10.2f %14.1f\n", g, stats.Speedup(serial, r), view.Parallelism())
+	}
+	return nil
+}
+
+// ViewReport prints each app's Cilkview analysis (§V-D) at the suite's
+// size and grain: the effective grain, work, span, logical
+// parallelism, instructions per task and task count — the numbers
+// Table III's first columns and Figure 4's parallelism series draw on.
+func (s *Suite) ViewReport(w io.Writer, appNames []string) error {
+	fmt.Fprintf(w, "Cilkview: work and span per app (size=%s)\n", s.Size)
+	fmt.Fprintf(w, "%-12s %6s %12s %12s %8s %10s %8s\n",
+		"App", "Grain", "Work", "Span", "Para", "IPT", "Tasks")
+	for _, app := range appNames {
+		a, err := apps.ByName(app)
+		if err != nil {
+			return err
+		}
+		v, err := s.View(app)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(w, "%-12s %6d %12d %12d %8.1f %10.1f %8d\n",
+			app, grainFor(a, s.Grain), v.Work, v.Span, v.Parallelism(), v.IPT(), v.Tasks)
 	}
 	return nil
 }

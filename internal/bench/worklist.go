@@ -207,9 +207,18 @@ func (s *Suite) EnergyWork(appNames []string) []Work {
 	return work
 }
 
+// ViewWork lists the analyses ViewReport performs.
+func (s *Suite) ViewWork(appNames []string) []Work {
+	var work []Work
+	for _, app := range appNames {
+		work = append(work, s.viewWork(app))
+	}
+	return work
+}
+
 // TargetWork returns the worklist for a named paperbench render target
-// (false for targets with no pre-declared worklist, e.g. chaos, which
-// parallelizes internally).
+// (false for targets with no pre-declared worklist: chaos, which
+// parallelizes internally, and any unknown name).
 func (s *Suite) TargetWork(target string, appNames []string) ([]Work, bool) {
 	switch target {
 	case "table3":
@@ -228,6 +237,8 @@ func (s *Suite) TargetWork(target string, appNames []string) ([]Work, bool) {
 		return s.EnergyWork(appNames), true
 	case "open":
 		return s.OpenWork(DefaultOpenSweep(s.Size)), true
+	case "view":
+		return s.ViewWork(appNames), true
 	}
 	return nil, false
 }

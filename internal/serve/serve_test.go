@@ -17,6 +17,7 @@ import (
 	"bigtiny/internal/apps"
 	"bigtiny/internal/bench"
 	"bigtiny/internal/fault"
+	"bigtiny/internal/openload"
 )
 
 // testCfg is the cheap 8-core DTS machine all service tests run on.
@@ -127,25 +128,40 @@ func TestJobByteIdentity(t *testing.T) {
 	}
 }
 
-// TestValidation: malformed tuples are 400s with kind "invalid" before
-// any pool slot is spent, and the method is enforced.
+// TestValidation is the table of bad run settings: each is a 400 with
+// kind "invalid" before any pool slot is spent, and its text is the
+// shared check's (bench.Check, which btsim runs too) word for word. The
+// method is enforced.
 func TestValidation(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
-	cases := []JobRequest{
-		{Config: "no-such-machine", App: "cilk5-mt", Size: "empty"},
-		{Config: testCfg, App: "no-such-app", Size: "empty"},
-		{Config: testCfg, App: "cilk5-mt", Size: "galactic"},
-		{Config: testCfg, App: "cilk5-mt", Size: "empty", Faults: "no-such-scenario"},
-		{Config: testCfg, App: "cilk5-mt", Size: "empty", Grain: -1},
+	ok := JobRequest{Config: testCfg, App: "cilk5-mt", Size: "empty"}
+	cases := []struct {
+		name   string
+		mutate func(*JobRequest)
+		want   string
+	}{
+		{"unknown config", func(r *JobRequest) { r.Config = "no-such-machine" }, `machine: unknown config "no-such-machine"`},
+		{"unknown app", func(r *JobRequest) { r.App = "no-such-app" }, `apps: unknown app "no-such-app"`},
+		{"unknown size", func(r *JobRequest) { r.Size = "galactic" }, `apps: unknown size "galactic"`},
+		{"negative grain", func(r *JobRequest) { r.Grain = -1 }, "apps: negative grain -1"},
+		{"unknown scenario", func(r *JobRequest) { r.Faults = "no-such-scenario" }, `fault: unknown scenario "no-such-scenario"`},
 	}
-	for i, req := range cases {
-		resp, body := postJob(t, ts.URL, req)
-		if resp.StatusCode != http.StatusBadRequest {
-			t.Errorf("case %d: status %d, want 400\n%s", i, resp.StatusCode, body)
+	for _, tc := range cases {
+		req := ok
+		tc.mutate(&req)
+		_, err := bench.Check(req.Config, req.App, req.Size, req.Grain,
+			openload.Options{Scenario: req.Faults, FaultSeed: req.FaultSeed})
+		if err == nil || !strings.HasPrefix(err.Error(), tc.want) {
+			t.Errorf("%s: shared check says %v, want %q", tc.name, err, tc.want)
 			continue
 		}
-		if e := decodeErr(t, body); e.Kind != "invalid" {
-			t.Errorf("case %d: kind %q, want invalid", i, e.Kind)
+		resp, body := postJob(t, ts.URL, req)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400\n%s", tc.name, resp.StatusCode, body)
+			continue
+		}
+		if e := decodeErr(t, body); e.Kind != "invalid" || e.Error != err.Error() {
+			t.Errorf("%s: %s error %q, want the shared check's %q", tc.name, e.Kind, e.Error, err)
 		}
 	}
 	resp, err := http.Get(ts.URL + "/v1/jobs")

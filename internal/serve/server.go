@@ -355,54 +355,45 @@ func jobKey(req JobRequest) string {
 	}, "|")
 }
 
-// validate canonicalizes and checks a request against the registries
-// every CLI entry point uses: machine.Lookup, apps.ByName,
-// apps.ParseSize, fault.Lookup.
+// validate checks a request with the checks btsim runs —
+// bench.Check for a closed-loop job; machine.Lookup, the spec and
+// openload.Options.Check for an open one — and canonicalizes its fault
+// seed (openload.Options.Seed), so equal tuples hit equal cache keys.
 func validate(req *JobRequest) (apps.Size, *ErrorJSON) {
-	fail := func(err error) (apps.Size, *ErrorJSON) {
-		return 0, &ErrorJSON{Error: err.Error(), Kind: "invalid", Config: req.Config, App: req.App}
-	}
-	if _, err := machine.Lookup(req.Config); err != nil {
-		return fail(err)
-	}
+	env := openload.Options{Scenario: req.Faults, FaultSeed: req.FaultSeed}
 	var size apps.Size
+	var err error
 	switch req.Kind {
 	case "", "run":
-		if _, err := apps.ByName(req.App); err != nil {
-			return fail(err)
-		}
-		var err error
-		if size, err = apps.ParseSize(req.Size); err != nil {
-			return fail(err)
-		}
-		if req.Grain < 0 {
-			return fail(fmt.Errorf("serve: negative grain %d", req.Grain))
-		}
+		size, err = bench.Check(req.Config, req.App, req.Size, req.Grain, env)
 	case "open":
-		if req.App != "" || req.Size != "" || req.Grain != 0 {
-			return fail(fmt.Errorf("serve: open jobs take workload/arrival, not app/size/grain"))
-		}
-		if req.Requests > maxOpenRequests {
-			return fail(fmt.Errorf("serve: open job requests %d exceeds the per-job cap %d",
-				req.Requests, maxOpenRequests))
-		}
-		if err := openSpec(*req).Validate(); err != nil {
-			return fail(err)
-		}
+		err = checkOpen(*req, env)
 	default:
-		return fail(fmt.Errorf("serve: unknown job kind %q (have run, open)", req.Kind))
+		err = fmt.Errorf("serve: unknown job kind %q (have run, open)", req.Kind)
 	}
-	if req.Faults == "" {
-		req.FaultSeed = 0
-	} else {
-		if _, err := fault.Lookup(req.Faults); err != nil {
-			return fail(err)
-		}
-		if req.FaultSeed == 0 {
-			req.FaultSeed = 1 // the CLIs' -fault-seed default
-		}
+	if err != nil {
+		return 0, &ErrorJSON{Error: err.Error(), Kind: "invalid", Config: req.Config, App: req.App}
 	}
+	req.FaultSeed = env.Seed()
 	return size, nil
+}
+
+// checkOpen checks an open job's settings.
+func checkOpen(req JobRequest, env openload.Options) error {
+	if _, err := machine.Lookup(req.Config); err != nil {
+		return err
+	}
+	if req.App != "" || req.Size != "" || req.Grain != 0 {
+		return fmt.Errorf("serve: open jobs take workload/arrival, not app/size/grain")
+	}
+	if req.Requests > maxOpenRequests {
+		return fmt.Errorf("serve: open job requests %d exceeds the per-job cap %d",
+			req.Requests, maxOpenRequests)
+	}
+	if err := openSpec(req).Validate(); err != nil {
+		return err
+	}
+	return env.Check()
 }
 
 // handleJobs is the synchronous job endpoint: validate, serve from the
@@ -504,13 +495,11 @@ func (s *Server) suiteFor(req JobRequest, size apps.Size) *bench.Suite {
 	su := bench.NewSuite(size)
 	su.Grain = req.Grain
 	su.Verify = !s.cfg.NoVerify
-	su.FaultScenario = req.Faults
-	su.FaultSeed = req.FaultSeed
 	deadline := req.DeadlineCycles
 	if deadline == 0 {
 		deadline = s.cfg.DeadlineCycles
 	}
-	su.Deadline = sim.Time(deadline)
+	su.Env = openload.Options{Scenario: req.Faults, FaultSeed: req.FaultSeed, Deadline: sim.Time(deadline)}
 	if s.cfg.suiteHook != nil {
 		s.cfg.suiteHook(su)
 	}
