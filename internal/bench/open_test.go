@@ -146,3 +146,31 @@ func TestOpenWorkCoversSweep(t *testing.T) {
 		seen[k] = true
 	}
 }
+
+// TestFaultSeedRule pins openload.Options.Seed on both cell kinds: a
+// fault-free open cell exports the same bytes at fault seed 0 and 1,
+// with no fault_seed at all, and a closed-loop run under a scenario at
+// seed 0 is the run at seed 1, down to its -json bytes.
+func TestFaultSeedRule(t *testing.T) {
+	ctx := context.Background()
+	sp := openload.Spec{Workload: "reduce", Arrival: "poisson", RatePerK: 4, Requests: 8, Seed: 1}
+	var open, closed [2][]byte
+	for seed := range open {
+		b, err := NewSuite(apps.Test).OpenResultJSON(ctx, "bT8/HCC-DTS-gwb", "", uint64(seed), sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		open[seed] = b
+		s := NewSuite(apps.Test)
+		s.Env = openload.Options{Scenario: "chaos-all", FaultSeed: uint64(seed)}
+		if closed[seed], err = s.ResultJSON(ctx, "bT8/HCC-DTS-gwb", "cilk5-cs"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(open[0], open[1]) || bytes.Contains(open[1], []byte("fault_seed")) {
+		t.Errorf("fault-free open cell differs by fault seed:\n%s\nvs\n%s", open[0], open[1])
+	}
+	if !bytes.Equal(closed[0], closed[1]) {
+		t.Errorf("chaos-all run at fault seed 0 is not the run at seed 1:\n%s\nvs\n%s", closed[0], closed[1])
+	}
+}
