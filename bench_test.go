@@ -179,73 +179,3 @@ func BenchmarkRuntimeHCCOnGWB(b *testing.B) { benchSpawnWait(b, cache.GPUWB, fal
 
 // BenchmarkRuntimeDTSOnGWB measures the Fig. 3(c) engine.
 func BenchmarkRuntimeDTSOnGWB(b *testing.B) { benchSpawnWait(b, cache.GPUWB, true, wsrt.DTS) }
-
-// --- ablation benchmarks (DESIGN.md design-choice studies) ---
-
-// BenchmarkAblationLockedDeque vs BenchmarkAblationChaseLevDeque
-// isolate the cost of per-deque spin locks against the Chase-Lev
-// lock-free protocol on the hardware-coherent baseline.
-func BenchmarkAblationLockedDeque(b *testing.B)   { benchDequeKind(b, false) }
-func BenchmarkAblationChaseLevDeque(b *testing.B) { benchDequeKind(b, true) }
-
-func benchDequeKind(b *testing.B, lockFree bool) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		cfg, err := machine.Lookup("bT/MESI")
-		if err != nil {
-			b.Fatal(err)
-		}
-		cfg.Name = "bench"
-		cfg.NumBig, cfg.NumTiny = 1, 7
-		cfg.Rows, cfg.Cols = 2, 4
-		cfg.NumBanks = 4
-		m := machine.New(cfg)
-		rt := wsrt.New(m, wsrt.HW)
-		rt.LockFreeDeque = lockFree
-		fid := rt.RegisterFunc("bench", 512)
-		n := 1024
-		arr := m.Mem.AllocWords(n)
-		if err := rt.Run(func(c *wsrt.Ctx) {
-			c.ParallelFor(fid, 0, n, 16, func(cc *wsrt.Ctx, j int) {
-				cc.Compute(40)
-				cc.Store(arr+mem.Addr(j*8), uint64(j))
-			})
-		}); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(m.Kernel.Now()), "sim_cycles/op")
-	}
-}
-
-// BenchmarkAblationDTS vs BenchmarkAblationDTSNoOpt isolate the paper's
-// §IV-C software optimizations (has_stolen_child tracking) on GPU-WB.
-func BenchmarkAblationDTS(b *testing.B)      { benchDTSVariant(b, wsrt.DTS) }
-func BenchmarkAblationDTSNoOpt(b *testing.B) { benchDTSVariant(b, wsrt.DTSNoOpt) }
-
-func benchDTSVariant(b *testing.B, v wsrt.Variant) {
-	b.Helper()
-	for i := 0; i < b.N; i++ {
-		cfg, err := machine.Lookup("bT/HCC-DTS-gwb")
-		if err != nil {
-			b.Fatal(err)
-		}
-		cfg.Name = "bench"
-		cfg.NumBig, cfg.NumTiny = 1, 7
-		cfg.Rows, cfg.Cols = 2, 4
-		cfg.NumBanks = 4
-		m := machine.New(cfg)
-		rt := wsrt.New(m, v)
-		fid := rt.RegisterFunc("bench", 512)
-		n := 1024
-		arr := m.Mem.AllocWords(n)
-		if err := rt.Run(func(c *wsrt.Ctx) {
-			c.ParallelFor(fid, 0, n, 16, func(cc *wsrt.Ctx, j int) {
-				cc.Compute(40)
-				cc.Store(arr+mem.Addr(j*8), uint64(j))
-			})
-		}); err != nil {
-			b.Fatal(err)
-		}
-		b.ReportMetric(float64(m.Kernel.Now()), "sim_cycles/op")
-	}
-}

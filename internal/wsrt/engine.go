@@ -64,37 +64,18 @@ func (c *Ctx) stealHead(d deque) mem.Addr {
 	return mem.Addr(t)
 }
 
-// chooseVictim picks a steal victim per the configured policy
-// (default: uniformly random other thread, the paper's
-// "random victim selection").
+// chooseVictim picks a uniformly random other thread, the paper's
+// "random victim selection".
 func (c *Ctx) chooseVictim() int {
 	c.env.Compute(c.rt.Costs.VictimSelect)
 	n := c.rt.nthreads
 	if n == 1 {
 		return c.tid // single-threaded: only the (empty) own deque exists
 	}
-	var v int
-	switch c.rt.Victim {
-	case RoundRobinVictim:
-		for {
-			c.rrNext = (c.rrNext + 1) % n
-			if c.rrNext != c.tid {
-				v = c.rrNext
-				goto picked
-			}
-		}
-	case StickyVictim:
-		// Retry the last successful victim while it keeps paying off.
-		if c.failStreak == 0 && c.lastVictim != c.tid && c.lastVictim < n {
-			v = c.lastVictim
-			goto picked
-		}
-	}
-	v = c.env.Rand().Intn(n - 1)
+	v := c.rng.Intn(n - 1)
 	if v >= c.tid {
 		v++
 	}
-picked:
 	if c.rt.lossy {
 		v = c.avoidQuarantined(v)
 	}
@@ -110,10 +91,10 @@ func (c *Ctx) avoidQuarantined(v int) int {
 	rt := c.rt
 	n := rt.nthreads
 	for retry := 0; retry < 3; retry++ {
-		if rt.offlineMark[v] || c.env.Now() >= rt.quarUntil[v] {
+		if rt.offlineMark[v] || c.core.Now() >= rt.quarUntil[v] {
 			return v
 		}
-		v = c.env.Rand().Intn(n - 1)
+		v = c.rng.Intn(n - 1)
 		if v >= c.tid {
 			v++
 		}
@@ -127,29 +108,25 @@ func (c *Ctx) avoidQuarantined(v int) int {
 func (c *Ctx) spawnTask(t mem.Addr) {
 	rt := c.rt
 	rt.Stats.Spawns++
-	rt.Tracer.Emit(c.env.Now(), c.tid, trace.Spawn, uint64(t))
-	c.env.SetFunc(fidRuntime, rt.footprint(fidRuntime))
+	rt.Tracer.Emit(c.core.Now(), c.tid, trace.Spawn, uint64(t))
+	c.core.SetFunc(fidRuntime, rt.footprint(fidRuntime))
 	c.env.Compute(c.rt.Costs.Spawn)
 	d := rt.deques[c.tid]
 	switch rt.Variant {
 	case HW: // Fig 3(a)
-		if rt.LockFreeDeque {
-			c.clEnq(d, t)
-			return
-		}
 		c.lockAcquire(d)
 		c.enq(d, t)
 		c.lockRelease(d)
 	case HCC: // Fig 3(b): invalidate after acquire, flush before release
 		c.lockAcquire(d)
-		c.env.CacheInvalidate()
+		c.core.Invalidate()
 		c.enq(d, t)
-		c.env.CacheFlush()
+		c.core.Flush()
 		c.lockRelease(d)
-	case DTS, DTSNoOpt: // Fig 3(c): private deque; just defer interrupts
-		c.env.ULIDisable()
+	case DTS: // Fig 3(c): private deque; just defer interrupts
+		c.core.ULIDisable()
 		c.enq(d, t)
-		c.env.ULIEnable()
+		c.core.ULIEnable()
 	}
 }
 
@@ -159,24 +136,21 @@ func (c *Ctx) popLocal() mem.Addr {
 	d := rt.deques[c.tid]
 	switch rt.Variant {
 	case HW:
-		if rt.LockFreeDeque {
-			return c.clDeq(d)
-		}
 		c.lockAcquire(d)
 		t := c.deq(d)
 		c.lockRelease(d)
 		return t
 	case HCC:
 		c.lockAcquire(d)
-		c.env.CacheInvalidate()
+		c.core.Invalidate()
 		t := c.deq(d)
-		c.env.CacheFlush()
+		c.core.Flush()
 		c.lockRelease(d)
 		return t
-	case DTS, DTSNoOpt:
-		c.env.ULIDisable()
+	case DTS:
+		c.core.ULIDisable()
 		t := c.deq(d)
-		c.env.ULIEnable()
+		c.core.ULIEnable()
 		return t
 	}
 	panic("wsrt: bad variant")
@@ -204,23 +178,20 @@ func (c *Ctx) trySteal() mem.Addr {
 	rt := c.rt
 	rt.Stats.StealTries++
 	vid := c.chooseVictim()
-	rt.Tracer.Emit(c.env.Now(), c.tid, trace.StealTry, uint64(vid))
+	rt.Tracer.Emit(c.core.Now(), c.tid, trace.StealTry, uint64(vid))
 	t := c.stealFrom(vid)
-	if t != 0 {
-		c.lastVictim = vid
-		if rt.lossy {
-			rt.vfails[vid] = 0
-			if rt.offlineMark[vid] {
-				rt.Stats.Reclaims++
-				rt.Tracer.Emit(c.env.Now(), c.tid, trace.Reclaim, uint64(t))
-			}
+	if t != 0 && rt.lossy {
+		rt.vfails[vid] = 0
+		if rt.offlineMark[vid] {
+			rt.Stats.Reclaims++
+			rt.Tracer.Emit(c.core.Now(), c.tid, trace.Reclaim, uint64(t))
 		}
 	}
 	if rt.Tracer != nil {
 		if t != 0 {
-			rt.Tracer.Emit(c.env.Now(), c.tid, trace.StealHit, uint64(t))
+			rt.Tracer.Emit(c.core.Now(), c.tid, trace.StealHit, uint64(t))
 		} else {
-			rt.Tracer.Emit(c.env.Now(), c.tid, trace.StealMiss, uint64(vid))
+			rt.Tracer.Emit(c.core.Now(), c.tid, trace.StealMiss, uint64(vid))
 		}
 	}
 	return t
@@ -235,42 +206,37 @@ func (c *Ctx) stealFrom(vid int) mem.Addr {
 		if c.probeEmpty(d) {
 			return 0
 		}
-		var t mem.Addr
-		if rt.LockFreeDeque {
-			t = c.clSteal(d)
-		} else {
-			c.lockAcquire(d)
-			t = c.stealHead(d)
-			c.lockRelease(d)
-		}
+		c.lockAcquire(d)
+		t := c.stealHead(d)
+		c.lockRelease(d)
 		if t != 0 {
 			rt.Stats.StealHits++
 		}
 		return t
 	case HCC: // Fig 3(b) lines 24-30, with an invalidate+probe first
 		d := rt.deques[vid]
-		c.env.CacheInvalidate()
+		c.core.Invalidate()
 		if c.probeEmpty(d) {
 			return 0
 		}
 		c.lockAcquire(d)
-		c.env.CacheInvalidate()
+		c.core.Invalidate()
 		t := c.stealHead(d)
 		if !rt.SkipStealFlush {
-			c.env.CacheFlush()
+			c.core.Flush()
 		}
 		c.lockRelease(d)
 		if t != 0 {
 			rt.Stats.StealHits++
 		}
 		return t
-	case DTS, DTSNoOpt: // Fig 3(c) lines 24-27: uli_send_req + mailbox read
+	case DTS: // Fig 3(c) lines 24-27: uli_send_req + mailbox read
 		if rt.lossy && rt.offlineMark[vid] {
 			// The victim's scheduling loop is dead: its ULI unit only
 			// NACKs. Go in through shared memory instead.
 			return c.reclaimFrom(vid)
 		}
-		payload, ok := c.env.ULISendReq(vid)
+		payload, ok := c.core.ULISendReq(vid)
 		if !ok {
 			rt.Stats.StealNacks++
 			c.noteVictimFailure(vid)
@@ -293,8 +259,8 @@ func (c *Ctx) noteVictimFailure(vid int) {
 		return
 	}
 	rt.vfails[vid]++
-	if rt.vfails[vid] >= rt.QuarantineThreshold {
-		rt.quarUntil[vid] = c.env.Now() + rt.QuarantineCycles
+	if rt.vfails[vid] >= quarantineThreshold {
+		rt.quarUntil[vid] = c.core.Now() + quarantineCycles
 		rt.vfails[vid] = 0
 	}
 }
@@ -313,14 +279,14 @@ func (c *Ctx) reclaimFrom(vid int) mem.Addr {
 		return mem.Addr(p)
 	}
 	d := rt.deques[vid]
-	c.env.CacheInvalidate()
+	c.core.Invalidate()
 	if c.probeEmpty(d) {
 		return 0
 	}
 	c.lockAcquire(d)
-	c.env.CacheInvalidate()
+	c.core.Invalidate()
 	t := c.stealHead(d)
-	c.env.CacheFlush()
+	c.core.Flush()
 	c.lockRelease(d)
 	if t == 0 {
 		return 0
@@ -354,7 +320,7 @@ func (c *Ctx) uliHandler(thief int) uint64 {
 	// Make everything the victim wrote (task arguments, parent data)
 	// visible before handing the task over.
 	if !c.rt.SkipStealFlush {
-		c.env.CacheFlush()
+		c.core.Flush()
 	}
 	return uint64(t)
 }
@@ -401,13 +367,13 @@ func (c *Ctx) execLocal(t mem.Addr) {
 // degraded mode began.
 func (c *Ctx) enterOffline() {
 	rt := c.rt
-	c.env.CacheFlush()
+	c.core.Flush()
 	rt.offlineMark[c.tid] = true
 	rt.Stats.OfflineCores++
 	if rt.degradedSince == 0 {
-		rt.degradedSince = c.env.Now()
+		rt.degradedSince = c.core.Now()
 	}
-	rt.Tracer.Emit(c.env.Now(), c.tid, trace.Offline, 0)
+	rt.Tracer.Emit(c.core.Now(), c.tid, trace.Offline, 0)
 }
 
 // --- task execution and joining ---
@@ -428,28 +394,28 @@ func (c *Ctx) executeTask(t mem.Addr, stolen bool) {
 
 	if stolen {
 		switch rt.Variant {
-		case HCC, DTS, DTSNoOpt:
+		case HCC, DTS:
 			// The task and its inputs were produced on another core.
-			c.env.CacheInvalidate()
+			c.core.Invalidate()
 		}
 	}
 
-	rt.Tracer.Emit(c.env.Now(), c.tid, trace.ExecStart, uint64(t))
+	rt.Tracer.Emit(c.core.Now(), c.tid, trace.ExecStart, uint64(t))
 	prev := c.cur
 	c.cur = t
-	c.env.SetFunc(rec.fid, rt.footprint(rec.fid))
+	c.core.SetFunc(rec.fid, rt.footprint(rec.fid))
 	c.env.Compute(c.rt.Costs.TaskProlog)
 	rec.body(c)
 	c.cur = prev
-	rt.Tracer.Emit(c.env.Now(), c.tid, trace.ExecEnd, uint64(t))
-	c.env.SetFunc(fidRuntime, rt.footprint(fidRuntime))
+	rt.Tracer.Emit(c.core.Now(), c.tid, trace.ExecEnd, uint64(t))
+	c.core.SetFunc(fidRuntime, rt.footprint(fidRuntime))
 
 	parent := mem.Addr(c.env.Load(t + descParent*8))
 	if stolen {
 		switch rt.Variant {
-		case HCC, DTS, DTSNoOpt:
+		case HCC, DTS:
 			// Make the task's results visible to the parent's thread.
-			c.env.CacheFlush()
+			c.core.Flush()
 		}
 	}
 
@@ -457,7 +423,7 @@ func (c *Ctx) executeTask(t mem.Addr, stolen bool) {
 	if parent != 0 {
 		rcAddr := parent + descRC*8
 		switch rt.Variant {
-		case HW, HCC, DTSNoOpt:
+		case HW, HCC:
 			c.env.Amo(rcAddr, cache.AmoAdd, ^uint64(0), 0) // amo_sub(rc, 1)
 		case DTS:
 			if stolen {
@@ -482,7 +448,7 @@ func (c *Ctx) readRC(p mem.Addr) uint64 {
 	switch c.rt.Variant {
 	case HW:
 		return c.env.Load(rcAddr) // hardware keeps it coherent
-	case HCC, DTSNoOpt:
+	case HCC:
 		return c.env.Amo(rcAddr, cache.AmoOr, 0, 0)
 	case DTS:
 		if c.env.Load(p+descStolen*8) != 0 {
@@ -505,9 +471,9 @@ func (c *Ctx) wait(p mem.Addr) { c.waitDeadline(p, 0) }
 func (c *Ctx) waitDeadline(p mem.Addr, deadline sim.Time) bool {
 	rt := c.rt
 	drained := true
-	c.env.SetFunc(fidRuntime, rt.footprint(fidRuntime))
+	c.core.SetFunc(fidRuntime, rt.footprint(fidRuntime))
 	for c.readRC(p) > 0 {
-		if deadline != 0 && c.env.Now() >= deadline {
+		if deadline != 0 && c.core.Now() >= deadline {
 			drained = false
 			break
 		}
@@ -526,14 +492,14 @@ func (c *Ctx) waitDeadline(p mem.Addr, deadline sim.Time) bool {
 	// Fig 3(b) line 40 / Fig 3(c) lines 43-44: the parent may have
 	// stale copies of data written by stolen children.
 	switch rt.Variant {
-	case HCC, DTSNoOpt:
-		c.env.CacheInvalidate()
+	case HCC:
+		c.core.Invalidate()
 	case DTS:
 		if c.env.Load(p+descStolen*8) != 0 {
-			c.env.CacheInvalidate()
+			c.core.Invalidate()
 		}
 	}
-	c.env.SetFunc(fidRuntime, rt.footprint(fidRuntime))
+	c.core.SetFunc(fidRuntime, rt.footprint(fidRuntime))
 	return drained
 }
 
@@ -542,13 +508,13 @@ func (c *Ctx) waitDeadline(p mem.Addr, deadline sim.Time) bool {
 // until the program sets the done flag.
 func (c *Ctx) workerLoop() {
 	rt := c.rt
-	c.env.SetFunc(fidRuntime, rt.footprint(fidRuntime))
+	c.core.SetFunc(fidRuntime, rt.footprint(fidRuntime))
 	for iter := uint64(0); ; iter++ {
 		// Fail-stop check at the scheduling-loop boundary: the core dies
 		// between tasks, never mid-task (its current task's nested joins
 		// must complete or the program could never finish). The check
 		// reads a Go-side latch and costs no simulated cycles.
-		if c.env.Offline() {
+		if c.core.Offline() {
 			c.enterOffline()
 			return
 		}
@@ -588,7 +554,7 @@ func (c *Ctx) checkDone(iter uint64) bool {
 	switch rt.Variant {
 	case HW, HCC:
 		return c.env.Load(rt.doneAddr) != 0
-	case DTS, DTSNoOpt:
+	case DTS:
 		if iter%4 != 0 {
 			return false
 		}
@@ -613,11 +579,11 @@ func (c *Ctx) idleBackoff() {
 		// Under loss, retries of many thieves against few live victims
 		// tend to synchronize (they all timed out together); jitter the
 		// backoff to spread the retry storm.
-		n += c.env.Rand().Intn(n)
+		n += c.rng.Intn(n)
 	}
 	// Spin in short chunks: every chunk boundary is an interrupt point,
 	// so a backing-off worker still services incoming ULI steal requests
 	// promptly (a monolithic 4K-cycle block would hold DTS requests
 	// hostage for its whole duration).
-	c.env.Spin(n, 128)
+	c.core.Spin(n, 128)
 }

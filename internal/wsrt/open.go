@@ -13,17 +13,23 @@ import (
 // per-variant reference-count discipline, so steals, ULI recovery, and
 // dead-core reclaim all apply unchanged.
 
-// Now returns the current simulated cycle on this thread.
-func (c *Ctx) Now() sim.Time { return c.env.Now() }
+// Now returns the current simulated cycle on this thread (0 natively:
+// there is no clock).
+func (c *Ctx) Now() sim.Time {
+	if c.core == nil {
+		return 0
+	}
+	return c.core.Now()
+}
 
 // IdleUntil parks the thread until cycle t (no-op when t has passed)
 // while staying responsive to incoming ULI steal requests. Open-system
 // drivers use it to sleep until the next scheduled arrival.
 func (c *Ctx) IdleUntil(t sim.Time) {
-	if c.native {
+	if c.core == nil {
 		return
 	}
-	c.env.IdleUntil(t)
+	c.core.IdleUntil(t)
 }
 
 // SpawnAsync spawns body as a child of the current task without
@@ -36,7 +42,7 @@ func (c *Ctx) IdleUntil(t sim.Time) {
 // the variants perform (stolen children always decrement with AMOs,
 // and local plain-RMW decrements happen on this same thread).
 func (c *Ctx) SpawnAsync(fid int, body Body) {
-	if c.native {
+	if c.core == nil {
 		// Depth-first native execution: run the child inline.
 		if r := c.spanRec; r != nil {
 			r.sync()
@@ -61,7 +67,7 @@ func (c *Ctx) SpawnAsync(fid int, body Body) {
 // WaitChildren blocks until every child spawned so far (by Fork or
 // SpawnAsync) has joined, executing local and stolen work meanwhile.
 func (c *Ctx) WaitChildren() {
-	if c.native {
+	if c.core == nil {
 		return
 	}
 	c.wait(c.cur)
@@ -73,7 +79,7 @@ func (c *Ctx) WaitChildren() {
 // false return means children are still in flight — the open-system
 // accounting counts them as InFlightAtEnd.
 func (c *Ctx) WaitChildrenUntil(deadline sim.Time) bool {
-	if c.native {
+	if c.core == nil {
 		return true
 	}
 	return c.waitDeadline(c.cur, deadline)

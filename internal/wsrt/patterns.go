@@ -8,7 +8,7 @@ import "bigtiny/internal/mem"
 // written once with plain stores *before* any child becomes visible,
 // so no atomicity is needed for the initialization.
 func (c *Ctx) Fork(fid int, bodies ...Body) {
-	if c.native {
+	if c.core == nil {
 		if r := c.spanRec; r != nil {
 			// Cilkview-style span accounting: the fork's span is the
 			// serial prefix plus the maximum child span.

@@ -134,7 +134,7 @@ func TestRandomForkTreeSimMatchesNative(t *testing.T) {
 		// Native run.
 		nm := mem.New()
 		nacc := nm.AllocWords(1)
-		NativeRun(nm, func(c *Ctx) { build(c, nacc) })
+		NewNative(nm).Analyze(func(c *Ctx) { build(c, nacc) })
 		want := nm.ReadWord(nacc)
 
 		// Simulated run on the most demanding protocol.

@@ -143,10 +143,10 @@ func TestQuarantineAfterRepeatedFailures(t *testing.T) {
 		// Workers' natural NACKs may have pre-loaded the counter; start
 		// the consecutive-failure count from a known state.
 		rt.vfails[vid] = 0
-		for i := 0; i < rt.QuarantineThreshold; i++ {
+		for i := 0; i < quarantineThreshold; i++ {
 			c.noteVictimFailure(vid)
 		}
-		if rt.quarUntil[vid] <= c.env.Now() {
+		if rt.quarUntil[vid] <= c.Now() {
 			t.Error("victim not quarantined after threshold failures")
 		}
 		if rt.vfails[vid] != 0 {

@@ -5,6 +5,7 @@ import (
 	"bigtiny/internal/cpu"
 	"bigtiny/internal/mem"
 	"bigtiny/internal/prog"
+	"bigtiny/internal/sim"
 	"bigtiny/internal/trace"
 )
 
@@ -22,9 +23,11 @@ func (rt *RT) Run(root Body) error {
 	for core := 0; core < n; core++ {
 		core := core
 		rt.M.Spawn(core, func(cc *cpu.Core) {
-			env := prog.NewSimEnv(rt.M, cc)
-			c := &Ctx{rt: rt, env: env, tid: core}
-			if rt.Variant == DTS || rt.Variant == DTSNoOpt {
+			c := &Ctx{
+				rt: rt, env: prog.NewSimEnv(cc, rt.M.Mem), core: cc, tid: core,
+				rng: sim.NewRand(uint64(cc.ID)*2654435761 + 12345),
+			}
+			if rt.Variant == DTS {
 				unit := rt.M.ULI.Unit(core)
 				unit.SetHandler(func(thief int) uint64 {
 					return c.uliHandler(thief)
@@ -33,15 +36,15 @@ func (rt *RT) Run(root Body) error {
 				// messages actually get dropped or time out.
 				unit.SetSalvage(func(p uint64) { c.salvageTask(mem.Addr(p)) })
 				unit.SetRestitute(func(p uint64) { c.restituteTask(mem.Addr(p)) })
-				env.ULIEnable()
+				cc.ULIEnable()
 			}
 			if core == 0 {
 				rt.runMain(c, root)
 			} else {
 				c.workerLoop()
 			}
-			if rt.Variant == DTS || rt.Variant == DTSNoOpt {
-				env.ULIDisable()
+			if rt.Variant == DTS {
+				cc.ULIDisable()
 			}
 		})
 	}
@@ -56,24 +59,12 @@ func (rt *RT) Run(root Body) error {
 func (rt *RT) runMain(c *Ctx, root Body) {
 	rootDesc := c.newTask(fidRuntime, root)
 	c.cur = rootDesc
-	c.env.SetFunc(fidRuntime, rt.footprint(fidRuntime))
+	c.core.SetFunc(fidRuntime, rt.footprint(fidRuntime))
 	c.env.Compute(c.rt.Costs.TaskProlog)
 	root(c)
 	c.freeTask(rootDesc)
 	// Signal termination with a coherent write.
 	c.env.Amo(rt.doneAddr, cache.AmoOr, 1, 0)
-	rt.Tracer.Emit(c.env.Now(), c.tid, trace.Done, 0)
+	rt.Tracer.Emit(c.core.Now(), c.tid, trace.Done, 0)
 	rt.Stats.LocalExecs++
-}
-
-// backoff state is kept per-Ctx for idle loops.
-// (Exponential backoff on failed steals keeps idle workers from
-// saturating the L2 bank that holds the done flag and the victims'
-// locks, like production work-stealing runtimes do.)
-
-// NativeRun executes root functionally (no machine, no timing):
-// fork-join constructs run depth-first on a bare memory. Used to
-// compute reference outputs for verification.
-func NativeRun(m *mem.Memory, root Body) *prog.NativeEnv {
-	return NewNative(m).RunNative(root)
 }

@@ -5,6 +5,7 @@ import (
 	"io"
 
 	"bigtiny/internal/cache"
+	"bigtiny/internal/cpu"
 	"bigtiny/internal/machine"
 	"bigtiny/internal/mem"
 	"bigtiny/internal/prog"
@@ -28,13 +29,6 @@ const (
 	// task queues private and synchronization conditional on actual
 	// steals (Fig. 3c). Requires a machine with ULI hardware.
 	DTS
-	// DTSNoOpt is an ablation of DTS without the paper's §IV-C software
-	// optimizations: task queues are still private (the hardware part),
-	// but reference counts always use AMOs and the end-of-wait
-	// invalidate is unconditional, as if the runtime could not tell
-	// whether a child was stolen. Quantifies how much of DTS's benefit
-	// comes from the has_stolen_child tracking.
-	DTSNoOpt
 )
 
 // String names the variant.
@@ -46,8 +40,6 @@ func (v Variant) String() string {
 		return "HCC"
 	case DTS:
 		return "DTS"
-	case DTSNoOpt:
-		return "DTS-noopt"
 	}
 	return fmt.Sprintf("Variant(%d)", int(v))
 }
@@ -65,38 +57,9 @@ func AutoVariant(m *machine.Machine) Variant {
 	return HW
 }
 
-// VictimPolicy selects how thieves pick steal victims.
-type VictimPolicy int
-
-// Victim-selection policies. The paper uses random selection; the
-// alternatives are classic variations kept for ablation studies.
-const (
-	// RandomVictim picks a uniformly random other thread (paper §III).
-	RandomVictim VictimPolicy = iota
-	// RoundRobinVictim cycles deterministically through the threads.
-	RoundRobinVictim
-	// StickyVictim retries the last successful victim first (steal
-	// affinity), falling back to random.
-	StickyVictim
-)
-
-// String names the policy.
-func (v VictimPolicy) String() string {
-	switch v {
-	case RandomVictim:
-		return "random"
-	case RoundRobinVictim:
-		return "round-robin"
-	case StickyVictim:
-		return "sticky"
-	}
-	return fmt.Sprintf("VictimPolicy(%d)", int(v))
-}
-
 // Costs are the runtime's abstract instruction costs, charged on top
 // of the memory operations the engine performs. DefaultCosts matches
-// the paper's modelled runtime; ablation studies can override
-// individual fields before Run.
+// the paper's modelled runtime.
 type Costs struct {
 	// Spawn is the task-creation overhead (descriptor setup).
 	Spawn int
@@ -141,7 +104,7 @@ const (
 )
 
 // RT is a work-stealing runtime instance bound to one machine (or, for
-// native verification/analysis runs, to a bare memory).
+// native analysis runs, to a bare memory).
 type RT struct {
 	M       *machine.Machine
 	Variant Variant
@@ -162,24 +125,12 @@ type RT struct {
 	Grain int
 
 	// Costs are the runtime's abstract instruction costs (set to
-	// DefaultCosts by New/NewNative; override before Run for ablations).
+	// DefaultCosts by New/NewNative).
 	Costs Costs
 
 	// Tracer, when non-nil, records cycle-stamped scheduler events
 	// (spawns, steals, task execution) for offline inspection.
 	Tracer *trace.Recorder
-
-	// Victim selects the steal victim policy (default RandomVictim,
-	// the paper's choice).
-	Victim VictimPolicy
-
-	// LockFreeDeque switches the HW (hardware-coherent) runtime to
-	// Chase-Lev lock-free deques instead of per-deque spin locks (an
-	// ablation of the paper's Fig. 3a baseline; §VII cites Chase & Lev).
-	// It has no effect on the HCC/DTS variants: HCC requires the
-	// lock-delimited invalidate/flush windows, and DTS queues are
-	// private and need no synchronization at all.
-	LockFreeDeque bool
 
 	// --- recovery state (lossy fault scenarios) ---
 
@@ -193,20 +144,12 @@ type RT struct {
 	// liveness register that costs nothing to consult.
 	offlineMark []bool
 	// vfails[v] counts consecutive failed steals (NACKs/timeouts)
-	// against victim v across all thieves; reaching QuarantineThreshold
+	// against victim v across all thieves; reaching quarantineThreshold
 	// quarantines v until quarUntil[v].
 	vfails    []int
 	quarUntil []sim.Time
 	// degradedSince is the cycle of the first core loss (0 = none).
 	degradedSince sim.Time
-
-	// QuarantineThreshold is the consecutive-failure count that
-	// quarantines a victim; QuarantineCycles is how long the quarantine
-	// lasts. Quarantined victims are skipped by victim selection unless
-	// they are known offline (those must stay choosable so their
-	// stranded work gets reclaimed).
-	QuarantineThreshold int
-	QuarantineCycles    sim.Time
 
 	// SkipStealFlush omits the cache_flush in the steal hand-off paths
 	// (the DTS handler and the HCC steal). Test-only: it plants the
@@ -214,11 +157,21 @@ type RT struct {
 	SkipStealFlush bool
 }
 
+// quarantineThreshold is the consecutive-failure count that quarantines
+// a victim; quarantineCycles is how long the quarantine lasts.
+// Quarantined victims are skipped by victim selection unless they are
+// known offline (those must stay choosable so their stranded work gets
+// reclaimed).
+const (
+	quarantineThreshold = 16
+	quarantineCycles    = sim.Time(20_000)
+)
+
 // New builds a runtime for m. HW and HCC run on any machine; DTS
 // requires a machine built with ULI hardware.
 func New(m *machine.Machine, v Variant) *RT {
-	if (v == DTS || v == DTSNoOpt) && m.ULI == nil {
-		panic("wsrt: DTS variants require a machine with ULI hardware")
+	if v == DTS && m.ULI == nil {
+		panic("wsrt: DTS requires a machine with ULI hardware")
 	}
 	n := len(m.Cores)
 	rt := &RT{
@@ -229,11 +182,9 @@ func New(m *machine.Machine, v Variant) *RT {
 		Grain: 32,
 		Costs: DefaultCosts(),
 
-		offlineMark:         make([]bool, n),
-		vfails:              make([]int, n),
-		quarUntil:           make([]sim.Time, n),
-		QuarantineThreshold: 16,
-		QuarantineCycles:    20_000,
+		offlineMark: make([]bool, n),
+		vfails:      make([]int, n),
+		quarUntil:   make([]sim.Time, n),
 	}
 	rt.funcs[fidRuntime] = FuncInfo{Name: "runtime", Footprint: 2048}
 	rt.doneAddr = m.Mem.AllocWords(1)
@@ -268,8 +219,8 @@ func (rt *RT) dumpState(w io.Writer) {
 }
 
 // NewNative builds a machine-less runtime whose programs execute
-// functionally against m (used for verification and Cilkview-style
-// analysis). Only RunNative/Analyze may be used on it.
+// functionally against m (Cilkview-style analysis). Only Analyze may be
+// used on it.
 func NewNative(m *mem.Memory) *RT {
 	rt := &RT{
 		nativeMem: m,
@@ -291,23 +242,13 @@ func (rt *RT) Mem() *mem.Memory {
 	return rt.nativeMem
 }
 
-// RunNative executes root functionally (depth-first, zero simulated
-// time) against the runtime's memory and returns the environment (its
-// Insts field holds the abstract instruction count).
-func (rt *RT) RunNative(root Body) *prog.NativeEnv {
-	env := prog.NewNativeEnv(rt.Mem())
-	c := &Ctx{rt: rt, env: env, native: true}
-	root(c)
-	return env
-}
-
 // Analyze executes root natively with Cilkview-style DAG accounting
 // and returns total work, critical-path span (both in abstract
 // instructions), and the number of tasks created.
 func (rt *RT) Analyze(root Body) (work, span, tasks uint64) {
 	env := prog.NewNativeEnv(rt.Mem())
 	rec := &spanRecorder{insts: func() uint64 { return env.Insts }}
-	c := &Ctx{rt: rt, env: env, native: true, spanRec: rec}
+	c := &Ctx{rt: rt, env: env, spanRec: rec}
 	root(c)
 	rec.sync()
 	return env.Insts, rec.cur, rec.tasks
@@ -331,18 +272,20 @@ func (rt *RT) footprint(fid int) int {
 // Task bodies receive it to spawn children, wait, and access simulated
 // memory.
 type Ctx struct {
-	rt  *RT
+	rt *RT
+	// env is what task bodies reach through Load/Store/Amo/Compute/Alloc.
 	env prog.Env
+	// core is the simulated core the runtime drives directly for
+	// cache_invalidate/cache_flush, ULI, the instruction-cache context
+	// and idle spinning. It is nil in native mode, which executes
+	// fork-join structure depth-first with zero cost (analysis).
+	core *cpu.Core
+	// rng is the thread's deterministic PRNG (victim selection).
+	rng *sim.Rand
 	tid int
 	cur mem.Addr // descriptor of the currently executing task
 	// failStreak counts consecutive failed steals for backoff.
 	failStreak int
-	// rrNext / lastVictim support the non-default victim policies.
-	rrNext     int
-	lastVictim int
-	// native mode executes fork-join structure depth-first with zero
-	// cost (verification and analysis).
-	native bool
 	// spanRec, when set in native mode, performs Cilkview-style
 	// work/span accounting.
 	spanRec *spanRecorder
@@ -363,15 +306,6 @@ func (r *spanRecorder) sync() {
 	r.cur += now - r.last
 	r.last = now
 }
-
-// Env returns the underlying environment.
-func (c *Ctx) Env() prog.Env { return c.env }
-
-// TID returns the worker thread id.
-func (c *Ctx) TID() int { return c.tid }
-
-// RT returns the runtime.
-func (c *Ctx) RT() *RT { return c.rt }
 
 // Convenience memory forwarding.
 

@@ -6,9 +6,11 @@
 //
 // Task descriptors, task queues (deques), and all data shared between
 // parent and child tasks live in *simulated* memory and are accessed
-// through prog.Env, so every invalidate, flush, and AMO the pseudocode
-// performs has its real coherence cost — and omitting one produces
-// genuinely wrong answers on the software-centric protocols.
+// through prog.Env, and the runtime issues cache_invalidate and
+// cache_flush on the thread's core, so every invalidate, flush, and AMO
+// the pseudocode performs has its real coherence cost — and omitting
+// one produces genuinely wrong answers on the software-centric
+// protocols.
 package wsrt
 
 import (

@@ -219,7 +219,7 @@ func TestParallelismSpeedsUp(t *testing.T) {
 func TestNativeRunMatchesSimulated(t *testing.T) {
 	nm := mem.New()
 	out := nm.AllocWords(1)
-	NativeRun(nm, func(c *Ctx) {
+	NewNative(nm).Analyze(func(c *Ctx) {
 		var fib func(c *Ctx, n uint64, sum mem.Addr)
 		fib = func(c *Ctx, n uint64, sum mem.Addr) {
 			if n < 2 {
@@ -312,5 +312,49 @@ func TestDTSReducesFlushes(t *testing.T) {
 	// apps (IPT in the thousands), but DTS must still flush fewer.
 	if flushDTS >= flushHCC {
 		t.Errorf("DTS flushed lines (%d) not below HCC (%d)", flushDTS, flushHCC)
+	}
+}
+
+// TestSection4COptimizationsReduceAMOs is the paper's §IV-C claim in
+// exact form. DTS tracks has_stolen_child, so a join whose parent never
+// lost a child to a thief is a plain read-modify-write, and its wait
+// ends without a cache_invalidate. On one core nothing is ever stolen,
+// so a whole fork-join program runs on plain accesses: its only AMO is
+// the done flag. HCC on the same machine pays AMOs on every join, wait
+// and deque lock, and invalidates at every deque access.
+func TestSection4COptimizationsReduceAMOs(t *testing.T) {
+	counters := func(v Variant) (amos, invOps, spawns uint64) {
+		cfg, err := machine.Lookup("bT/HCC-DTS-gwb")
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.NumBig, cfg.NumTiny = 1, 0
+		cfg.Rows, cfg.Cols = 1, 1
+		cfg.NumBanks = 1
+		m := machine.New(cfg)
+		rt := New(m, v)
+		fid := rt.RegisterFunc("fib", 512)
+		out := m.Mem.AllocWords(1)
+		if err := rt.Run(fibProgram(fid, 12, out)); err != nil {
+			t.Fatal(err)
+		}
+		if got := m.Cache.DebugReadWord(out); got != 144 {
+			t.Fatalf("%s: fib(12) = %d, want 144", v, got)
+		}
+		if rt.Stats.StealTries != 0 {
+			t.Fatalf("%s: %d steal attempts on one core", v, rt.Stats.StealTries)
+		}
+		core := m.Cores[0]
+		return core.L1D.Stats.Amos, core.L1D.Stats.InvOps, rt.Stats.Spawns
+	}
+	amos, invOps, spawns := counters(DTS)
+	if spawns == 0 || amos != 1 || invOps != 0 {
+		t.Errorf("DTS: %d AMOs and %d invalidates over %d spawns; want 1 AMO (the done flag) and none",
+			amos, invOps, spawns)
+	}
+	hccAmos, hccInv, _ := counters(HCC)
+	if hccAmos <= spawns || hccInv <= spawns {
+		t.Errorf("HCC: %d AMOs and %d invalidates over %d spawns; want more than one of each per spawn",
+			hccAmos, hccInv, spawns)
 	}
 }
