@@ -4,7 +4,7 @@ GO ?= go
 
 SMOKES := golden-check parallel-smoke open-smoke bench-smoke fuzz-smoke serve-smoke
 
-.PHONY: all ci smokes fmt vet build test race $(SMOKES) golden-bless golden-ref trajectory
+.PHONY: all ci smokes fmt vet build test race $(SMOKES) golden-bless golden-ref cover trajectory
 
 all: ci
 
@@ -69,6 +69,23 @@ golden-bless:
 # internal/{sim,cpu,cache,noc,uli,dram,wsrt,apps,machine}.
 golden-ref:
 	@sh docs/golden/golden.sh ref $(BIN)
+
+# Coverage that counts the goldens (not in ci, about 30 s): the go test
+# counters merged with those of -cover builds of btsim, paperbench and
+# simd running every golden command and the simd smoke. Prints every
+# function at 0 % and the total. The binaries take plain -cover, which
+# instruments every package of the module: with -coverpkg added,
+# go1.24 builds write no counter files.
+cover:
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	mkdir "$$dir/bin" "$$dir/run" "$$dir/test" "$$dir/all" && \
+	$(GO) build -cover -o "$$dir/bin/" ./cmd/btsim ./cmd/paperbench ./cmd/simd && \
+	GOCOVERDIR="$$dir/run" sh docs/golden/golden.sh check "$$dir/bin" && \
+	GOCOVERDIR="$$dir/run" "$$dir/bin/simd" -smoke >/dev/null && \
+	$(GO) test -count=1 -cover -coverpkg=./internal/... ./... -args -test.gocoverdir="$$dir/test" >/dev/null && \
+	$(GO) tool covdata merge -i="$$dir/run,$$dir/test" -o "$$dir/all" && \
+	$(GO) tool covdata textfmt -i="$$dir/all" -o "$$dir/cover.out" && \
+	$(GO) tool cover -func="$$dir/cover.out" | awk '$$NF == "0.0%" || /^total:/'
 
 # Host-parallel determinism gate: fan a target subset out over 4
 # workers; the render pass reads only the warmed cache, so this passing

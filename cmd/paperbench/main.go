@@ -216,21 +216,22 @@ func run() int {
 		s.Progress = os.Stderr
 	}
 
-	// Collect every selected target's worklist and warm the suite's
-	// caches over the host worker pool; the render loop below then
-	// draws from the cache in fixed order. A name with no worklist
-	// other than chaos is a typo, refused before anything runs.
-	// Prewarm errors are not fatal here — the owning target
-	// re-encounters them serially and reports them with its usual
-	// context.
+	// Collect the cells every selected target reads and warm them over
+	// the host worker pool; the render loop below then draws from the
+	// cache in fixed order. A name that is neither in bench.Targets nor
+	// chaos is a typo, refused before anything runs. Prewarm errors are
+	// not fatal here — the owning target re-encounters them serially
+	// and reports them with its usual context.
 	var work []bench.Work
 	for _, t := range targets {
-		wl, ok := s.TargetWork(t, names)
+		render, ok := bench.Targets[t]
 		if !ok && t != "chaos" {
 			fmt.Fprintf(os.Stderr, "paperbench: unknown target %q\n", t)
 			return 2
 		}
-		work = append(work, wl...)
+		if ok {
+			work = append(work, s.Cells(render, names)...)
+		}
 	}
 	if err := s.Prewarm(work, *jobs); err != nil {
 		fmt.Fprintln(os.Stderr, "paperbench: warning:", err)
@@ -239,33 +240,10 @@ func run() int {
 	out := os.Stdout
 	for _, t := range targets {
 		var err error
-		switch t {
-		case "table3":
-			err = s.Table3(out, names)
-		case "table4":
-			err = s.Table4(out, names)
-		case "table5":
-			err = s.Table5(out)
-		case "fig4":
-			err = s.Fig4(out, nil)
-		case "fig5":
-			err = s.Fig5(out, names)
-		case "fig6":
-			err = s.Fig6(out, names)
-		case "fig7":
-			err = s.Fig7(out, names)
-		case "fig8":
-			err = s.Fig8(out, names)
-		case "uli":
-			err = s.ULIReport(out, names)
-		case "energy":
-			err = s.EnergyReport(out, names)
-		case "chaos":
+		if t == "chaos" {
 			err = bench.Chaos(out, names, chaosScenarios, *faultSeed, *jobs)
-		case "open":
-			err = s.Open(out, bench.DefaultOpenSweep(sz))
-		case "view":
-			err = s.ViewReport(out, names)
+		} else {
+			err = bench.Targets[t](s, out, names)
 		}
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "paperbench:", err)

@@ -76,6 +76,12 @@ type Suite struct {
 	mu    sync.Mutex
 	cells map[string]*flightCall
 
+	// record makes the suite a recorder (see Cells): the memo notes each
+	// new cell in recorded and answers it with a zero result instead of
+	// computing it.
+	record   bool
+	recorded []Work
+
 	// progressMu serializes Progress writes so parallel runs never
 	// interleave lines.
 	progressMu sync.Mutex
@@ -191,6 +197,9 @@ func (s *Suite) do(ctx context.Context, w Work) (any, error) {
 	}
 	c := &flightCall{done: make(chan struct{}), w: w}
 	s.cells[key] = c
+	if s.record {
+		s.recorded = append(s.recorded, w)
+	}
 	s.mu.Unlock()
 
 	c.val, c.err = s.compute(ctx, w)
@@ -246,6 +255,12 @@ func (s *Suite) compute(ctx context.Context, w Work) (val any, err error) {
 		}
 	}()
 	switch {
+	case s.record && w.Open != nil:
+		return &openload.Result{}, nil
+	case s.record && w.View:
+		return cilkview.Report{}, nil
+	case s.record:
+		return &stats.Run{}, nil
 	case w.Open != nil:
 		return s.simulateOpen(ctx, w)
 	case w.View:

@@ -123,7 +123,7 @@ func TestOffGrainCellsKeepSuiteSettings(t *testing.T) {
 		t.Skip("simulation-heavy")
 	}
 	s := &Suite{Env: openload.Options{Oracle: true}}
-	work := s.Fig4Work(nil)
+	work := s.Cells(Targets["fig4"], nil)
 	if err := s.Prewarm(work, 0); err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"bigtiny/internal/apps"
+	"bigtiny/internal/fault"
 	"bigtiny/internal/machine"
 	"bigtiny/internal/mem"
 	"bigtiny/internal/sim"
@@ -128,11 +129,19 @@ func TestChaosSeedReproducible(t *testing.T) {
 // returns the final cycle count.
 func runBare(t *testing.T, appName string) sim.Time {
 	t.Helper()
-	app, err := apps.ByName(appName)
+	cfg, err := machine.Lookup(ChaosConfig)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg, err := machine.Lookup(ChaosConfig)
+	m, _ := runVerified(t, cfg, appName)
+	return m.Kernel.Now()
+}
+
+// runVerified runs an app at test size on a machine built from cfg and
+// checks its output against the serial reference.
+func runVerified(t *testing.T, cfg machine.Config, appName string) (*machine.Machine, *wsrt.RT) {
+	t.Helper()
+	app, err := apps.ByName(appName)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +156,37 @@ func runBare(t *testing.T, appName string) sim.Time {
 	if err := inst.Verify(read); err != nil {
 		t.Fatal(err)
 	}
-	return m.Kernel.Now()
+	return m, rt
+}
+
+// TestLateAckSalvage reaches the late-ACK salvage path, which no stock
+// scenario takes. The tiny response-drop probability makes the scenario
+// lossy, which arms the 4096-cycle steal timeout; ULI delays of up to
+// 9000 cycles then let some ACKs arrive after their thief gave up. Each
+// stale ACK's task must be salvaged and every task run exactly once,
+// with the output verified under the oracle.
+func TestLateAckSalvage(t *testing.T) {
+	sc := fault.Scenario{Name: "late-acks", ULIDelayProb: 0.3, ULIDelayMax: 9000, ULIRespDropProb: 0.001}
+	for _, appName := range []string{"cilk5-cs", "cilk5-mt"} {
+		for seed := uint64(1); seed <= 3; seed++ {
+			cfg, err := machine.Lookup(ChaosConfig)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Faults, cfg.FaultSeed, cfg.Oracle = &sc, seed, true
+			m, rt := runVerified(t, cfg, appName)
+			u, r := m.ULI.Stats, rt.Stats
+			if u.LateAcks == 0 {
+				t.Errorf("%s seed %d: no late ACKs (%+v)", appName, seed, u)
+			}
+			if r.Salvages != u.LateAcks {
+				t.Errorf("%s seed %d: %d salvages for %d late ACKs", appName, seed, r.Salvages, u.LateAcks)
+			}
+			if r.LocalExecs+r.StolenExec != r.Spawns+1 {
+				t.Errorf("%s seed %d: tasks not run exactly once: %v", appName, seed, r)
+			}
+		}
+	}
 }
 
 // TestNoneScenarioMatchesBaseline: an injector armed with the "none"

@@ -112,19 +112,6 @@ func (sw OpenSweep) spec(rate float64) openload.Spec {
 	}
 }
 
-// OpenWork lists the sweep's cells as Work items for Prewarm.
-func (s *Suite) OpenWork(sw OpenSweep) []Work {
-	var work []Work
-	for _, cfg := range sw.Configs {
-		for _, rate := range sw.Rates {
-			for _, scen := range sw.Scenarios {
-				work = append(work, openWork(cfg, scen, sw.FaultSeed, sw.spec(rate)))
-			}
-		}
-	}
-	return work
-}
-
 // Open renders the latency-throughput table for the sweep: one row per
 // (config, rate, scenario) cell in a fixed order, so the bytes are
 // identical whether the cells were prewarmed in parallel or simulated

@@ -3,6 +3,7 @@ package bench
 import (
 	"bytes"
 	"context"
+	"io"
 	"testing"
 
 	"bigtiny/internal/apps"
@@ -37,7 +38,8 @@ func TestOpenParallelMatchesSerial(t *testing.T) {
 	}
 
 	parallel := NewSuite(apps.Test)
-	if err := parallel.Prewarm(parallel.OpenWork(sw), 4); err != nil {
+	render := func(s *Suite, w io.Writer, _ []string) error { return s.Open(w, sw) }
+	if err := parallel.Prewarm(parallel.Cells(render, nil), 4); err != nil {
 		t.Fatalf("parallel prewarm: %v", err)
 	}
 	var parallelOut bytes.Buffer
@@ -124,26 +126,6 @@ func TestOpenResultJSONStable(t *testing.T) {
 	}
 	if !bytes.Equal(a, b) {
 		t.Errorf("OpenResultJSON not stable:\n%s\nvs\n%s", a, b)
-	}
-}
-
-// TestOpenWorkCoversSweep checks the Prewarm worklist enumerates every
-// cell exactly once.
-func TestOpenWorkCoversSweep(t *testing.T) {
-	sw := testOpenSweep()
-	s := NewSuite(apps.Test)
-	work := s.OpenWork(sw)
-	want := len(sw.Configs) * len(sw.Rates) * len(sw.Scenarios)
-	if len(work) != want {
-		t.Fatalf("OpenWork: %d items, want %d", len(work), want)
-	}
-	seen := map[string]bool{}
-	for _, w := range work {
-		k := s.key(w)
-		if seen[k] {
-			t.Errorf("duplicate work key %s", k)
-		}
-		seen[k] = true
 	}
 }
 

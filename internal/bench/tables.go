@@ -48,10 +48,6 @@ func (s *Suite) Table3(w io.Writer, appNames []string) error {
 		if err != nil {
 			return err
 		}
-		mesi, err := s.Run("bT/MESI", app)
-		if err != nil {
-			return err
-		}
 		sp := speedups{vsSerial: map[string]float64{}, vsMESI: map[string]float64{}}
 		for _, cfg := range serialCfgs {
 			r, err := s.Run(cfg, app)
@@ -59,6 +55,12 @@ func (s *Suite) Table3(w io.Writer, appNames []string) error {
 				return err
 			}
 			sp.vsSerial[cfg] = stats.Speedup(serial, r)
+		}
+		// Read after the O3x columns: this read order is Table3Work's
+		// list order, which TestTable3WorkOrder pins.
+		mesi, err := s.Run("bT/MESI", app)
+		if err != nil {
+			return err
 		}
 		for _, cfg := range mesiCfgs {
 			r, err := s.Run(cfg, app)
@@ -136,6 +138,10 @@ func (s *Suite) Table4(w io.Writer, appNames []string) error {
 	return nil
 }
 
+// table5Configs are Table V's columns: the O3x1 baseline, then the
+// 256-core MESI, HCC-gwb and HCC-DTS-gwb machines.
+var table5Configs = []string{"O3x1", "bT256/MESI", "bT256/HCC-gwb", "bT256/HCC-DTS-gwb"}
+
 // Table5 regenerates paper Table V: the 256-core weak-scaling study on
 // five kernels with larger inputs: big.TINY/MESI speedup over O3x1, and
 // HCC-gwb / HCC-DTS-gwb speedups over big.TINY/MESI.
@@ -158,6 +164,10 @@ func (s *Suite) Table5(w io.Writer) error {
 	}
 	return nil
 }
+
+// Fig4Grains is the granularity sweep Fig4 runs when given no explicit
+// grain list.
+var Fig4Grains = []int{1, 2, 4, 8, 16, 32, 64, 128}
 
 // Fig4 regenerates paper Figure 4: ligra-tc speedup over the serial
 // baseline and Cilkview logical parallelism as a function of task

@@ -160,9 +160,6 @@ func (c *Core) Bind(p *sim.Proc) {
 	}
 }
 
-// Proc returns the bound simulated thread.
-func (c *Core) Proc() *sim.Proc { return c.proc }
-
 // Now returns the core's current cycle.
 func (c *Core) Now() sim.Time { return c.proc.Now() }
 

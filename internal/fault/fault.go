@@ -134,7 +134,6 @@ func (sc *Scenario) Lossy() bool {
 type Injector struct {
 	sc     Scenario
 	rng    *sim.Rand
-	seed   uint64
 	counts [NumSites]uint64
 
 	// accessTick counts L1 accesses for the EvictEvery cadence.
@@ -143,7 +142,7 @@ type Injector struct {
 
 // NewInjector binds sc to a fresh PRNG seeded with seed.
 func NewInjector(sc Scenario, seed uint64) *Injector {
-	return &Injector{sc: sc, rng: sim.NewRand(seed), seed: seed}
+	return &Injector{sc: sc, rng: sim.NewRand(seed)}
 }
 
 // Scenario returns the bound scenario.
@@ -152,14 +151,6 @@ func (in *Injector) Scenario() Scenario {
 		return Scenario{}
 	}
 	return in.sc
-}
-
-// Seed returns the PRNG seed the injector was built with.
-func (in *Injector) Seed() uint64 {
-	if in == nil {
-		return 0
-	}
-	return in.seed
 }
 
 // Count returns the number of faults injected at site s.

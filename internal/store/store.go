@@ -67,9 +67,6 @@ func Open(dir string) (*Store, error) {
 	return &Store{root: dir}, nil
 }
 
-// Root returns the store's directory.
-func (s *Store) Root() string { return s.root }
-
 // Stats returns a snapshot of the counters.
 func (s *Store) Stats() Stats {
 	return Stats{

@@ -180,9 +180,6 @@ func (u *Unit) TakeLate() (payload uint64, ok bool) {
 // SetHandler installs the software ULI handler (runtime init).
 func (u *Unit) SetHandler(h Handler) { u.handler = h }
 
-// Enabled reports whether ULI delivery is enabled.
-func (u *Unit) Enabled() bool { return u.enabled }
-
 // Enable turns on ULI delivery (uli_enable; 1 cycle, charged by caller).
 func (u *Unit) Enable() { u.enabled = true }
 

@@ -11,26 +11,16 @@ import (
 // They compose with the existing Figure 3 engines — an async child is
 // an ordinary task descriptor whose join goes through the same
 // per-variant reference-count discipline, so steals, ULI recovery, and
-// dead-core reclaim all apply unchanged.
+// dead-core reclaim all apply unchanged. Every call runs on a simulated
+// thread: their one caller, openload.Run, always simulates.
 
-// Now returns the current simulated cycle on this thread (0 natively:
-// there is no clock).
-func (c *Ctx) Now() sim.Time {
-	if c.core == nil {
-		return 0
-	}
-	return c.core.Now()
-}
+// Now returns the current simulated cycle on this thread.
+func (c *Ctx) Now() sim.Time { return c.core.Now() }
 
 // IdleUntil parks the thread until cycle t (no-op when t has passed)
 // while staying responsive to incoming ULI steal requests. Open-system
 // drivers use it to sleep until the next scheduled arrival.
-func (c *Ctx) IdleUntil(t sim.Time) {
-	if c.core == nil {
-		return
-	}
-	c.core.IdleUntil(t)
-}
+func (c *Ctx) IdleUntil(t sim.Time) { c.core.IdleUntil(t) }
 
 // SpawnAsync spawns body as a child of the current task without
 // waiting for it; the caller joins all outstanding children later with
@@ -42,22 +32,6 @@ func (c *Ctx) IdleUntil(t sim.Time) {
 // the variants perform (stolen children always decrement with AMOs,
 // and local plain-RMW decrements happen on this same thread).
 func (c *Ctx) SpawnAsync(fid int, body Body) {
-	if c.core == nil {
-		// Depth-first native execution: run the child inline.
-		if r := c.spanRec; r != nil {
-			r.sync()
-			s0 := r.cur
-			r.tasks++
-			r.cur = 0
-			body(c)
-			r.sync()
-			child := r.cur
-			r.cur = s0 + child
-			return
-		}
-		body(c)
-		return
-	}
 	p := c.cur
 	c.env.Amo(p+descRC*8, cache.AmoAdd, 1, 0)
 	t := c.newTask(fid, body)
@@ -66,12 +40,7 @@ func (c *Ctx) SpawnAsync(fid int, body Body) {
 
 // WaitChildren blocks until every child spawned so far (by Fork or
 // SpawnAsync) has joined, executing local and stolen work meanwhile.
-func (c *Ctx) WaitChildren() {
-	if c.core == nil {
-		return
-	}
-	c.wait(c.cur)
-}
+func (c *Ctx) WaitChildren() { c.wait(c.cur) }
 
 // WaitChildrenUntil is WaitChildren with a horizon: it executes work
 // until every child has joined or the simulated clock reaches
@@ -79,8 +48,5 @@ func (c *Ctx) WaitChildren() {
 // false return means children are still in flight — the open-system
 // accounting counts them as InFlightAtEnd.
 func (c *Ctx) WaitChildrenUntil(deadline sim.Time) bool {
-	if c.core == nil {
-		return true
-	}
 	return c.waitDeadline(c.cur, deadline)
 }
