@@ -8,8 +8,9 @@ SMOKES := golden-check parallel-smoke open-smoke bench-smoke fuzz-smoke serve-sm
 
 all: ci
 
-# The smokes drive the three CLIs. ci builds them once into a temp dir
-# and hands it down as BIN; a smoke run on its own go-runs what it needs.
+# The smokes drive the CLIs and the examples. ci builds them once into
+# a temp dir and hands it down as BIN; a smoke run on its own go-runs
+# (or, for the goldens, builds) what it needs.
 ifdef BIN
 BTSIM := $(BIN)/btsim
 PAPERBENCH := $(BIN)/paperbench
@@ -20,9 +21,13 @@ PAPERBENCH := $(GO) run ./cmd/paperbench
 SIMD := $(GO) run ./cmd/simd
 endif
 
+# Every main package outside benchmark/: golden-check runs all but
+# simd, which serve-smoke runs.
+MAINS := ./cmd/btsim ./cmd/paperbench ./cmd/simd ./cmd/rmatgen ./examples/quickstart ./examples/granularity
+
 ci: fmt vet build test race
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
-	$(GO) build -o "$$dir/" ./cmd/btsim ./cmd/paperbench ./cmd/simd && \
+	$(GO) build -o "$$dir/" $(MAINS) && \
 	$(MAKE) --no-print-directory smokes BIN="$$dir"
 
 smokes: $(SMOKES)
@@ -54,33 +59,35 @@ race:
 # -json; `chaos` on two apps under every stock scenario (the lossy ones
 # included), each run verified against the serial reference with the
 # oracle on; the stock open sweep at ref and test size with a hash of
-# the test-size -open-json; a fault-free -oracle verdict; and a mid-run
-# -deadline dump. golden-bless rewrites them; a PR that re-blesses says
-# why in CHANGES.md (see docs/golden/golden.sh).
+# the test-size -open-json; a fault-free -oracle verdict; a mid-run
+# -deadline dump; the quickstart and granularity examples; and
+# `rmatgen -stats`. It also re-renders docs/bench.html from BENCH.json.
+# golden-bless rewrites them; a PR that re-blesses says why in
+# CHANGES.md (see docs/golden/golden.sh).
 golden-check:
 	@sh docs/golden/golden.sh check $(BIN)
 
 golden-bless:
 	@sh docs/golden/golden.sh bless $(BIN)
 
-# The ref half: `paperbench -size ref table3 table4` (13 apps, about
-# 30 s on 2 CPUs, so not in ci) against docs/results-ref.txt lines 1-33
-# and the blank line after them. Run it on any change under
-# internal/{sim,cpu,cache,noc,uli,dram,wsrt,apps,machine}.
+# The ref half: `paperbench -size ref all` (about 80 s on 2 CPUs, so
+# not in ci) against the whole of docs/results-ref.txt. Run it on any
+# change under internal/{sim,cpu,cache,noc,uli,dram,wsrt,apps,machine}.
 golden-ref:
 	@sh docs/golden/golden.sh ref $(BIN)
 
 # Coverage that counts the goldens (not in ci, about 30 s): the go test
-# counters merged with those of -cover builds of btsim, paperbench and
-# simd running every golden command and the simd smoke. Prints every
-# function at 0 % and the total. The binaries take plain -cover, which
-# instruments every package of the module: with -coverpkg added,
-# go1.24 builds write no counter files.
+# counters merged with those of -cover builds of every main package
+# running every golden command, one open-smoke run and the simd smoke.
+# Prints every function at 0 % and the total. The binaries take plain
+# -cover, which instruments every package of the module: with
+# -coverpkg added, go1.24 builds write no counter files.
 cover:
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
 	mkdir "$$dir/bin" "$$dir/run" "$$dir/test" "$$dir/all" && \
-	$(GO) build -cover -o "$$dir/bin/" ./cmd/btsim ./cmd/paperbench ./cmd/simd && \
+	$(GO) build -cover -o "$$dir/bin/" $(MAINS) && \
 	GOCOVERDIR="$$dir/run" sh docs/golden/golden.sh check "$$dir/bin" && \
+	GOCOVERDIR="$$dir/run" "$$dir/bin/btsim" $(OPEN_RUN) >/dev/null && \
 	GOCOVERDIR="$$dir/run" "$$dir/bin/simd" -smoke >/dev/null && \
 	$(GO) test -count=1 -cover -coverpkg=./internal/... ./... -args -test.gocoverdir="$$dir/test" >/dev/null && \
 	$(GO) tool covdata merge -i="$$dir/run,$$dir/test" -o "$$dir/all" && \
@@ -98,20 +105,20 @@ parallel-smoke:
 # lossy chaos, twice, must print byte-identical reports (seeded
 # arrivals, exact latency percentiles, and the shed accounting identity
 # are all deterministic; see EXPERIMENTS.md "Open-system experiments").
+OPEN_RUN := -open -config bT8/HCC-DTS-gwb -workload rmat-query -arrival bursty \
+	-rate 8 -requests 32 -open-seed 1 -inflight 8 -faults chaos-lossy-all
+
 open-smoke:
 	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
-	$(BTSIM) -open -config bT8/HCC-DTS-gwb -workload rmat-query -arrival bursty \
-		-rate 8 -requests 32 -open-seed 1 -inflight 8 -faults chaos-lossy-all > "$$dir/a.txt" && \
-	$(BTSIM) -open -config bT8/HCC-DTS-gwb -workload rmat-query -arrival bursty \
-		-rate 8 -requests 32 -open-seed 1 -inflight 8 -faults chaos-lossy-all > "$$dir/b.txt" && \
+	$(BTSIM) $(OPEN_RUN) > "$$dir/a.txt" && \
+	$(BTSIM) $(OPEN_RUN) > "$$dir/b.txt" && \
 	cmp "$$dir/a.txt" "$$dir/b.txt" && echo "open-smoke: identical under chaos-lossy-all"
 
-# One pass over every Go benchmark (kernel microbenchmarks and the
-# end-to-end artifact benchmarks) so a perf-rig regression — a bench
-# that panics, a metric that stops compiling — fails ci. Numbers from
+# One pass over the kernel microbenchmarks, the only Go benchmarks, so
+# one that panics or stops compiling fails ci. Numbers from
 # -benchtime=1x are noise; `go run ./benchmark` produces the real ones.
 bench-smoke:
-	$(GO) test -run xxx -bench . -benchtime 1x ./internal/sim .
+	$(GO) test -run xxx -bench . -benchtime 1x ./internal/sim
 
 # Five seconds of the event-queue fuzzer (pushes, stops, waits against a
 # sorted model; see internal/sim/queue_test.go). A crasher lands in

@@ -13,7 +13,7 @@
 // figure of the paper's evaluation section.
 //
 // See README.md for a tour and DESIGN.md for the system inventory.
-// The root-level benchmarks (bench_test.go) regenerate each table and
-// figure at test scale; cmd/paperbench does the same at evaluation
-// scale.
+// cmd/paperbench regenerates each table and figure, and docs/golden
+// holds its test-size output, which `make golden-check` compares byte
+// for byte.
 package bigtiny

@@ -4,17 +4,19 @@
 # every command and compares byte for byte, printing the first differing
 # line of each mismatch. The -json of the `all` run and the -open-json
 # of the test-size `open` run are too large to keep, so SHA256SUMS holds
-# their hashes instead. `ref` is the ref-size half: `paperbench -size
-# ref table3 table4` (about 30 s on 2 CPUs) against docs/results-ref.txt
-# lines 1-33 and the blank line that ends them.
+# their hashes instead. `check` also re-renders docs/bench.html from
+# BENCH.json and compares it with the committed page. `ref` is the
+# ref-size half: `paperbench -size ref all` (about 80 s on 2 CPUs)
+# against the whole of docs/results-ref.txt.
 #
 #   sh docs/golden/golden.sh check [BINDIR]   (make golden-check)
 #   sh docs/golden/golden.sh bless [BINDIR]   (make golden-bless)
 #   sh docs/golden/golden.sh ref [BINDIR]     (make golden-ref)
 #
-# BINDIR holds built btsim and paperbench binaries; without it they are
-# built into a temp dir first. Run from the repository root. A bless
-# rewrites every golden: say why in CHANGES.md.
+# BINDIR holds built btsim, paperbench, rmatgen, quickstart and
+# granularity binaries; without it they are built into a temp dir
+# first. Run from the repository root. A bless rewrites every golden
+# and docs/bench.html: say why in CHANGES.md.
 set -eu
 
 mode=${1:-}
@@ -31,7 +33,8 @@ trap 'rm -rf "$tmp"' EXIT
 bin=${2:-}
 if [ -z "$bin" ]; then
 	bin=$tmp/bin
-	${GO:-go} build -o "$bin/" ./cmd/btsim ./cmd/paperbench
+	${GO:-go} build -o "$bin/" ./cmd/btsim ./cmd/paperbench ./cmd/rmatgen \
+		./examples/quickstart ./examples/granularity
 fi
 out=$tmp/out
 mkdir "$out"
@@ -50,13 +53,12 @@ compare() {
 }
 
 if [ "$mode" = ref ]; then
-	"$bin/paperbench" -size ref table3 table4 >"$out/ref.txt"
-	head -n 34 "$gold/../results-ref.txt" >"$tmp/results-ref.txt"
-	compare docs/results-ref.txt "$tmp/results-ref.txt" "$out/ref.txt"
+	"$bin/paperbench" -size ref all >"$out/ref.txt"
+	compare docs/results-ref.txt "$gold/../results-ref.txt" "$out/ref.txt"
 	if [ "$bad" -ne 0 ]; then
 		exit 1
 	fi
-	echo "golden-ref: ref table3 table4 identical to docs/results-ref.txt lines 1-33"
+	echo "golden-ref: ref all identical to docs/results-ref.txt"
 	exit 0
 fi
 
@@ -73,10 +75,17 @@ if "$bin/btsim" -config bT8/HCC-DTS-gwb -app cilk5-cs -size test -deadline 10000
 	exit 1
 fi
 (cd "$out" && sha256sum all.json open-test.json >SHA256SUMS && rm all.json open-test.json)
+# The two library examples and the graph generator's statistics.
+"$bin/quickstart" >"$out/quickstart.txt"
+"$bin/granularity" >"$out/granularity.txt"
+"$bin/rmatgen" -stats >"$out/rmatgen.txt"
+# The trajectory page lives in docs/, not with the goldens.
+"$bin/paperbench" trajectory -bench-history BENCH.json -o "$tmp/bench.html" >/dev/null
 
 if [ "$mode" = bless ]; then
 	cp "$out"/* "$gold/"
-	echo "golden-bless: rewrote $(ls "$out" | wc -l) goldens in $gold"
+	cp "$tmp/bench.html" "$gold/../bench.html"
+	echo "golden-bless: rewrote $(ls "$out" | wc -l) goldens in $gold and docs/bench.html"
 	exit 0
 fi
 
@@ -89,7 +98,8 @@ for f in "$out"/*; do
 	fi
 	compare "$name" "$gold/$name" "$f"
 done
+compare docs/bench.html "$gold/../bench.html" "$tmp/bench.html"
 if [ "$bad" -ne 0 ]; then
 	exit 1
 fi
-echo "golden-check: $(ls "$out" | wc -l) outputs identical to docs/golden"
+echo "golden-check: $(ls "$out" | wc -l) outputs identical to docs/golden, and docs/bench.html to BENCH.json"

@@ -52,28 +52,11 @@ func (c *Ctx) Fork(fid int, bodies ...Body) {
 // (grain is the paper's §V-D task granularity). body(c, i) is invoked
 // once per index.
 func (c *Ctx) ParallelFor(fid, lo, hi, grain int, body func(c *Ctx, i int)) {
-	if grain <= 0 {
-		grain = c.rt.Grain
-	}
-	c.pfor(fid, lo, hi, grain, body)
-}
-
-func (c *Ctx) pfor(fid, lo, hi, grain int, body func(c *Ctx, i int)) {
-	n := hi - lo
-	if n <= 0 {
-		return
-	}
-	if n <= grain {
+	c.ParallelForRange(fid, lo, hi, grain, func(c *Ctx, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			body(c, i)
 		}
-		return
-	}
-	mid := lo + n/2
-	c.Fork(fid,
-		func(cc *Ctx) { cc.pfor(fid, lo, mid, grain, body) },
-		func(cc *Ctx) { cc.pfor(fid, mid, hi, grain, body) },
-	)
+	})
 }
 
 // ParallelForRange is ParallelFor with leaf-granularity bodies: body
@@ -84,10 +67,6 @@ func (c *Ctx) ParallelForRange(fid, lo, hi, grain int, body func(c *Ctx, lo, hi 
 	if grain <= 0 {
 		grain = c.rt.Grain
 	}
-	c.pforRange(fid, lo, hi, grain, body)
-}
-
-func (c *Ctx) pforRange(fid, lo, hi, grain int, body func(c *Ctx, lo, hi int)) {
 	n := hi - lo
 	if n <= 0 {
 		return
@@ -98,8 +77,8 @@ func (c *Ctx) pforRange(fid, lo, hi, grain int, body func(c *Ctx, lo, hi int)) {
 	}
 	mid := lo + n/2
 	c.Fork(fid,
-		func(cc *Ctx) { cc.pforRange(fid, lo, mid, grain, body) },
-		func(cc *Ctx) { cc.pforRange(fid, mid, hi, grain, body) },
+		func(cc *Ctx) { cc.ParallelForRange(fid, lo, mid, grain, body) },
+		func(cc *Ctx) { cc.ParallelForRange(fid, mid, hi, grain, body) },
 	)
 }
 
@@ -128,21 +107,4 @@ func (c *Ctx) ParallelReduce(fid, lo, hi, grain int,
 		func(cc *Ctx) { cc.Store(ra, cc.ParallelReduce(fid, mid, hi, grain, leaf, combine)) },
 	)
 	return combine(c.Load(la), c.Load(ra))
-}
-
-// ParallelForAuto is ParallelFor with an automatically chosen grain:
-// the range is split into roughly 8 tasks per thread, a standard
-// adaptive-granularity heuristic (the paper's §V-D picks grains by
-// profiling; this is the runtime's built-in default for callers that do
-// not want to tune).
-func (c *Ctx) ParallelForAuto(fid, lo, hi int, body func(c *Ctx, i int)) {
-	n := hi - lo
-	if n <= 0 {
-		return
-	}
-	grain := n / (8 * c.rt.nthreads)
-	if grain < 1 {
-		grain = 1
-	}
-	c.ParallelFor(fid, lo, hi, grain, body)
 }

@@ -170,50 +170,3 @@ func TestRegisterFuncFootprints(t *testing.T) {
 		t.Fatal("out-of-range fid should use default")
 	}
 }
-
-func TestParallelForAuto(t *testing.T) {
-	m := smallMachine(t, "gwb", true)
-	rt := New(m, DTS)
-	fid := rt.RegisterFunc("auto", 512)
-	n := 1000
-	arr := m.Mem.AllocWords(n)
-	if err := rt.Run(func(c *Ctx) {
-		c.ParallelForAuto(fid, 0, n, func(cc *Ctx, i int) {
-			cc.Compute(10)
-			cc.Store(arr+mem.Addr(i*8), uint64(i)*3)
-		})
-	}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		if got := m.Cache.DebugReadWord(arr + mem.Addr(i*8)); got != uint64(i)*3 {
-			t.Fatalf("arr[%d] = %d", i, got)
-		}
-	}
-	// The heuristic must actually have split the range: with 8 threads
-	// and n=1000 the grain is ~15, giving >= 64 leaf tasks.
-	if rt.Stats.Spawns < 64 {
-		t.Fatalf("auto grain spawned only %d tasks", rt.Stats.Spawns)
-	}
-}
-
-func TestParallelForAutoSingleThread(t *testing.T) {
-	// nthreads == 1: grain heuristic must not divide by zero or stall.
-	base, err := machine.Lookup("IOx1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := machine.New(base)
-	rt := New(m, HW)
-	sum := m.Mem.AllocWords(1)
-	if err := rt.Run(func(c *Ctx) {
-		c.ParallelForAuto(0, 0, 10, func(cc *Ctx, i int) {
-			cc.Amo(sum, cache.AmoAdd, uint64(i), 0)
-		})
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if got := m.Cache.DebugReadWord(sum); got != 45 {
-		t.Fatalf("sum = %d, want 45", got)
-	}
-}
