@@ -1,6 +1,8 @@
 package apps
 
 import (
+	"sync"
+
 	"bigtiny/internal/cache"
 	"bigtiny/internal/graph"
 	"bigtiny/internal/mem"
@@ -43,6 +45,30 @@ func ligraScale(size Size, heavy bool) (scale, ef int) {
 	}
 }
 
+// rmatInputs memoizes the R-MAT inputs per (scale, edge factor): every
+// cell of a Ligra app at one size reads the same graph, and a Graph is
+// never written after RMat returns, so the process builds each once.
+// ligraScale yields a handful of keys.
+var rmatInputs struct {
+	sync.Mutex
+	m map[[2]int]*graph.Graph
+}
+
+func rmatInput(scale, ef int) *graph.Graph {
+	rmatInputs.Lock()
+	defer rmatInputs.Unlock()
+	key := [2]int{scale, ef}
+	g := rmatInputs.m[key]
+	if g == nil {
+		if rmatInputs.m == nil {
+			rmatInputs.m = make(map[[2]int]*graph.Graph)
+		}
+		g = graph.RMat(scale, ef, 0x9A3F)
+		rmatInputs.m[key] = g
+	}
+	return g
+}
+
 // gctx bundles a loaded graph with frontier storage.
 type gctx struct {
 	g  *graph.Graph
@@ -65,8 +91,7 @@ func newGctxHeavy(rt *wsrt.RT, size Size, heavy bool) *gctx {
 	case Unit:
 		g = graph.Path(2)
 	default:
-		scale, ef := ligraScale(size, heavy)
-		g = graph.RMat(scale, ef, 0x9A3F)
+		g = rmatInput(ligraScale(size, heavy))
 	}
 	m := rt.Mem()
 	return &gctx{

@@ -29,11 +29,14 @@ func rig(t *testing.T, cfg Config, proto cache.Protocol) (*sim.Kernel, *Core, *c
 	return k, core, sys
 }
 
+// run runs body as core's thread and drains the core's queue after it,
+// as machine.Spawn does.
 func run(t *testing.T, k *sim.Kernel, core *Core, body func()) {
 	t.Helper()
 	k.NewProc("core", 0, func(p *sim.Proc) {
 		core.Bind(p)
 		body()
+		core.Drain()
 	})
 	if err := k.Run(nil); err != nil {
 		t.Fatal(err)
@@ -142,11 +145,13 @@ func TestInstructionCacheColdVsWarm(t *testing.T) {
 	run(t, k, core, func() {
 		core.SetFunc(1, 2048)
 		core.Compute(512) // walks the 2KB footprint: cold fetch misses
+		core.Drain()
 		cold := core.Cycles[ClassInstFetch]
 		if cold == 0 {
 			t.Error("no cold instruction fetch misses")
 		}
 		core.Compute(512) // same code again: warm
+		core.Drain()
 		if core.Cycles[ClassInstFetch] != cold {
 			t.Errorf("warm pass took fetch misses: %d -> %d", cold, core.Cycles[ClassInstFetch])
 		}
@@ -199,10 +204,12 @@ func TestStoreBufferHidesMissLatency(t *testing.T) {
 	var first, burst uint64
 	run(t, k, core, func() {
 		core.Store(base, 1) // cold miss, buffered
+		core.Drain()
 		first = core.Cycles[ClassStore]
 		for i := 1; i < 32; i++ {
 			core.Store(base+mem.Addr(i*64), uint64(i))
 		}
+		core.Drain()
 		burst = core.Cycles[ClassStore]
 	})
 	if first > 2 {

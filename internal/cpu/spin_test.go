@@ -16,7 +16,7 @@ import (
 
 // spinRig is a two-core system with ULI hardware: core 0 (cfg) spins,
 // core 1 (tiny) is the neighbour.
-func spinRig(cfg Config, faults *fault.Injector) (*sim.Kernel, [2]*Core) {
+func spinRig(cfg Config, faults *fault.Injector) (*sim.Kernel, [2]*Core, *cache.System) {
 	k := sim.NewKernel()
 	mesh := noc.NewMesh(2, 2)
 	nodes := []noc.NodeID{mesh.Node(0, 0), mesh.Node(0, 1)}
@@ -34,7 +34,7 @@ func spinRig(cfg Config, faults *fault.Injector) (*sim.Kernel, [2]*Core) {
 		cores[i] = New(i, c, cache.NewL1(sys, i, cache.MESI, c.L1IBytes, 2), fab.Unit(i))
 		cores[i].Faults, cores[i].FaultLane = faults, i
 	}
-	return k, cores
+	return k, cores, sys
 }
 
 // spinOutcome is everything a spin may legitimately touch.
@@ -57,7 +57,7 @@ type spinOutcome struct {
 // 0 a ULI request part-way through, whose handler computes too.
 func spinRun(t *testing.T, cfg Config, faults *fault.Injector, n, chunk int, useSpin, steal bool) spinOutcome {
 	t.Helper()
-	k, cores := spinRig(cfg, faults)
+	k, cores, _ := spinRig(cfg, faults)
 	var out spinOutcome
 	var atNeighbourStart uint64
 	k.NewProc("spinner", 0, func(p *sim.Proc) {
@@ -76,6 +76,7 @@ func spinRun(t *testing.T, cfg Config, faults *fault.Injector, n, chunk int, use
 			for left := n; left > 0; left -= chunk {
 				c.Compute(min(left, chunk))
 			}
+			c.Drain()
 		}
 		out.resumesInSpin = k.Resumes() - atNeighbourStart
 		c.Compute(5)
@@ -156,15 +157,17 @@ func TestSpinMatchesComputeLoop(t *testing.T) {
 
 // TestSpinResumesOnce: beside a neighbour that is busy the whole time,
 // an undisturbed spin costs one switch — back to the spinner at its end
-// — where the loop costs one per chunk the neighbour interleaves with.
+// — and the queued Compute loop one per queue-full of chunks (and the
+// neighbour, whose queue drains too, as many), where blocking issue
+// would cost one per chunk the neighbour interleaves with.
 func TestSpinResumesOnce(t *testing.T) {
 	spin := spinRun(t, TinyConfig(), nil, 128*40, 128, true, false)
 	loop := spinRun(t, TinyConfig(), nil, 128*40, 128, false, false)
 	if spin.resumesInSpin != 1 {
 		t.Errorf("Spin took %d resumes from the neighbour's start to its own end, want 1", spin.resumesInSpin)
 	}
-	if loop.resumesInSpin < 40 {
-		t.Errorf("the Compute loop took %d resumes, expected one or more per chunk", loop.resumesInSpin)
+	if want := 2 * uint64(40+queueCap-1) / queueCap; loop.resumesInSpin > want {
+		t.Errorf("the queued Compute loop took %d resumes, want at most %d", loop.resumesInSpin, want)
 	}
 }
 
@@ -198,6 +201,7 @@ func TestIssueFastWalkMatchesDivisions(t *testing.T) {
 					}
 					core.SetFunc(fid, size)
 					core.Compute(n)
+					core.Drain()
 					ref(fid, uint64(max(size, iBlockBytes)), n)
 					if core.curPC != pc || core.Cycles[ClassInstFetch] != stall || !slices.Equal(core.iTags, tags) {
 						t.Fatalf("big=%v size=%d n=%d: pc %d stall %d, reference pc %d stall %d (tags equal: %v)",

@@ -217,11 +217,13 @@ func placeCores(mesh *noc.Mesh, cfg Config) []noc.NodeID {
 func (m *Machine) Big(core int) bool { return core < m.Cfg.NumBig }
 
 // Spawn starts body as the software thread on the given core at time 0.
+// The ops body leaves queued on the core issue before the thread ends.
 func (m *Machine) Spawn(core int, body func(*cpu.Core)) {
 	c := m.Cores[core]
 	m.Kernel.NewProc(fmt.Sprintf("core%d", core), 0, func(p *sim.Proc) {
 		c.Bind(p)
 		body(c)
+		c.Drain()
 	})
 }
 

@@ -108,6 +108,28 @@ func TestSmokeRunSimpleProgram(t *testing.T) {
 	}
 }
 
+// TestSpawnDrainsQueuedOps: a thread whose body ends on queued ops
+// (Compute and Store return before they issue) still issues them before
+// it finishes: the store reaches memory and the cycles are on the books.
+func TestSpawnDrainsQueuedOps(t *testing.T) {
+	m := New(mustCfg(t, "bT/HCC-gwb"))
+	a := m.Mem.Alloc(64)
+	m.Spawn(4, func(c *cpu.Core) {
+		c.Compute(100)
+		c.Store(a, 5)
+	})
+	if err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	c := m.Cores[4]
+	if c.Insts != 101 || c.Cycles[cpu.ClassOther] < 100 || c.Cycles[cpu.ClassStore] == 0 {
+		t.Fatalf("queued ops never issued: insts %d, cycles %v", c.Insts, c.Cycles)
+	}
+	if got := m.Cache.DebugReadWord(a); got != 5 {
+		t.Fatalf("stored word reads %d, want 5", got)
+	}
+}
+
 // TestInterruptOn: a context that is already dead aborts the run before
 // its first event, whatever the goroutine scheduler does; one cancelled
 // mid-run aborts it from then on. The core below never stops by itself.

@@ -21,6 +21,17 @@ import (
 // crosses task boundaries must live in simulated memory and be accessed
 // through it — that is what makes coherence behaviour (and its bugs)
 // real.
+//
+// On a simulated core, Compute and Store return before they issue: the
+// core queues them and issues them, in order and at the cycles they
+// would have had, when the thread next needs a value (Load, Amo) or the
+// clock. So between a Compute or Store and the next op that returns
+// something, the caller may touch only its own Go state. Go state that
+// another core or the kernel reads or writes (a runtime table, a
+// counter an observer samples mid-run) is read or written only after an
+// op that drains: a Load, an Amo, or cpu.Core.Now. A ULI handler and
+// the runtime's salvage and restitute hooks run ahead of the ops they
+// interrupt; their own ops issue at once.
 type Env interface {
 	// Compute executes n abstract non-memory instructions.
 	Compute(n int)
@@ -43,13 +54,13 @@ func NewSimEnv(core *cpu.Core, m *mem.Memory) *SimEnv {
 	return &SimEnv{Core: core, Mem: m}
 }
 
-// Compute burns n abstract instructions on the core.
+// Compute burns n abstract instructions on the core (queued).
 func (e *SimEnv) Compute(n int) { e.Core.Compute(n) }
 
 // Load issues a timed load.
 func (e *SimEnv) Load(a mem.Addr) uint64 { return e.Core.Load(a) }
 
-// Store issues a timed store.
+// Store issues a timed store (queued).
 func (e *SimEnv) Store(a mem.Addr, v uint64) { e.Core.Store(a, v) }
 
 // Amo issues a timed atomic.
@@ -59,9 +70,11 @@ func (e *SimEnv) Amo(a mem.Addr, op cache.AmoOp, arg1, arg2 uint64) uint64 {
 
 // Alloc reserves simulated heap memory. The bump allocation itself is a
 // few instructions; cold-miss costs are paid on first touch like any
-// other memory.
+// other memory. The bump pointer is machine-wide, so the instructions
+// issue before it moves.
 func (e *SimEnv) Alloc(nwords int) mem.Addr {
 	e.Core.Compute(4)
+	e.Core.Drain()
 	return e.Mem.AllocWords(nwords)
 }
 

@@ -90,8 +90,11 @@ func (c *Ctx) chooseVictim() int {
 func (c *Ctx) avoidQuarantined(v int) int {
 	rt := c.rt
 	n := rt.nthreads
+	// The clock first: it drains the core's queued ops, so offlineMark is
+	// read at the cycle it would be without the queue.
+	now := c.core.Now()
 	for retry := 0; retry < 3; retry++ {
-		if rt.offlineMark[v] || c.core.Now() >= rt.quarUntil[v] {
+		if rt.offlineMark[v] || now >= rt.quarUntil[v] {
 			return v
 		}
 		v = c.rng.Intn(n - 1)
@@ -107,9 +110,11 @@ func (c *Ctx) avoidQuarantined(v int) int {
 // spawnTask enqueues a task descriptor per the variant's discipline.
 func (c *Ctx) spawnTask(t mem.Addr) {
 	rt := c.rt
-	rt.Stats.Spawns++
-	rt.Tracer.Emit(c.core.Now(), c.tid, trace.Spawn, uint64(t))
+	// SetFunc drains newTask's stores, so the count moves at the cycle
+	// it would without the queue.
 	c.core.SetFunc(fidRuntime, rt.footprint(fidRuntime))
+	rt.Stats.Spawns++
+	c.trace(trace.Spawn, uint64(t))
 	c.env.Compute(c.rt.Costs.Spawn)
 	d := rt.deques[c.tid]
 	switch rt.Variant {
@@ -178,21 +183,19 @@ func (c *Ctx) trySteal() mem.Addr {
 	rt := c.rt
 	rt.Stats.StealTries++
 	vid := c.chooseVictim()
-	rt.Tracer.Emit(c.core.Now(), c.tid, trace.StealTry, uint64(vid))
+	c.trace(trace.StealTry, uint64(vid))
 	t := c.stealFrom(vid)
 	if t != 0 && rt.lossy {
 		rt.vfails[vid] = 0
 		if rt.offlineMark[vid] {
 			rt.Stats.Reclaims++
-			rt.Tracer.Emit(c.core.Now(), c.tid, trace.Reclaim, uint64(t))
+			c.trace(trace.Reclaim, uint64(t))
 		}
 	}
-	if rt.Tracer != nil {
-		if t != 0 {
-			rt.Tracer.Emit(c.core.Now(), c.tid, trace.StealHit, uint64(t))
-		} else {
-			rt.Tracer.Emit(c.core.Now(), c.tid, trace.StealMiss, uint64(vid))
-		}
+	if t != 0 {
+		c.trace(trace.StealHit, uint64(t))
+	} else {
+		c.trace(trace.StealMiss, uint64(vid))
 	}
 	return t
 }
@@ -373,7 +376,7 @@ func (c *Ctx) enterOffline() {
 	if rt.degradedSince == 0 {
 		rt.degradedSince = c.core.Now()
 	}
-	rt.Tracer.Emit(c.core.Now(), c.tid, trace.Offline, 0)
+	c.trace(trace.Offline, 0)
 }
 
 // --- task execution and joining ---
@@ -400,14 +403,14 @@ func (c *Ctx) executeTask(t mem.Addr, stolen bool) {
 		}
 	}
 
-	rt.Tracer.Emit(c.core.Now(), c.tid, trace.ExecStart, uint64(t))
+	c.trace(trace.ExecStart, uint64(t))
 	prev := c.cur
 	c.cur = t
 	c.core.SetFunc(rec.fid, rt.footprint(rec.fid))
 	c.env.Compute(c.rt.Costs.TaskProlog)
 	rec.body(c)
 	c.cur = prev
-	rt.Tracer.Emit(c.core.Now(), c.tid, trace.ExecEnd, uint64(t))
+	c.trace(trace.ExecEnd, uint64(t))
 	c.core.SetFunc(fidRuntime, rt.footprint(fidRuntime))
 
 	parent := mem.Addr(c.env.Load(t + descParent*8))

@@ -65,6 +65,6 @@ func (rt *RT) runMain(c *Ctx, root Body) {
 	c.freeTask(rootDesc)
 	// Signal termination with a coherent write.
 	c.env.Amo(rt.doneAddr, cache.AmoOr, 1, 0)
-	rt.Tracer.Emit(c.core.Now(), c.tid, trace.Done, 0)
+	c.trace(trace.Done, 0)
 	rt.Stats.LocalExecs++
 }

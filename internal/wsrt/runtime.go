@@ -307,6 +307,15 @@ func (r *spanRecorder) sync() {
 	r.last = now
 }
 
+// trace records a scheduler event when a tracer is attached. The clock
+// is read only then: reading it drains the core's queued ops, which
+// would cost the thread a switch at every spawn and task end.
+func (c *Ctx) trace(k trace.Kind, arg uint64) {
+	if c.rt.Tracer != nil {
+		c.rt.Tracer.Emit(c.core.Now(), c.tid, k, arg)
+	}
+}
+
 // Convenience memory forwarding.
 
 // Load reads a simulated word.

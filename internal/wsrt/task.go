@@ -34,6 +34,14 @@ const (
 // Body is a task's execution body. Cross-task data must flow through
 // simulated memory (c.Load/c.Store), never through captured Go
 // variables that another task mutates.
+//
+// A body's Compute and Store are queued on its core and issue later, at
+// the cycles they would have had (see prog.Env), so the body runs ahead
+// of its own ops until it next needs a value. Go state shared with other
+// cores is therefore read or written only after a Load, an Amo or Now,
+// never straight after a Compute or Store; the runtime keeps the same
+// rule for its counters, its quarantine table and offlineMark, and
+// reads the clock for a trace event only when a tracer is attached.
 type Body func(c *Ctx)
 
 // taskRec is the Go-side record for a live task descriptor.
