@@ -116,12 +116,13 @@ func (s *Suite) toJSON(r *stats.Run) RunJSON {
 	return j
 }
 
-// encodeRuns is the one canonical JSON encoding of exported runs. Both
-// WriteJSON (the `paperbench -json` path) and ResultJSON (the serving
-// path) go through it, so a result served over the API is byte-identical
-// to the CLI export of the same run. encoding/json sorts map keys, so
-// the bytes are deterministic.
-func encodeRuns(w io.Writer, runs []RunJSON) error {
+// encodeRuns is the one canonical JSON encoding of exported runs, of
+// both kinds. The CLI exports (WriteJSON, WriteOpenJSON) and the
+// serving path (ResultJSON, OpenResultJSON) all go through it, so a
+// result served over the API is byte-identical to the CLI export of the
+// same run. encoding/json sorts map keys, so the bytes are
+// deterministic.
+func encodeRuns[T RunJSON | OpenRunJSON](w io.Writer, runs []T) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(runs)

@@ -3,7 +3,6 @@ package bench
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"io"
 
@@ -234,14 +233,6 @@ func openToJSON(r *openload.Result) OpenRunJSON {
 	}
 }
 
-// encodeOpenRuns is the one canonical encoding of open-system exports,
-// shared by WriteOpenJSON and OpenResultJSON (the serving path).
-func encodeOpenRuns(w io.Writer, runs []OpenRunJSON) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(runs)
-}
-
 // WriteOpenJSON emits every open-system cell cached in the suite,
 // sorted by cache key for deterministic bytes.
 func (s *Suite) WriteOpenJSON(w io.Writer) error {
@@ -251,7 +242,7 @@ func (s *Suite) WriteOpenJSON(w io.Writer) error {
 			out = append(out, openToJSON(r))
 		}
 	}
-	return encodeOpenRuns(w, out)
+	return encodeRuns(w, out)
 }
 
 // OpenResultJSON simulates (or recalls) one open-system cell and
@@ -264,7 +255,7 @@ func (s *Suite) OpenResultJSON(ctx context.Context, cfgName, scenario string, fa
 		return nil, err
 	}
 	var buf bytes.Buffer
-	if err := encodeOpenRuns(&buf, []OpenRunJSON{openToJSON(r)}); err != nil {
+	if err := encodeRuns(&buf, []OpenRunJSON{openToJSON(r)}); err != nil {
 		return nil, err
 	}
 	return buf.Bytes(), nil

@@ -112,7 +112,7 @@ func TestL2EvictionRecallsMESIInclusion(t *testing.T) {
 	for si := range l1.sets {
 		for wi := range l1.sets[si] {
 			ln := &l1.sets[si][wi]
-			if !ln.valid || ln.state == stateI {
+			if !ln.valid {
 				continue
 			}
 			if _, ok := sys.peek(sys.bankFor(ln.tag), ln.tag); !ok {

@@ -9,34 +9,34 @@ import (
 	"bigtiny/internal/sim"
 )
 
-type mesiState uint8
-
-// MESI line states.
+// L1 timing beyond the hit latency, in cycles.
 const (
-	stateI mesiState = iota
-	stateS
-	stateE
-	stateM
+	flashLat    = 2 // cache_invalidate's flash clear
+	amoLocalLat = 2 // an atomic in an owning L1 (MESI, DeNovo; paper §II-A)
 )
 
-// l1Line is one way of a private L1 set. MESI uses state at line
-// granularity; the software-centric protocols use the word masks
-// (Table I "Write Granularity").
+// l1Line is one way of a private L1 set. Every protocol keeps the
+// line's state in its word masks (Table I "Write Granularity"), and
+// MESI's masks are all or nothing: S and E are a line of valid words
+// (excl marks E), M a line of owned words.
 type l1Line struct {
 	tag   mem.Addr
 	valid bool
-	state mesiState
+	excl  bool // MESI E: the valid words are held exclusive and clean
 
 	validMask uint8 // words with a (possibly clean) coherent-at-fetch copy
 	dirtyMask uint8 // GPU-WB: locally dirty words awaiting flush/evict
-	ownedMask uint8 // DeNovo: words this core has registered (owns)
+	ownedMask uint8 // MESI M and DeNovo: words this core owns
 
 	data    [mem.WordsPerLine]uint64
 	lastUse uint64
 }
 
-// L1 is a private data cache attached to one core. Its behaviour is
-// selected by the configured Protocol.
+// L1 is a private data cache attached to one core. One mechanism on the
+// word masks serves all four protocols; the configured Protocol selects
+// only what Table I says differs: GPU-WT's write-through, GPU-WB's local
+// dirtying and flush, the no-owner protocols' AMOs at the L2, and
+// MESI's directory messages.
 type L1 struct {
 	sys   *System
 	core  int
@@ -68,6 +68,9 @@ func NewL1(sys *System, core int, proto Protocol, sizeBytes, ways int) *L1 {
 	numSets := sizeBytes / mem.LineSize / ways
 	if numSets < 1 {
 		panic(fmt.Sprintf("cache: L1 of %dB/%d ways too small", sizeBytes, ways))
+	}
+	if proto < MESI || proto > GPUWB {
+		panic(fmt.Sprintf("cache: unknown %v", proto))
 	}
 	l := &L1{
 		sys:     sys,
@@ -134,31 +137,27 @@ func (l *L1) allocSlot(now sim.Time, la mem.Addr) *l1Line {
 	return victim
 }
 
-// evict writes back or notifies as the protocol requires. Writebacks
-// are posted: the core does not wait for them.
+// evict writes the line's owned or dirty words back, or tells the
+// directory that a clean MESI copy left. Writebacks are posted: the
+// core does not wait for them.
 func (l *L1) evict(now sim.Time, ln *l1Line) {
-	switch l.proto {
-	case MESI:
-		if ln.state == stateM {
-			l.Stats.EvictWBLines++
-			l.sys.l2WriteBack(now, l.core, ln.tag, 0xFF, &ln.data, true)
-		} else if ln.state != stateI {
-			l.sys.l2EvictNotify(now, l.core, ln.tag)
-		}
-	case DeNovo:
-		if ln.ownedMask != 0 {
-			l.Stats.EvictWBLines++
-			l.sys.l2WriteBack(now, l.core, ln.tag, ln.ownedMask, &ln.data, true)
-		}
-	case GPUWT:
-		// Write-through: nothing is ever dirty.
-	case GPUWB:
-		if ln.dirtyMask != 0 {
-			l.Stats.EvictWBLines++
-			l.sys.l2WriteBack(now, l.core, ln.tag, ln.dirtyMask, &ln.data, false)
-		}
+	if wb := ln.ownedMask | ln.dirtyMask; wb != 0 {
+		l.Stats.EvictWBLines++
+		l.sys.l2WriteBack(now, l.core, ln.tag, wb, &ln.data, ln.ownedMask != 0)
+	} else if l.proto == MESI {
+		l.sys.l2EvictNotify(now, l.core, ln.tag)
 	}
 	ln.valid = false
+}
+
+// hold returns ln, touched, or a line newly installed for la if ln is
+// nil.
+func (l *L1) hold(now sim.Time, la mem.Addr, ln *l1Line) *l1Line {
+	if ln == nil {
+		return l.allocSlot(now, la)
+	}
+	l.touch(ln)
+	return ln
 }
 
 // touch updates LRU state.
@@ -193,22 +192,32 @@ func (l *L1) pressureFault(now sim.Time, a mem.Addr) {
 }
 
 // Load reads the word at a, returning its value and the completion
-// time.
+// time. A valid, owned or dirty word hits. A miss fetches the line and
+// merges it around the owned and dirty words, which are this core's
+// own writes and newer than the L2's copy.
 func (l *L1) Load(now sim.Time, a mem.Addr) (uint64, sim.Time) {
 	l.Stats.Loads++
 	l.pressureFault(now, a)
-	var v uint64
-	var done sim.Time
-	switch l.proto {
-	case MESI:
-		v, done = l.loadMESI(now, a)
-	case DeNovo:
-		v, done = l.loadDeNovo(now, a)
-	case GPUWT, GPUWB:
-		v, done = l.loadGPU(now, a)
-	default:
-		panic("cache: unknown protocol")
+	la, w := mem.LineAddr(a), mem.WordIndex(a)
+	ln := l.find(la)
+	done := now + l.hitLat
+	if ln != nil && (ln.validMask|ln.ownedMask|ln.dirtyMask)&(1<<w) != 0 {
+		l.touch(ln)
+	} else {
+		l.Stats.LoadMisses++
+		var data [mem.WordsPerLine]uint64
+		var grantedE bool
+		data, grantedE, done = l.sys.l2GetLine(done, l.core, la, false, l.proto == MESI)
+		ln = l.hold(now, la, ln)
+		keep := ln.ownedMask | ln.dirtyMask
+		for i := range data {
+			if keep&(1<<i) == 0 {
+				ln.data[i] = data[i]
+			}
+		}
+		ln.validMask, ln.excl = 0xFF&^keep, grantedE
 	}
+	v := ln.data[w]
 	if l.Oracle != nil {
 		l.Oracle.OnLoad(l.core, uint64(a), v)
 	}
@@ -219,18 +228,37 @@ func (l *L1) Load(now sim.Time, a mem.Addr) (uint64, sim.Time) {
 func (l *L1) Store(now sim.Time, a mem.Addr, v uint64) sim.Time {
 	l.Stats.Stores++
 	l.pressureFault(now, a)
+	la, w := mem.LineAddr(a), mem.WordIndex(a)
+	bit := uint8(1) << w
 	var done sim.Time
 	switch l.proto {
-	case MESI:
-		done = l.storeMESI(now, a, v)
-	case DeNovo:
-		done = l.storeDeNovo(now, a, v)
+	case MESI, DeNovo:
+		var ln *l1Line
+		ln, done = l.own(now, la, w, true)
+		ln.data[w] = v
 	case GPUWT:
-		done = l.storeGPUWT(now, a, v)
+		// Write-through without write-allocate: a local clean copy is
+		// updated. The store completes when it is globally visible at
+		// the L2; the core's store buffer decides whether to stall on it.
+		if ln := l.find(la); ln != nil && ln.validMask&bit != 0 {
+			l.touch(ln)
+			ln.data[w] = v
+		} else {
+			l.Stats.StoreMisses++
+		}
+		done = l.sys.l2WriteThrough(now+l.hitLat, l.core, la, w, v)
 	case GPUWB:
-		done = l.storeGPUWB(now, a, v)
-	default:
-		panic("cache: unknown protocol")
+		// Write-allocate without fetch: per-word dirty bits let a miss
+		// install just this word, at zero network cost.
+		ln := l.find(la)
+		if ln == nil {
+			l.Stats.StoreMisses++
+		}
+		ln = l.hold(now, la, ln)
+		ln.data[w] = v
+		ln.dirtyMask |= bit
+		ln.validMask |= bit
+		done = now + l.hitLat
 	}
 	if l.Oracle != nil {
 		l.Oracle.OnStore(l.core, uint64(a), v)
@@ -245,17 +273,18 @@ func (l *L1) Store(now sim.Time, a mem.Addr, v uint64) sim.Time {
 func (l *L1) Amo(now sim.Time, a mem.Addr, op AmoOp, arg1, arg2 uint64) (uint64, sim.Time) {
 	l.Stats.Amos++
 	l.pressureFault(now, a)
+	la, w := mem.LineAddr(a), mem.WordIndex(a)
 	var old uint64
 	var done sim.Time
-	switch l.proto {
-	case MESI:
-		old, done = l.amoMESI(now, a, op, arg1, arg2)
-	case DeNovo:
-		old, done = l.amoDeNovo(now, a, op, arg1, arg2)
-	case GPUWT, GPUWB:
-		old, done = l.amoGPU(now, a, op, arg1, arg2)
-	default:
-		panic("cache: unknown protocol")
+	if l.proto == GPUWT || l.proto == GPUWB {
+		old, done = l.amoAtL2(now, la, w, op, arg1, arg2)
+	} else {
+		ln, ready := l.own(now, la, w, false)
+		old = ln.data[w]
+		if newVal, write := ApplyAmo(op, old, arg1, arg2); write {
+			ln.data[w] = newVal
+		}
+		done = ready + amoLocalLat
 	}
 	if l.Oracle != nil {
 		newVal, wrote := ApplyAmo(op, old, arg1, arg2)
@@ -264,110 +293,151 @@ func (l *L1) Amo(now sim.Time, a mem.Addr, op AmoOp, arg1, arg2 uint64) (uint64,
 	return old, done
 }
 
-// Invalidate executes cache_invalidate: self-invalidate all clean data
-// (no-op on MESI; paper Fig. 3 legend). It is a flash operation.
-func (l *L1) Invalidate(now sim.Time) sim.Time {
-	l.Stats.InvOps++
-	const flashLat = 2
-	switch l.proto {
-	case MESI:
-		return now // no-op
-	case DeNovo, GPUWB:
-		// Clean words are invalidated; owned (DeNovo) or dirty (GPU-WB)
-		// words survive — they are this core's own writes.
-		for si := range l.sets {
-			for wi := range l.sets[si] {
-				ln := &l.sets[si][wi]
-				if !ln.valid {
-					continue
-				}
-				keep := ln.ownedMask | ln.dirtyMask
-				if ln.validMask&^keep != 0 {
-					l.Stats.InvLines++
-				}
-				ln.validMask &= keep
-				if ln.validMask|ln.ownedMask|ln.dirtyMask == 0 {
-					ln.valid = false
-				}
-			}
-		}
-		return now + flashLat
-	case GPUWT:
-		for si := range l.sets {
-			for wi := range l.sets[si] {
-				ln := &l.sets[si][wi]
-				if ln.valid {
-					if ln.validMask != 0 {
-						l.Stats.InvLines++
-					}
-					ln.valid = false
-					ln.validMask = 0
-				}
-			}
-		}
-		return now + flashLat
+// own gives a MESI or DeNovo L1 write ownership of word w of la, and
+// returns the line and when the core may write it. MESI owns whole
+// lines: E becomes M silently, S upgrades at the directory and a miss
+// fetches the line exclusive. DeNovo registers just the word with the
+// L2. A MESI miss counts as a store miss even for an AMO; a DeNovo
+// registration counts only for a store.
+func (l *L1) own(now sim.Time, la mem.Addr, w int, store bool) (*l1Line, sim.Time) {
+	ln := l.find(la)
+	ready := now + l.hitLat
+	if ln != nil && ln.ownedMask&(1<<w) != 0 { // M, or a registered word
+		l.touch(ln)
+		return ln, ready
 	}
-	panic("cache: unknown protocol")
+	m := uint8(1) << w
+	if l.proto == MESI {
+		m = 0xFF
+	}
+	switch {
+	case ln != nil && ln.excl: // E: the directory already has us as owner
+		l.touch(ln)
+	case ln != nil && l.proto == MESI:
+		ready = l.sys.l2Upgrade(ready, l.core, la)
+		l.touch(ln)
+	case l.proto == MESI:
+		l.Stats.StoreMisses++
+		var data [mem.WordsPerLine]uint64
+		data, _, ready = l.sys.l2GetLine(ready, l.core, la, true, true)
+		ln = l.allocSlot(now, la)
+		ln.data = data
+	default:
+		if store {
+			l.Stats.StoreMisses++
+		}
+		var word uint64
+		word, ready = l.sys.l2RegisterWord(ready, l.core, la, w)
+		ln = l.hold(now, la, ln)
+		ln.data[w] = word
+	}
+	ln.ownedMask |= m
+	ln.validMask &^= m
+	ln.excl = false
+	return ln, ready
 }
 
-// Flush executes cache_flush: write back all dirty data (no-op on MESI,
-// DeNovo and — modulo store-buffer drain — GPU-WT; paper Fig. 3
-// legend).
+// amoAtL2 performs the atomic at the shared L2, as the protocols
+// without ownership (GPU-WT, GPU-WB) must. A locally dirty copy of the
+// word rides along, and the local copy is dropped so that the next read
+// observes the globally ordered value.
+func (l *L1) amoAtL2(now sim.Time, la mem.Addr, w int, op AmoOp, arg1, arg2 uint64) (uint64, sim.Time) {
+	bit := uint8(1) << w
+	var dirtyWord *uint64
+	ln := l.find(la)
+	if ln != nil && ln.dirtyMask&bit != 0 {
+		v := ln.data[w]
+		dirtyWord = &v
+	}
+	old, done := l.sys.l2Amo(now+l.hitLat, l.core, la, w, op, arg1, arg2, dirtyWord)
+	if ln != nil {
+		ln.validMask &^= bit
+		ln.dirtyMask &^= bit
+		ln.valid = ln.validMask|ln.dirtyMask != 0
+	}
+	return old, done
+}
+
+// Invalidate executes cache_invalidate, a flash operation: clean words
+// are dropped, and owned (DeNovo) and dirty (GPU-WB) words survive,
+// being this core's own writes. It is a no-op on MESI, whose copies the
+// directory keeps coherent (paper Fig. 3 legend).
+func (l *L1) Invalidate(now sim.Time) sim.Time {
+	l.Stats.InvOps++
+	if l.proto == MESI {
+		return now
+	}
+	for si := range l.sets {
+		for wi := range l.sets[si] {
+			ln := &l.sets[si][wi]
+			if !ln.valid {
+				continue
+			}
+			keep := ln.ownedMask | ln.dirtyMask
+			if ln.validMask&^keep != 0 {
+				l.Stats.InvLines++
+			}
+			ln.validMask &= keep
+			ln.valid = keep != 0
+		}
+	}
+	return now + flashLat
+}
+
+// Flush executes cache_flush: GPU-WB writes back every dirty word. It
+// is a no-op on MESI and DeNovo, whose ownership propagates dirty data,
+// and on GPU-WT, which holds nothing dirty (the core drains its store
+// buffer at the fence); paper Fig. 3 legend.
 func (l *L1) Flush(now sim.Time) sim.Time {
 	l.Stats.FlushOps++
-	switch l.proto {
-	case MESI, DeNovo:
-		return now // ownership propagates dirty data; nothing to do
-	case GPUWT:
-		// Write-through: nothing is dirty in the cache itself. (The
-		// core-level store buffer is drained by the core's fence
-		// handling.)
+	if l.proto != GPUWB {
 		return now
-	case GPUWB:
-		// Write back every dirty word in the cache. Writebacks issue one
-		// per cycle from the L1 port and complete at the L2; the flush
-		// is a fence, so it finishes when the last writeback lands.
-		done := now
-		issue := now
-		for si := range l.sets {
-			for wi := range l.sets[si] {
-				ln := &l.sets[si][wi]
-				if !ln.valid || ln.dirtyMask == 0 {
-					continue
-				}
-				l.Stats.FlushLines++
-				c := l.sys.l2WriteBack(issue, l.core, ln.tag, ln.dirtyMask, &ln.data, false)
-				issue++
-				if c > done {
-					done = c
-				}
-				ln.validMask |= ln.dirtyMask // data remains valid locally
-				ln.dirtyMask = 0
-			}
-		}
-		return done
 	}
-	panic("cache: unknown protocol")
+	// Writebacks issue one per cycle from the L1 port and complete at
+	// the L2; the flush is a fence, so it finishes when the last
+	// writeback lands.
+	done := now
+	issue := now
+	for si := range l.sets {
+		for wi := range l.sets[si] {
+			ln := &l.sets[si][wi]
+			if !ln.valid || ln.dirtyMask == 0 {
+				continue
+			}
+			l.Stats.FlushLines++
+			c := l.sys.l2WriteBack(issue, l.core, ln.tag, ln.dirtyMask, &ln.data, false)
+			issue++
+			if c > done {
+				done = c
+			}
+			ln.validMask |= ln.dirtyMask // data remains valid locally
+			ln.dirtyMask = 0
+		}
+	}
+	return done
 }
 
 // --- recall hooks called by the L2/directory ---
 
-// recallMESI pulls the line back from this (owning) L1, downgrading to
-// S or invalidating. It returns the line data and whether it was dirty.
-func (l *L1) recallMESI(la mem.Addr, invalidate bool) ([mem.WordsPerLine]uint64, bool) {
+// held returns the line holding la, which the directory records this
+// L1 as holding.
+func (l *L1) held(la mem.Addr) *l1Line {
 	ln := l.find(la)
 	if ln == nil {
 		panic(fmt.Sprintf("cache: recall of absent line %#x at core %d", uint64(la), l.core))
 	}
-	data := ln.data
-	dirty := ln.state == stateM
-	if invalidate {
-		ln.valid = false
-		ln.state = stateI
-	} else {
-		ln.state = stateS
-	}
-	return data, dirty
+	return ln
+}
+
+// recallMESI pulls the line back from this (owning) L1, downgrading it
+// to S or invalidating it. It returns the line data and whether it was
+// dirty (M).
+func (l *L1) recallMESI(la mem.Addr, invalidate bool) ([mem.WordsPerLine]uint64, bool) {
+	ln := l.held(la)
+	dirty := ln.ownedMask != 0
+	ln.validMask, ln.ownedMask, ln.excl = 0xFF, 0, false
+	ln.valid = !invalidate
+	return ln.data, dirty
 }
 
 // invalidateMESILine drops a shared copy (writer-initiated
@@ -375,32 +445,22 @@ func (l *L1) recallMESI(la mem.Addr, invalidate bool) ([mem.WordsPerLine]uint64,
 func (l *L1) invalidateMESILine(la mem.Addr) {
 	if ln := l.find(la); ln != nil {
 		ln.valid = false
-		ln.state = stateI
 	}
 }
 
 // recallWords surrenders DeNovo ownership of the masked words,
 // returning their data. The local copy stays valid (clean).
 func (l *L1) recallWords(la mem.Addr, mask uint8) [mem.WordsPerLine]uint64 {
-	ln := l.find(la)
-	if ln == nil {
-		panic(fmt.Sprintf("cache: word recall of absent line %#x at core %d", uint64(la), l.core))
-	}
+	ln := l.held(la)
 	ln.validMask |= ln.ownedMask & mask
 	ln.ownedMask &^= mask
 	return ln.data
 }
 
-// debugDirtyWord reports this cache's dirty/owned copy of a word, if
+// debugDirtyWord reports this cache's owned or dirty copy of a word, if
 // it has one. Test-only.
 func (l *L1) debugDirtyWord(la mem.Addr, w int) (uint64, bool) {
-	ln := l.find(la)
-	if ln == nil {
-		return 0, false
-	}
-	bit := uint8(1) << w
-	if (l.proto == MESI && ln.state == stateM) ||
-		ln.ownedMask&bit != 0 || ln.dirtyMask&bit != 0 {
+	if ln := l.find(la); ln != nil && (ln.ownedMask|ln.dirtyMask)&(1<<w) != 0 {
 		return ln.data[w], true
 	}
 	return 0, false

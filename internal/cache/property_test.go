@@ -117,11 +117,11 @@ func TestMESISWMRProperty(t *testing.T) {
 			owners, holders := 0, 0
 			for c := range protos {
 				ln := sys.L1(c).find(mem.LineAddr(addr))
-				if ln == nil || !ln.valid || ln.state == stateI {
+				if ln == nil || !ln.valid {
 					continue
 				}
 				holders++
-				if ln.state == stateM || ln.state == stateE {
+				if ln.ownedMask != 0 || ln.excl {
 					owners++
 				}
 			}
@@ -165,7 +165,7 @@ func TestDirectoryPrecisionProperty(t *testing.T) {
 			}
 			for c := range protos {
 				ln := sys.L1(c).find(la)
-				has := ln != nil && ln.valid && ln.state != stateI
+				has := ln != nil && ln.valid
 				tracked := line.sharers.has(c) || line.owner == c
 				if has != tracked {
 					t.Logf("directory imprecise for core %d line %#x: has=%v tracked=%v",

@@ -17,11 +17,24 @@ import "fmt"
 // Protocol selects the coherence protocol of a private L1 cache.
 type Protocol int
 
-// The four protocols characterized in paper Table I.
+// The four protocols characterized in paper Table I, along its axes:
+// who invalidates stale copies, write-through or write-back, whether a
+// writer owns the data, and the write granularity.
 const (
+	// MESI: writer-initiated invalidation, owner write-back, line
+	// granularity. cache_invalidate and cache_flush are no-ops.
 	MESI Protocol = iota
+	// DeNovo (the DeNovoSync variant): reader-initiated invalidation,
+	// owner write-back, word granularity. cache_invalidate keeps owned
+	// words; cache_flush is a no-op, as ownership propagates dirty data.
 	DeNovo
+	// GPUWT (GPU-WT): reader-initiated invalidation, no-owner
+	// write-through without write-allocate, word granularity.
+	// cache_flush only drains the core's store buffer.
 	GPUWT
+	// GPUWB (GPU-WB): like GPU-WT but write-back. Stores dirty words
+	// locally, visible to others only after cache_flush or eviction;
+	// the protocol for which DTS pays off most (paper §VI-C).
 	GPUWB
 )
 

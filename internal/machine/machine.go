@@ -258,10 +258,3 @@ func (m *Machine) Run() error {
 	}
 	return err
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -192,7 +192,7 @@ func (u *Unit) Disable() {
 	if u.pending != nil {
 		req := u.pending
 		u.pending = nil
-		u.fabric.nack(u.fabric.kernel.Now(), u, req)
+		u.fabric.respond(u.fabric.kernel.Now(), u, req, 0, false)
 	}
 }
 
@@ -249,11 +249,11 @@ func (u *Unit) receive(now sim.Time, req *request) {
 	// looks at its own state, modelling a victim whose buffer is held
 	// busy by adversarial timing.
 	if u.fabric.Faults.ULIForceNack(now) {
-		u.fabric.nack(now, u, req)
+		u.fabric.respond(now, u, req, 0, false)
 		return
 	}
 	if !u.enabled || u.handling || u.waiting || u.pending != nil {
-		u.fabric.nack(now, u, req)
+		u.fabric.respond(now, u, req, 0, false)
 		return
 	}
 	// Buffer the request; the victim's thread picks it up at its next
@@ -261,23 +261,32 @@ func (u *Unit) receive(now sim.Time, req *request) {
 	u.pending = req
 }
 
-// nack sends a refusal back to the thief. A dropped NACK terminates the
-// request as a Drop; the thief's timeout recovers it.
-func (f *Fabric) nack(now sim.Time, victim *Unit, req *request) {
+// respond sends victim's answer to req back to its thief: an ACK
+// carrying payload if ok, else a NACK. It reports false if the mesh
+// dropped the response, which counts as a Drop; the thief's timeout
+// recovers the request. With no timeout armed the thief's registers are
+// written at send time; otherwise deliverResp writes them at arrival.
+func (f *Fabric) respond(now sim.Time, victim *Unit, req *request, payload uint64, ok bool) bool {
 	t := f.units[req.thief]
 	arrive, dropped := f.mesh.SendLossy(now, victim.node, t.node, msgBytes, noc.SyncResp, f.Faults)
 	arrive += f.Faults.ULIDelay(arrive)
 	if dropped {
 		f.Stats.Drops++
-		return
+		return false
 	}
-	f.Stats.Nacks++
+	if ok {
+		f.Stats.Acks++
+		f.Stats.LatencySum += arrive - req.sentAt
+	} else {
+		f.Stats.Nacks++
+	}
 	if f.Timeout == 0 {
-		t.respPayload, t.respOK, t.respAt = 0, false, arrive
+		t.respPayload, t.respOK, t.respAt = payload, ok, arrive
 		t.unblockAt(arrive)
-		return
+	} else {
+		f.kernel.At(arrive, func() { t.deliverResp(arrive, req.epoch, payload, ok) })
 	}
-	f.kernel.At(arrive, func() { t.deliverResp(arrive, req.epoch, 0, false) })
+	return true
 }
 
 // deliverResp runs in the kernel at response-arrival time on the thief
@@ -371,32 +380,15 @@ func (u *Unit) Poll(proc *sim.Proc) {
 	if u.handler != nil {
 		payload = u.handler(req.thief)
 	}
-	f := u.fabric
-	t := f.units[req.thief]
-	arrive, dropped := f.mesh.SendLossy(proc.Now(), u.node, t.node, msgBytes, noc.SyncResp, f.Faults)
-	arrive += f.Faults.ULIDelay(arrive)
-	if dropped {
+	if !u.fabric.respond(proc.Now(), u, req, payload, true) && payload != 0 {
 		// The hand-off is lost: the thief's timeout will treat the steal
 		// as NACKed, so the victim takes the task back (restitution) —
 		// it must not be lost, and the thief must not get it twice.
-		f.Stats.Drops++
-		if payload != 0 {
-			f.Stats.Restitutions++
-			if u.restitute == nil {
-				panic("uli: dropped ACK with a task payload and no restitute hook")
-			}
-			u.restitute(payload)
+		u.fabric.Stats.Restitutions++
+		if u.restitute == nil {
+			panic("uli: dropped ACK with a task payload and no restitute hook")
 		}
-		u.handling = false
-		return
-	}
-	f.Stats.Acks++
-	f.Stats.LatencySum += arrive - req.sentAt
-	if f.Timeout == 0 {
-		t.respPayload, t.respOK, t.respAt = payload, true, arrive
-		t.unblockAt(arrive)
-	} else {
-		f.kernel.At(arrive, func() { t.deliverResp(arrive, req.epoch, payload, true) })
+		u.restitute(payload)
 	}
 	u.handling = false
 }

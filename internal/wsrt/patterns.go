@@ -8,28 +8,23 @@ import "bigtiny/internal/mem"
 // written once with plain stores *before* any child becomes visible,
 // so no atomicity is needed for the initialization.
 func (c *Ctx) Fork(fid int, bodies ...Body) {
-	if c.core == nil {
-		if r := c.spanRec; r != nil {
-			// Cilkview-style span accounting: the fork's span is the
-			// serial prefix plus the maximum child span.
-			r.sync()
-			s0 := r.cur
-			var maxChild uint64
-			for _, b := range bodies {
-				r.tasks++
-				r.cur = 0
-				b(c)
-				r.sync()
-				if r.cur > maxChild {
-					maxChild = r.cur
-				}
-			}
-			r.cur = s0 + maxChild
-			return
-		}
+	if r := c.spanRec; r != nil {
+		// Native mode (RT.Analyze), with Cilkview-style span
+		// accounting: the fork's span is the serial prefix plus the
+		// maximum child span.
+		r.sync()
+		s0 := r.cur
+		var maxChild uint64
 		for _, b := range bodies {
+			r.tasks++
+			r.cur = 0
 			b(c)
+			r.sync()
+			if r.cur > maxChild {
+				maxChild = r.cur
+			}
 		}
+		r.cur = s0 + maxChild
 		return
 	}
 	if len(bodies) == 0 {

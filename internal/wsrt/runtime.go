@@ -286,8 +286,9 @@ type Ctx struct {
 	cur mem.Addr // descriptor of the currently executing task
 	// failStreak counts consecutive failed steals for backoff.
 	failStreak int
-	// spanRec, when set in native mode, performs Cilkview-style
-	// work/span accounting.
+	// spanRec performs Cilkview-style work/span accounting in native
+	// mode. It is set exactly when core is nil: the one native context
+	// is the one RT.Analyze makes.
 	spanRec *spanRecorder
 }
 
