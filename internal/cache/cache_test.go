@@ -10,8 +10,14 @@ import (
 )
 
 // newTestSystem builds a small 2-row mesh (cores on row 0, L2 banks on
-// row 1) with one L1 per protocol in protos.
+// row 1) with one L1 per protocol in protos and 2 L2 banks of 64 sets.
 func newTestSystem(t testing.TB, protos []Protocol, l1Bytes int) *System {
+	t.Helper()
+	return newTestSystemSets(t, protos, l1Bytes, 64)
+}
+
+// newTestSystemSets is newTestSystem with l2Sets sets per L2 bank.
+func newTestSystemSets(t testing.TB, protos []Protocol, l1Bytes, l2Sets int) *System {
 	t.Helper()
 	cols := len(protos)
 	if cols < 2 {
@@ -22,7 +28,7 @@ func newTestSystem(t testing.TB, protos []Protocol, l1Bytes int) *System {
 	numBanks := 2
 	cfg := Config{
 		NumCores:      len(protos),
-		L2SetsPerBank: 64,
+		L2SetsPerBank: l2Sets,
 		L2Ways:        8,
 	}
 	for c := range protos {

@@ -67,11 +67,19 @@ type bank struct {
 	id   int
 	node noc.NodeID
 	res  sim.Resource
-	// sets[i] is empty until a fill first touches set i (see lookup): a
-	// run pays for the sets it uses, not for the bank's whole geometry.
-	sets []l2Set
-	mc   *dram.Controller
+	// chunks[i] holds sets i*l2ChunkSets onwards. A chunk is nil, and a
+	// set in it has no ways, until a fill first touches the set (see
+	// lookup): a run pays for the sets it uses, not for the bank's whole
+	// geometry.
+	chunks []*l2Chunk
+	mc     *dram.Controller
 }
+
+// l2ChunkSets is the number of consecutive sets allocated together.
+const l2ChunkSets = 64
+
+// l2Chunk is l2ChunkSets consecutive sets of a bank.
+type l2Chunk [l2ChunkSets]l2Set
 
 // l2Set is one set of a bank: its ways, and one slab holding every
 // way's sharer list. Neither holds a pointer, so the garbage collector
@@ -122,10 +130,10 @@ func NewSystem(cfg Config, m *noc.Mesh, backing *mem.Memory) *System {
 	}
 	for b := range cfg.BankNode {
 		s.banks = append(s.banks, &bank{
-			id:   b,
-			node: cfg.BankNode[b],
-			sets: make([]l2Set, cfg.L2SetsPerBank),
-			mc:   cfg.MCs[b],
+			id:     b,
+			node:   cfg.BankNode[b],
+			chunks: make([]*l2Chunk, (cfg.L2SetsPerBank+l2ChunkSets-1)/l2ChunkSets),
+			mc:     cfg.MCs[b],
 		})
 	}
 	s.l1s = make([]*L1, cfg.NumCores)
@@ -170,7 +178,13 @@ func (s *System) way(set *l2Set, i int) l2Ref {
 // DRAM on a miss (and evicting an existing line if the set is full).
 // ready is when the line's data is available at the bank.
 func (s *System) lookup(now sim.Time, b *bank, la mem.Addr) (line l2Ref, ready sim.Time) {
-	set := &b.sets[b.setIndex(la, len(s.banks), s.cfg.L2SetsPerBank)]
+	si := b.setIndex(la, len(s.banks), s.cfg.L2SetsPerBank)
+	ch := b.chunks[si/l2ChunkSets]
+	if ch == nil {
+		ch = new(l2Chunk)
+		b.chunks[si/l2ChunkSets] = ch
+	}
+	set := &ch[si%l2ChunkSets]
 	if set.ways == nil {
 		*set = s.newSet()
 	}

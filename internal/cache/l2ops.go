@@ -175,9 +175,15 @@ func (s *System) l2EvictNotify(now sim.Time, core int, la mem.Addr) {
 }
 
 // peek returns the L2 line for la if present, without filling. A set
-// no fill has touched has no ways: a miss, and it stays unallocated.
+// no fill has touched has no ways, or no chunk: a miss, and it stays
+// unallocated.
 func (s *System) peek(b *bank, la mem.Addr) (l2Ref, bool) {
-	set := &b.sets[b.setIndex(la, len(s.banks), s.cfg.L2SetsPerBank)]
+	si := b.setIndex(la, len(s.banks), s.cfg.L2SetsPerBank)
+	ch := b.chunks[si/l2ChunkSets]
+	if ch == nil {
+		return l2Ref{}, false
+	}
+	set := &ch[si%l2ChunkSets]
 	for i := range set.ways {
 		if set.ways[i].valid && set.ways[i].tag == la {
 			return s.way(set, i), true

@@ -8,17 +8,23 @@ import (
 	"bigtiny/internal/sim"
 )
 
-// l2SetsInUse counts the L2 sets a fill has materialised.
-func l2SetsInUse(sys *System) int {
-	n := 0
+// l2SetsInUse counts the L2 sets a fill has materialised, and the
+// chunks holding them.
+func l2SetsInUse(sys *System) (sets, chunks int) {
 	for _, b := range sys.banks {
-		for _, set := range b.sets {
-			if set.ways != nil {
-				n++
+		for _, ch := range b.chunks {
+			if ch == nil {
+				continue
+			}
+			chunks++
+			for _, set := range ch {
+				if set.ways != nil {
+					sets++
+				}
 			}
 		}
 	}
-	return n
+	return sets, chunks
 }
 
 // l1SetsInUse counts the sets of one L1 a fill has materialised.
@@ -32,14 +38,20 @@ func l1SetsInUse(l *L1) int {
 	return n
 }
 
-// TestSetsMaterialiseOnFirstTouch: a fresh system holds no sets, and
-// loads, stores, AMOs and flushes from all four protocols over N
-// distinct lines materialise at most N L2 sets and N sets per L1.
+// TestSetsMaterialiseOnFirstTouch: a fresh system holds no set storage
+// at all, and loads, stores, AMOs and flushes from all four protocols
+// over N distinct lines materialise at most N L2 sets, in at most N
+// chunks, and N sets per L1.
 func TestSetsMaterialiseOnFirstTouch(t *testing.T) {
 	protos := []Protocol{MESI, DeNovo, GPUWT, GPUWB}
 	sys := newTestSystem(t, protos, 4096)
-	if n := l2SetsInUse(sys); n != 0 {
-		t.Fatalf("fresh system holds %d L2 sets, want 0", n)
+	if n, chunks := l2SetsInUse(sys); n != 0 || chunks != 0 {
+		t.Fatalf("fresh system holds %d L2 sets in %d chunks, want none", n, chunks)
+	}
+	for c, p := range protos {
+		if n := l1SetsInUse(sys.L1(c)); n != 0 {
+			t.Fatalf("fresh %v L1 holds %d sets, want 0", p, n)
+		}
 	}
 	const lines = 10
 	base := sys.Mem().Alloc(lines * mem.LineSize)
@@ -56,13 +68,47 @@ func TestSetsMaterialiseOnFirstTouch(t *testing.T) {
 	for c := range protos {
 		tt = sys.L1(c).Flush(tt)
 	}
-	if n := l2SetsInUse(sys); n == 0 || n > lines {
-		t.Fatalf("%d distinct lines materialised %d L2 sets, want 1..%d", lines, n, lines)
+	if n, chunks := l2SetsInUse(sys); n == 0 || n > lines || chunks == 0 || chunks > n {
+		t.Fatalf("%d distinct lines materialised %d L2 sets in %d chunks, want 1..%d sets in 1..sets chunks",
+			lines, n, chunks, lines)
 	}
 	for c, p := range protos {
 		if n := l1SetsInUse(sys.L1(c)); n == 0 || n > lines {
 			t.Fatalf("%v L1: %d distinct lines materialised %d sets, want 1..%d", p, lines, n, lines)
 		}
+	}
+}
+
+// TestL2ChunksMaterialiseOnFirstTouch: on banks of 1024 sets, a fill
+// allocates the one chunk of 64 sets around its set, and a lookup that
+// does not fill, in a chunk no fill has touched, allocates nothing.
+func TestL2ChunksMaterialiseOnFirstTouch(t *testing.T) {
+	sys := newTestSystemSets(t, []Protocol{MESI, GPUWB}, 4096, 1024)
+	for _, b := range sys.banks {
+		if len(b.chunks) != 1024/l2ChunkSets {
+			t.Fatalf("bank %d has %d chunk slots, want %d", b.id, len(b.chunks), 1024/l2ChunkSets)
+		}
+	}
+	// Lines one chunk apart in one bank: 2 banks x 64 sets of 64-byte lines.
+	const stride = 2 * l2ChunkSets * mem.LineSize
+	const lines = 3
+	base := sys.Mem().Alloc((lines + 1) * stride)
+	tt := sim.Time(0)
+	for i := 0; i < lines; i++ {
+		_, tt = sys.L1(i%2).Load(tt, base+mem.Addr(i*stride))
+	}
+	if n, chunks := l2SetsInUse(sys); n != lines || chunks != lines {
+		t.Fatalf("%d lines a chunk apart materialised %d sets in %d chunks, want %d in %d",
+			lines, n, chunks, lines, lines)
+	}
+	if _, ok := sys.peek(sys.bankFor(base), base+lines*stride); ok {
+		t.Fatal("peek hit a line no fill brought in")
+	}
+	sys.DebugReadWord(base + lines*stride)
+	sys.l2EvictNotify(tt, 0, base+lines*stride)
+	if n, chunks := l2SetsInUse(sys); n != lines || chunks != lines {
+		t.Fatalf("lookups without a fill grew the table to %d sets in %d chunks, want %d in %d",
+			n, chunks, lines, lines)
 	}
 }
 
@@ -75,8 +121,8 @@ func TestDebugReadUntouched(t *testing.T) {
 	if got := sys.DebugReadWord(a + 8); got != 4321 {
 		t.Fatalf("DebugReadWord = %d, want DRAM's 4321", got)
 	}
-	if n := l2SetsInUse(sys); n != 0 {
-		t.Fatalf("DebugReadWord materialised %d L2 sets, want 0", n)
+	if n, chunks := l2SetsInUse(sys); n != 0 || chunks != 0 {
+		t.Fatalf("DebugReadWord materialised %d L2 sets in %d chunks, want none", n, chunks)
 	}
 }
 
@@ -113,8 +159,8 @@ func TestUntouchedSetsAreEmpty(t *testing.T) {
 	if sys.L2Stats != (L2Stats{}) {
 		t.Errorf("L2 stats %+v, want zero", sys.L2Stats)
 	}
-	if n := l2SetsInUse(sys); n != 0 {
-		t.Errorf("materialised %d L2 sets, want 0", n)
+	if n, chunks := l2SetsInUse(sys); n != 0 || chunks != 0 {
+		t.Errorf("materialised %d L2 sets in %d chunks, want none", n, chunks)
 	}
 	if n := inj.Count(fault.CacheEvict); n != 0 {
 		t.Errorf("%d forced evictions recorded on untouched sets, want 0", n)

@@ -347,7 +347,9 @@ func TestWallTimeout(t *testing.T) {
 // goroutines (or the machines their stacks pin) for the rest of its life.
 // The budget runs out when the test says so, once the job has parked
 // procs, not after a fixed wall time a loaded host can spend building
-// the machine.
+// the machine. Procs run on pooled coroutines, so starting them moves
+// no goroutine count; the test reads the parked procs off the
+// goroutines' stacks instead.
 func TestWallTimeoutsLeakNothing(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1, WallTimeout: time.Minute, QuarantineAfter: 100})
 	body, err := json.Marshal(JobRequest{Config: "bT/HCC-DTS-gwb", App: "cilk5-cs", Size: "big"})
@@ -366,7 +368,6 @@ func TestWallTimeoutsLeakNothing(t *testing.T) {
 		// to the worker that reads it.
 		parent, expire := context.WithCancel(context.Background())
 		s.baseCtx, s.baseCancel = parent, expire
-		idle := runtime.NumGoroutine()
 		answered := make(chan answer, 1)
 		go func() {
 			resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
@@ -378,10 +379,9 @@ func TestWallTimeoutsLeakNothing(t *testing.T) {
 			b, err := io.ReadAll(resp.Body)
 			answered <- answer{resp.StatusCode, b, err}
 		}()
-		// A proc's coroutine exists from its first resume, and only one
-		// proc runs at a time: once half of the 64 have one, procs are
-		// parked mid-run.
-		for runtime.NumGoroutine() < idle+32 {
+		// Only one proc runs at a time: once 32 stacks are inside a
+		// proc's yield, procs are parked mid-run.
+		for parkedProcs() < 32 {
 			select {
 			case a := <-answered:
 				t.Fatalf("big job answered before its procs started: status %d, %v\n%s", a.status, a.err, a.body)
@@ -408,6 +408,20 @@ func TestWallTimeoutsLeakNothing(t *testing.T) {
 	// A leak is 64 goroutines a job; the slack is for the HTTP stack.
 	if after := runtime.NumGoroutine(); after > before+4 {
 		t.Fatalf("%d goroutines after 5 more timed-out jobs, %d before", after, before)
+	}
+}
+
+// parkedProcs counts the goroutines whose stack is inside a simulated
+// proc's yield: procs parked mid-run, plus the one running, if it is
+// dispatching.
+func parkedProcs() int {
+	buf := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			return strings.Count(string(buf[:n]), "bigtiny/internal/sim.(*Proc).yield(")
+		}
+		buf = make([]byte, 2*len(buf))
 	}
 }
 

@@ -18,7 +18,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"iter"
 	"strings"
 	"sync/atomic"
 )
@@ -302,6 +301,9 @@ const (
 	// empty queue, deadline, interrupt, callback panic) is recorded in
 	// the kernel for Run to consume; it must not be evaluated again.
 	dispatchStopped
+	// dispatchFinished: a carrier's body returned (see carrier.loop);
+	// never returned by dispatch itself.
+	dispatchFinished
 )
 
 // dispatch is the event loop, runnable by whoever holds the control
@@ -371,23 +373,27 @@ func (k *Kernel) dispatch(self *Proc) dispatchOutcome {
 	}
 }
 
-// resume switches from the goroutine inside Run to p's coroutine, then
-// to each proc the yielding dispatchers name in turn. It returns
-// dispatchSelf when the caller should dispatch on, and dispatchStopped
-// on a run-level condition. Procs never resume each other: iter.Pull
-// panics once control comes back round to a coroutine waiting inside
-// next.
+// resume switches from the goroutine inside Run to p's carrier, then
+// to each proc the yielding dispatchers name in turn; a proc's first
+// resume takes a carrier from the pool, and a finished body's carrier
+// goes back. It returns dispatchSelf when the caller should dispatch
+// on, and dispatchStopped on a run-level condition. Procs never resume
+// each other: iter.Pull panics once control comes back round to a
+// coroutine waiting inside next.
 func (k *Kernel) resume(p *Proc) dispatchOutcome {
 	for {
-		if p.next == nil {
-			p.next, p.stop = iter.Pull(p.main)
+		c := p.carrier
+		if c == nil {
+			c = getCarrier()
+			c.proc, p.carrier, p.started = p, c, true
 		}
 		k.resumes++
-		out, yielded := p.next()
-		if !yielded {
+		switch out, _ := c.next(); out {
+		case dispatchFinished:
+			p.carrier = nil
+			putCarrier(c)
 			return dispatchSelf
-		}
-		if out == dispatchStopped {
+		case dispatchStopped:
 			return dispatchStopped
 		}
 		p, k.nextProc = k.nextProc, nil
@@ -482,19 +488,21 @@ func (k *Kernel) Run(stop func() bool) error {
 }
 
 // reap unwinds every parked proc once Run has failed, so an aborted
-// simulation's coroutines do not stay behind pinning the whole machine:
-// stop makes the pending suspend report false, which yield turns into a
-// procReaped panic that runs the body's deferred calls and ends in
-// main's recover. The fast path is off meanwhile, so a wait reached
-// from a deferred call gets to yield (which re-raises) instead of
-// advancing the clock.
+// simulation's procs do not stay behind pinning the whole machine: it
+// marks each one reaped and resumes its carrier, yield turns the mark
+// into a procReaped panic that runs the body's deferred calls and ends
+// in run's recover, and the carrier goes back to the pool. The fast
+// path is off meanwhile, so a wait reached from a deferred call gets to
+// yield (which re-raises) instead of advancing the clock.
 func (k *Kernel) reap() {
 	paranoid := k.paranoid
 	k.paranoid = true
 	for _, p := range k.procs {
-		if p.stop != nil && !p.finished {
+		if c := p.carrier; c != nil && !p.finished {
 			p.reaped = true
-			p.stop()
+			c.next()
+			p.carrier = nil
+			putCarrier(c)
 		}
 	}
 	k.paranoid = paranoid
@@ -524,7 +532,7 @@ func (k *Kernel) DumpState(w io.Writer) {
 			continue
 		}
 		state := "blocked"
-		if p.next == nil {
+		if !p.started {
 			state = "never started"
 		}
 		fmt.Fprintf(w, "  proc %q: %s since cycle %d\n", p.name, state, p.blockedSince)

@@ -160,3 +160,26 @@ func BenchmarkSpin(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkProcStart measures what a kernel pays for its procs' lives:
+// 64 procs that each take a few waits and return, the shape of a small
+// cell's machine. An op is one whole kernel, built and run. Every proc
+// starts on a carrier from the pool, so after the first kernel no op
+// makes a coroutine or grows a stack.
+func BenchmarkProcStart(b *testing.B) {
+	const procs = 64
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		k := NewKernel()
+		for j := 0; j < procs; j++ {
+			k.NewProc("p", 0, func(p *Proc) {
+				for d := Time(1); d <= 4; d++ {
+					p.Delay(d + Time(j%3))
+				}
+			})
+		}
+		if err := k.Run(nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -3,8 +3,8 @@ package sim
 import "fmt"
 
 // Proc is a simulated hardware thread context. The body function runs
-// on its own coroutine (iter.Pull, created when the proc first runs)
-// and only ever executes while it holds the kernel's control token, so
+// on a pooled coroutine (a carrier, taken when the proc first runs) and
+// only ever executes while it holds the kernel's control token, so
 // Proc code may freely mutate shared simulator state. A Proc gives up
 // control by calling WaitUntil/Delay (advancing its local time), by
 // calling Block, or by returning from its body; in the first two cases
@@ -12,12 +12,10 @@ import "fmt"
 type Proc struct {
 	k    *Kernel
 	name string
-	// next resumes the coroutine and stop unwinds it (nil until the proc
-	// first runs); suspend switches back to whoever called next and
-	// reports false once stop was called.
-	next     func() (dispatchOutcome, bool)
-	stop     func()
-	suspend  func(dispatchOutcome) bool
+	// carrier runs the body from the proc's first resume until the body
+	// ends (see Kernel.resume).
+	carrier  *carrier
+	started  bool
 	finished bool
 	// reaped: unwound by Kernel.reap (unfinished, so dumps still list it).
 	reaped bool
@@ -42,11 +40,10 @@ func (k *Kernel) NewProc(name string, start Time, body func(*Proc)) *Proc {
 	return p
 }
 
-// main is the coroutine: run the body, trapping a crash into the kernel
-// error. When it returns, next reports false and the resumer dispatches
-// whatever fires next.
-func (p *Proc) main(suspend func(dispatchOutcome) bool) {
-	p.suspend = suspend
+// run runs the body on the proc's carrier, trapping a crash into the
+// kernel error. When it returns, the carrier reports dispatchFinished
+// and the resumer dispatches whatever fires next.
+func (p *Proc) run() {
 	defer func() {
 		if r := recover(); r != nil {
 			if _, ok := r.(procReaped); ok {
@@ -156,9 +153,10 @@ func (p *Proc) Unblock(t Time) {
 // coroutine. If the dispatcher pops this proc's own resume event it
 // returns immediately — no switch at all; otherwise the proc switches
 // back to its resumer, which delivers the token, and continues when a
-// later resumer calls next. suspend reporting false means the kernel is
-// reaping the proc: unwind the body to main's recover. Waits reached
-// from its deferred calls land here again and re-raise.
+// later resumer switches to its carrier again. Being marked reaped on
+// return means the kernel is unwinding the proc: unwind the body to
+// run's recover. Waits reached from its deferred calls land here again
+// and re-raise.
 func (p *Proc) yield() {
 	if p.reaped {
 		panic(procReaped{})
@@ -168,7 +166,8 @@ func (p *Proc) yield() {
 	if out == dispatchSelf {
 		return
 	}
-	if !p.suspend(out) {
+	p.carrier.yield(out)
+	if p.reaped {
 		panic(procReaped{})
 	}
 }

@@ -225,7 +225,7 @@ func (c *Ctx) stealFrom(vid int) mem.Addr {
 		c.lockAcquire(d)
 		c.core.Invalidate()
 		t := c.stealHead(d)
-		if !rt.SkipStealFlush {
+		if !rt.skipStealFlush {
 			c.core.Flush()
 		}
 		c.lockRelease(d)
@@ -322,7 +322,7 @@ func (c *Ctx) uliHandler(thief int) uint64 {
 	}
 	// Make everything the victim wrote (task arguments, parent data)
 	// visible before handing the task over.
-	if !c.rt.SkipStealFlush {
+	if !c.rt.skipStealFlush {
 		c.core.Flush()
 	}
 	return uint64(t)

@@ -119,7 +119,7 @@ func TestOracleCatchesSkippedStealFlush(t *testing.T) {
 	m := lossyMachine(t, "gwb", fault.Scenario{}, 1)
 	m.Kernel.SetDeadline(10_000_000)
 	rt := New(m, DTS)
-	rt.SkipStealFlush = true
+	rt.skipStealFlush = true
 	fid := rt.RegisterFunc("fib", 512)
 	out := m.Mem.AllocWords(1)
 	err := rt.Run(fibProgram(fid, 15, out))

@@ -151,10 +151,10 @@ type RT struct {
 	// degradedSince is the cycle of the first core loss (0 = none).
 	degradedSince sim.Time
 
-	// SkipStealFlush omits the cache_flush in the steal hand-off paths
+	// skipStealFlush omits the cache_flush in the steal hand-off paths
 	// (the DTS handler and the HCC steal). Test-only: it plants the
 	// protocol bug the memory-ordering oracle must catch.
-	SkipStealFlush bool
+	skipStealFlush bool
 }
 
 // quarantineThreshold is the consecutive-failure count that quarantines
