@@ -48,10 +48,11 @@ test:
 # A run stays on the goroutine that called Run (procs are coroutines it
 # switches to), so the kernel has no goroutines of its own to race. The
 # host concurrency is around it: the bench layer's singleflight caches
-# and Prewarm worker pool, and the wsrt, openload, serve and store
-# packages, all at the default GOMAXPROCS.
+# and Prewarm worker pool, the per-shape pools of released machines
+# (internal/machine), and the wsrt, openload, serve and store packages,
+# all at the default GOMAXPROCS.
 race:
-	$(GO) test -race ./internal/sim ./internal/bench/... ./internal/mem ./internal/graph ./internal/fault ./internal/wsrt ./internal/openload ./internal/serve ./internal/store
+	$(GO) test -race ./internal/sim ./internal/machine ./internal/bench/... ./internal/mem ./internal/graph ./internal/fault ./internal/wsrt ./internal/openload ./internal/serve ./internal/store
 
 # Byte-identity against the past: re-run the commands whose full
 # output docs/golden holds and compare byte for byte; a mismatch prints
@@ -114,11 +115,12 @@ open-smoke:
 	$(BTSIM) $(OPEN_RUN) > "$$dir/b.txt" && \
 	cmp "$$dir/a.txt" "$$dir/b.txt" && echo "open-smoke: identical under chaos-lossy-all"
 
-# One pass over the kernel microbenchmarks, the only Go benchmarks, so
-# one that panics or stops compiling fails ci. Numbers from
-# -benchtime=1x are noise; `go run ./benchmark` produces the real ones.
+# One pass over the Go benchmarks (the kernel microbenchmarks and
+# BenchmarkMachineNew/{fresh,recycled}), so one that panics or stops
+# compiling fails ci. Numbers from -benchtime=1x are noise;
+# `go run ./benchmark` produces the real ones.
 bench-smoke:
-	$(GO) test -run xxx -bench . -benchtime 1x ./internal/sim
+	$(GO) test -run xxx -bench . -benchtime 1x ./internal/sim ./internal/machine
 
 # Five seconds each of the event-queue fuzzer (pushes, stops, waits
 # against a sorted model; see internal/sim/queue_test.go) and the L1

@@ -323,6 +323,7 @@ func (s *Suite) simulate(ctx context.Context, w Work) (*stats.Run, error) {
 	s.eventsFired.Add(m.Kernel.Fired())
 	s.fastWaits.Add(m.Kernel.FastWaits())
 	s.resumes.Add(m.Kernel.Resumes())
+	m.Release()
 	s.progress("ran %-14s on %-16s: %12d cycles\n", w.App, w.Cfg, r.Cycles)
 	return r, nil
 }

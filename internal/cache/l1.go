@@ -46,6 +46,7 @@ type L1 struct {
 	numSets int
 	ways    int
 	sets    [][]l1Line // a set is nil until allocSlot first fills it
+	spare   [][]l1Line // sets earlier runs filled (reset), for allocSlot
 	tick    uint64
 
 	hitLat sim.Time
@@ -82,8 +83,22 @@ func NewL1(sys *System, core int, proto Protocol, sizeBytes, ways int) *L1 {
 		sets:    make([][]l1Line, numSets),
 		hitLat:  1,
 	}
+	l.reset()
 	sys.l1s[core] = l
 	return l
+}
+
+// reset empties the cache and zeroes the counters and LRU clock. The
+// sets a run filled go back to unfilled, and allocSlot hands their
+// memory out again, cleared.
+func (l *L1) reset() {
+	for si, set := range l.sets {
+		if set != nil {
+			l.spare = append(l.spare, set)
+			l.sets[si] = nil
+		}
+	}
+	l.tick, l.Stats = 0, L1Stats{}
 }
 
 // Protocol returns the L1's coherence protocol.
@@ -114,7 +129,7 @@ func (l *L1) allocSlot(now sim.Time, la mem.Addr) *l1Line {
 	si := l.setIndex(la)
 	set := l.sets[si]
 	if set == nil {
-		set = make([]l1Line, l.ways)
+		set = l.newSet()
 		l.sets[si] = set
 	}
 	var victim *l1Line
@@ -135,6 +150,19 @@ func (l *L1) allocSlot(now sim.Time, la mem.Addr) *l1Line {
 	l.tick++
 	*victim = l1Line{tag: la, valid: true, lastUse: l.tick}
 	return victim
+}
+
+// newSet returns a set of invalid ways: a spare one cleared, or a new
+// one.
+func (l *L1) newSet() []l1Line {
+	n := len(l.spare)
+	if n == 0 {
+		return make([]l1Line, l.ways)
+	}
+	set := l.spare[n-1]
+	l.spare = l.spare[:n-1]
+	clear(set)
+	return set
 }
 
 // evict writes the line's owned or dirty words back, or tells the

@@ -54,6 +54,8 @@ type System struct {
 
 	// sharerWords is the length of one sharer list: a word per 64 cores.
 	sharerWords int
+	// spare holds the sets earlier runs used (see Reset), for newSet.
+	spare []l2Set
 
 	// recallScratch groups recalled words by owning core (one word mask
 	// per core id), reused across recallWords calls so the hot recall
@@ -137,7 +139,36 @@ func NewSystem(cfg Config, m *noc.Mesh, backing *mem.Memory) *System {
 		})
 	}
 	s.l1s = make([]*L1, cfg.NumCores)
+	s.Reset()
 	return s
+}
+
+// Reset empties the hierarchy for a new run: every L1 and L2 line is
+// invalid and every counter, bank port and LRU clock is at zero. The L2
+// sets a run touched go back to untouched, and newSet hands their
+// memory out again, cleared, so a reset costs what the last run
+// touched, not what every run before it did.
+func (s *System) Reset() {
+	s.tick, s.L2Stats = 0, L2Stats{}
+	for _, b := range s.banks {
+		b.res = sim.Resource{}
+		for _, ch := range b.chunks {
+			if ch == nil {
+				continue
+			}
+			for i := range ch {
+				if ch[i].ways != nil {
+					s.spare = append(s.spare, ch[i])
+					ch[i] = l2Set{}
+				}
+			}
+		}
+	}
+	for _, l := range s.l1s {
+		if l != nil {
+			l.reset()
+		}
+	}
 }
 
 // Mem returns the DRAM backing store.
@@ -158,10 +189,18 @@ func (b *bank) setIndex(la mem.Addr, numBanks, numSets int) int {
 	return int(la/mem.LineSize/mem.Addr(numBanks)) % numSets
 }
 
-// newSet allocates one L2 set: its ways, all invalid, and the slab of
-// their sharer lists. A way's directory fields are reset by the fill
-// that validates it, so they need no initial value.
+// newSet returns one L2 set, a spare one cleared or a new one: its
+// ways, all invalid, and the slab of their sharer lists. A way's
+// directory fields are reset by the fill that validates it, so they
+// need no initial value.
 func (s *System) newSet() l2Set {
+	if n := len(s.spare); n > 0 {
+		set := s.spare[n-1]
+		s.spare = s.spare[:n-1]
+		clear(set.ways)
+		clear(set.sharers)
+		return set
+	}
 	return l2Set{
 		ways:    make([]l2Line, s.cfg.L2Ways),
 		sharers: make([]uint64, s.cfg.L2Ways*s.sharerWords),

@@ -197,16 +197,27 @@ func New(id int, cfg Config, l1d *cache.L1, u *uli.Unit) *Core {
 	if nblocks < 1 {
 		nblocks = 1
 	}
-	c := &Core{ID: id, Cfg: cfg, L1D: l1d, ULI: u, FaultLane: -1, iTags: make([]uint64, nblocks),
-		direct: sim.KernelParanoid}
-	for i := range c.iTags {
-		c.iTags[i] = ^uint64(0)
-	}
-	c.curSize = 1024
+	c := &Core{ID: id, Cfg: cfg, L1D: l1d, ULI: u, FaultLane: -1, iTags: make([]uint64, nblocks)}
+	c.Reset()
 	if u != nil {
 		u.EntryLat = cfg.ULIEntryLat
 	}
 	return c
+}
+
+// Reset returns the core to the state New leaves it in, unbound, with
+// empty counters, I-cache and op queue. Its wiring stays: ID, Cfg, the
+// L1 and ULI unit (each reset by its owner), Faults and FaultLane.
+func (c *Core) Reset() {
+	id, cfg, l1d, u, faults, lane, tags := c.ID, c.Cfg, c.L1D, c.ULI, c.Faults, c.FaultLane, c.iTags
+	// Cleared in place: a Core literal would be built aside and copied.
+	*c = Core{}
+	c.ID, c.Cfg, c.L1D, c.ULI, c.Faults, c.FaultLane, c.iTags = id, cfg, l1d, u, faults, lane, tags
+	c.curSize, c.direct = 1024, sim.KernelParanoid
+	tags[0] = ^uint64(0)
+	for n := 1; n < len(tags); n *= 2 {
+		copy(tags[n:], tags[:n])
+	}
 }
 
 // Bind attaches the simulated thread running on this core.

@@ -48,10 +48,18 @@ func NewController(cfg Config) *Controller {
 	if lineCycles < 1 {
 		lineCycles = 1
 	}
-	return &Controller{
+	c := &Controller{
 		Lat:        cfg.AccessLat,
 		LineCycles: lineCycles,
 	}
+	c.Reset()
+	return c
+}
+
+// Reset frees the channel and zeroes the access counts, keeping the
+// timing and fault injector.
+func (c *Controller) Reset() {
+	c.res, c.Reads, c.Writes = sim.Resource{}, 0, 0
 }
 
 // Access models one line-sized read or write beginning at now and

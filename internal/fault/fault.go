@@ -133,7 +133,7 @@ func (sc *Scenario) Lossy() bool {
 // unconditionally.
 type Injector struct {
 	sc     Scenario
-	rng    *sim.Rand
+	rng    sim.Rand
 	counts [NumSites]uint64
 
 	// accessTick counts L1 accesses for the EvictEvery cadence.
@@ -142,7 +142,16 @@ type Injector struct {
 
 // NewInjector binds sc to a fresh PRNG seeded with seed.
 func NewInjector(sc Scenario, seed uint64) *Injector {
-	return &Injector{sc: sc, rng: sim.NewRand(seed)}
+	in := new(Injector)
+	in.Reset(sc, seed)
+	return in
+}
+
+// Reset rebinds the injector to sc and a PRNG seeded with seed, with
+// every counter at zero: it is then the injector NewInjector(sc, seed)
+// returns.
+func (in *Injector) Reset(sc Scenario, seed uint64) {
+	*in = Injector{sc: sc, rng: *sim.NewRand(seed)}
 }
 
 // Scenario returns the bound scenario.

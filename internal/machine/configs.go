@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"bigtiny/internal/cache"
@@ -54,8 +55,11 @@ func bigOnly(n int) Config {
 	return c
 }
 
-// Configs returns the named configuration table.
-func Configs() map[string]Config {
+// configs is the named configuration table, built once; Lookup hands
+// out copies.
+var configs, names = buildConfigs()
+
+func buildConfigs() (map[string]Config, []string) {
 	cfgs := map[string]Config{}
 	add := func(c Config) { cfgs[c.Name] = c }
 
@@ -139,30 +143,23 @@ func Configs() map[string]Config {
 		d.Name = "bT256/HCC-DTS-" + hcc.suffix
 		add(d)
 	}
-	return cfgs
-}
-
-// Lookup returns the named config or an error listing valid names.
-func Lookup(name string) (Config, error) {
-	cfgs := Configs()
-	if c, ok := cfgs[name]; ok {
-		return c, nil
-	}
 	names := make([]string, 0, len(cfgs))
 	for n := range cfgs {
 		names = append(names, n)
 	}
 	sort.Strings(names)
+	return cfgs, names
+}
+
+// Lookup returns the named config or an error listing valid names.
+func Lookup(name string) (Config, error) {
+	if c, ok := configs[name]; ok {
+		return c, nil
+	}
 	return Config{}, fmt.Errorf("machine: unknown config %q (have %v)", name, names)
 }
 
 // Names returns all config names, sorted.
 func Names() []string {
-	cfgs := Configs()
-	names := make([]string, 0, len(cfgs))
-	for n := range cfgs {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
+	return slices.Clone(names)
 }

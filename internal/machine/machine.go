@@ -9,6 +9,7 @@ package machine
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"bigtiny/internal/cache"
 	"bigtiny/internal/cpu"
@@ -72,9 +73,49 @@ type Machine struct {
 	Faults *fault.Injector
 	// Oracle is the memory-ordering checker (nil unless Cfg.Oracle).
 	Oracle *oracle.Checker
+
+	// unwatch stops the InterruptOn watcher, if there is one, and
+	// reports whether it did so before the watcher fired. It is called
+	// once (sync.OnceValue) and touches no machine, so the copy
+	// InterruptOn returns is safe to call after Release.
+	unwatch func() bool
 }
 
-// New builds a machine from cfg.
+// shape is what building a machine reads of its Config: everything but
+// the name, the deadline and the fault scenario and seed, which New
+// applies to whichever machine it hands out. paranoid is
+// sim.KernelParanoid as the machine's kernel and cores were reset.
+type shape struct {
+	cfg      Config
+	faults   bool
+	paranoid bool
+}
+
+func shapeOf(cfg Config) shape {
+	faults := cfg.Faults != nil
+	cfg.Name, cfg.Deadline, cfg.Faults, cfg.FaultSeed = "", 0, nil, 0
+	return shape{cfg: cfg, faults: faults, paranoid: sim.KernelParanoid}
+}
+
+// pools holds the released machines of each shape (see Release). A
+// sync.Pool needs no cap: it holds at most the machines released since
+// the collector last ran, which the collector then drops.
+var pools = struct {
+	sync.Mutex
+	m map[shape]*sync.Pool
+}{m: map[shape]*sync.Pool{}}
+
+func poolOf(s shape) *sync.Pool {
+	pools.Lock()
+	defer pools.Unlock()
+	if pools.m[s] == nil {
+		pools.m[s] = new(sync.Pool)
+	}
+	return pools.m[s]
+}
+
+// New returns a machine built from cfg: a released machine of the same
+// shape, reset in place, or a new one.
 func New(cfg Config) *Machine {
 	if cfg.Rows*cfg.Cols < cfg.NumCores() {
 		panic(fmt.Sprintf("machine %q: %dx%d mesh cannot hold %d cores",
@@ -83,13 +124,72 @@ func New(cfg Config) *Machine {
 	if cfg.NumBanks > cfg.Cols {
 		panic(fmt.Sprintf("machine %q: %d banks need %d columns", cfg.Name, cfg.NumBanks, cfg.NumBanks))
 	}
-	k := sim.NewKernel()
-	if cfg.Deadline > 0 {
-		k.SetDeadline(cfg.Deadline)
+	m, _ := poolOf(shapeOf(cfg)).Get().(*Machine)
+	if m == nil {
+		m = build(cfg)
 	}
+	m.configure(cfg)
+	return m
+}
+
+// Release hands m back for a later New of its shape; its owner must
+// have finished reading it. Only a machine whose run took the
+// simulation to its end is kept: the queue drained with every proc
+// finished, no error, panic, oracle violation or interrupt, and its
+// InterruptOn watcher stopped before it fired. Any other machine is
+// left to the collector. Release resets a kept machine at once, so a
+// pooled machine pins no proc, closure or program data.
+func (m *Machine) Release() {
+	if (m.unwatch != nil && !m.unwatch()) || !m.Kernel.Finished() || m.Oracle.Err() != nil {
+		return
+	}
+	m.Kernel.Reset()
+	m.Mem.Reset()
+	m.Mesh.Reset()
+	for _, mc := range m.MCs {
+		mc.Reset()
+	}
+	m.Cache.Reset()
+	for _, c := range m.Cores {
+		c.Reset()
+	}
+	if m.ULI != nil {
+		m.ULI.Reset()
+	}
+	if m.Oracle != nil {
+		m.Oracle.Reset()
+	}
+	m.unwatch = nil
+	poolOf(shapeOf(m.Cfg)).Put(m)
+}
+
+// configure applies what New takes from cfg beyond its shape to a
+// machine fresh from build or Release.
+func (m *Machine) configure(cfg Config) {
+	m.Cfg = cfg
+	if cfg.Deadline > 0 {
+		m.Kernel.SetDeadline(cfg.Deadline)
+	}
+	if m.Faults != nil {
+		m.Faults.Reset(*cfg.Faults, cfg.FaultSeed)
+	}
+	if m.ULI != nil {
+		if cfg.Faults != nil && cfg.Faults.Lossy() {
+			// Steal-path messages can vanish: arm the thief-side timeout.
+			// Left at zero otherwise so fault-free runs schedule no
+			// timers and keep bit-identical cycle counts.
+			m.ULI.Timeout = uli.DefaultStealTimeout
+		}
+		m.Kernel.AddDumpHook(m.ULI.DumpState)
+	}
+}
+
+// build constructs a machine of cfg's shape; configure completes it.
+func build(cfg Config) *Machine {
+	k := sim.NewKernel()
 	var inj *fault.Injector
 	if cfg.Faults != nil {
-		inj = fault.NewInjector(*cfg.Faults, cfg.FaultSeed)
+		inj = new(fault.Injector) // seeded by configure
 	}
 	// Core mesh plus one extra row for L2 banks / memory controllers.
 	mesh := noc.NewMesh(cfg.Rows+1, cfg.Cols)
@@ -127,13 +227,6 @@ func New(cfg Config) *Machine {
 		fabric = uli.NewFabric(k, cfg.Rows+1, cfg.Cols, cfg.NumCores(),
 			func(core int) noc.NodeID { return coreNodes[core] })
 		fabric.Faults = inj
-		if sc := inj.Scenario(); sc.Lossy() {
-			// Steal-path messages can vanish: arm the thief-side timeout.
-			// Left at zero otherwise so fault-free runs schedule no
-			// timers and keep bit-identical cycle counts.
-			fabric.Timeout = uli.DefaultStealTimeout
-		}
-		k.AddDumpHook(fabric.DumpState)
 	}
 
 	var chk *oracle.Checker
@@ -142,7 +235,7 @@ func New(cfg Config) *Machine {
 	}
 
 	m := &Machine{
-		Cfg: cfg, Kernel: k, Mesh: mesh, Mem: backing, Cache: cs,
+		Kernel: k, Mesh: mesh, Mem: backing, Cache: cs,
 		ULI: fabric, MCs: mcs, Faults: inj, Oracle: chk,
 	}
 	for c := 0; c < cfg.NumCores(); c++ {
@@ -232,16 +325,19 @@ func (m *Machine) Spawn(core int, body func(*cpu.Core)) {
 // cancelled: <cause>" and the watchdog dump. A context that is already
 // dead interrupts here and now — nothing in a run parks the simulating
 // goroutine, so a watcher alone could lose that race by the whole run.
-// Call the returned release once the run is over.
+// Call the returned release once the run is over; Release calls it
+// too, and keeps a machine whose watcher had fired out of the pool.
 func (m *Machine) InterruptOn(ctx context.Context, what string) (release func() bool) {
+	k := m.Kernel
 	interrupt := func() {
-		m.Kernel.Interrupt(fmt.Sprintf("%s cancelled: %v", what, ctx.Err()))
+		k.Interrupt(fmt.Sprintf("%s cancelled: %v", what, ctx.Err()))
 	}
 	if ctx.Err() != nil {
 		interrupt()
 		return func() bool { return false }
 	}
-	return context.AfterFunc(ctx, interrupt)
+	m.unwatch = sync.OnceValue(context.AfterFunc(ctx, interrupt))
+	return m.unwatch
 }
 
 // Run drives the simulation to completion. With the oracle enabled,

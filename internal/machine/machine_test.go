@@ -29,6 +29,28 @@ func TestAllNamedConfigsBuild(t *testing.T) {
 	}
 }
 
+// TestLookupIsACopy: the configuration table is built once, and a
+// Lookup hands out a copy of its entry without allocating.
+func TestLookupIsACopy(t *testing.T) {
+	const name = "bT/HCC-DTS-gwb"
+	c := mustCfg(t, name)
+	c.Name, c.NumTiny, c.Deadline = "edited", 1, 1
+	names := Names()
+	names[0] = "edited"
+	if again := mustCfg(t, name); again.Name != name || again.NumTiny != 60 || again.Deadline != defaultDeadline {
+		t.Fatalf("editing a looked-up Config changed the table: %+v", again)
+	}
+	if Names()[0] == "edited" {
+		t.Fatal("editing Names' result changed the table")
+	}
+	if raceEnabled {
+		return
+	}
+	if n := testing.AllocsPerRun(100, func() { Lookup(name) }); n != 0 {
+		t.Fatalf("Lookup(%q) allocates %.0f objects, want 0", name, n)
+	}
+}
+
 func TestPaperConfigTable(t *testing.T) {
 	bt, err := Lookup("bT/MESI")
 	if err != nil {
@@ -188,7 +210,7 @@ func TestNewIsCheap(t *testing.T) {
 	const runs = 5
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
-	objs := testing.AllocsPerRun(runs, func() { New(cfg) })
+	objs := testing.AllocsPerRun(runs, func() { Fresh(cfg) })
 	runtime.ReadMemStats(&m1)
 	// AllocsPerRun makes one warm-up call besides the counted runs.
 	mb := float64(m1.TotalAlloc-m0.TotalAlloc) / (runs + 1) / (1 << 20)

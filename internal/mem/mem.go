@@ -39,6 +39,7 @@ func WordIndex(a Addr) int { return int(a%LineSize) / WordSize }
 // into a compare and an indexed load.
 type Memory struct {
 	chunks   map[Addr][]uint64 // chunk base -> chunkWords values
+	spare    [][]uint64        // chunks of earlier programs (Reset)
 	lastBase Addr              // memo: base of the chunk last touched
 	last     []uint64          // memo: that chunk's words (nil = no memo)
 	brk      Addr              // allocator break
@@ -55,7 +56,20 @@ const (
 // New returns an empty memory with the allocator positioned at the heap
 // base.
 func New() *Memory {
-	return &Memory{chunks: make(map[Addr][]uint64), brk: heapBase}
+	m := &Memory{chunks: make(map[Addr][]uint64)}
+	m.Reset()
+	return m
+}
+
+// Reset empties the memory: every word reads zero again and the
+// allocator is back at the heap base. The chunks are kept as spares,
+// which WriteWord clears as the next program first writes to them.
+func (m *Memory) Reset() {
+	for _, c := range m.chunks {
+		m.spare = append(m.spare, c)
+	}
+	clear(m.chunks)
+	m.lastBase, m.last, m.brk = 0, nil, heapBase
 }
 
 // ReadWord returns the word stored at a. a must be word-aligned.
@@ -83,7 +97,13 @@ func (m *Memory) WriteWord(a Addr, v uint64) {
 	}
 	c, ok := m.chunks[base]
 	if !ok {
-		c = make([]uint64, chunkWords)
+		if n := len(m.spare); n > 0 {
+			c = m.spare[n-1]
+			m.spare = m.spare[:n-1]
+			clear(c)
+		} else {
+			c = make([]uint64, chunkWords)
+		}
 		m.chunks[base] = c
 	}
 	m.lastBase, m.last = base, c

@@ -102,13 +102,22 @@ const (
 // NewMesh builds a mesh with the paper's default flit size and hop
 // latencies.
 func NewMesh(rows, cols int) *Mesh {
-	return &Mesh{
+	m := &Mesh{
 		Rows: rows, Cols: cols,
 		FlitBytes:  16,
 		ChannelLat: 1,
 		RouterLat:  1,
 		links:      make([]sim.Resource, rows*cols*numDirs),
 	}
+	m.Reset()
+	return m
+}
+
+// Reset frees every link and zeroes the traffic counts, keeping the
+// geometry, latencies and fault injector.
+func (m *Mesh) Reset() {
+	clear(m.links)
+	m.Traffic, m.HopsSum, m.Sends, m.ByteHops = Traffic{}, 0, 0, 0
 }
 
 // Node returns the NodeID for (row, col).

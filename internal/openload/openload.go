@@ -331,6 +331,7 @@ func Run(ctx context.Context, cfgName string, sp Spec, opt Options) (*Result, er
 	if m.Oracle != nil {
 		r.OracleOps = m.Oracle.Ops
 	}
+	m.Release()
 	return r, nil
 }
 

@@ -92,7 +92,15 @@ type Checker struct {
 
 // New returns a checker for a machine with ncores cores.
 func New(ncores int) *Checker {
-	return &Checker{ncores: ncores, locs: make(map[uint64]*loc)}
+	c := &Checker{ncores: ncores, locs: make(map[uint64]*loc)}
+	c.Reset()
+	return c
+}
+
+// Reset forgets every observation, for a new run on the same machine.
+func (c *Checker) Reset() {
+	clear(c.locs)
+	c.Ops, c.violations, c.nviol = 0, nil, 0
 }
 
 func (c *Checker) get(a uint64) *loc {

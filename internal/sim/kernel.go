@@ -28,12 +28,14 @@ type Time uint64
 // Forever is a time later than any reachable simulation time.
 const Forever = Time(^uint64(0))
 
-// KernelParanoid, when set before NewKernel, disables the WaitUntil
-// fast path (see Proc.WaitUntil): every timed wait goes through a real
-// queue event and a dispatch, exactly as the pre-fast-path
-// kernel behaved. The two modes must produce bit-identical cycle
-// counts; equivalence tests flip this to prove it. It is read once at
-// NewKernel time, so flip it only between simulations.
+// KernelParanoid disables the WaitUntil fast path (see
+// Proc.WaitUntil): every timed wait goes through a real queue event and
+// a dispatch, exactly as the pre-fast-path kernel behaved. cpu reads it
+// too and then issues every core op on the spot instead of queueing
+// it. The two modes must produce bit-identical cycle counts;
+// equivalence tests flip this to prove it. It is read when a kernel or
+// a core is made and when one is reset (Kernel.Reset, cpu.Core.Reset),
+// so flip it only between simulations.
 var KernelParanoid bool
 
 // eventRef is one queue entry: the firing time, a sequence number that
@@ -99,6 +101,8 @@ type Kernel struct {
 	// err records a crash in simulated software (a proc panic); Run
 	// stops and returns it, modelling a machine crash.
 	err error
+	// drained: the last Run emptied the queue with every proc finished.
+	drained bool
 
 	// Dispatch state (see dispatch). A dispatcher on a proc coroutine
 	// leaves the proc that runs next in nextProc for its resumer (see
@@ -125,11 +129,32 @@ type Kernel struct {
 
 // NewKernel returns an empty kernel positioned at cycle 0.
 func NewKernel() *Kernel {
-	return &Kernel{
-		maxTime:  Forever,
-		free:     -1,
-		paranoid: KernelParanoid,
-	}
+	k := new(Kernel)
+	k.Reset()
+	return k
+}
+
+// Reset returns a kernel to the state NewKernel builds, keeping the
+// memory of its slot slab, proc list and overflow heap. It drops every
+// proc, callback and dump hook, so only a kernel with nothing left to
+// run (see Finished) may be reset: a stale Timer handle or a parked
+// proc would otherwise outlive it.
+func (k *Kernel) Reset() {
+	clear(k.procs)
+	clear(k.dumpHooks)
+	slots, procs, hooks, over := k.slots[:0], k.procs[:0], k.dumpHooks[:0], k.queue.over[:0]
+	// Cleared in place: a Kernel literal, wheel and all, would be built
+	// aside and copied.
+	*k = Kernel{}
+	k.slots, k.procs, k.dumpHooks, k.queue.over = slots, procs, hooks, over
+	k.free, k.paranoid, k.maxTime = -1, KernelParanoid, Forever
+}
+
+// Finished reports whether the last Run took the simulation to its
+// end: it drained the queue with every proc finished, nothing has been
+// queued since, and no interrupt has been requested since.
+func (k *Kernel) Finished() bool {
+	return k.drained && k.queue.len() == 0 && k.intrReason.Load() == nil
 }
 
 // Now returns the current simulation time.
@@ -446,6 +471,7 @@ func (k *Kernel) fire(fn func()) (ok bool) {
 // after a stop-predicate return they stay parked for the next Run.
 func (k *Kernel) Run(stop func() bool) error {
 	k.stop = stop
+	k.drained = false
 	defer func() { k.stop = nil }()
 	aborted := true
 	defer func() {
@@ -484,6 +510,7 @@ func (k *Kernel) Run(stop func() bool) error {
 		}
 	}
 	aborted = false
+	k.drained = true
 	return nil
 }
 

@@ -89,7 +89,19 @@ func NewFabric(k *sim.Kernel, rows, cols, numCores int, nodeOf func(core int) no
 	for c := 0; c < numCores; c++ {
 		f.units = append(f.units, &Unit{fabric: f, core: c, node: nodeOf(c)})
 	}
+	f.Reset()
 	return f
+}
+
+// Reset returns the fabric to the state NewFabric leaves it in: idle
+// units with no thread, handler or hook, an idle mesh, zero stats and
+// no timeout. Faults and each unit's EntryLat are wiring and stay.
+func (f *Fabric) Reset() {
+	f.Stats, f.Timeout = Stats{}, 0
+	f.mesh.Reset()
+	for _, u := range f.units {
+		*u = Unit{fabric: u.fabric, core: u.core, node: u.node, EntryLat: u.EntryLat}
+	}
 }
 
 // Mesh exposes the dedicated ULI mesh (for utilization reporting).
