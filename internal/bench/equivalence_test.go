@@ -14,8 +14,9 @@ import (
 )
 
 // runKernelMode performs one complete simulation with the WaitUntil
-// fast path on or off (sim.KernelParanoid is read at NewKernel time,
-// inside machine.New) and returns the full metric snapshot.
+// fast path on or off (machine.New builds, or takes from the pool, a
+// machine whose kernel and cores read sim.KernelParanoid as it is now)
+// and returns the full metric snapshot.
 func runKernelMode(t *testing.T, cfgName, appName string, size apps.Size, paranoid bool) *stats.Run {
 	t.Helper()
 	prev := sim.KernelParanoid

@@ -98,8 +98,9 @@ func shapeOf(cfg Config) shape {
 }
 
 // pools holds the released machines of each shape (see Release). A
-// sync.Pool needs no cap: it holds at most the machines released since
-// the collector last ran, which the collector then drops.
+// sync.Pool needs no cap: the collector drops whatever waits in it
+// across two of its cycles, so it holds about as many machines as
+// cells of the shape ran at once, and an idle process none.
 var pools = struct {
 	sync.Mutex
 	m map[shape]*sync.Pool
