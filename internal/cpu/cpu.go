@@ -116,8 +116,9 @@ type Core struct {
 	fracIssue int
 
 	// The op queue: a ring of qLen ops from q[qHead] (q is the last
-	// field, after the hot scalars), drained through the wait chain next
-	// (c.next as a value, made once). direct issues every op on the spot
+	// field, after the hot scalars), drained through the wait chain
+	// c.next (as a value, made by the core's first Bind and kept by
+	// Reset). direct issues every op on the spot
 	// instead: set for good under KernelParanoid, and while a ULI handler
 	// or hook runs, whose ops go to the machine ahead of the ops it
 	// interrupted. val is the value the last Load or Amo returned.
@@ -207,12 +208,13 @@ func New(id int, cfg Config, l1d *cache.L1, u *uli.Unit) *Core {
 
 // Reset returns the core to the state New leaves it in, unbound, with
 // empty counters, I-cache and op queue. Its wiring stays: ID, Cfg, the
-// L1 and ULI unit (each reset by its owner), Faults and FaultLane.
+// L1 and ULI unit (each reset by its owner), Faults, FaultLane and the
+// drain's chain.
 func (c *Core) Reset() {
-	id, cfg, l1d, u, faults, lane, tags := c.ID, c.Cfg, c.L1D, c.ULI, c.Faults, c.FaultLane, c.iTags
+	id, cfg, l1d, u, faults, lane, tags, chain := c.ID, c.Cfg, c.L1D, c.ULI, c.Faults, c.FaultLane, c.iTags, c.chain
 	// Cleared in place: a Core literal would be built aside and copied.
 	*c = Core{}
-	c.ID, c.Cfg, c.L1D, c.ULI, c.Faults, c.FaultLane, c.iTags = id, cfg, l1d, u, faults, lane, tags
+	c.ID, c.Cfg, c.L1D, c.ULI, c.Faults, c.FaultLane, c.iTags, c.chain = id, cfg, l1d, u, faults, lane, tags, chain
 	c.curSize, c.direct = 1024, sim.KernelParanoid
 	tags[0] = ^uint64(0)
 	for n := 1; n < len(tags); n *= 2 {
@@ -223,7 +225,9 @@ func (c *Core) Reset() {
 // Bind attaches the simulated thread running on this core.
 func (c *Core) Bind(p *sim.Proc) {
 	c.proc = p
-	c.chain = c.next
+	if c.chain == nil {
+		c.chain = c.next
+	}
 	if c.ULI != nil {
 		c.ULI.Bind(p)
 	}

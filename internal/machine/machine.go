@@ -74,6 +74,10 @@ type Machine struct {
 	// Oracle is the memory-ordering checker (nil unless Cfg.Oracle).
 	Oracle *oracle.Checker
 
+	// procNames are Spawn's proc names, "core<i>", each made by the
+	// core's first Spawn and kept across Release.
+	procNames []string
+
 	// unwatch stops the InterruptOn watcher, if there is one, and
 	// reports whether it did so before the watcher fired. It is called
 	// once (sync.OnceValue) and touches no machine, so the copy
@@ -269,6 +273,7 @@ func build(cfg Config) *Machine {
 		}
 		m.Cores = append(m.Cores, core)
 	}
+	m.procNames = make([]string, len(m.Cores))
 	return m
 }
 
@@ -314,7 +319,10 @@ func (m *Machine) Big(core int) bool { return core < m.Cfg.NumBig }
 // The ops body leaves queued on the core issue before the thread ends.
 func (m *Machine) Spawn(core int, body func(*cpu.Core)) {
 	c := m.Cores[core]
-	m.Kernel.NewProc(fmt.Sprintf("core%d", core), 0, func(p *sim.Proc) {
+	if m.procNames[core] == "" {
+		m.procNames[core] = fmt.Sprintf("core%d", core)
+	}
+	m.Kernel.NewProc(m.procNames[core], 0, func(p *sim.Proc) {
 		c.Bind(p)
 		body(c)
 		c.Drain()

@@ -201,7 +201,8 @@ var raceEnabled bool
 //	11.7 in 79 300  every set built up front
 //	 0.7 in  1 600  a named, separately allocated resource per link
 //	 0.76 in   395  resources as values; a 48-byte header per L2 set
-//	 0.39 in   394  now
+//	 0.39 in   394  pooled carriers, L2 set table on first touch
+//	 0.39 in   395  now, with Spawn's proc-name table
 func TestNewIsCheap(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts under the race detector are not the program's")

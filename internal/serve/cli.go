@@ -124,7 +124,8 @@ func Main(args []string) int {
 // runSmoke drives one end-to-end job against a live daemon and checks
 // the result is well-formed: HTTP 200, a single-run JSON array whose
 // ULI accounting satisfies Reqs == Acks + Nacks + Drops, and a repeat
-// request that returns byte-identical data from a cache tier.
+// request that returns byte-identical data from the store tier's
+// memory.
 func runSmoke(base string) error {
 	req := []byte(`{"config":"bT8/HCC-DTS-gwb","app":"cilk5-cs","size":"empty","faults":"chaos-lossy-all"}`)
 	post := func() (int, string, []byte, error) {
@@ -183,6 +184,10 @@ func runSmoke(base string) error {
 	}
 	if h.Status != "ok" || h.Completed < 2 || h.Failed != 0 {
 		return fmt.Errorf("healthz after two good jobs: %+v", h)
+	}
+	// The smoke always has a store, and its repeat is a memory answer.
+	if source != "store" || h.StoreMemory == nil || h.StoreMemory.Hits == 0 {
+		return fmt.Errorf("repeat job source %q, store memory %+v: want a memory answer", source, h.StoreMemory)
 	}
 	return nil
 }

@@ -17,15 +17,17 @@
 //     on expiry) plus an optional wall-clock budget enforced by a
 //     kernel interrupt.
 //   - Crash-safe persistence: results land in a content-addressed disk
-//     store (internal/store) written atomically and verified on read,
-//     so warm results survive restarts and a corrupt entry is a miss,
-//     never a lie.
+//     store (internal/store) written atomically and verified on every
+//     disk read, so warm results survive restarts and a corrupt entry
+//     is a miss, never a lie. A bounded read-through memory in front
+//     of it answers repeats without touching the disk.
 //   - Graceful drain: Drain stops admission, lets in-flight work finish
 //     inside a budget, hard-cancels the rest, and accounts for every
 //     accepted job.
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -182,6 +184,7 @@ type Server struct {
 	mu     sync.Mutex
 	suites map[string]*bench.Suite
 	cells  map[string]*cellState
+	mem    *memTier // the store tier's memory; nil without a store
 
 	wg sync.WaitGroup // worker pool
 
@@ -226,6 +229,7 @@ func NewServer(cfg Config) (*Server, error) {
 			return nil, err
 		}
 		s.store = st
+		s.mem = newMemTier(memBudget)
 	}
 	return s, nil
 }
@@ -419,16 +423,15 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	}
 	key := jobKey(req)
 
-	// Disk tier first: a verified stored result needs no pool slot and
-	// no quarantine decision — stored bytes are from a past success,
-	// which also means the cell is healthy: clear its failure streak so
-	// transient pre-store failures cannot quarantine a cell the store
-	// can answer for.
+	// Store tier first: a stored result needs no pool slot and no
+	// quarantine decision — stored bytes are from a past success, which
+	// also means the cell is healthy: fromStore clears its failure
+	// streak so transient pre-store failures cannot quarantine a cell
+	// the store can answer for.
 	if s.store != nil {
-		if payload, ok := s.store.Get(key); ok {
+		if payload, ok := s.fromStore(key); ok {
 			s.accepted.Add(1)
 			s.completed.Add(1)
-			s.cellRecovered(key)
 			writeResult(w, payload, "store", key)
 			return
 		}
@@ -538,12 +541,16 @@ func (s *Server) runJob(j *job) {
 		return
 	}
 	s.completed.Add(1)
-	s.cellRecovered(j.key)
-	if s.store != nil {
-		// Best-effort: a failed write costs only a future recompute, and
-		// the store's error counter surfaces it in /healthz.
-		s.store.Put(j.key, payload)
+	// Best-effort: a failed write costs only a future recompute, and the
+	// store's error counter surfaces it in /healthz. Only bytes that
+	// reached the disk are kept in memory.
+	stored := s.store != nil && s.store.Put(j.key, payload) == nil
+	s.mu.Lock()
+	if stored {
+		s.mem.put(j.key, payload)
 	}
+	s.recoveredLocked(j.key)
+	s.mu.Unlock()
 	j.finish(http.StatusOK, payload, nil, "ran")
 }
 
@@ -608,11 +615,102 @@ func (s *Server) cellFailed(key string, err error) {
 func (s *Server) cellRecovered(key string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	s.recoveredLocked(key)
+}
+
+// recoveredLocked is cellRecovered for a caller that holds s.mu.
+func (s *Server) recoveredLocked(key string) {
 	if c := s.cells[key]; c != nil {
 		c.failures = 0
 		c.quarantined = false
 		c.lastErr = ""
 	}
+}
+
+// fromStore answers key from the store tier: from memory when the
+// bytes are held, else from a verified disk read, whose payload it then
+// keeps. Either way the cell has succeeded before, so its failure
+// streak is cleared.
+func (s *Server) fromStore(key string) ([]byte, bool) {
+	s.mu.Lock()
+	payload, held := s.mem.get(key)
+	if held {
+		s.recoveredLocked(key)
+	}
+	s.mu.Unlock()
+	if held {
+		return payload, true
+	}
+	payload, ok := s.store.Get(key)
+	if !ok {
+		return nil, false
+	}
+	// A copy, so memory holds the payload and not the entry image
+	// around it.
+	payload = bytes.Clone(payload)
+	s.mu.Lock()
+	s.mem.put(key, payload)
+	s.recoveredLocked(key)
+	s.mu.Unlock()
+	return payload, true
+}
+
+// memBudget caps the bytes (key plus payload) the store tier keeps in
+// memory. Measured payloads: a test-size run result is 1.0–1.2 KB (the
+// 143 Table III cells total 157 KB) and an open result 0.6–0.75 KB, so
+// 16 MiB holds about 13 000 results, the whole Table III grid a
+// hundred times over.
+const memBudget = 16 << 20
+
+// memTier is the store tier's read-through memory: the payloads of
+// keys this process wrote to the disk store itself or read back from
+// it verified. Results are content-addressed and deterministic, and
+// nothing writes to held bytes, so a held payload is its disk entry's
+// payload without the open, read and SHA-256. A restarted daemon
+// starts empty and goes through the verified disk read again. Guarded
+// by Server.mu.
+type memTier struct {
+	budget  int // bytes, key plus payload
+	used    int
+	entries map[string][]byte
+	hits    uint64
+}
+
+func newMemTier(budget int) *memTier {
+	return &memTier{budget: budget, entries: make(map[string][]byte)}
+}
+
+func (m *memTier) get(key string) ([]byte, bool) {
+	payload, ok := m.entries[key]
+	if ok {
+		m.hits++
+	}
+	return payload, ok
+}
+
+// put keeps payload under key, evicting arbitrary entries until it
+// fits. A payload that cannot fit on its own is not kept.
+func (m *memTier) put(key string, payload []byte) {
+	n := len(key) + len(payload)
+	if _, ok := m.entries[key]; ok || n > m.budget {
+		return
+	}
+	for k, p := range m.entries {
+		if m.used+n <= m.budget {
+			break
+		}
+		delete(m.entries, k)
+		m.used -= len(k) + len(p)
+	}
+	m.entries[key] = payload
+	m.used += n
+}
+
+// MemoryStats describes the store tier's read-through memory.
+type MemoryStats struct {
+	Hits    uint64 `json:"hits"`
+	Entries int    `json:"entries"`
+	Bytes   int    `json:"bytes"` // key plus payload, at most the budget
 }
 
 // Health is the /healthz body.
@@ -631,6 +729,9 @@ type Health struct {
 
 	Store        *store.Stats `json:"store,omitempty"`
 	StoreEntries int          `json:"store_entries,omitempty"`
+	// StoreMemory is the store tier's read-through memory. Its hits are
+	// store answers that Store.Hits does not count.
+	StoreMemory *MemoryStats `json:"store_memory,omitempty"`
 
 	Quarantined []string `json:"quarantined_cells,omitempty"`
 }
@@ -659,6 +760,9 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	s.mu.Lock()
+	if s.mem != nil {
+		h.StoreMemory = &MemoryStats{Hits: s.mem.hits, Entries: len(s.mem.entries), Bytes: s.mem.used}
+	}
 	for key, c := range s.cells {
 		if c.quarantined {
 			h.Quarantined = append(h.Quarantined, key)

@@ -109,6 +109,14 @@ func (s *Store) put(key string, payload []byte) error {
 	if len(key) == 0 || len(key) > maxKeyLen {
 		return fmt.Errorf("key length %d out of range [1, %d]", len(key), maxKeyLen)
 	}
+	// atomicio does the temp+fsync+rename dance; a crash mid-write
+	// leaves an orphan ".tmp-" file that pathFor can never resolve to.
+	return atomicio.WriteFile(s.pathFor(key), encode(key, payload), 0o600)
+}
+
+// encode builds the entry image of payload under key: the one image
+// decode accepts for that pair.
+func encode(key string, payload []byte) []byte {
 	buf := make([]byte, 0, len(magic)+4+len(key)+8+sha256.Size+len(payload))
 	buf = append(buf, magic[:]...)
 	buf = binary.BigEndian.AppendUint32(buf, uint32(len(key)))
@@ -116,10 +124,7 @@ func (s *Store) put(key string, payload []byte) error {
 	buf = binary.BigEndian.AppendUint64(buf, uint64(len(payload)))
 	sum := sha256.Sum256(payload)
 	buf = append(buf, sum[:]...)
-	buf = append(buf, payload...)
-	// atomicio does the temp+fsync+rename dance; a crash mid-write
-	// leaves an orphan ".tmp-" file that pathFor can never resolve to.
-	return atomicio.WriteFile(s.pathFor(key), buf, 0o600)
+	return append(buf, payload...)
 }
 
 // Get returns the payload stored under key. ok is false on a genuine
