@@ -67,6 +67,10 @@ type Suite struct {
 	// inject failures — panics, stalls — that no real app produces.
 	// Leave nil outside tests.
 	SimHook func(cfgName, appName string)
+	// plant, when non-nil, edits a closed cell's runtime counters before
+	// they are checked, so a test can plant the miscount of a runtime
+	// that lost or repeated a task.
+	plant func(*wsrt.RunStats)
 
 	// mu guards cells, the memo: one entry per cell key (see key), made
 	// by the first caller and shared by every concurrent caller of the
@@ -318,6 +322,12 @@ func (s *Suite) simulate(ctx context.Context, w Work) (*stats.Run, error) {
 			return nil, fmt.Errorf("bench: %s: verification failed: %w", w.name(), err)
 		}
 	}
+	if s.plant != nil {
+		s.plant(&rt.Stats)
+	}
+	if err := exactlyOnce(rt.Stats); err != nil {
+		return nil, fmt.Errorf("bench: %s: %w", w.name(), err)
+	}
 	r := stats.Collect(m, rt, w.App)
 	s.eventsScheduled.Add(m.Kernel.Scheduled())
 	s.eventsFired.Add(m.Kernel.Fired())
@@ -326,6 +336,17 @@ func (s *Suite) simulate(ctx context.Context, w Work) (*stats.Run, error) {
 	m.Release()
 	s.progress("ran %-14s on %-16s: %12d cycles\n", w.App, w.Cfg, r.Cycles)
 	return r, nil
+}
+
+// exactlyOnce checks a closed cell's task accounting: every spawned
+// task, and the root, ran exactly once. An open cell is not closed: it
+// stops at its horizon with tasks still in flight.
+func exactlyOnce(s wsrt.RunStats) error {
+	if s.LocalExecs+s.StolenExec != s.Spawns+1 {
+		return fmt.Errorf("exactly-once violated: %d local + %d stolen executions for %d spawns and the root",
+			s.LocalExecs, s.StolenExec, s.Spawns)
+	}
+	return nil
 }
 
 // HostCounters returns the kernel host-performance totals (events

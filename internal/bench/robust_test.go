@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"bigtiny/internal/apps"
+	"bigtiny/internal/wsrt"
 )
 
 // robustCfg is a small DTS machine, cheap enough that robustness tests
@@ -232,5 +233,25 @@ func TestResultJSONMatchesWriteJSON(t *testing.T) {
 	}
 	if !bytes.Equal(got, want.Bytes()) {
 		t.Fatalf("ResultJSON diverges from WriteJSON:\n--- served ---\n%s\n--- cli ---\n%s", got, want.String())
+	}
+}
+
+// TestMiscountedCellFails: a closed cell whose runtime counts break
+// exactly-once fails like one whose output fails verification. It
+// renders nothing, and the memo keeps nothing, so the next call of the
+// cell runs it again.
+func TestMiscountedCellFails(t *testing.T) {
+	s := NewSuite(apps.Unit)
+	s.plant = func(st *wsrt.RunStats) { st.StolenExec++ }
+	body, err := s.ResultJSON(context.Background(), robustCfg, "cilk5-cs")
+	if err == nil || !strings.Contains(err.Error(), "exactly-once violated") {
+		t.Fatalf("miscounted cell: err = %v, want an exactly-once error", err)
+	}
+	if body != nil {
+		t.Fatalf("miscounted cell rendered %d bytes", len(body))
+	}
+	s.plant = nil
+	if _, err := s.Run(robustCfg, "cilk5-cs"); err != nil {
+		t.Fatalf("the same cell with true counts: %v", err)
 	}
 }

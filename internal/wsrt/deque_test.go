@@ -7,7 +7,6 @@ import (
 
 	"bigtiny/internal/cpu"
 	"bigtiny/internal/mem"
-	"bigtiny/internal/prog"
 )
 
 // TestDequeRandomInterleavings drives one thread's deque through the
@@ -39,12 +38,9 @@ func runDequeStress(t *testing.T, proto string, v Variant, seed int64) {
 	var pushed uint64
 	ownerDone := false
 	taken := make([]map[uint64]int, nthreads) // per-thread ids removed
-	ctx := func(cc *cpu.Core, tid int) *Ctx {
-		return &Ctx{rt: rt, env: prog.NewSimEnv(cc, m.Mem), core: cc, tid: tid}
-	}
 
 	m.Spawn(0, func(cc *cpu.Core) {
-		c := ctx(cc, 0)
+		c := handCtx(rt, cc)
 		rng := rand.New(rand.NewSource(seed))
 		got := map[uint64]int{}
 		taken[0] = got
@@ -64,7 +60,7 @@ func runDequeStress(t *testing.T, proto string, v Variant, seed int64) {
 	for th := 1; th < nthreads; th++ {
 		th := th
 		m.Spawn(th, func(cc *cpu.Core) {
-			c := ctx(cc, th)
+			c := handCtx(rt, cc)
 			rng := rand.New(rand.NewSource(seed*1000 + int64(th)))
 			got := map[uint64]int{}
 			taken[th] = got

@@ -8,23 +8,9 @@ import (
 )
 
 // This file implements paper Figure 3: the deque primitives and the
-// three spawn/wait engines.
+// spawn/wait engine, which reads its variant's discipline row.
 
 // --- deque primitives (all accesses go through simulated memory) ---
-
-// lockAcquire spins on a test-and-set built from amo_or.
-func (c *Ctx) lockAcquire(d deque) {
-	for c.env.Amo(d.lockAddr(), cache.AmoOr, 1, 0) != 0 {
-		c.env.Compute(4) // spin backoff
-	}
-}
-
-// lockRelease stores zero (release on a coherent lock word: the lock
-// word itself is accessed with AMOs, whose L2/ownership handling makes
-// the release visible).
-func (c *Ctx) lockRelease(d deque) {
-	c.env.Amo(d.lockAddr(), cache.AmoAnd, 0, 0)
-}
 
 // enq pushes a task on the tail (owner side, LIFO end).
 func (c *Ctx) enq(d deque, task mem.Addr) {
@@ -68,16 +54,21 @@ func (c *Ctx) stealHead(d deque) mem.Addr {
 // "random victim selection".
 func (c *Ctx) chooseVictim() int {
 	c.env.Compute(c.rt.Costs.VictimSelect)
-	n := c.rt.nthreads
-	if n == 1 {
+	if c.rt.nthreads == 1 {
 		return c.tid // single-threaded: only the (empty) own deque exists
 	}
-	v := c.rng.Intn(n - 1)
-	if v >= c.tid {
-		v++
-	}
+	v := c.otherThread()
 	if c.rt.lossy {
 		v = c.avoidQuarantined(v)
+	}
+	return v
+}
+
+// otherThread draws a thread other than this one, uniformly.
+func (c *Ctx) otherThread() int {
+	v := c.rng.Intn(c.rt.nthreads - 1)
+	if v >= c.tid {
+		v++
 	}
 	return v
 }
@@ -89,7 +80,6 @@ func (c *Ctx) chooseVictim() int {
 // when every victim is quarantined at once.
 func (c *Ctx) avoidQuarantined(v int) int {
 	rt := c.rt
-	n := rt.nthreads
 	// The clock first: it drains the core's queued ops, so offlineMark is
 	// read at the cycle it would be without the queue.
 	now := c.core.Now()
@@ -97,17 +87,45 @@ func (c *Ctx) avoidQuarantined(v int) int {
 		if rt.offlineMark[v] || now >= rt.quarUntil[v] {
 			return v
 		}
-		v = c.rng.Intn(n - 1)
-		if v >= c.tid {
-			v++
-		}
+		v = c.otherThread()
 	}
 	return v
 }
 
 // --- spawn: Figure 3 lines 1-7 ---
 
-// spawnTask enqueues a task descriptor per the variant's discipline.
+// acquire takes row's guard on deque d, then invalidates if the row
+// fences. The lock is a test-and-set built from amo_or.
+func (c *Ctx) acquire(row *discipline, d deque) {
+	switch row.guard {
+	case lockGuard:
+		for c.env.Amo(d.lockAddr(), cache.AmoOr, 1, 0) != 0 {
+			c.env.Compute(4) // spin backoff
+		}
+	case maskULI:
+		c.core.ULIDisable()
+	}
+	if row.fence {
+		c.core.Invalidate()
+	}
+}
+
+// release drops row's guard on deque d, flushing first if flush is set.
+// The lock word is cleared with an AMO, whose L2/ownership handling
+// makes the release visible.
+func (c *Ctx) release(row *discipline, d deque, flush bool) {
+	if flush {
+		c.core.Flush()
+	}
+	switch row.guard {
+	case lockGuard:
+		c.env.Amo(d.lockAddr(), cache.AmoAnd, 0, 0)
+	case maskULI:
+		c.core.ULIEnable()
+	}
+}
+
+// spawnTask enqueues a task descriptor on the thread's own deque.
 func (c *Ctx) spawnTask(t mem.Addr) {
 	rt := c.rt
 	// SetFunc drains newTask's stores, so the count moves at the cycle
@@ -117,59 +135,23 @@ func (c *Ctx) spawnTask(t mem.Addr) {
 	c.trace(trace.Spawn, uint64(t))
 	c.env.Compute(c.rt.Costs.Spawn)
 	d := rt.deques[c.tid]
-	switch rt.Variant {
-	case HW: // Fig 3(a)
-		c.lockAcquire(d)
-		c.enq(d, t)
-		c.lockRelease(d)
-	case HCC: // Fig 3(b): invalidate after acquire, flush before release
-		c.lockAcquire(d)
-		c.core.Invalidate()
-		c.enq(d, t)
-		c.core.Flush()
-		c.lockRelease(d)
-	case DTS: // Fig 3(c): private deque; just defer interrupts
-		c.core.ULIDisable()
-		c.enq(d, t)
-		c.core.ULIEnable()
-	}
+	c.acquire(&rt.disc, d)
+	c.enq(d, t)
+	c.release(&rt.disc, d, rt.disc.fence)
 }
 
-// popLocal dequeues from the thread's own deque per the variant.
+// popLocal dequeues from the thread's own deque.
 func (c *Ctx) popLocal() mem.Addr {
 	rt := c.rt
 	d := rt.deques[c.tid]
-	switch rt.Variant {
-	case HW:
-		c.lockAcquire(d)
-		t := c.deq(d)
-		c.lockRelease(d)
-		return t
-	case HCC:
-		c.lockAcquire(d)
-		c.core.Invalidate()
-		t := c.deq(d)
-		c.core.Flush()
-		c.lockRelease(d)
-		return t
-	case DTS:
-		c.core.ULIDisable()
-		t := c.deq(d)
-		c.core.ULIEnable()
-		return t
-	}
-	panic("wsrt: bad variant")
+	c.acquire(&rt.disc, d)
+	t := c.deq(d)
+	c.release(&rt.disc, d, rt.disc.fence)
+	return t
 }
 
-// probeEmpty checks a victim's deque without taking its lock, using
-// plain loads of head/tail. Thieves probing constantly is the common
-// idle-machine case, and probing with the lock would migrate the lock
-// line's ownership to every prober in turn — a recall storm that
-// serializes the victim's own deque accesses (the classic
-// test-and-set-without-test spin-lock pathology). With plain loads the
-// probe costs the thief two (mostly cached) loads and the victim
-// nothing. Under HCC the probe is preceded by a cache_invalidate so
-// the loads observe fresh values.
+// probeEmpty checks a victim's deque without taking its guard, with
+// plain loads of head and tail (see discipline.probeInv).
 func (c *Ctx) probeEmpty(d deque) bool {
 	c.env.Compute(2)
 	head := c.env.Load(d.headAddr())
@@ -200,57 +182,47 @@ func (c *Ctx) trySteal() mem.Addr {
 	return t
 }
 
-// stealFrom performs the per-variant steal against victim vid.
+// stealFrom performs one steal against victim vid: from its deque in
+// shared memory (Fig. 3a/b lines 19-30, with a lock-free emptiness
+// probe first) or by uli_send_req and a mailbox read (Fig. 3c lines
+// 24-27).
 func (c *Ctx) stealFrom(vid int) mem.Addr {
 	rt := c.rt
-	switch rt.Variant {
-	case HW: // Fig 3(a) lines 19-23, with a lock-free emptiness probe
-		d := rt.deques[vid]
-		if c.probeEmpty(d) {
-			return 0
-		}
-		c.lockAcquire(d)
-		t := c.stealHead(d)
-		c.lockRelease(d)
-		if t != 0 {
-			rt.Stats.StealHits++
-		}
-		return t
-	case HCC: // Fig 3(b) lines 24-30, with an invalidate+probe first
-		d := rt.deques[vid]
-		c.core.Invalidate()
-		if c.probeEmpty(d) {
-			return 0
-		}
-		c.lockAcquire(d)
-		c.core.Invalidate()
-		t := c.stealHead(d)
-		if !rt.skipStealFlush {
-			c.core.Flush()
-		}
-		c.lockRelease(d)
-		if t != 0 {
-			rt.Stats.StealHits++
-		}
-		return t
-	case DTS: // Fig 3(c) lines 24-27: uli_send_req + mailbox read
-		if rt.lossy && rt.offlineMark[vid] {
-			// The victim's scheduling loop is dead: its ULI unit only
-			// NACKs. Go in through shared memory instead.
-			return c.reclaimFrom(vid)
-		}
-		payload, ok := c.core.ULISendReq(vid)
-		if !ok {
-			rt.Stats.StealNacks++
-			c.noteVictimFailure(vid)
-			return 0
-		}
-		if payload != 0 {
-			rt.Stats.StealHits++
-		}
-		return mem.Addr(payload)
+	if !rt.disc.uli {
+		return c.stealShared(&rt.disc, rt.deques[vid])
 	}
-	panic("wsrt: bad variant")
+	if rt.lossy && rt.offlineMark[vid] {
+		// The victim's scheduling loop is dead: its ULI unit only
+		// NACKs. Go in through shared memory instead.
+		return c.reclaimFrom(vid)
+	}
+	payload, ok := c.core.ULISendReq(vid)
+	if !ok {
+		rt.Stats.StealNacks++
+		c.noteVictimFailure(vid)
+		return 0
+	}
+	if payload != 0 {
+		rt.Stats.StealHits++
+	}
+	return mem.Addr(payload)
+}
+
+// stealShared takes the head task of deque d under row's discipline.
+func (c *Ctx) stealShared(row *discipline, d deque) mem.Addr {
+	if row.probeInv {
+		c.core.Invalidate()
+	}
+	if c.probeEmpty(d) {
+		return 0
+	}
+	c.acquire(row, d)
+	t := c.stealHead(d)
+	c.release(row, d, row.stealFlush)
+	if t != 0 {
+		c.rt.Stats.StealHits++
+	}
+	return t
 }
 
 // noteVictimFailure feeds the quarantine: enough consecutive NACKs or
@@ -281,20 +253,10 @@ func (c *Ctx) reclaimFrom(vid int) mem.Addr {
 		rt.Stats.StealHits++
 		return mem.Addr(p)
 	}
-	d := rt.deques[vid]
-	c.core.Invalidate()
-	if c.probeEmpty(d) {
-		return 0
-	}
-	c.lockAcquire(d)
-	c.core.Invalidate()
-	t := c.stealHead(d)
-	c.core.Flush()
-	c.lockRelease(d)
+	t := c.stealShared(&disciplines[HCC], rt.deques[vid])
 	if t == 0 {
 		return 0
 	}
-	rt.Stats.StealHits++
 	// The dead owner can no longer set its parents' stolen flags from
 	// the inside (the DTS plain-store optimization needs the parent on
 	// the victim's own thread); publish the steal coherently instead.
@@ -320,9 +282,7 @@ func (c *Ctx) uliHandler(thief int) uint64 {
 	if parent != 0 {
 		c.env.Store(parent+descStolen*8, 1)
 	}
-	// Make everything the victim wrote (task arguments, parent data)
-	// visible before handing the task over.
-	if !c.rt.skipStealFlush {
+	if c.rt.disc.stealFlush {
 		c.core.Flush()
 	}
 	return uint64(t)
@@ -381,8 +341,8 @@ func (c *Ctx) enterOffline() {
 
 // --- task execution and joining ---
 
-// executeTask runs a dequeued/stolen task and performs the
-// post-execution join bookkeeping per variant.
+// executeTask runs a dequeued or stolen task, then joins it to its
+// parent.
 func (c *Ctx) executeTask(t mem.Addr, stolen bool) {
 	rt := c.rt
 	rec := rt.tasks[t]
@@ -394,13 +354,9 @@ func (c *Ctx) executeTask(t mem.Addr, stolen bool) {
 	} else {
 		rt.Stats.LocalExecs++
 	}
-
-	if stolen {
-		switch rt.Variant {
-		case HCC, DTS:
-			// The task and its inputs were produced on another core.
-			c.core.Invalidate()
-		}
+	fence := stolen && rt.disc.stolenFence
+	if fence {
+		c.core.Invalidate()
 	}
 
 	c.trace(trace.ExecStart, uint64(t))
@@ -414,52 +370,40 @@ func (c *Ctx) executeTask(t mem.Addr, stolen bool) {
 	c.core.SetFunc(fidRuntime, rt.footprint(fidRuntime))
 
 	parent := mem.Addr(c.env.Load(t + descParent*8))
-	if stolen {
-		switch rt.Variant {
-		case HCC, DTS:
-			// Make the task's results visible to the parent's thread.
-			c.core.Flush()
-		}
+	if fence {
+		c.core.Flush()
 	}
-
-	// Join: decrement the parent's reference count.
 	if parent != 0 {
 		rcAddr := parent + descRC*8
-		switch rt.Variant {
-		case HW, HCC:
+		if (stolen && rt.disc.join != never) || c.holds(rt.disc.join, parent) {
 			c.env.Amo(rcAddr, cache.AmoAdd, ^uint64(0), 0) // amo_sub(rc, 1)
-		case DTS:
-			if stolen {
-				c.env.Amo(rcAddr, cache.AmoAdd, ^uint64(0), 0)
-			} else if c.env.Load(parent+descStolen*8) != 0 {
-				// A sibling was stolen: fall back to AMOs (Fig 3c line 17).
-				c.env.Amo(rcAddr, cache.AmoAdd, ^uint64(0), 0)
-			} else {
-				// No steal ever happened: plain read-modify-write.
-				rc := c.env.Load(rcAddr)
-				c.env.Store(rcAddr, rc-1)
-			}
+		} else {
+			rc := c.env.Load(rcAddr)
+			c.env.Store(rcAddr, rc-1)
 		}
 	}
 	c.freeTask(t)
 }
 
-// readRC reads the waiting task's reference count per variant (HCC
-// always uses an AMO; DTS uses a plain load unless a child was stolen).
+// holds reports whether an operation that runs under w runs for the
+// task whose descriptor is p.
+func (c *Ctx) holds(w when, p mem.Addr) bool {
+	switch w {
+	case always:
+		return true
+	case ifStolen:
+		return c.env.Load(p+descStolen*8) != 0
+	}
+	return false
+}
+
+// readRC reads the waiting task's reference count.
 func (c *Ctx) readRC(p mem.Addr) uint64 {
 	rcAddr := p + descRC*8
-	switch c.rt.Variant {
-	case HW:
-		return c.env.Load(rcAddr) // hardware keeps it coherent
-	case HCC:
+	if c.holds(c.rt.disc.readRC, p) {
 		return c.env.Amo(rcAddr, cache.AmoOr, 0, 0)
-	case DTS:
-		if c.env.Load(p+descStolen*8) != 0 {
-			return c.env.Amo(rcAddr, cache.AmoOr, 0, 0)
-		}
-		return c.env.Load(rcAddr)
 	}
-	panic("wsrt: bad variant")
+	return c.env.Load(rcAddr)
 }
 
 // wait blocks until all of p's children have joined, executing local
@@ -492,15 +436,8 @@ func (c *Ctx) waitDeadline(p mem.Addr, deadline sim.Time) bool {
 			c.idleBackoff()
 		}
 	}
-	// Fig 3(b) line 40 / Fig 3(c) lines 43-44: the parent may have
-	// stale copies of data written by stolen children.
-	switch rt.Variant {
-	case HCC:
+	if c.holds(rt.disc.waitInv, p) {
 		c.core.Invalidate()
-	case DTS:
-		if c.env.Load(p+descStolen*8) != 0 {
-			c.core.Invalidate()
-		}
 	}
 	c.core.SetFunc(fidRuntime, rt.footprint(fidRuntime))
 	return drained
@@ -537,33 +474,13 @@ func (c *Ctx) workerLoop() {
 	}
 }
 
-// checkDone polls the termination flag. How matters enormously:
-//
-//   - HW (MESI everywhere): a plain load. The flag is cached shared in
-//     every spinning worker and costs nothing until the main thread's
-//     write invalidates the copies. Polling with an AMO instead would
-//     migrate the line's ownership to every poller in turn — with ~60
-//     spinning workers the directory recall storm serializes the whole
-//     machine (this is a classic spin-wait anti-pattern).
-//   - HCC: also a plain load. The cache_invalidate performed at every
-//     deque access in this very loop (Fig. 3b) guarantees the copy is
-//     refreshed each iteration.
-//   - DTS: tiny cores never self-invalidate while idle, so a stale
-//     cached zero would spin forever; poll with amo_or (the coherent
-//     read), but only every few iterations — exactly the kind of cost
-//     DTS's private-deque design accepts for the rare termination check.
+// checkDone polls the termination flag (see discipline.doneAMOEvery).
 func (c *Ctx) checkDone(iter uint64) bool {
 	rt := c.rt
-	switch rt.Variant {
-	case HW, HCC:
-		return c.env.Load(rt.doneAddr) != 0
-	case DTS:
-		if iter%4 != 0 {
-			return false
-		}
-		return c.env.Amo(rt.doneAddr, cache.AmoOr, 0, 0) != 0
+	if n := rt.disc.doneAMOEvery; n != 0 {
+		return iter%n == 0 && c.env.Amo(rt.doneAddr, cache.AmoOr, 0, 0) != 0
 	}
-	panic("wsrt: bad variant")
+	return c.env.Load(rt.doneAddr) != 0
 }
 
 // idleBackoff burns exponentially growing compute after consecutive

@@ -5,8 +5,12 @@ import (
 	"testing"
 
 	"bigtiny/internal/cache"
+	"bigtiny/internal/cpu"
 	"bigtiny/internal/fault"
 	"bigtiny/internal/machine"
+	"bigtiny/internal/mem"
+	"bigtiny/internal/prog"
+	"bigtiny/internal/uli"
 )
 
 // lossyMachine builds the small DTS test machine with a fault scenario
@@ -110,6 +114,101 @@ func TestReclaimStrandedTask(t *testing.T) {
 	}
 }
 
+// handCtx is a scheduler context for a hand-driven thread: a test
+// spawns the thread's body itself instead of running the worker loop.
+func handCtx(rt *RT, cc *cpu.Core) *Ctx {
+	return &Ctx{rt: rt, env: prog.NewSimEnv(cc, rt.M.Mem), core: cc, tid: cc.ID}
+}
+
+// TestReclaimTakesLateAck: a task can also be stranded in a dead
+// core's salvage mailbox, when a steal ACK reached its thief after the
+// thief's timeout and the thief fail-stopped before it polled again.
+// A reclaimer must take the task from the mailbox. Three hand-driven
+// threads stage it. Thread 2 steals from thread 1 while thread 1 spins
+// with no interrupt point, times out and dies. Thread 1's handler then
+// hands its task over in a late ACK, and thread 3 reclaims it.
+func TestReclaimTakesLateAck(t *testing.T) {
+	// Lossy in name only, so that the steal timeout is armed.
+	m := lossyMachine(t, "gwb", fault.Scenario{ULIRespDropProb: 1e-12}, 1)
+	rt := New(m, DTS)
+	const victim, dead, reclaimer = 1, 2, 3
+	var planted, got mem.Addr
+	m.Spawn(victim, func(cc *cpu.Core) {
+		c := handCtx(rt, cc)
+		m.ULI.Unit(victim).SetHandler(c.uliHandler)
+		planted = c.newTask(fidRuntime, func(*Ctx) {})
+		c.enq(rt.deques[victim], planted)
+		cc.ULIEnable()
+		cc.Spin(2*uli.DefaultStealTimeout, 2*uli.DefaultStealTimeout)
+		cc.Spin(100, 1) // interrupt points: the buffered request is handled
+		cc.ULIDisable()
+	})
+	m.Spawn(dead, func(cc *cpu.Core) {
+		cc.IdleUntil(500) // the victim has enabled ULIs and is spinning
+		if _, ok := cc.ULISendReq(victim); ok {
+			t.Error("a steal from a victim that cannot be interrupted did not time out")
+		}
+		rt.offlineMark[dead] = true
+	})
+	m.Spawn(reclaimer, func(cc *cpu.Core) {
+		cc.IdleUntil(4 * uli.DefaultStealTimeout)
+		got = handCtx(rt, cc).reclaimFrom(dead)
+	})
+	if err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if planted == 0 || got != planted {
+		t.Fatalf("reclaimed %#x from the dead thief's mailbox, want the late-ACKed task %#x", got, planted)
+	}
+	if s := m.ULI.Stats; s.LateAcks != 1 || s.Timeouts != 1 {
+		t.Fatalf("want one timeout and one late ACK: %+v", s)
+	}
+}
+
+// TestReclaimFindsDequeEmptied: a reclaimer whose probe saw a stranded
+// task can find the deque empty once it holds the lock, when another
+// thread took the task in between. Thread 1 plants a task in dead
+// thread 2's deque under the deque's lock and takes it back before it
+// lets go; thread 3 probes meanwhile, sees the task, and must come
+// away with nothing.
+func TestReclaimFindsDequeEmptied(t *testing.T) {
+	m := lossyMachine(t, "gwb", fault.Scenario{}, 1)
+	rt := New(m, DTS)
+	const holder, dead, reclaimer = 1, 2, 3
+	rt.offlineMark[dead] = true
+	d := rt.deques[dead]
+	hcc := &disciplines[HCC]
+	m.Spawn(holder, func(cc *cpu.Core) {
+		c := handCtx(rt, cc)
+		c.acquire(hcc, d)
+		task := c.newTask(fidRuntime, func(*Ctx) {})
+		c.enq(d, task)
+		cc.Flush()
+		c.Compute(5_000)
+		if c.stealHead(d) != task {
+			t.Error("the holder did not get its own task back")
+		}
+		c.release(hcc, d, true)
+	})
+	m.Spawn(reclaimer, func(cc *cpu.Core) {
+		c := handCtx(rt, cc)
+		cc.IdleUntil(1_000)
+		cc.Invalidate()
+		if c.probeEmpty(d) {
+			t.Error("the reclaimer's probe missed the planted task")
+		}
+		if got := c.reclaimFrom(dead); got != 0 {
+			t.Errorf("reclaimed %#x from a deque the holder emptied", got)
+		}
+		if now := cc.Now(); now < 5_000 {
+			t.Errorf("the reclaim ended at cycle %d, before the holder let go", now)
+		}
+	})
+	if err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestOracleCatchesSkippedStealFlush is the planted-bug check: build the
 // runtime with the steal-handler cache_flush elided (the §IV-C hand-off
 // bug) and the memory-ordering oracle must flag it — even if the run
@@ -119,7 +218,7 @@ func TestOracleCatchesSkippedStealFlush(t *testing.T) {
 	m := lossyMachine(t, "gwb", fault.Scenario{}, 1)
 	m.Kernel.SetDeadline(10_000_000)
 	rt := New(m, DTS)
-	rt.skipStealFlush = true
+	rt.disc.stealFlush = false
 	fid := rt.RegisterFunc("fib", 512)
 	out := m.Mem.AllocWords(1)
 	err := rt.Run(fibProgram(fid, 15, out))

@@ -27,7 +27,7 @@ func (rt *RT) Run(root Body) error {
 				rt: rt, env: prog.NewSimEnv(cc, rt.M.Mem), core: cc, tid: core,
 				rng: sim.NewRand(uint64(cc.ID)*2654435761 + 12345),
 			}
-			if rt.Variant == DTS {
+			if rt.disc.uli {
 				unit := rt.M.ULI.Unit(core)
 				unit.SetHandler(func(thief int) uint64 {
 					return c.uliHandler(thief)
@@ -43,7 +43,7 @@ func (rt *RT) Run(root Body) error {
 			} else {
 				c.workerLoop()
 			}
-			if rt.Variant == DTS {
+			if rt.disc.uli {
 				cc.ULIDisable()
 			}
 		})

@@ -13,7 +13,7 @@ import (
 	"bigtiny/internal/trace"
 )
 
-// Variant selects the spawn/wait engine.
+// Variant selects the engine's discipline row.
 type Variant int
 
 // The three runtime implementations of paper Figure 3.
@@ -33,15 +33,10 @@ const (
 
 // String names the variant.
 func (v Variant) String() string {
-	switch v {
-	case HW:
-		return "HW"
-	case HCC:
-		return "HCC"
-	case DTS:
-		return "DTS"
+	if v < 0 || int(v) >= len(disciplines) {
+		return fmt.Sprintf("Variant(%d)", int(v))
 	}
-	return fmt.Sprintf("Variant(%d)", int(v))
+	return disciplines[v].name
 }
 
 // AutoVariant picks the natural runtime for a machine: DTS if it has
@@ -108,6 +103,8 @@ const (
 type RT struct {
 	M       *machine.Machine
 	Variant Variant
+	// disc is Variant's row of the discipline table.
+	disc discipline
 
 	// nativeMem backs machine-less native runtimes (NewNative).
 	nativeMem *mem.Memory
@@ -150,11 +147,6 @@ type RT struct {
 	quarUntil []sim.Time
 	// degradedSince is the cycle of the first core loss (0 = none).
 	degradedSince sim.Time
-
-	// skipStealFlush omits the cache_flush in the steal hand-off paths
-	// (the DTS handler and the HCC steal). Test-only: it plants the
-	// protocol bug the memory-ordering oracle must catch.
-	skipStealFlush bool
 }
 
 // quarantineThreshold is the consecutive-failure count that quarantines
@@ -170,12 +162,15 @@ const (
 // New builds a runtime for m. HW and HCC run on any machine; DTS
 // requires a machine built with ULI hardware.
 func New(m *machine.Machine, v Variant) *RT {
-	if v == DTS && m.ULI == nil {
+	if v < 0 || int(v) >= len(disciplines) {
+		panic("wsrt: unknown " + v.String())
+	}
+	if disciplines[v].uli && m.ULI == nil {
 		panic("wsrt: DTS requires a machine with ULI hardware")
 	}
 	n := len(m.Cores)
 	rt := &RT{
-		M: m, Variant: v, nthreads: n,
+		M: m, Variant: v, disc: disciplines[v], nthreads: n,
 		tasks: make(map[mem.Addr]*taskRec),
 		free:  make([][]mem.Addr, n),
 		funcs: make([]FuncInfo, fidFirst),

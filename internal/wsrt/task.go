@@ -1,8 +1,9 @@
 // Package wsrt is the paper's primary contribution: a TBB/Cilk-style
 // work-stealing runtime that runs on hardware-coherent, heterogeneous
-// cache-coherent (HCC), and direct-task-stealing (DTS) machines. The
-// three spawn/wait engines follow paper Figure 3(a), 3(b) and 3(c)
-// line by line.
+// cache-coherent (HCC), and direct-task-stealing (DTS) machines. One
+// spawn/wait engine follows paper Figure 3 line by line, and a
+// discipline row per variant says which of the operations of 3(a),
+// 3(b) and 3(c) it performs.
 //
 // Task descriptors, task queues (deques), and all data shared between
 // parent and child tasks live in *simulated* memory and are accessed
