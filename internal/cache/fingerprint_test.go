@@ -129,8 +129,10 @@ func fingerprintStream(protos []Protocol, faults *fault.Injector, seed uint64, n
 		la := mem.LineAddr(base + mem.Addr(op.line*mem.LineSize))
 		preOwner, preSharer, preWordOwner := -1, false, false
 		if line, ok := sys.peek(sys.bankFor(la), la); ok {
-			preOwner, preSharer = line.owner, line.sharers.has(op.core)
-			for _, o := range line.wordOwner {
+			var words [mem.WordsPerLine]int32
+			preOwner, words = l2Owners(sys, line)
+			preSharer = line.sharers.has(op.core)
+			for _, o := range words {
 				preWordOwner = preWordOwner || (o >= 0 && int(o) != op.core)
 			}
 		}
@@ -142,7 +144,7 @@ func fingerprintStream(protos []Protocol, faults *fault.Injector, seed uint64, n
 		}
 		postOwner := -1
 		if line, ok := sys.peek(sys.bankFor(la), la); ok {
-			postOwner = line.owner
+			postOwner, _ = l2Owners(sys, line)
 		}
 		mesi := l1.Protocol() == MESI
 		recalled := sys.L2Stats.Recalls > recalls

@@ -166,7 +166,8 @@ func TestDirectoryPrecisionProperty(t *testing.T) {
 			for c := range protos {
 				ln := sys.L1(c).find(la)
 				has := ln != nil && ln.valid
-				tracked := line.sharers.has(c) || line.owner == c
+				owner, _ := l2Owners(sys, line)
+				tracked := line.sharers.has(c) || owner == c
 				if has != tracked {
 					t.Logf("directory imprecise for core %d line %#x: has=%v tracked=%v",
 						c, uint64(la), has, tracked)

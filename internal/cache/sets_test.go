@@ -228,8 +228,8 @@ func TestMESIWideSharers(t *testing.T) {
 			t.Fatalf("core %d still holds a after core 100's write", c)
 		}
 	}
-	if la.owner != 100 || !la.sharers.empty() {
-		t.Fatalf("line a owner %d sharers %v, want owner 100 and no sharers", la.owner, sharers(la))
+	if owner, _ := l2Owners(sys, la); owner != 100 || !la.sharers.empty() {
+		t.Fatalf("line a owner %d sharers %v, want owner 100 and no sharers", owner, sharers(la))
 	}
 	if got := sharers(lb); len(got) != 2 || got[0] != 64 || got[1] != 255 {
 		t.Fatalf("line b sharers %v after the write to a, want [64 255]", got)
