@@ -122,11 +122,14 @@ open-smoke:
 bench-smoke:
 	$(GO) test -run xxx -bench . -benchtime 1x ./internal/sim ./internal/machine
 
-# Five seconds each of the event-queue fuzzer (pushes, stops, waits
-# against a sorted model; see internal/sim/queue_test.go), the L1
-# op-stream fuzzer (each protocol's word-mask invariants after every op;
-# see internal/cache/fuzz_test.go) and the store record reader (exact
-# payload or a miss on arbitrary bytes; see internal/store/fuzz_test.go).
+# Five seconds each of every fuzz target: the event-queue fuzzer
+# (pushes, stops, waits against a sorted model; see
+# internal/sim/queue_test.go), the L1 op-stream fuzzer (each protocol's
+# word-mask invariants and the L2 directory's after every op; see
+# internal/cache/fuzz_test.go), the store record reader (exact payload
+# or a miss on arbitrary bytes; see internal/store/fuzz_test.go) and the
+# trajectory import (no panic, and a rejected result file changes
+# nothing; see internal/bench/trajectory_test.go).
 # A crasher lands in the package's
 # testdata/fuzz and fails every later `go test` until it is fixed.
 # Minimising each new-coverage input would eat the budget, so that is
@@ -135,6 +138,7 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzEventQueue -fuzztime 5s -fuzzminimizetime 1x ./internal/sim
 	$(GO) test -run xxx -fuzz FuzzL1Ops -fuzztime 5s -fuzzminimizetime 1x ./internal/cache
 	$(GO) test -run xxx -fuzz FuzzStoreDecode -fuzztime 5s -fuzzminimizetime 1x ./internal/store
+	$(GO) test -run xxx -fuzz FuzzTrajectoryImport -fuzztime 5s -fuzzminimizetime 1x ./internal/bench
 
 # Service self-test: start simd on a random port with a temp store,
 # POST a tiny job under the full lossy chaos scenario, assert HTTP 200,

@@ -81,7 +81,16 @@ func checkMasks(l *L1) string {
 // the MESI owner (a core granted E or M) or -1, and the DeNovo owner of
 // each word or -1.
 func l2Owners(sys *System, l l2Ref) (mesi int, words [mem.WordsPerLine]int32) {
-	return l.owner, l.wordOwner
+	mesi = noOwner
+	for w, o := range l.owner {
+		words[w] = noOwner
+		if o >= 0 && sys.l1s[o].proto == MESI {
+			mesi = int(o)
+		} else {
+			words[w] = o
+		}
+	}
+	return mesi, words
 }
 
 // checkDirectory returns a description of the first valid L2 line whose
@@ -152,8 +161,8 @@ func checkLine(sys *System, l l2Ref) string {
 	if nonEmpty > 1 {
 		return fmt.Sprintf("(a) MESI owner %d, sharers %v and word owners %v at once", mesi, l.sharers.w, words)
 	}
-	if mesi >= 0 && sys.l1s[mesi].proto != MESI {
-		return fmt.Sprintf("(b) MESI owner %d is a %v L1", mesi, sys.l1s[mesi].proto)
+	if mesi >= 0 && l.owner != ownedBy(mesi) {
+		return fmt.Sprintf("(b) MESI owner %d is recorded for words %v", mesi, l.owner)
 	}
 	if mesi >= 0 {
 		if ln := sys.l1s[mesi].find(l.tag); ln == nil || ln.ownedMask != 0xFF && !ln.excl {
@@ -163,9 +172,6 @@ func checkLine(sys *System, l l2Ref) string {
 	for w, o := range words {
 		if o < 0 {
 			continue
-		}
-		if sys.l1s[o].proto == MESI {
-			return fmt.Sprintf("(b) word %d registered to MESI core %d", w, o)
 		}
 		if ln := sys.l1s[o].find(l.tag); ln == nil || ln.ownedMask&(1<<w) == 0 {
 			return fmt.Sprintf("(c) word %d recorded for core %d, which does not own it", w, o)

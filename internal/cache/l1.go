@@ -457,15 +457,16 @@ func (l *L1) held(la mem.Addr) *l1Line {
 	return ln
 }
 
-// recallMESI pulls the line back from this (owning) L1, downgrading it
-// to S or invalidating it. It returns the line data and whether it was
-// dirty (M).
-func (l *L1) recallMESI(la mem.Addr, invalidate bool) ([mem.WordsPerLine]uint64, bool) {
+// recall surrenders this L1's ownership of the words in mask, keeping
+// them as clean valid copies, or drops the whole line. It returns the
+// line's data and the words it owned (an E line owns none).
+func (l *L1) recall(la mem.Addr, mask uint8, drop bool) ([mem.WordsPerLine]uint64, uint8) {
 	ln := l.held(la)
-	dirty := ln.ownedMask != 0
-	ln.validMask, ln.ownedMask, ln.excl = 0xFF, 0, false
-	ln.valid = !invalidate
-	return ln.data, dirty
+	owned := ln.ownedMask & mask
+	ln.validMask |= owned
+	ln.ownedMask &^= mask
+	ln.valid, ln.excl = !drop, false
+	return ln.data, owned
 }
 
 // invalidateMESILine drops a shared copy (writer-initiated
@@ -474,15 +475,6 @@ func (l *L1) invalidateMESILine(la mem.Addr) {
 	if ln := l.find(la); ln != nil {
 		ln.valid = false
 	}
-}
-
-// recallWords surrenders DeNovo ownership of the masked words,
-// returning their data. The local copy stays valid (clean).
-func (l *L1) recallWords(la mem.Addr, mask uint8) [mem.WordsPerLine]uint64 {
-	ln := l.held(la)
-	ln.validMask |= ln.ownedMask & mask
-	ln.ownedMask &^= mask
-	return ln.data
 }
 
 // debugDirtyWord reports this cache's owned or dirty copy of a word, if

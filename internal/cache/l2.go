@@ -57,11 +57,6 @@ type System struct {
 	// spare holds the sets earlier runs used (see Reset), for newSet.
 	spare []l2Set
 
-	// recallScratch groups recalled words by owning core (one word mask
-	// per core id), reused across recallWords calls so the hot recall
-	// path allocates nothing. Entries are always zero between calls.
-	recallScratch []uint8
-
 	L2Stats L2Stats
 }
 
@@ -104,14 +99,33 @@ type l2Line struct {
 	dirty bool // relative to DRAM
 	data  [mem.WordsPerLine]uint64
 
-	// Directory state for the MESI domain: the exclusive owner (a core
-	// granted E or M), if any, and a precise sharer list (l2Ref.sharers).
-	owner int // core id, or -1
-
-	// DeNovo word registrations: owning core per word, or -1.
-	wordOwner [mem.WordsPerLine]int32
+	// owner is the directory's one owner record: the core that owns each
+	// word, or noOwner. A DeNovo core registers single words; a MESI
+	// owner (a core granted E or M) is named by all eight. MESI sharers
+	// are in a precise list beside the line (l2Ref.sharers).
+	owner [mem.WordsPerLine]int32
 
 	lastUse uint64
+}
+
+// noOwner is the owner record of a word no L1 owns.
+const noOwner = -1
+
+// ownedBy returns the owner record of a line whose every word core owns.
+func ownedBy(core int) (r [mem.WordsPerLine]int32) {
+	for w := range r {
+		r[w] = int32(core)
+	}
+	return r
+}
+
+// disown clears core's ownership of the words in mask.
+func (l l2Ref) disown(core int, mask uint8) {
+	for w, o := range l.owner {
+		if mask&(1<<w) != 0 && o == int32(core) {
+			l.owner[w] = noOwner
+		}
+	}
 }
 
 // NewSystem builds the hierarchy. L1s are attached afterwards with NewL1.
@@ -127,8 +141,7 @@ func NewSystem(cfg Config, m *noc.Mesh, backing *mem.Memory) *System {
 	}
 	s := &System{
 		cfg: cfg, mesh: m, mem: backing,
-		sharerWords:   (cfg.NumCores + 63) / 64,
-		recallScratch: make([]uint8, cfg.NumCores),
+		sharerWords: (cfg.NumCores + 63) / 64,
 	}
 	for b := range cfg.BankNode {
 		s.banks = append(s.banks, &bank{
@@ -253,12 +266,7 @@ func (s *System) lookup(now sim.Time, b *bank, la mem.Addr) (line l2Ref, ready s
 	t := now
 	if victim.valid {
 		s.L2Stats.Evictions++
-		t = s.recallAll(t, b, victim)
-		t = s.invalidateSharers(t, b, victim, -1)
-		// Inclusive eviction: MESI L1s lose the line entirely.
-		if victim.owner >= 0 {
-			t, _, _ = s.recallOwner(t, b, victim, true)
-		}
+		t, _ = s.acquireForWrite(t, b, victim, -1, 0xFF)
 		if victim.dirty {
 			s.mesh.Traffic.Bytes[noc.DRAMReq] += lineWBBytes
 			s.mesh.Traffic.Messages[noc.DRAMReq]++
@@ -276,45 +284,11 @@ func (s *System) lookup(now sim.Time, b *bank, la mem.Addr) (line l2Ref, ready s
 	victim.tag = la
 	victim.valid = true
 	victim.dirty = false
-	victim.owner = -1
+	victim.owner = ownedBy(noOwner)
 	victim.sharers.clearAll()
-	for i := range victim.wordOwner {
-		victim.wordOwner[i] = -1
-	}
 	s.mem.ReadLine(la, &victim.data)
 	victim.lastUse = s.tick
 	return victim, t
-}
-
-// recallOwner pulls the line back from its exclusive MESI owner. If
-// invalidate is true the owner drops to I, otherwise it keeps an S copy.
-// Returns the time the owner's response reaches the bank, plus the
-// owner's node and whether dirty data was supplied, so callers can
-// model owner->requester forwarding (the standard 3-hop directory
-// optimization) instead of bouncing data through the bank.
-func (s *System) recallOwner(t sim.Time, b *bank, l l2Ref, invalidate bool) (sim.Time, noc.NodeID, bool) {
-	if l.owner < 0 {
-		return t, b.node, false
-	}
-	owner := l.owner
-	s.L2Stats.Recalls++
-	at := s.mesh.Send(t, b.node, s.cfg.CoreNode[owner], reqBytes, noc.CohReq)
-	data, wasDirty := s.l1s[owner].recallMESI(l.tag, invalidate)
-	respBytes := ackBytes
-	if wasDirty {
-		respBytes = lineRespBytes
-		l.data = data
-		l.dirty = true
-	}
-	done := s.mesh.Send(at, s.cfg.CoreNode[owner], b.node, respBytes, noc.CohResp)
-	if invalidate {
-		l.owner = -1
-	} else {
-		// Downgrade: owner becomes a plain sharer.
-		l.sharers.set(owner)
-		l.owner = -1
-	}
-	return done, s.cfg.CoreNode[owner], wasDirty
 }
 
 // invalidateSharers sends invalidations to every MESI sharer except
@@ -341,66 +315,69 @@ func (s *System) invalidateSharers(t sim.Time, b *bank, l l2Ref, except int) sim
 	return done
 }
 
-// recallAll pulls back every DeNovo-registered word in the line,
-// transferring ownership to the L2. One round trip per distinct owner.
-func (s *System) recallAll(t sim.Time, b *bank, l l2Ref) sim.Time {
-	return s.recallWords(t, b, l, 0xFF, -1)
-}
-
-// recallWords recalls the words in mask that are registered to cores
-// other than except.
-func (s *System) recallWords(t sim.Time, b *bank, l l2Ref, mask uint8, except int) sim.Time {
-	// Group words by owner in the reusable scratch table (cleared again
-	// as the owner loop consumes it).
-	byOwner := s.recallScratch
-	any := false
-	for w := 0; w < mem.WordsPerLine; w++ {
-		if mask&(1<<w) == 0 {
-			continue
-		}
-		o := int(l.wordOwner[w])
-		if o >= 0 && o != except {
-			byOwner[o] |= 1 << w
-			any = true
-		}
-	}
-	if !any {
-		return t
-	}
-	done := t
-	for owner := 0; owner < s.cfg.NumCores; owner++ {
-		wm := byOwner[owner]
-		if wm == 0 {
-			continue
-		}
-		byOwner[owner] = 0
-		s.L2Stats.Recalls++
-		at := s.mesh.Send(t, b.node, s.cfg.CoreNode[owner], reqBytes, noc.CohReq)
-		words := s.l1s[owner].recallWords(l.tag, wm)
-		resp := s.mesh.Send(at, s.cfg.CoreNode[owner], b.node, wbBytes(wm), noc.CohResp)
-		for w := 0; w < mem.WordsPerLine; w++ {
-			if wm&(1<<w) != 0 {
-				l.data[w] = words[w]
-				l.wordOwner[w] = -1
+// recall takes back the owned words in mask, one round trip per owner
+// in ascending core id. A DeNovo owner gives up just those words and
+// keeps them clean. A MESI owner owns the whole line: it drops the
+// line, or with keep is downgraded to a sharer. Each owner answers with
+// the words it owned (the line from M, a bare ack from E). A writer
+// never owns a word it asks for (its L1 would have hit), and a reader's
+// own DeNovo words come back like anyone's, so no owner is excepted.
+// recall returns when the last answer reaches the bank, and where the
+// line's data leaves for the requester: an M owner's node (the 3-hop
+// forward), or else the bank's.
+func (s *System) recall(t sim.Time, b *bank, l l2Ref, mask uint8, keep bool) (sim.Time, noc.NodeID) {
+	done, from := t, b.node
+	for mask != 0 {
+		// The lowest core owning a word in mask, and its words there.
+		owner, wm := noOwner, uint8(0)
+		for w, o := range l.owner {
+			switch {
+			case mask&(1<<w) == 0 || o < 0:
+			case owner < 0 || int(o) < owner:
+				owner, wm = int(o), 1<<w
+			case int(o) == owner:
+				wm |= 1 << w
 			}
 		}
-		l.dirty = true
-		if resp > done {
-			done = resp
+		if owner < 0 {
+			break
 		}
+		l1, node := s.l1s[owner], s.cfg.CoreNode[owner]
+		mesi := l1.proto == MESI
+		if mesi {
+			wm = 0xFF
+		}
+		s.L2Stats.Recalls++
+		at := s.mesh.Send(t, b.node, node, reqBytes, noc.CohReq)
+		words, owned := l1.recall(l.tag, wm, mesi && !keep)
+		resp := s.mesh.Send(at, node, b.node, wbBytes(owned), noc.CohResp)
+		for w := range words {
+			if owned&(1<<w) != 0 {
+				l.data[w] = words[w]
+				l.dirty = true
+			}
+		}
+		l.disown(owner, wm)
+		if mesi && keep {
+			l.sharers.set(owner)
+		}
+		if mesi && owned != 0 {
+			from = node
+		}
+		done = max(done, resp)
+		mask &^= wm
 	}
-	return done
+	return done, from
 }
 
-// acquireForWrite makes the L2 copy of the line writable by `core`:
-// recalls the MESI owner, invalidates MESI sharers, and recalls DeNovo
-// word registrations for the written words. This is the Spandex-style
-// integration point: a write arriving from any protocol is
-// writer-initiated with respect to the hardware-coherent (MESI) domain
-// and reader-initiated with respect to the software-centric domain.
-func (s *System) acquireForWrite(t sim.Time, b *bank, l l2Ref, core int, mask uint8) sim.Time {
-	t, _, _ = s.recallOwner(t, b, l, true)
-	t = s.invalidateSharers(t, b, l, core)
-	t = s.recallWords(t, b, l, mask, core)
-	return t
+// acquireForWrite makes the L2 copy of the line writable by core: it
+// recalls the owners of the words in mask, then invalidates the MESI
+// sharers other than core. This is the Spandex-style integration point: a write
+// arriving from any protocol is writer-initiated with respect to the
+// hardware-coherent (MESI) domain and reader-initiated with respect to
+// the software-centric domain. It returns where the line's data leaves
+// for the requester (see recall).
+func (s *System) acquireForWrite(t sim.Time, b *bank, l l2Ref, core int, mask uint8) (sim.Time, noc.NodeID) {
+	t, from := s.recall(t, b, l, mask, false)
+	return s.invalidateSharers(t, b, l, core), from
 }

@@ -16,44 +16,31 @@ func (s *System) l2GetLine(now sim.Time, core int, la mem.Addr, exclusive, isMES
 	t := s.mesh.Send(now, s.cfg.CoreNode[core], b.node, reqBytes, noc.CPUReq)
 	t = b.res.Acquire(t, s.cfg.BankLat)
 	line, t := s.lookup(t, b, la)
-	respFrom := b.node
+	var respFrom noc.NodeID
 	if exclusive {
 		// MESI GetM: writer-initiated invalidation of every other copy
 		// in the hardware-coherent domain plus recall of registered
 		// words.
-		var fwd noc.NodeID
-		var hadData bool
-		t, fwd, hadData = s.recallOwner(t, b, line, true)
-		if hadData {
-			respFrom = fwd // owner forwards data to the requester
-		}
-		t = s.invalidateSharers(t, b, line, core)
-		t = s.recallWords(t, b, line, 0xFF, -1)
+		t, respFrom = s.acquireForWrite(t, b, line, core, 0xFF)
 		line.sharers.clear(core)
-		line.owner = core
+		line.owner = ownedBy(core)
 	} else {
 		// A read: fetch dirty data from the MESI owner (downgrading it
 		// to S) and from any DeNovo word owners (ownership moves to the
 		// L2, which then supplies future readers).
-		var fwd noc.NodeID
-		var hadData bool
-		t, fwd, hadData = s.recallOwner(t, b, line, false)
-		if hadData {
-			respFrom = fwd
-		}
-		t = s.recallWords(t, b, line, 0xFF, -1)
+		t, respFrom = s.recall(t, b, line, 0xFF, true)
 		if isMESI {
-			if line.owner < 0 && line.sharers.empty() {
-				line.owner = core // E grant: exclusive clean
+			if line.sharers.empty() {
+				line.owner = ownedBy(core) // E grant: exclusive clean
 				grantedE = true
 			} else {
 				line.sharers.set(core)
 			}
 		}
 	}
-	// Owner->requester forwarding: when dirty data came from another
-	// L1, the data response travels directly from that core (the bank
-	// has already been updated for inclusivity); t at this point is the
+	// Owner->requester forwarding: when dirty data came from an M owner,
+	// the data response travels directly from that core (the bank has
+	// already been updated for inclusivity); t at this point is the
 	// forwarding departure time.
 	done = s.mesh.Send(t, respFrom, s.cfg.CoreNode[core], lineRespBytes, noc.DataResp)
 	return line.data, grantedE, done
@@ -66,11 +53,9 @@ func (s *System) l2Upgrade(now sim.Time, core int, la mem.Addr) (done sim.Time) 
 	t := s.mesh.Send(now, s.cfg.CoreNode[core], b.node, reqBytes, noc.CPUReq)
 	t = b.res.Acquire(t, s.cfg.BankLat)
 	line, t := s.lookup(t, b, la)
-	t, _, _ = s.recallOwner(t, b, line, true) // raced M elsewhere: pull it back
-	t = s.invalidateSharers(t, b, line, core)
-	t = s.recallWords(t, b, line, 0xFF, -1)
+	t, _ = s.acquireForWrite(t, b, line, core, 0xFF)
 	line.sharers.clear(core)
-	line.owner = core
+	line.owner = ownedBy(core)
 	return s.mesh.Send(t, b.node, s.cfg.CoreNode[core], ackBytes, noc.DataResp)
 }
 
@@ -82,8 +67,8 @@ func (s *System) l2RegisterWord(now sim.Time, core int, la mem.Addr, widx int) (
 	t := s.mesh.Send(now, s.cfg.CoreNode[core], b.node, reqBytes, noc.CPUReq)
 	t = b.res.Acquire(t, s.cfg.BankLat)
 	line, t := s.lookup(t, b, la)
-	t = s.acquireForWrite(t, b, line, core, 1<<widx)
-	line.wordOwner[widx] = int32(core)
+	t, _ = s.acquireForWrite(t, b, line, core, 1<<widx)
+	line.owner[widx] = int32(core)
 	done = s.mesh.Send(t, b.node, s.cfg.CoreNode[core], wordRespBytes, noc.DataResp)
 	return line.data[widx], done
 }
@@ -96,7 +81,7 @@ func (s *System) l2WriteThrough(now sim.Time, core int, la mem.Addr, widx int, v
 	t := s.mesh.Send(now, s.cfg.CoreNode[core], b.node, wbBytes(1<<widx), noc.WBReq)
 	t = b.res.Acquire(t, s.cfg.BankLat)
 	line, t := s.lookup(t, b, la)
-	t = s.acquireForWrite(t, b, line, core, 1<<widx)
+	t, _ = s.acquireForWrite(t, b, line, core, 1<<widx)
 	line.data[widx] = val
 	line.dirty = true
 	return t
@@ -106,27 +91,18 @@ func (s *System) l2WriteThrough(now sim.Time, core int, la mem.Addr, widx int, v
 // GPU-WB flush, or a MESI/DeNovo owner returning data). fromOwnership
 // distinguishes writebacks by the registered owner (no other copies can
 // exist, so no invalidations are needed) from GPU-WB writebacks (the
-// MESI domain may hold stale copies that must be invalidated).
+// MESI domain may hold stale copies that must be invalidated). mask is
+// never empty: an L1 writes back only owned or dirty words.
 func (s *System) l2WriteBack(now sim.Time, core int, la mem.Addr, mask uint8, words *[mem.WordsPerLine]uint64, fromOwnership bool) (done sim.Time) {
-	if mask == 0 {
-		return now
-	}
 	b := s.bankFor(la)
 	t := s.mesh.Send(now, s.cfg.CoreNode[core], b.node, wbBytes(mask), noc.WBReq)
 	t = b.res.Acquire(t, s.cfg.BankLat)
 	line, t := s.lookup(t, b, la)
 	if fromOwnership {
 		// The writer was the owner: just clear its registrations.
-		if line.owner == core {
-			line.owner = -1
-		}
-		for w := 0; w < mem.WordsPerLine; w++ {
-			if mask&(1<<w) != 0 && line.wordOwner[w] == int32(core) {
-				line.wordOwner[w] = -1
-			}
-		}
+		line.disown(core, mask)
 	} else {
-		t = s.acquireForWrite(t, b, line, core, mask)
+		t, _ = s.acquireForWrite(t, b, line, core, mask)
 	}
 	for w := 0; w < mem.WordsPerLine; w++ {
 		if mask&(1<<w) != 0 {
@@ -145,7 +121,7 @@ func (s *System) l2Amo(now sim.Time, core int, la mem.Addr, widx int, op AmoOp, 
 	t := s.mesh.Send(now, s.cfg.CoreNode[core], b.node, amoReqBytes, noc.SyncReq)
 	t = b.res.Acquire(t, s.cfg.BankLat+s.cfg.AmoLat)
 	line, t := s.lookup(t, b, la)
-	t = s.acquireForWrite(t, b, line, core, 1<<widx)
+	t, _ = s.acquireForWrite(t, b, line, core, 1<<widx)
 	if dirtyWord != nil {
 		line.data[widx] = *dirtyWord
 		line.dirty = true
@@ -168,9 +144,7 @@ func (s *System) l2EvictNotify(now sim.Time, core int, la mem.Addr) {
 	s.mesh.Send(now, s.cfg.CoreNode[core], b.node, reqBytes, noc.CohReq)
 	if line, ok := s.peek(b, la); ok {
 		line.sharers.clear(core)
-		if line.owner == core {
-			line.owner = -1
-		}
+		line.disown(core, 0xFF)
 	}
 }
 
@@ -200,9 +174,6 @@ func (s *System) DebugReadWord(a mem.Addr) uint64 {
 	la := mem.LineAddr(a)
 	w := mem.WordIndex(a)
 	for _, l1 := range s.l1s {
-		if l1 == nil {
-			continue
-		}
 		if v, ok := l1.debugDirtyWord(la, w); ok {
 			return v
 		}

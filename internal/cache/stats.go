@@ -61,7 +61,7 @@ func (s *L1Stats) Add(other *L1Stats) {
 type L2Stats struct {
 	Hits      uint64
 	Misses    uint64
-	Recalls   uint64 // ownership recalls (MESI owner or DeNovo words)
+	Recalls   uint64 // ownership recalls: one per owner (MESI or DeNovo) a recall asks
 	InvSent   uint64 // invalidations sent to MESI sharers
 	Evictions uint64
 	AmoOps    uint64 // AMOs performed at the L2 (no-ownership protocols)
