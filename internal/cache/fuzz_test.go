@@ -81,13 +81,10 @@ func checkMasks(l *L1) string {
 // the MESI owner (a core granted E or M) or -1, and the DeNovo owner of
 // each word or -1.
 func l2Owners(sys *System, l l2Ref) (mesi int, words [mem.WordsPerLine]int32) {
-	mesi = noOwner
-	for w, o := range l.owner {
-		words[w] = noOwner
+	mesi, words = noOwner, l.owner
+	for w, o := range words {
 		if o >= 0 && sys.l1s[o].proto == MESI {
-			mesi = int(o)
-		} else {
-			words[w] = o
+			mesi, words[w] = int(o), noOwner
 		}
 	}
 	return mesi, words
@@ -125,7 +122,7 @@ func checkDirectory(sys *System) string {
 				if !ln.valid || ln.ownedMask == 0 && !ln.excl {
 					continue
 				}
-				mesi, words := -1, [mem.WordsPerLine]int32{}
+				mesi, words := noOwner, ownedBy(noOwner)
 				if l, ok := sys.peek(sys.bankFor(ln.tag), ln.tag); ok {
 					mesi, words = l2Owners(sys, l)
 				}
