@@ -262,7 +262,8 @@ func (s *System) lookup(now sim.Time, b *bank, la mem.Addr) (line l2Ref, ready s
 	victim := s.way(set, vi)
 	s.L2Stats.Misses++
 	// Evict the victim if occupied; the L2 is inclusive of MESI L1s and
-	// of DeNovo word registrations, so it must recall them first.
+	// of DeNovo word registrations, so it first recalls every owner and
+	// invalidates every sharer, as a write by no core would.
 	t := now
 	if victim.valid {
 		s.L2Stats.Evictions++
