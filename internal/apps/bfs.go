@@ -175,7 +175,7 @@ func setupBFSBV(rt *wsrt.RT, size Size, grain int) *Instance {
 				// Promote next to cur and clear next (main thread, plain
 				// stores published by the fork discipline).
 				for wi := 0; wi < nw; wi++ {
-					c.Store(word(curBV, wi), c.Load(word(nextBV, wi)))
+					c.Copy(word(curBV, wi), word(nextBV, wi))
 					c.Store(word(nextBV, wi), 0)
 				}
 			}

@@ -117,8 +117,7 @@ func maxDegreeVertex(g *graph.Graph) int {
 
 // degree loads v's degree from simulated CSR.
 func (gc *gctx) degree(c *wsrt.Ctx, v int) (start, end int) {
-	s := c.Load(gc.gm.OffsetAddr(v))
-	e := c.Load(gc.gm.OffsetAddr(v + 1))
+	s, e := c.Load2(gc.gm.OffsetAddr(v), gc.gm.OffsetAddr(v+1))
 	return int(s), int(e)
 }
 

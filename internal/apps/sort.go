@@ -75,8 +75,7 @@ func setupSort(rt *wsrt.RT, size Size, grain int) *Instance {
 				v = c.Load(word(data, i))
 				i++
 			default:
-				a := c.Load(word(data, i))
-				b := c.Load(word(data, j))
+				a, b := c.Load2(word(data, i), word(data, j))
 				if a <= b {
 					v = a
 					i++
@@ -137,7 +136,7 @@ func setupSort(rt *wsrt.RT, size Size, grain int) *Instance {
 	copyBack := func(c *wsrt.Ctx, lo, hi int, par bool) {
 		body := func(cc *wsrt.Ctx, i int) {
 			cc.Compute(1)
-			cc.Store(word(data, i), cc.Load(word(tmp, i)))
+			cc.Copy(word(data, i), word(tmp, i))
 		}
 		if par {
 			c.ParallelFor(fidMerge, lo, hi, 2*grain, body)

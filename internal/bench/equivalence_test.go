@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"bigtiny/internal/apps"
+	"bigtiny/internal/cache"
+	"bigtiny/internal/fault"
 	"bigtiny/internal/machine"
 	"bigtiny/internal/mem"
 	"bigtiny/internal/sim"
@@ -107,32 +109,44 @@ func TestFastPathMatchesParanoidTestSize(t *testing.T) {
 	}
 }
 
-// TestQueuedIssueSavesResumes: a test-size cilk5-cs cell on bT/MESI with
-// the cores' op queues (and the kernel's fast path and wait chains) on
-// takes exactly the waits of the paranoid run, where every op blocks and
-// every wait is an event: the paranoid run's events are the queued run's
-// events plus its elided waits. Only the switches into the cores'
-// threads fall, by at least 40 %.
+// TestQueuedIssueSavesResumes: a cell with the cores' op queues (and the
+// kernel's fast path and wait chains) on takes exactly the waits of the
+// paranoid run, where every op blocks and every wait is an event: the
+// paranoid run's events are the queued run's events plus its elided
+// waits. Only the switches into the cores' threads fall: by at least
+// 40 % on a test-size cilk5-cs cell on bT/MESI, and by at least half on
+// a unit-size one on the 64-core DTS machine, whose mostly idle workers
+// run the deque loop of lock AMOs, fences and ULI enables.
 func TestQueuedIssueSavesResumes(t *testing.T) {
-	counts := func(paranoid bool) (scheduled, fired, fastWaits, resumes uint64) {
+	counts := func(size apps.Size, cfgName string, paranoid bool) (scheduled, fired, fastWaits, resumes uint64) {
 		prev := sim.KernelParanoid
 		sim.KernelParanoid = paranoid
 		defer func() { sim.KernelParanoid = prev }()
-		s := NewSuite(apps.Test)
-		if _, err := s.Run("bT/MESI", "cilk5-cs"); err != nil {
+		s := NewSuite(size)
+		if _, err := s.Run(cfgName, "cilk5-cs"); err != nil {
 			t.Fatal(err)
 		}
 		scheduled, fired, fastWaits = s.HostCounters()
 		return scheduled, fired, fastWaits, s.Resumes()
 	}
-	qs, qf, qw, qr := counts(false)
-	ps, pf, pw, pr := counts(true)
-	if pw != 0 || ps != qs+qw || pf != qf+qw {
-		t.Fatalf("paranoid scheduled/fired/elided %d/%d/%d, queued %d/%d/%d: the waits differ",
-			ps, pf, pw, qs, qf, qw)
-	}
-	if qr*10 > pr*6 {
-		t.Fatalf("queued issue resumed %d times, paranoid %d: want at least 40 %% fewer", qr, pr)
+	for _, cell := range []struct {
+		size       apps.Size
+		cfg        string
+		maxPercent uint64
+	}{
+		{apps.Test, "bT/MESI", 60},
+		{apps.Unit, "bT/HCC-DTS-gwb", 50},
+	} {
+		qs, qf, qw, qr := counts(cell.size, cell.cfg, false)
+		ps, pf, pw, pr := counts(cell.size, cell.cfg, true)
+		if pw != 0 || ps != qs+qw || pf != qf+qw {
+			t.Fatalf("%s %s: paranoid scheduled/fired/elided %d/%d/%d, queued %d/%d/%d: the waits differ",
+				cell.size, cell.cfg, ps, pf, pw, qs, qf, qw)
+		}
+		if qr*100 > pr*cell.maxPercent {
+			t.Fatalf("%s %s: queued issue resumed %d times, paranoid %d: want at most %d %%",
+				cell.size, cell.cfg, qr, pr, cell.maxPercent)
+		}
 	}
 }
 
@@ -166,18 +180,16 @@ func TestChaosQueuedMatchesParanoid(t *testing.T) {
 // latches, deque occupancy — that paranoid blocking issue dumps at the
 // same cycle. A thread runs ahead of its queued ops only through Go
 // code that no dump reads. The deadlines are dense (one every 151
-// cycles) because a thread is rarely caught in such a window. (The
-// kernel's own lines differ between the modes by design: paranoid mode
-// queues every wait as an event.)
+// cycles) because a thread is rarely caught in such a window. The
+// sweeps cover each runtime row (DTS, HCC with GPU-WB and with DeNovo
+// tiny cores, HW on MESI) and DTS under lossy-uli, whose recovery
+// hooks run on the thread. (The kernel's own lines differ between the
+// modes by design: paranoid mode queues every wait as an event.)
 func TestDeadlineDumpMatchesParanoid(t *testing.T) {
-	dump := func(cfgName string, deadline sim.Time, paranoid bool) string {
+	dump := func(cfg machine.Config, deadline sim.Time, paranoid bool) string {
 		prev := sim.KernelParanoid
 		sim.KernelParanoid = paranoid
 		defer func() { sim.KernelParanoid = prev }()
-		cfg, err := machine.Lookup(cfgName)
-		if err != nil {
-			t.Fatal(err)
-		}
 		cfg.Deadline = deadline
 		app, err := apps.ByName("cilk5-cs")
 		if err != nil {
@@ -198,10 +210,25 @@ func TestDeadlineDumpMatchesParanoid(t *testing.T) {
 		}
 		return strings.Join(keep, "\n")
 	}
-	for _, cfgName := range []string{"bT8/HCC-DTS-gwb", "bT8/HCC-gwb"} {
+	lookup := func(name string) machine.Config {
+		cfg, err := machine.Lookup(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cfg
+	}
+	dnv := lookup("bT8/HCC-gwb")
+	dnv.TinyProto, dnv.Name = cache.DeNovo, "bT8/HCC-dnv"
+	lossy := lookup("bT8/HCC-DTS-gwb")
+	sc, err := fault.Lookup("lossy-uli")
+	if err != nil {
+		t.Fatal(err)
+	}
+	lossy.Faults, lossy.FaultSeed, lossy.Name = &sc, 1, "bT8/HCC-DTS-gwb under lossy-uli"
+	for _, cfg := range []machine.Config{lookup("bT8/HCC-DTS-gwb"), lookup("bT8/HCC-gwb"), lookup("bT8/MESI"), dnv, lossy} {
 		for deadline := sim.Time(500); deadline <= 20000; deadline += 151 {
-			if queued, slow := dump(cfgName, deadline, false), dump(cfgName, deadline, true); queued != slow {
-				t.Fatalf("%s at deadline %d:\nqueued:\n%s\nparanoid:\n%s", cfgName, deadline, queued, slow)
+			if queued, slow := dump(cfg, deadline, false), dump(cfg, deadline, true); queued != slow {
+				t.Fatalf("%s at deadline %d:\nqueued:\n%s\nparanoid:\n%s", cfg.Name, deadline, queued, slow)
 			}
 		}
 	}

@@ -76,10 +76,11 @@ func BigConfig() Config {
 // thread (sim.Proc) bound to it.
 //
 // The thread hands the core its ops in program order. An op that
-// returns nothing and reads no clock (Compute, Store) is queued and the
-// thread runs on; every other op joins the queue and drains it, and a
-// proc body drains before it returns (Drain). Draining issues each
-// queued op at the cycle, and at the place in the event order, its
+// returns nothing and reads no clock (all but Load, Load2, Amo, SetFunc
+// and IdleUntil) is queued and the thread runs on; every other op joins
+// the queue and drains it, and a proc body drains before it returns
+// (Drain). Draining issues each queued op at the cycle, and at the
+// place in the event order, its
 // blocking call would have — through one sim.Proc.WaitChain whose steps
 // the kernel walks — so the queue changes how often the thread is
 // switched to, never what the machine does. That holds while the
@@ -121,11 +122,12 @@ type Core struct {
 	// Reset). direct issues every op on the spot
 	// instead: set for good under KernelParanoid, and while a ULI handler
 	// or hook runs, whose ops go to the machine ahead of the ops it
-	// interrupted. val is the value the last Load or Amo returned.
+	// interrupted. val[0] is what the last Load or Amo returned, val[1]
+	// what Load2 or Copy keeps for its second op (kept across a poll).
 	qHead, qLen int
 	chain       func() (sim.Time, bool)
 	direct      bool
-	val         uint64
+	val         [2]uint64
 
 	// sbuf holds completion times of outstanding stores in a fixed
 	// inline buffer (sbLen entries live). Even simple in-order cores
@@ -168,8 +170,8 @@ const (
 // it carries between its waits, packed into 40 bytes:
 //
 //	Compute:   n instructions left, v the chunk, w the fetch stall to wait out
-//	Load:      a
-//	Store:     a, v the value
+//	Load:      a, n the val register to load into
+//	Store:     a, v the value, n 1 to store val[1] instead
 //	Amo:       a, n the cache.AmoOp, v and w its operands
 //	SetFunc:   n the function id, v the footprint
 //	IdleUntil: w the cycle to wake at
@@ -411,11 +413,15 @@ func (c *Core) step(o *op) (sim.Time, stepState) {
 		c.Insts++
 		switch o.kind {
 		case opLoad:
-			v, done := c.L1D.Load(now, o.a)
-			c.val = v
+			var done sim.Time
+			c.val[o.n], done = c.L1D.Load(now, o.a)
 			return c.charge(ClassLoad, c.shorten(now, done)), stepDone
 		case opStore:
-			return c.store(now, o.a, o.v), stepDone
+			v := o.v
+			if o.n != 0 {
+				v = c.val[1]
+			}
+			return c.store(now, o.a, v), stepDone
 		}
 		// A fence waits for the store buffer, when it holds a store still
 		// in flight.
@@ -427,7 +433,7 @@ func (c *Core) step(o *op) (sim.Time, stepState) {
 	var done sim.Time
 	switch o.kind {
 	case opAmo:
-		c.val, done = c.L1D.Amo(now, o.a, cache.AmoOp(o.n), o.v, o.w)
+		c.val[0], done = c.L1D.Amo(now, o.a, cache.AmoOp(o.n), o.v, o.w)
 	case opInvalidate:
 		done = c.L1D.Invalidate(now)
 	case opFlush:
@@ -463,10 +469,10 @@ func (c *Core) charge(class Class, done sim.Time) sim.Time {
 func (c *Core) poll() {
 	if c.ULI != nil {
 		before := c.proc.Now()
-		direct := c.direct
+		direct, kept := c.direct, c.val[1]
 		c.direct = true
 		c.ULI.Poll(c.proc)
-		c.direct = direct
+		c.direct, c.val[1] = direct, kept
 		if after := c.proc.Now(); after > before {
 			// Handler entry/response time not charged inside the handler
 			// body lands in Others.
@@ -492,12 +498,12 @@ func (c *Core) IdleUntil(t sim.Time) { c.call(opIdle, 0, 0, 0, uint64(t)) }
 // core offlining). The first true result latches the transition and
 // records the injection. The runtime checks it at scheduling-loop
 // boundaries and, on true, abandons the core forever; survivors reclaim
-// its queued work.
+// its queued work. Only a lane that can go reads the clock (a drain).
 func (c *Core) Offline() bool {
 	if c.wentOffline {
 		return true
 	}
-	if c.Faults.CoreOffline(c.FaultLane, c.Now()) {
+	if c.Faults.CanOffline(c.FaultLane) && c.Faults.CoreOffline(c.FaultLane, c.Now()) {
 		c.wentOffline = true
 		c.Faults.Fired(fault.CoreOffline)
 		return true
@@ -588,11 +594,11 @@ func (c *Core) issue(n int) (sim.Time, sim.Time) {
 //		c.Compute(min(n, chunk))
 //	}
 //
-// followed by a drain. The chunks between two polls that have
-// something to do cost no switch to this core's thread.
+// It is queued; the chunks between two polls that have something to do
+// cost no switch to this core's thread.
 func (c *Core) Spin(n, chunk int) {
 	if n > 0 {
-		c.call(opCompute, n, 0, uint64(chunk), 0)
+		c.post(opCompute, n, 0, uint64(chunk), 0)
 	}
 }
 
@@ -613,7 +619,21 @@ func (c *Core) shorten(start, done sim.Time) sim.Time {
 // Load performs a timed load.
 func (c *Core) Load(a mem.Addr) uint64 {
 	c.call(opLoad, 0, a, 0, 0)
-	return c.val
+	return c.val[0]
+}
+
+// Load2 performs a timed load of a, then one of b, and returns both
+// values: Load(a), Load(b) with one drain for the two.
+func (c *Core) Load2(a, b mem.Addr) (uint64, uint64) {
+	c.post(opLoad, 1, a, 0, 0)
+	c.call(opLoad, 0, b, 0, 0)
+	return c.val[1], c.val[0]
+}
+
+// Copy stores the word at src to dst: Store(dst, Load(src)), queued.
+func (c *Core) Copy(dst, src mem.Addr) {
+	c.post(opLoad, 1, src, 0, 0)
+	c.post(opStore, 1, dst, 0, 0)
 }
 
 // Store performs a timed store. It is queued. The store issues in one
@@ -674,22 +694,27 @@ func (c *Core) drainStores(class Class) sim.Time {
 // buffer.
 func (c *Core) Amo(a mem.Addr, amo cache.AmoOp, arg1, arg2 uint64) uint64 {
 	c.call(opAmo, int(amo), a, arg1, arg2)
-	return c.val
+	return c.val[0]
+}
+
+// AmoQueued is Amo for a caller that drops the old value: queued.
+func (c *Core) AmoQueued(a mem.Addr, amo cache.AmoOp, arg1, arg2 uint64) {
+	c.post(opAmo, int(amo), a, arg1, arg2)
 }
 
 // Invalidate executes cache_invalidate (flash; cheap — charged to
 // Others since the cost is in the later misses, not the operation).
-func (c *Core) Invalidate() { c.call(opInvalidate, 0, 0, 0, 0) }
+func (c *Core) Invalidate() { c.post(opInvalidate, 0, 0, 0, 0) }
 
 // Flush executes cache_flush (a fence: waits for all dirty data to
 // reach the shared cache).
-func (c *Core) Flush() { c.call(opFlush, 0, 0, 0, 0) }
+func (c *Core) Flush() { c.post(opFlush, 0, 0, 0, 0) }
 
 // ULIEnable enables user-level interrupts (1 cycle).
-func (c *Core) ULIEnable() { c.call(opULIEnable, 0, 0, 0, 0) }
+func (c *Core) ULIEnable() { c.post(opULIEnable, 0, 0, 0, 0) }
 
 // ULIDisable disables user-level interrupts (1 cycle).
-func (c *Core) ULIDisable() { c.call(opULIDisable, 0, 0, 0, 0) }
+func (c *Core) ULIDisable() { c.post(opULIDisable, 0, 0, 0, 0) }
 
 // ULISendReq drains, then sends a steal request and blocks for the
 // response.

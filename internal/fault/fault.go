@@ -290,10 +290,12 @@ func (in *Injector) ULIDropResp() bool {
 // latches the transition itself and records it with Fired(CoreOffline)
 // exactly once.
 func (in *Injector) CoreOffline(lane int, now sim.Time) bool {
-	if in == nil || lane < 0 || in.sc.OfflineAt == 0 {
-		return false
-	}
-	return lane == in.sc.OfflineLane && now >= in.sc.OfflineAt
+	return in.CanOffline(lane) && now >= in.sc.OfflineAt
+}
+
+// CanOffline is CoreOffline without the clock: can the lane ever go?
+func (in *Injector) CanOffline(lane int) bool {
+	return in != nil && lane >= 0 && in.sc.OfflineAt != 0 && lane == in.sc.OfflineLane
 }
 
 // DRAMAccess perturbs one DRAM access: it returns the (possibly

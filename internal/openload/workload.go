@@ -205,7 +205,7 @@ func msort(c *wsrt.Ctx, fid int, d, sc mem.Addr, lo, hi int) {
 		c.Store(sc+mem.Addr(k*8), v)
 	}
 	for k := lo; k < hi; k++ {
-		c.Store(d+mem.Addr(k*8), c.Load(sc+mem.Addr(k*8)))
+		c.Copy(d+mem.Addr(k*8), sc+mem.Addr(k*8))
 	}
 }
 

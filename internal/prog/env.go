@@ -22,21 +22,25 @@ import (
 // through it — that is what makes coherence behaviour (and its bugs)
 // real.
 //
-// On a simulated core, Compute and Store return before they issue: the
-// core queues them and issues them, in order and at the cycles they
-// would have had, when the thread next needs a value (Load, Amo) or the
-// clock. So between a Compute or Store and the next op that returns
-// something, the caller may touch only its own Go state. Go state that
-// another core or the kernel reads or writes (a runtime table, a
-// counter an observer samples mid-run) is read or written only after an
-// op that drains: a Load, an Amo, or cpu.Core.Now. A ULI handler and
-// the runtime's salvage and restitute hooks run ahead of the ops they
-// interrupt; their own ops issue at once.
+// On a simulated core, Compute, Store and Copy return before they
+// issue: the core queues them and issues them, in order and at the
+// cycles they would have had, when the thread next needs a value (Load,
+// Load2, Amo) or the clock. So between one of them and the next op that
+// returns something, the caller may touch only its own Go state. Go
+// state that another core or the kernel reads or writes (a runtime
+// table, a counter an observer samples mid-run) is read or written only
+// after an op that drains: a Load, a Load2, an Amo, or cpu.Core.Now. A
+// ULI handler and the runtime's salvage and restitute hooks run ahead
+// of the ops they interrupt; their own ops issue at once.
 type Env interface {
 	// Compute executes n abstract non-memory instructions.
 	Compute(n int)
 	Load(a mem.Addr) uint64
+	// Load2 is Load(a), Load(b), with one wait for both.
+	Load2(a, b mem.Addr) (uint64, uint64)
 	Store(a mem.Addr, v uint64)
+	// Copy is Store(dst, Load(src)), with no wait.
+	Copy(dst, src mem.Addr)
 	Amo(a mem.Addr, op cache.AmoOp, arg1, arg2 uint64) uint64
 	// Alloc reserves n words of simulated memory (the software heap).
 	Alloc(nwords int) mem.Addr
@@ -60,8 +64,14 @@ func (e *SimEnv) Compute(n int) { e.Core.Compute(n) }
 // Load issues a timed load.
 func (e *SimEnv) Load(a mem.Addr) uint64 { return e.Core.Load(a) }
 
+// Load2 issues two timed loads with one drain.
+func (e *SimEnv) Load2(a, b mem.Addr) (uint64, uint64) { return e.Core.Load2(a, b) }
+
 // Store issues a timed store (queued).
 func (e *SimEnv) Store(a mem.Addr, v uint64) { e.Core.Store(a, v) }
+
+// Copy issues a timed load and the store of its value (queued).
+func (e *SimEnv) Copy(dst, src mem.Addr) { e.Core.Copy(dst, src) }
 
 // Amo issues a timed atomic.
 func (e *SimEnv) Amo(a mem.Addr, op cache.AmoOp, arg1, arg2 uint64) uint64 {
@@ -99,11 +109,17 @@ func (e *NativeEnv) Load(a mem.Addr) uint64 {
 	return e.Mem.ReadWord(a)
 }
 
+// Load2 reads two words: two loads' instructions.
+func (e *NativeEnv) Load2(a, b mem.Addr) (uint64, uint64) { return e.Load(a), e.Load(b) }
+
 // Store writes directly to backing memory.
 func (e *NativeEnv) Store(a mem.Addr, v uint64) {
 	e.Insts++
 	e.Mem.WriteWord(a, v)
 }
+
+// Copy copies a word: a load's and a store's instructions.
+func (e *NativeEnv) Copy(dst, src mem.Addr) { e.Store(dst, e.Load(src)) }
 
 // Amo applies the atomic directly.
 func (e *NativeEnv) Amo(a mem.Addr, op cache.AmoOp, arg1, arg2 uint64) uint64 {

@@ -82,3 +82,55 @@ func TestSimEnvRoundTrip(t *testing.T) {
 		t.Fatal("no simulated time elapsed")
 	}
 }
+
+// pairProgram runs Load2 and Copy on e over the four words at base,
+// which hold 3, 4, 5, 6, and returns what Load2 read.
+func pairProgram(e Env, base mem.Addr) (uint64, uint64) {
+	e.Copy(base+16, base)   // words: 3, 4, 3, 6
+	e.Copy(base+8, base+24) // 3, 6, 3, 6
+	e.Store(base, 9)        // 9, 6, 3, 6
+	x, y := e.Load2(base, base+16)
+	e.Copy(base+24, base+16) // 9, 6, 3, 3
+	return x, y
+}
+
+// TestEnvPairParity: NativeEnv and SimEnv agree on Load2's values and on
+// the memory Copy leaves, and NativeEnv counts each form as the two
+// memory ops it stands for.
+func TestEnvPairParity(t *testing.T) {
+	words := []uint64{3, 4, 5, 6}
+	init := func(m *mem.Memory) mem.Addr {
+		base := m.AllocWords(len(words))
+		for i, v := range words {
+			m.WriteWord(base+mem.Addr(8*i), v)
+		}
+		return base
+	}
+	native := NewNativeEnv(mem.New())
+	nbase := init(native.Mem)
+	nx, ny := pairProgram(native, nbase)
+	if native.Insts != 2+2+1+2+2 {
+		t.Fatalf("native counted %d insts, want 9", native.Insts)
+	}
+
+	cfg, err := machine.Lookup("bT/HCC-DTS-gwb")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := machine.New(cfg)
+	sbase := init(m.Mem)
+	var sx, sy uint64
+	m.Spawn(0, func(core *cpu.Core) { sx, sy = pairProgram(NewSimEnv(core, m.Mem), sbase) })
+	if err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if sx != nx || sy != ny || nx != 9 || ny != 3 {
+		t.Fatalf("Load2 read %d, %d simulated and %d, %d native; want 9, 3", sx, sy, nx, ny)
+	}
+	for i := range words {
+		a := mem.Addr(8 * i)
+		if s, n := m.Cache.DebugReadWord(sbase+a), native.Mem.ReadWord(nbase+a); s != n {
+			t.Fatalf("word %d: %d simulated, %d native", i, s, n)
+		}
+	}
+}

@@ -298,11 +298,18 @@ func (t *Timer) Active() bool {
 // TimerAt schedules fn at time t and returns a handle that can cancel
 // it.
 func (k *Kernel) TimerAt(t Time, fn func()) *Timer {
+	tm := new(Timer)
+	k.ArmTimer(tm, t, fn)
+	return tm
+}
+
+// ArmTimer is TimerAt into a caller's Timer, which allocates nothing.
+func (k *Kernel) ArmTimer(tm *Timer, t Time, fn func()) {
 	if t < k.now {
 		panic(fmt.Sprintf("sim: timer at %d before now %d", t, k.now))
 	}
 	idx, gen := k.schedule(t, fn, nil)
-	return &Timer{k: k, idx: idx, gen: gen}
+	*tm = Timer{k: k, idx: idx, gen: gen}
 }
 
 // TimerAfter schedules fn d cycles from now, cancellable.

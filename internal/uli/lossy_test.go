@@ -245,3 +245,66 @@ func TestTakeLateDrainsMailbox(t *testing.T) {
 		t.Fatal("TakeLate on an empty mailbox reported a payload")
 	}
 }
+
+// TestSendReqAllocatesNothing: once warm, a steal request allocates
+// nothing, whether it is ACKed, NACKed by a disabled victim, or timed
+// out (its ACK arriving late and going through the salvage mailbox).
+func TestSendReqAllocatesNothing(t *testing.T) {
+	k := sim.NewKernel()
+	f := lossyFabric(k, fault.Scenario{}, 64)
+	victim, thief := f.Unit(0), f.Unit(1)
+	mode, done := 0, false
+	victim.SetHandler(func(int) uint64 {
+		if mode == 2 {
+			victim.proc.Delay(100) // past the thief's timeout
+		}
+		return 0xF00D
+	})
+	salvaged := 0
+	thief.SetSalvage(func(uint64) { salvaged++ })
+	k.NewProc("victim", 0, func(p *sim.Proc) {
+		victim.Bind(p)
+		for !done {
+			if mode == 1 {
+				victim.Disable()
+			} else {
+				victim.Enable()
+			}
+			victim.Poll(p)
+			p.Delay(1)
+		}
+		victim.Disable()
+	})
+	var allocs float64
+	k.NewProc("thief", 0, func(p *sim.Proc) {
+		thief.Bind(p)
+		thief.Enable()
+		i := 0
+		steal := func() {
+			mode = i % 3
+			i++
+			p.Delay(2) // the victim sees the mode before the request lands
+			thief.SendReq(p, 0)
+			for j := 0; j < 100; j++ {
+				thief.Poll(p)
+				p.Delay(1)
+			}
+		}
+		for i < 30 {
+			steal()
+		}
+		allocs = testing.AllocsPerRun(60, steal)
+		done = true
+		thief.Disable()
+	})
+	if err := k.Run(nil); err != nil {
+		t.Fatal(err)
+	}
+	s := f.Stats
+	if s.Acks == 0 || s.Nacks == 0 || s.Timeouts == 0 || s.LateAcks == 0 || salvaged != int(s.LateAcks) {
+		t.Fatalf("the mix lacks an outcome: stats %+v, %d salvaged", s, salvaged)
+	}
+	if allocs != 0 {
+		t.Fatalf("a steal request allocates %v objects", allocs)
+	}
+}

@@ -80,12 +80,18 @@ type Fabric struct {
 	// responses write the thief's registers at victim send time, so
 	// fault-free cycle counts are untouched by the recovery machinery.
 	Timeout sim.Time
+
+	// wire holds the messages in flight, in the order their arrival
+	// events (onArrive) were scheduled, and free the spent records.
+	wire, free []*request
+	onArrive   func()
 }
 
 // NewFabric builds the ULI network for numCores cores whose positions
 // are given by nodeOf.
 func NewFabric(k *sim.Kernel, rows, cols, numCores int, nodeOf func(core int) noc.NodeID) *Fabric {
 	f := &Fabric{kernel: k, mesh: noc.NewMesh(rows, cols)}
+	f.onArrive = f.arrive
 	for c := 0; c < numCores; c++ {
 		f.units = append(f.units, &Unit{fabric: f, core: c, node: nodeOf(c)})
 	}
@@ -95,12 +101,12 @@ func NewFabric(k *sim.Kernel, rows, cols, numCores int, nodeOf func(core int) no
 
 // Reset returns the fabric to the state NewFabric leaves it in: idle
 // units with no thread, handler or hook, an idle mesh, zero stats and
-// no timeout. Faults and each unit's EntryLat are wiring and stay.
+// no timeout. Faults, EntryLat, spare records and callbacks stay.
 func (f *Fabric) Reset() {
-	f.Stats, f.Timeout = Stats{}, 0
+	f.Stats, f.Timeout, f.wire = Stats{}, 0, f.wire[:0]
 	f.mesh.Reset()
 	for _, u := range f.units {
-		*u = Unit{fabric: u.fabric, core: u.core, node: u.node, EntryLat: u.EntryLat}
+		*u = Unit{fabric: u.fabric, core: u.core, node: u.node, EntryLat: u.EntryLat, onTimeout: u.onTimeout}
 	}
 }
 
@@ -143,9 +149,10 @@ type Unit struct {
 	// recognized as stale. respDone marks the current request as
 	// terminated (response delivered or timed out). Both are only
 	// consulted when fabric.Timeout > 0.
-	epoch    uint64
-	respDone bool
-	timer    *sim.Timer
+	epoch     uint64
+	respDone  bool
+	timer     sim.Timer
+	onTimeout func()
 
 	// late is the salvage mailbox: payloads of stale ACKs (task pointers
 	// the victim handed over, but whose hand-off the thief had already
@@ -162,11 +169,13 @@ type Unit struct {
 	proc *sim.Proc
 }
 
+// request is one steal request until its response is delivered or lost
+// (a timed-out thief's may still be in flight: it is not the unit's).
 type request struct {
-	thief   int
-	arrived sim.Time
-	sentAt  sim.Time
-	epoch   uint64 // thief's epoch at send time, echoed in the response
+	thief, victim  int
+	at, sentAt     sim.Time // at: when the message in flight arrives
+	epoch, payload uint64   // epoch: the thief's at send time, echoed in the response
+	resp, ok       bool     // resp: the response is in flight (timeout-armed fabrics)
 }
 
 // SetSalvage installs the hook that takes ownership of stale-ACK
@@ -185,7 +194,7 @@ func (u *Unit) TakeLate() (payload uint64, ok bool) {
 		return 0, false
 	}
 	p := u.late[0]
-	u.late = u.late[1:]
+	u.late = append(u.late[:0], u.late[1:]...) // keeps the storage
 	return p, true
 }
 
@@ -237,21 +246,45 @@ func (u *Unit) SendReq(proc *sim.Proc, victim int) (payload uint64, ok bool) {
 			return 0, false
 		}
 	} else {
-		f.kernel.At(arrive, func() {
-			v.receive(arrive, &request{
-				thief: u.core, arrived: arrive, sentAt: sentAt, epoch: ep})
-		})
+		var r *request
+		if n := len(f.free); n > 0 {
+			r, f.free = f.free[n-1], f.free[:n-1]
+		} else {
+			r = new(request)
+		}
+		*r = request{thief: u.core, victim: victim, at: arrive, sentAt: sentAt, epoch: ep}
+		f.wire = append(f.wire, r)
+		f.kernel.At(arrive, f.onArrive)
 	}
 	u.waiting = true
 	if f.Timeout > 0 {
-		u.timer = f.kernel.TimerAt(sentAt+f.Timeout, func() { u.timeoutFire(ep) })
+		if u.onTimeout == nil {
+			u.onTimeout = u.timeoutFire
+		}
+		f.kernel.ArmTimer(&u.timer, sentAt+f.Timeout, u.onTimeout)
 	}
 	proc.Block() // resumed by the response delivery or the timeout
 	u.waiting = false
 	u.timer.Stop()
-	u.timer = nil
 	proc.WaitUntil(u.respAt)
 	return u.respPayload, u.respOK
+}
+
+// arrive runs in the kernel when a message arrives at its victim or
+// thief: the first one due now, as events due together fire in order.
+func (f *Fabric) arrive() {
+	now, i := f.kernel.Now(), 0
+	for f.wire[i].at != now {
+		i++
+	}
+	r := f.wire[i]
+	f.wire = append(f.wire[:i], f.wire[i+1:]...)
+	if !r.resp {
+		f.units[r.victim].receive(now, r)
+		return
+	}
+	f.units[r.thief].deliverResp(now, r.epoch, r.payload, r.ok)
+	f.free = append(f.free, r)
 }
 
 // receive runs in the kernel at request-arrival time on the victim
@@ -284,6 +317,7 @@ func (f *Fabric) respond(now sim.Time, victim *Unit, req *request, payload uint6
 	arrive += f.Faults.ULIDelay(arrive)
 	if dropped {
 		f.Stats.Drops++
+		f.free = append(f.free, req)
 		return false
 	}
 	if ok {
@@ -295,8 +329,11 @@ func (f *Fabric) respond(now sim.Time, victim *Unit, req *request, payload uint6
 	if f.Timeout == 0 {
 		t.respPayload, t.respOK, t.respAt = payload, ok, arrive
 		t.unblockAt(arrive)
+		f.free = append(f.free, req)
 	} else {
-		f.kernel.At(arrive, func() { t.deliverResp(arrive, req.epoch, payload, ok) })
+		req.at, req.resp, req.payload, req.ok = arrive, true, payload, ok
+		f.wire = append(f.wire, req)
+		f.kernel.At(arrive, f.onArrive)
 	}
 	return true
 }
@@ -322,9 +359,9 @@ func (u *Unit) deliverResp(at sim.Time, ep uint64, payload uint64, ok bool) {
 
 // timeoutFire runs in the kernel when the thief's steal timer expires.
 // The thief resumes as if NACKed; a response still in flight will be
-// recognized as stale by deliverResp.
-func (u *Unit) timeoutFire(ep uint64) {
-	if ep != u.epoch || u.respDone {
+// recognized as stale by deliverResp. It is the current request's.
+func (u *Unit) timeoutFire() {
+	if u.respDone {
 		return
 	}
 	u.respDone = true
@@ -375,7 +412,7 @@ func (u *Unit) Poll(proc *sim.Proc) {
 		u.handling = true
 		for len(u.late) > 0 {
 			p := u.late[0]
-			u.late = u.late[1:]
+			u.late = append(u.late[:0], u.late[1:]...)
 			u.salvage(p)
 		}
 		u.handling = false
@@ -429,7 +466,7 @@ func (f *Fabric) DumpState(w io.Writer) {
 			u.core, u.enabled, u.waiting, u.handling)
 		if u.pending != nil {
 			line += fmt.Sprintf(" pending(thief=%d arrived=%d)",
-				u.pending.thief, u.pending.arrived)
+				u.pending.thief, u.pending.at)
 		}
 		if len(u.late) > 0 {
 			line += fmt.Sprintf(" salvage-mailbox=%d", len(u.late))

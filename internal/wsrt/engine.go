@@ -15,8 +15,7 @@ import (
 // enq pushes a task on the tail (owner side, LIFO end).
 func (c *Ctx) enq(d deque, task mem.Addr) {
 	c.env.Compute(c.rt.Costs.DequeOp)
-	tail := c.env.Load(d.tailAddr())
-	head := c.env.Load(d.headAddr())
+	tail, head := c.env.Load2(d.tailAddr(), d.headAddr())
 	if tail-head >= dequeCapacity {
 		panic("wsrt: task deque overflow")
 	}
@@ -27,8 +26,7 @@ func (c *Ctx) enq(d deque, task mem.Addr) {
 // deq pops from the tail (owner side, LIFO order); 0 when empty.
 func (c *Ctx) deq(d deque) mem.Addr {
 	c.env.Compute(c.rt.Costs.DequeOp)
-	tail := c.env.Load(d.tailAddr())
-	head := c.env.Load(d.headAddr())
+	tail, head := c.env.Load2(d.tailAddr(), d.headAddr())
 	if head == tail {
 		return 0
 	}
@@ -40,8 +38,7 @@ func (c *Ctx) deq(d deque) mem.Addr {
 // stealHead pops from the head (thief side, FIFO order); 0 when empty.
 func (c *Ctx) stealHead(d deque) mem.Addr {
 	c.env.Compute(c.rt.Costs.DequeOp)
-	head := c.env.Load(d.headAddr())
-	tail := c.env.Load(d.tailAddr())
+	head, tail := c.env.Load2(d.headAddr(), d.tailAddr())
 	if head == tail {
 		return 0
 	}
@@ -119,7 +116,7 @@ func (c *Ctx) release(row *discipline, d deque, flush bool) {
 	}
 	switch row.guard {
 	case lockGuard:
-		c.env.Amo(d.lockAddr(), cache.AmoAnd, 0, 0)
+		c.core.AmoQueued(d.lockAddr(), cache.AmoAnd, 0, 0)
 	case maskULI:
 		c.core.ULIEnable()
 	}
@@ -154,8 +151,7 @@ func (c *Ctx) popLocal() mem.Addr {
 // plain loads of head and tail (see discipline.probeInv).
 func (c *Ctx) probeEmpty(d deque) bool {
 	c.env.Compute(2)
-	head := c.env.Load(d.headAddr())
-	tail := c.env.Load(d.tailAddr())
+	head, tail := c.env.Load2(d.headAddr(), d.tailAddr())
 	return head == tail
 }
 
@@ -163,6 +159,7 @@ func (c *Ctx) probeEmpty(d deque) bool {
 // descriptor or 0.
 func (c *Ctx) trySteal() mem.Addr {
 	rt := c.rt
+	c.core.Drain() // the queued release and backoff, before a dumped counter moves
 	rt.Stats.StealTries++
 	vid := c.chooseVictim()
 	c.trace(trace.StealTry, uint64(vid))
@@ -220,6 +217,7 @@ func (c *Ctx) stealShared(row *discipline, d deque) mem.Addr {
 	t := c.stealHead(d)
 	c.release(row, d, row.stealFlush)
 	if t != 0 {
+		c.core.Drain() // the queued release, before a dumped counter moves
 		c.rt.Stats.StealHits++
 	}
 	return t
@@ -331,10 +329,11 @@ func (c *Ctx) execLocal(t mem.Addr) {
 func (c *Ctx) enterOffline() {
 	rt := c.rt
 	c.core.Flush()
+	now := c.core.Now() // thieves read offlineMark: mark after the flush
 	rt.offlineMark[c.tid] = true
 	rt.Stats.OfflineCores++
 	if rt.degradedSince == 0 {
-		rt.degradedSince = c.core.Now()
+		rt.degradedSince = now
 	}
 	c.trace(trace.Offline, 0)
 }
@@ -376,7 +375,7 @@ func (c *Ctx) executeTask(t mem.Addr, stolen bool) {
 	if parent != 0 {
 		rcAddr := parent + descRC*8
 		if (stolen && rt.disc.join != never) || c.holds(rt.disc.join, parent) {
-			c.env.Amo(rcAddr, cache.AmoAdd, ^uint64(0), 0) // amo_sub(rc, 1)
+			c.core.AmoQueued(rcAddr, cache.AmoAdd, ^uint64(0), 0) // amo_sub(rc, 1)
 		} else {
 			rc := c.env.Load(rcAddr)
 			c.env.Store(rcAddr, rc-1)

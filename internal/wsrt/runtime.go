@@ -317,8 +317,14 @@ func (c *Ctx) trace(k trace.Kind, arg uint64) {
 // Load reads a simulated word.
 func (c *Ctx) Load(a mem.Addr) uint64 { return c.env.Load(a) }
 
+// Load2 reads two simulated words that do not depend on each other.
+func (c *Ctx) Load2(a, b mem.Addr) (uint64, uint64) { return c.env.Load2(a, b) }
+
 // Store writes a simulated word.
 func (c *Ctx) Store(a mem.Addr, v uint64) { c.env.Store(a, v) }
+
+// Copy copies the simulated word at src to dst.
+func (c *Ctx) Copy(dst, src mem.Addr) { c.env.Copy(dst, src) }
 
 // Amo performs a simulated atomic.
 func (c *Ctx) Amo(a mem.Addr, op cache.AmoOp, a1, a2 uint64) uint64 {
