@@ -169,8 +169,8 @@ type Unit struct {
 	proc *sim.Proc
 }
 
-// request is one steal request until its response is delivered or lost
-// (a timed-out thief's may still be in flight: it is not the unit's).
+// request is one steal request until its response is delivered or lost.
+// Records belong to the fabric: a timed-out thief's may still be in flight.
 type request struct {
 	thief, victim  int
 	at, sentAt     sim.Time // at: when the message in flight arrives
@@ -359,7 +359,7 @@ func (u *Unit) deliverResp(at sim.Time, ep uint64, payload uint64, ok bool) {
 
 // timeoutFire runs in the kernel when the thief's steal timer expires.
 // The thief resumes as if NACKed; a response still in flight will be
-// recognized as stale by deliverResp. It is the current request's.
+// recognized as stale by deliverResp. A timer never outlives its request.
 func (u *Unit) timeoutFire() {
 	if u.respDone {
 		return

@@ -39,12 +39,10 @@ const (
 // A body's Compute, Store and Copy are queued on its core and issue
 // later, at the cycles they would have had (see prog.Env), so the body
 // runs ahead of its own ops until it next needs a value. Go state shared
-// with other cores is therefore read or written only after a Load, a
-// Load2, an Amo or Now, never straight after a queued op; the runtime
-// keeps the same rule for its counters, its quarantine table and
-// offlineMark (its fences, lock releases, joins and ULI enables queue
-// too, so it drains before a counter a dump prints moves), and reads
-// the clock for a trace event only when a tracer is attached.
+// with other cores is read or written only after a Load, a Load2, an
+// Amo or Now; the runtime, whose fences, lock releases and joins queue
+// too, keeps the rule for its counters, quarantine table and offlineMark,
+// and reads the clock for a trace event only when a tracer is attached.
 type Body func(c *Ctx)
 
 // taskRec is the Go-side record for a live task descriptor.
