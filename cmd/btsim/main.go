@@ -14,9 +14,10 @@
 // With -open, btsim runs an open-system serving experiment instead of
 // a closed-loop kernel: requests arrive on a seeded schedule (-arrival,
 // -rate per 1000 cycles, -requests total), each spawns the -workload
-// task DAG, and the report is shed/completed accounting plus exact
-// end-to-end latency percentiles. -faults/-fault-seed/-oracle/-deadline
-// compose with -open; -app/-size/-grain do not apply.
+// task DAG (rmat-query, the one workload), and the report is
+// shed/completed accounting plus exact end-to-end latency percentiles.
+// -faults/-fault-seed/-oracle/-deadline compose with -open;
+// -app/-size/-grain do not apply.
 package main
 
 import (
@@ -51,7 +52,7 @@ func main() {
 		"simulated-cycle deadline; the run fails with a machine-state dump past it (0 = config watchdog default)")
 	traceFile := flag.String("trace", "", "write a cycle-stamped scheduler trace to this file")
 	openMode := flag.Bool("open", false, "run an open-system serving experiment instead of a closed-loop kernel")
-	workload := flag.String("workload", "rmat-query", "open-system per-request workload (see openload.Workloads)")
+	workload := flag.String("workload", "rmat-query", "open-system per-request workload: rmat-query")
 	arrival := flag.String("arrival", "poisson", "open-system arrival process: poisson, bursty, or diurnal")
 	rate := flag.Float64("rate", 4, "open-system offered load, requests per 1000 cycles")
 	requests := flag.Int("requests", 64, "open-system total arrivals")

@@ -2,12 +2,13 @@
 # Byte-identity against the past. Each file in docs/golden is the full
 # output of one deterministic command, blessed once; `check` re-runs
 # every command and compares byte for byte, printing the first differing
-# line of each mismatch. The -json of the `all` run and the -open-json
-# of the test-size `open` run are too large to keep, so SHA256SUMS holds
-# their hashes instead. `check` also re-renders docs/bench.html from
-# BENCH.json and compares it with the committed page. `ref` is the
-# ref-size half: `paperbench -size ref all` (about 80 s on 2 CPUs)
-# against the whole of docs/results-ref.txt.
+# line of each mismatch. The -json of the `all` run, the -open-json of
+# the test-size `open` run and the scheduler trace of a `btsim -trace`
+# run are too large to keep, so SHA256SUMS holds their hashes instead.
+# `check` also re-renders docs/bench.html from BENCH.json and compares
+# it with the committed page. `ref` is the ref-size half: `paperbench
+# -size ref all` (about 80 s on 2 CPUs) against the whole of
+# docs/results-ref.txt.
 #
 #   sh docs/golden/golden.sh check [BINDIR]   (make golden-check)
 #   sh docs/golden/golden.sh bless [BINDIR]   (make golden-bless)
@@ -36,6 +37,7 @@ if [ -z "$bin" ]; then
 	${GO:-go} build -o "$bin/" ./cmd/btsim ./cmd/paperbench ./cmd/rmatgen \
 		./examples/quickstart ./examples/granularity
 fi
+bin=$(cd "$bin" && pwd)
 out=$tmp/out
 mkdir "$out"
 
@@ -74,7 +76,10 @@ if "$bin/btsim" -config bT8/HCC-DTS-gwb -app cilk5-cs -size test -deadline 10000
 	echo "golden: the -deadline run finished instead of stopping mid-run" >&2
 	exit 1
 fi
-(cd "$out" && sha256sum all.json open-test.json >SHA256SUMS && rm all.json open-test.json)
+# A test-size scheduler trace. It runs inside $out, so the file name
+# its stdout reports is the bare name, not a temp path.
+(cd "$out" && "$bin/btsim" -config bT8/HCC-DTS-gwb -app cilk5-cs -size test -trace trace.log >trace.txt)
+(cd "$out" && sha256sum all.json open-test.json trace.log >SHA256SUMS && rm all.json open-test.json trace.log)
 # The two library examples and the graph generator's statistics.
 "$bin/quickstart" >"$out/quickstart.txt"
 "$bin/granularity" >"$out/granularity.txt"

@@ -46,7 +46,8 @@ func main() {
 			func(cc *wsrt.Ctx) { fib(cc, n-1, x) },
 			func(cc *wsrt.Ctx) { fib(cc, n-2, y) },
 		)
-		c.Store(sum, c.Load(x)+c.Load(y))
+		a, b := c.Load2(x, y) // two independent loads, one wait
+		c.Store(sum, a+b)
 	}
 
 	out := m.Mem.AllocWords(1)

@@ -62,8 +62,8 @@ func setupBF(rt *wsrt.RT, size Size, grain int) *Instance {
 		dv := atomicRead(c, word(dist, v))
 		for i := s; i < e; i++ {
 			c.Compute(5)
-			u := int(c.Load(gc.gm.EdgeAddr(i)))
-			w := c.Load(gc.gm.WeightAddr(i))
+			ue, w := c.Load2(gc.gm.EdgeAddr(i), gc.gm.WeightAddr(i))
+			u := int(ue)
 			if casMin(c, word(dist, u), dv+w) {
 				if markOnce(c, word(mark, u), round) {
 					pb.push(c, u)

@@ -17,7 +17,7 @@ func testOpenSweep() OpenSweep {
 		Configs:   []string{"bT8/HCC-gwb", "bT8/HCC-DTS-gwb"},
 		Rates:     []float64{2, 16},
 		Scenarios: []string{"", "chaos-lossy-all"},
-		Workload:  "reduce",
+		Workload:  "rmat-query",
 		Arrival:   "poisson",
 		Requests:  16,
 		Seed:      1,
@@ -87,7 +87,7 @@ func TestOpenRunCaches(t *testing.T) {
 	s := NewSuite(apps.Test)
 	sims := 0
 	s.SimHook = func(cfgName, appName string) { sims++ }
-	sp := openload.Spec{Workload: "reduce", Arrival: "poisson", RatePerK: 4, Requests: 8, Seed: 1}
+	sp := openload.Spec{Workload: "rmat-query", Arrival: "poisson", RatePerK: 4, Requests: 8, Seed: 1}
 	a, err := s.OpenRun("bT8/HCC-DTS-gwb", "", 0, sp)
 	if err != nil {
 		t.Fatal(err)
@@ -135,7 +135,7 @@ func TestOpenResultJSONStable(t *testing.T) {
 // seed 0 is the run at seed 1, down to its -json bytes.
 func TestFaultSeedRule(t *testing.T) {
 	ctx := context.Background()
-	sp := openload.Spec{Workload: "reduce", Arrival: "poisson", RatePerK: 4, Requests: 8, Seed: 1}
+	sp := openload.Spec{Workload: "rmat-query", Arrival: "poisson", RatePerK: 4, Requests: 8, Seed: 1}
 	var open, closed [2][]byte
 	for seed := range open {
 		b, err := NewSuite(apps.Test).OpenResultJSON(ctx, "bT8/HCC-DTS-gwb", "", uint64(seed), sp)

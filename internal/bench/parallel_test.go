@@ -266,7 +266,7 @@ func TestShardedDifferentialStress(t *testing.T) {
 // computation and receive the same result, and a joiner whose context
 // is already done stops waiting without killing the leader.
 func TestRunSingleflight(t *testing.T) {
-	sp := openload.Spec{Workload: "reduce", Arrival: "poisson", RatePerK: 4, Requests: 8, Seed: 1}
+	sp := openload.Spec{Workload: "rmat-query", Arrival: "poisson", RatePerK: 4, Requests: 8, Seed: 1}
 	for _, tc := range []struct {
 		name string
 		w    Work

@@ -208,7 +208,7 @@ func TestL1OpStreamFingerprint(t *testing.T) {
 			l1WBs += sys.L1(c).Stats.EvictWBLines
 		}
 		l2Evictions += sys.L2Stats.Evictions
-		faults += inj.Count(fault.CacheEvict)
+		faults += inj.Total()
 	}
 	t.Logf("events %+v, L1 writebacks %d, L2 evictions %d, forced evictions %d",
 		ev, l1WBs, l2Evictions, faults)

@@ -164,7 +164,7 @@ func TestUntouchedSetsAreEmpty(t *testing.T) {
 	if n, chunks := l2SetsInUse(sys); n != 0 || chunks != 0 {
 		t.Errorf("materialised %d L2 sets in %d chunks, want none", n, chunks)
 	}
-	if n := inj.Count(fault.CacheEvict); n != 0 {
+	if n := inj.Total(); n != 0 {
 		t.Errorf("%d forced evictions recorded on untouched sets, want 0", n)
 	}
 
@@ -175,7 +175,7 @@ func TestUntouchedSetsAreEmpty(t *testing.T) {
 	for i := 0; i < sc.EvictEvery; i++ {
 		l1.pressureFault(tt, base)
 	}
-	if n := inj.Count(fault.CacheEvict); n != 1 {
+	if n := inj.Total(); n != 1 {
 		t.Fatalf("%d forced evictions on a filled set, want 1", n)
 	}
 }

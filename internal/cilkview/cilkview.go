@@ -8,8 +8,6 @@
 package cilkview
 
 import (
-	"fmt"
-
 	"bigtiny/internal/mem"
 	"bigtiny/internal/wsrt"
 )
@@ -35,12 +33,6 @@ func (r Report) IPT() float64 {
 		return float64(r.Work)
 	}
 	return float64(r.Work) / float64(r.Tasks)
-}
-
-// String formats the report in Table III style.
-func (r Report) String() string {
-	return fmt.Sprintf("work=%d span=%d para=%.1f ipt=%.1f tasks=%d",
-		r.Work, r.Span, r.Parallelism(), r.IPT(), r.Tasks)
 }
 
 // Analyze builds a native runtime over a fresh memory, lets setup

@@ -726,12 +726,3 @@ func (c *Core) ULISendReq(victim int) (payload uint64, ok bool) {
 	c.Cycles[ClassOther] += uint64(c.proc.Now() - before)
 	return payload, ok
 }
-
-// TotalCycles sums all attributed cycles.
-func (c *Core) TotalCycles() uint64 {
-	var s uint64
-	for _, v := range c.Cycles {
-		s += v
-	}
-	return s
-}

@@ -104,9 +104,9 @@ func spinRun(t *testing.T, cfg Config, faults *fault.Injector, n, chunk int, use
 	c := cores[0]
 	out.cycles, out.insts = c.Cycles, c.Insts
 	out.iTags, out.curPC, out.fracIssue = slices.Clone(c.iTags), c.curPC, c.fracIssue
-	out.neighbour, out.neighbourEnd, out.neighbourInsts = cores[1].Cycles, cores[1].TotalCycles(), cores[1].Insts
+	out.neighbour, out.neighbourEnd, out.neighbourInsts = cores[1].Cycles, sumCycles(cores[1]), cores[1].Insts
 	out.scheduled, out.fired, out.fastWaits = k.Scheduled(), k.Fired(), k.FastWaits()
-	out.stalls, out.totalResumes = faults.Count(fault.CPUStall), k.Resumes()
+	out.stalls, out.totalResumes = faults.Total(), k.Resumes()
 	return out
 }
 

@@ -76,8 +76,3 @@ func (c *Controller) Access(now sim.Time, write bool) sim.Time {
 	done := c.res.Acquire(now, occupancy)
 	return done + c.Lat + extra
 }
-
-// Utilization reports the bandwidth utilization over elapsed cycles.
-func (c *Controller) Utilization(elapsed sim.Time) float64 {
-	return c.res.Utilization(elapsed)
-}

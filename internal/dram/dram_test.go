@@ -46,7 +46,7 @@ func TestMinimumLineCycles(t *testing.T) {
 func TestUtilization(t *testing.T) {
 	c := NewController(DefaultConfig())
 	c.Access(0, false)
-	if got := c.Utilization(64); got != 0.5 {
+	if got := c.res.Utilization(64); got != 0.5 {
 		t.Fatalf("utilization = %v, want 0.5", got)
 	}
 }

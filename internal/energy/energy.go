@@ -59,13 +59,3 @@ func (m Model) Estimate(r *stats.Run) float64 {
 	}
 	return pj / 1e6
 }
-
-// Efficiency returns work per energy (abstract instructions per
-// microjoule), the "energy efficiency" the paper compares.
-func (m Model) Efficiency(r *stats.Run) float64 {
-	e := m.Estimate(r)
-	if e == 0 {
-		return 0
-	}
-	return float64(r.Insts) / e
-}

@@ -49,18 +49,6 @@ func TestULIEnergyCounted(t *testing.T) {
 	}
 }
 
-func TestEfficiency(t *testing.T) {
-	m := DefaultModel()
-	r := sampleRun()
-	eff := m.Efficiency(r)
-	if eff <= 0 {
-		t.Fatal("efficiency not positive")
-	}
-	if got := m.Efficiency(&stats.Run{}); got != 0 {
-		t.Fatalf("efficiency of empty run = %v", got)
-	}
-}
-
 func TestBigCoreCostlierThanTiny(t *testing.T) {
 	m := DefaultModel()
 	tiny := &stats.Run{}

@@ -109,15 +109,6 @@ type Scenario struct {
 	EvictEvery int
 }
 
-// Zero reports whether the scenario injects nothing.
-func (sc *Scenario) Zero() bool {
-	return sc.NoCJitterProb == 0 && sc.NoCBurstPeriod == 0 &&
-		sc.ULINackProb == 0 && sc.ULIDelayProb == 0 &&
-		sc.DRAMSpikeProb == 0 && sc.DRAMThrottlePeriod == 0 &&
-		sc.StragglerEvery == 0 && sc.EvictEvery == 0 &&
-		!sc.Lossy()
-}
-
 // Lossy reports whether the scenario can lose steal-path messages or
 // offline a core — the fault classes that require the runtime's
 // recovery machinery (steal timeouts, retry/backoff, quarantine,
@@ -160,14 +151,6 @@ func (in *Injector) Scenario() Scenario {
 		return Scenario{}
 	}
 	return in.sc
-}
-
-// Count returns the number of faults injected at site s.
-func (in *Injector) Count(s Site) uint64 {
-	if in == nil {
-		return 0
-	}
-	return in.counts[s]
 }
 
 // Total returns the number of faults injected across all sites.

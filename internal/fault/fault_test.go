@@ -27,7 +27,7 @@ func TestNilInjectorInjectsNothing(t *testing.T) {
 	if in.CacheEvictTick() {
 		t.Error("nil CacheEvictTick = true")
 	}
-	if in.Total() != 0 || in.Count(NoCDelay) != 0 {
+	if in.Total() != 0 {
 		t.Error("nil injector counted faults")
 	}
 	in.Fired(CacheEvict) // must not panic
@@ -38,9 +38,6 @@ func TestNilInjectorInjectsNothing(t *testing.T) {
 
 func TestZeroScenarioInjectsNothing(t *testing.T) {
 	sc := Scenario{Name: "zero"}
-	if !sc.Zero() {
-		t.Fatal("zero scenario not Zero()")
-	}
 	in := NewInjector(sc, 7)
 	for now := sim.Time(0); now < 10_000; now += 37 {
 		if in.NoCDelay(now) != 0 || in.ULIForceNack(now) || in.ULIDelay(now) != 0 {
@@ -120,7 +117,7 @@ func TestWindowedFaults(t *testing.T) {
 	if occ, _ := in.DRAMAccess(1500, 32); occ != 32 {
 		t.Errorf("unthrottled occupancy = %d, want 32", occ)
 	}
-	if in.Count(NoCDelay) != 1 || in.Count(DRAMThrottle) != 1 {
+	if in.counts[NoCDelay] != 1 || in.counts[DRAMThrottle] != 1 {
 		t.Errorf("counts: %s", in.Summary())
 	}
 }
@@ -154,8 +151,8 @@ func TestEvictCadence(t *testing.T) {
 	if fired != 4 {
 		t.Errorf("fired %d of 16, want 4", fired)
 	}
-	if in.Count(CacheEvict) != 4 {
-		t.Errorf("count = %d, want 4", in.Count(CacheEvict))
+	if in.counts[CacheEvict] != 4 {
+		t.Errorf("count = %d, want 4", in.counts[CacheEvict])
 	}
 }
 
@@ -174,7 +171,7 @@ func TestCatalogue(t *testing.T) {
 	}
 	seen := make(map[string]bool)
 	for _, sc := range Scenarios() {
-		if sc.Name != "none" && sc.Zero() {
+		if sc.Name != "none" && sc == (Scenario{Name: sc.Name, Desc: sc.Desc}) {
 			t.Errorf("scenario %q injects nothing", sc.Name)
 		}
 		if sc.Desc == "" {
@@ -188,8 +185,8 @@ func TestCatalogue(t *testing.T) {
 		seen[sc.Name] = true
 	}
 	none, err := Lookup("none")
-	if err != nil || !none.Zero() {
-		t.Errorf("none scenario: %v, zero=%v", err, none.Zero())
+	if err != nil || none != (Scenario{Name: none.Name, Desc: none.Desc}) {
+		t.Errorf("none scenario: %v, %+v", err, none)
 	}
 	if _, err := Lookup("nonesuch"); err == nil || !strings.Contains(err.Error(), "unknown scenario") {
 		t.Errorf("Lookup(nonesuch) = %v", err)

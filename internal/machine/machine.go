@@ -312,9 +312,6 @@ func placeCores(mesh *noc.Mesh, cfg Config) []noc.NodeID {
 	return nodes
 }
 
-// Big reports whether core id is a big core.
-func (m *Machine) Big(core int) bool { return core < m.Cfg.NumBig }
-
 // Spawn starts body as the software thread on the given core at time 0.
 // The ops body leaves queued on the core issue before the thread ends.
 func (m *Machine) Spawn(core int, body func(*cpu.Core)) {

@@ -80,7 +80,7 @@ func TestPaperConfigTable(t *testing.T) {
 
 func TestCoreKinds(t *testing.T) {
 	m := New(mustCfg(t, "bT/HCC-gwb"))
-	if !m.Big(0) || !m.Big(3) || m.Big(4) {
+	if !m.Cores[0].Cfg.Big || !m.Cores[3].Cfg.Big || m.Cores[4].Cfg.Big {
 		t.Fatal("big/tiny split wrong")
 	}
 	if m.Cores[0].L1D.Protocol() != cache.MESI {

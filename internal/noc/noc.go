@@ -60,14 +60,6 @@ func (t *Traffic) TotalBytes() uint64 {
 	return s
 }
 
-// Add accumulates other into t.
-func (t *Traffic) Add(other *Traffic) {
-	for i := range t.Bytes {
-		t.Bytes[i] += other.Bytes[i]
-		t.Messages[i] += other.Messages[i]
-	}
-}
-
 // Mesh is a Rows x Cols mesh network. Each directed link between
 // adjacent routers is a unit-capacity resource occupied for one cycle
 // per flit.
@@ -131,13 +123,6 @@ func (m *Mesh) Node(row, col int) NodeID {
 // RowCol returns the coordinates of n.
 func (m *Mesh) RowCol(n NodeID) (row, col int) {
 	return int(n) / m.Cols, int(n) % m.Cols
-}
-
-// Hops returns the XY-routing hop count between two nodes.
-func (m *Mesh) Hops(from, to NodeID) int {
-	fr, fc := m.RowCol(from)
-	tr, tc := m.RowCol(to)
-	return abs(fr-tr) + abs(fc-tc)
 }
 
 // Flits returns the number of flits needed for a payload of n bytes
@@ -254,11 +239,4 @@ func (m *Mesh) LinkUtilization(elapsed sim.Time) (maxU, meanU float64) {
 		}
 	}
 	return maxU, sum / float64(len(m.links))
-}
-
-func abs(x int) int {
-	if x < 0 {
-		return -x
-	}
-	return x
 }

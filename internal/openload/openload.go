@@ -21,7 +21,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"bigtiny/internal/fault"
@@ -34,7 +33,8 @@ import (
 // Spec describes one open-system experiment: what arrives, how fast,
 // and how much concurrency the admission queue tolerates.
 type Spec struct {
-	// Workload names the per-request task DAG (Workloads lists them).
+	// Workload names the per-request task DAG; "rmat-query" is the one
+	// there is.
 	Workload string
 	// Arrival names the arrival process: "poisson" (memoryless),
 	// "bursty" (two-state MMPP), or "diurnal" (sinusoidally modulated).
@@ -61,12 +61,12 @@ func (sp Spec) Key() string {
 		sp.MaxInFlight, sp.Horizon)
 }
 
-// Validate checks the spec against the workload/arrival registries and
+// Validate checks the spec's workload and arrival names and
 // the numeric preconditions. Run calls it; so does the serving layer's
 // upfront request validation.
 func (sp Spec) Validate() error {
-	if _, err := lookupWorkload(sp.Workload); err != nil {
-		return err
+	if sp.Workload != rmatQueryName {
+		return fmt.Errorf("openload: unknown workload %q (have %s)", sp.Workload, rmatQueryName)
 	}
 	found := false
 	for _, a := range Arrivals() {
@@ -201,10 +201,6 @@ func Run(ctx context.Context, cfgName string, sp Spec, opt Options) (*Result, er
 	if err := sp.Validate(); err != nil {
 		return nil, err
 	}
-	setup, err := lookupWorkload(sp.Workload)
-	if err != nil {
-		return nil, err
-	}
 	sched, err := schedule(sp)
 	if err != nil {
 		return nil, err
@@ -219,7 +215,7 @@ func Run(ctx context.Context, cfgName string, sp Spec, opt Options) (*Result, er
 
 	rt := wsrt.New(m, wsrt.AutoVariant(m))
 	fid := rt.RegisterFunc("open:"+sp.Workload, openFootprint)
-	inst := setup(rt, sp)
+	inst := newRMatQuery(rt, sp)
 
 	maxInFlight := sp.MaxInFlight
 	if maxInFlight <= 0 {
@@ -393,14 +389,4 @@ func expGap(rng *sim.Rand, mean float64) sim.Time {
 		g = 1
 	}
 	return sim.Time(g)
-}
-
-// Workloads lists the supported per-request workload names, sorted.
-func Workloads() []string {
-	names := make([]string, 0, len(workloads))
-	for name := range workloads {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -191,14 +191,6 @@ func (c *Checker) OnAmo(core int, a uint64, old, newVal uint64, wrote bool) {
 	l.seen[core] = int32(latest)
 }
 
-// Violations returns the total violation count.
-func (c *Checker) Violations() uint64 {
-	if c == nil {
-		return 0
-	}
-	return c.nviol
-}
-
 // Err returns nil if every observation was legal, else an error
 // detailing the first violations.
 func (c *Checker) Err() error {

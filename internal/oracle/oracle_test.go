@@ -26,8 +26,8 @@ func TestLoadSeesOwnStore(t *testing.T) {
 	// After observing its own store, the same core may not read an
 	// earlier (never-written) value again.
 	c.OnLoad(0, 0x100, 3)
-	if c.Violations() != 1 {
-		t.Fatalf("backwards read not flagged: %d violations", c.Violations())
+	if c.nviol != 1 {
+		t.Fatalf("backwards read not flagged: %d violations", c.nviol)
 	}
 }
 
@@ -45,7 +45,7 @@ func TestStaleReadByOtherCoreIsLegal(t *testing.T) {
 	}
 	// But having advanced, it can never go back.
 	c.OnLoad(1, 0x100, 12345)
-	if c.Violations() != 1 {
+	if c.nviol != 1 {
 		t.Fatal("read went backwards without a violation")
 	}
 }
@@ -61,7 +61,7 @@ func TestMonotonicAcrossVersions(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.OnLoad(1, 0x100, 1) // ... but returning to 1 is not
-	if c.Violations() != 1 {
+	if c.nviol != 1 {
 		t.Fatal("non-monotonic read not flagged")
 	}
 }
@@ -82,7 +82,7 @@ func TestAmoPinsInitialValue(t *testing.T) {
 	c.OnLoad(1, 0x200, 11)
 	// then may not go back to 10.
 	c.OnLoad(1, 0x200, 10)
-	if c.Violations() != 1 {
+	if c.nviol != 1 {
 		t.Fatal("read-backwards past an AMO not flagged")
 	}
 }
@@ -94,8 +94,8 @@ func TestAmoOnStaleCopyFlagged(t *testing.T) {
 	// is 5 — exactly what a missing cache_flush in a steal hand-off
 	// produces.
 	c.OnAmo(1, 0x300, 0, 1, true)
-	if c.Violations() != 1 {
-		t.Fatalf("stale AMO not flagged: %d violations", c.Violations())
+	if c.nviol != 1 {
+		t.Fatalf("stale AMO not flagged: %d violations", c.nviol)
 	}
 	if err := c.Err(); err == nil || !strings.Contains(err.Error(), "amo") {
 		t.Fatalf("error missing amo detail: %v", err)
@@ -120,8 +120,8 @@ func TestViolationStormTruncated(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		c.OnLoad(0, 0x500, 999) // never written
 	}
-	if c.Violations() != 20 {
-		t.Fatalf("violations = %d, want 20", c.Violations())
+	if c.nviol != 20 {
+		t.Fatalf("violations = %d, want 20", c.nviol)
 	}
 	err := c.Err()
 	if err == nil || !strings.Contains(err.Error(), "and 12 more") {
@@ -131,7 +131,7 @@ func TestViolationStormTruncated(t *testing.T) {
 
 func TestNilCheckerIsQuiet(t *testing.T) {
 	var c *Checker
-	if c.Violations() != 0 || c.Err() != nil {
+	if c.Err() != nil {
 		t.Fatal("nil checker reported state")
 	}
 }

@@ -15,7 +15,7 @@ func openReq() JobRequest {
 	return JobRequest{
 		Kind:          "open",
 		Config:        testCfg,
-		Workload:      "reduce",
+		Workload:      "rmat-query",
 		Arrival:       "poisson",
 		RatePerKCycle: 4,
 		Requests:      8,
@@ -69,7 +69,6 @@ func TestOpenJob(t *testing.T) {
 func TestOpenJobChaos(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2})
 	req := openReq()
-	req.Workload = "rmat-query"
 	req.Faults = "chaos-lossy-all"
 	req.FaultSeed = 3
 	resp, body := postJob(t, ts.URL, req)
@@ -117,6 +116,16 @@ func TestOpenJobValidation(t *testing.T) {
 		}
 	}
 	checkSeedCanonical(t, ts.URL, openReq())
+
+	// A retired workload meets the same unknown-workload check as any
+	// other name, and the answer names the one there is.
+	req := openReq()
+	req.Workload = "reduce"
+	resp, body := postJob(t, ts.URL, req)
+	e := decodeErr(t, body)
+	if want := `openload: unknown workload "reduce" (have rmat-query)`; resp.StatusCode != http.StatusBadRequest || e.Error != want {
+		t.Errorf("workload reduce: status %d, error %q, want 400 and %q", resp.StatusCode, e.Error, want)
+	}
 }
 
 // TestQuarantineCounterResetsOnSuccess proves the consecutive-failure

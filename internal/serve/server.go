@@ -31,6 +31,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"runtime"
 	"sort"
@@ -382,6 +383,17 @@ func validate(req *JobRequest) (apps.Size, *ErrorJSON) {
 	return size, nil
 }
 
+// decodeJob reads a POST /v1/jobs body and validates it: a job ready
+// to key and run, or the 400 body that refuses it (FuzzJobRequest).
+func decodeJob(body io.Reader) (JobRequest, apps.Size, *ErrorJSON) {
+	var req JobRequest
+	if err := json.NewDecoder(body).Decode(&req); err != nil {
+		return req, 0, &ErrorJSON{Error: "bad request body: " + err.Error(), Kind: "invalid"}
+	}
+	size, errRes := validate(&req)
+	return req, size, errRes
+}
+
 // checkOpen checks an open job's settings.
 func checkOpen(req JobRequest, env openload.Options) error {
 	if _, err := machine.Lookup(req.Config); err != nil {
@@ -411,12 +423,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusServiceUnavailable, &ErrorJSON{Error: "server draining", Kind: "draining"})
 		return
 	}
-	var req JobRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, &ErrorJSON{Error: "bad request body: " + err.Error(), Kind: "invalid"})
-		return
-	}
-	size, errRes := validate(&req)
+	req, size, errRes := decodeJob(r.Body)
 	if errRes != nil {
 		writeErr(w, http.StatusBadRequest, errRes)
 		return

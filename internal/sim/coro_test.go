@@ -128,7 +128,7 @@ func TestStopOnProcCoroutineThenRerun(t *testing.T) {
 			for i, name := range []string{"a", "b"} {
 				k.NewProc(name, Time(i), func(p *Proc) {
 					for j := 0; j < 4; j++ {
-						log = append(log, fmt.Sprintf("%s%d@%d", p.Name(), j, p.Now()))
+						log = append(log, fmt.Sprintf("%s%d@%d", p.name, j, p.Now()))
 						p.Delay(3)
 					}
 				})

@@ -30,7 +30,7 @@ func traceRun(t *testing.T, paranoid bool) ([]string, Time) {
 		note("w0", p)
 		p.Delay(3) // competes with waker's events: slow path
 		note("w1", p)
-		tm := p.Kernel().TimerAfter(1000, func() { t.Error("cancelled timer fired") })
+		tm := k.TimerAfter(1000, func() { t.Error("cancelled timer fired") })
 		p.Delay(10)
 		tm.Stop()
 		note("w2", p)

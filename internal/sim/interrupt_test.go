@@ -12,8 +12,8 @@ import (
 func TestInterruptAbortsRun(t *testing.T) {
 	k := NewKernel()
 	var tick func()
-	tick = func() { k.After(1, tick) }
-	k.After(1, tick)
+	tick = func() { k.At(k.Now()+1, tick) }
+	k.At(k.Now()+1, tick)
 	go func() {
 		time.Sleep(5 * time.Millisecond)
 		k.Interrupt("wall-clock budget exceeded")
@@ -56,7 +56,7 @@ func TestInterruptFirstReasonWins(t *testing.T) {
 	k := NewKernel()
 	k.Interrupt("first")
 	k.Interrupt("second")
-	k.After(1, func() {})
+	k.At(k.Now()+1, func() {})
 	err := k.Run(nil)
 	if err == nil || !strings.Contains(err.Error(), "interrupted: first") {
 		t.Fatalf("want first interrupt reason, got: %v", err)

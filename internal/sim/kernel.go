@@ -255,9 +255,6 @@ func (k *Kernel) At(t Time, fn func()) {
 	k.schedule(t, fn, nil)
 }
 
-// After schedules fn to run d cycles from now.
-func (k *Kernel) After(d Time, fn func()) { k.At(k.now+d, fn) }
-
 // Timer is a cancellable one-shot event, the building block for
 // simulated-cycle timeouts (e.g. the ULI steal-request timeout). Stop
 // takes the timer's entry off the queue, so arming-and-cancelling

@@ -30,7 +30,7 @@ func TestNestedScheduling(t *testing.T) {
 	k := NewKernel()
 	fired := 0
 	k.At(1, func() {
-		k.After(4, func() {
+		k.At(k.Now()+4, func() {
 			if k.Now() != 5 {
 				t.Errorf("nested event at %d, want 5", k.Now())
 			}

@@ -56,14 +56,8 @@ func (p *Proc) run() {
 	p.body(p)
 }
 
-// Kernel returns the kernel this proc runs on.
-func (p *Proc) Kernel() *Kernel { return p.k }
-
 // Now returns the current simulation time.
 func (p *Proc) Now() Time { return p.k.now }
-
-// Name returns the proc's debug name.
-func (p *Proc) Name() string { return p.name }
 
 // WaitUntil blocks the simulated thread until time t. Waiting for the
 // current time (or the past, which is clamped) costs nothing and does

@@ -20,9 +20,6 @@ func (d *Digest) Add(v uint64) {
 	d.sorted = false
 }
 
-// Count returns the number of samples.
-func (d *Digest) Count() int { return len(d.samples) }
-
 // Sum returns the sample total.
 func (d *Digest) Sum() uint64 {
 	var s uint64
@@ -47,15 +44,6 @@ func (d *Digest) Max() uint64 {
 		return 0
 	}
 	return d.samples[len(d.samples)-1]
-}
-
-// Min returns the smallest sample (0 when empty).
-func (d *Digest) Min() uint64 {
-	d.ensureSorted()
-	if len(d.samples) == 0 {
-		return 0
-	}
-	return d.samples[0]
 }
 
 func (d *Digest) ensureSorted() {

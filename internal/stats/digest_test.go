@@ -14,40 +14,40 @@ func TestDigestGolden(t *testing.T) {
 		name                string
 		samples             []uint64
 		p50, p90, p99, p999 uint64
-		min, max            uint64
+		max                 uint64
 		mean                float64
 	}{
 		{
 			name:    "one-to-ten",
 			samples: []uint64{10, 1, 7, 3, 5, 9, 2, 8, 4, 6},
 			p50:     5, p90: 9, p99: 10, p999: 10,
-			min: 1, max: 10, mean: 5.5,
+			max: 10, mean: 5.5,
 		},
 		{
 			name:    "single",
 			samples: []uint64{42},
 			p50:     42, p90: 42, p99: 42, p999: 42,
-			min: 42, max: 42, mean: 42,
+			max: 42, mean: 42,
 		},
 		{
 			name:    "duplicates",
 			samples: []uint64{5, 5, 5, 5, 100},
 			p50:     5, p90: 100, p99: 100, p999: 100,
-			min: 5, max: 100, mean: 24,
+			max: 100, mean: 24,
 		},
 		{
 			// 100 samples 1..100: p99 is exactly the 99th value, not the max.
 			name:    "hundred",
 			samples: seq(1, 100),
 			p50:     50, p90: 90, p99: 99, p999: 100,
-			min: 1, max: 100, mean: 50.5,
+			max: 100, mean: 50.5,
 		},
 		{
 			// 1000 samples: p999 is the 999th value.
 			name:    "thousand",
 			samples: seq(1, 1000),
 			p50:     500, p90: 900, p99: 990, p999: 999,
-			min: 1, max: 1000, mean: 500.5,
+			max: 1000, mean: 500.5,
 		},
 	}
 	for _, tc := range cases {
@@ -68,17 +68,11 @@ func TestDigestGolden(t *testing.T) {
 			if got := d.P999(); got != tc.p999 {
 				t.Errorf("P999 = %d, want %d", got, tc.p999)
 			}
-			if got := d.Min(); got != tc.min {
-				t.Errorf("Min = %d, want %d", got, tc.min)
-			}
 			if got := d.Max(); got != tc.max {
 				t.Errorf("Max = %d, want %d", got, tc.max)
 			}
 			if got := d.Mean(); got != tc.mean {
 				t.Errorf("Mean = %g, want %g", got, tc.mean)
-			}
-			if got := d.Count(); got != len(tc.samples) {
-				t.Errorf("Count = %d, want %d", got, len(tc.samples))
 			}
 		})
 	}
@@ -95,8 +89,8 @@ func seq(lo, hi uint64) []uint64 {
 // TestDigestEmpty checks the zero-value digest answers without panics.
 func TestDigestEmpty(t *testing.T) {
 	var d Digest
-	if d.Count() != 0 || d.P50() != 0 || d.P999() != 0 || d.Max() != 0 || d.Mean() != 0 {
-		t.Fatalf("empty digest must answer zeros: count=%d p50=%d", d.Count(), d.P50())
+	if d.Sum() != 0 || d.P50() != 0 || d.P999() != 0 || d.Max() != 0 || d.Mean() != 0 {
+		t.Fatalf("empty digest must answer zeros: sum=%d p50=%d", d.Sum(), d.P50())
 	}
 }
 

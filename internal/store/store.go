@@ -195,16 +195,6 @@ func decode(key string, data []byte) ([]byte, bool) {
 	return payload, true
 }
 
-// Delete removes key's entry if present. Missing entries are not an
-// error.
-func (s *Store) Delete(key string) error {
-	err := os.Remove(s.pathFor(key))
-	if err != nil && !os.IsNotExist(err) {
-		return fmt.Errorf("store: delete %q: %w", key, err)
-	}
-	return nil
-}
-
 // Len counts the entries currently on disk (orphan temp files are not
 // entries). Diagnostics only; the count can be stale by the time it
 // returns.

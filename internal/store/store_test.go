@@ -199,22 +199,3 @@ func TestConcurrentPutGet(t *testing.T) {
 	}
 	wg.Wait()
 }
-
-func TestDelete(t *testing.T) {
-	s, err := Open(t.TempDir())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Delete("absent"); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Put("k", []byte("v")); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Delete("k"); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := s.Get("k"); ok {
-		t.Fatal("deleted entry still served")
-	}
-}

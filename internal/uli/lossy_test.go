@@ -1,6 +1,8 @@
 package uli
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"bigtiny/internal/fault"
@@ -306,5 +308,137 @@ func TestSendReqAllocatesNothing(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Fatalf("a steal request allocates %v objects", allocs)
+	}
+}
+
+// TestULIInvariantPanics: each broken invariant of the steal protocol
+// panics with its name instead of hanging a thread or losing a task.
+func TestULIInvariantPanics(t *testing.T) {
+	cases := []struct {
+		name, want string
+		run        func(k *sim.Kernel)
+	}{
+		{
+			// A lost request with no timer would leave the thief waiting
+			// forever.
+			name: "drop without timeout",
+			want: "uli: steal request dropped with no steal timeout armed",
+			run: func(k *sim.Kernel) {
+				f := lossyFabric(k, fault.Scenario{ULIReqDropProb: 1}, 0)
+				thief := f.Unit(1)
+				k.NewProc("thief", 10, func(p *sim.Proc) {
+					thief.Bind(p)
+					thief.SendReq(p, 0)
+				})
+			},
+		},
+		{
+			// A handed-over task whose ACK is lost must go back to the
+			// victim; without the hook it would vanish.
+			name: "dropped ACK without restitute hook",
+			want: "uli: dropped ACK with a task payload and no restitute hook",
+			run: func(k *sim.Kernel) {
+				f := lossyFabric(k, fault.Scenario{ULIRespDropProb: 1}, 64)
+				victim, thief := f.Unit(0), f.Unit(1)
+				victim.SetHandler(func(int) uint64 { return 0xBEEF })
+				k.NewProc("victim", 0, func(p *sim.Proc) {
+					victim.Bind(p)
+					victim.Enable()
+					for i := 0; i < 100; i++ {
+						victim.Poll(p)
+						p.Delay(1)
+					}
+				})
+				k.NewProc("thief", 10, func(p *sim.Proc) {
+					thief.Bind(p)
+					thief.SendReq(p, 0)
+				})
+			},
+		},
+		{
+			// A response can only wake the thread bound to the unit.
+			name: "response to an unbound unit",
+			want: "uli: response for a core with no thread",
+			run: func(k *sim.Kernel) {
+				f := lossyFabric(k, fault.Scenario{}, 64)
+				victim, thief := f.Unit(0), f.Unit(1)
+				k.NewProc("victim", 0, func(p *sim.Proc) {
+					victim.Bind(p)
+					victim.Enable()
+					for i := 0; i < 100; i++ {
+						victim.Poll(p)
+						p.Delay(1)
+					}
+				})
+				k.NewProc("thief", 10, func(p *sim.Proc) { thief.SendReq(p, 0) })
+			},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			k := sim.NewKernel()
+			k.SetDeadline(10_000)
+			tc.run(k)
+			// A panic in a thread ends Run with an error carrying the
+			// panic value; one in a kernel callback propagates.
+			var got string
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						got = fmt.Sprint(r)
+					}
+				}()
+				if err := k.Run(nil); err != nil {
+					got = err.Error()
+				}
+			}()
+			if !strings.Contains(got, tc.want) {
+				t.Fatalf("Run ended with %q, want %q", got, tc.want)
+			}
+		})
+	}
+
+	// A timer outliving its response would wake the thief twice.
+	t.Run("timer after response", func(t *testing.T) {
+		f := lossyFabric(sim.NewKernel(), fault.Scenario{}, 64)
+		u := f.Unit(1)
+		u.respDone = true
+		defer func() {
+			if r, want := recover(), "uli: steal timer fired after its response"; r != want {
+				t.Fatalf("timeoutFire panicked with %v, want %q", r, want)
+			}
+		}()
+		u.timeoutFire()
+	})
+}
+
+// TestDumpStateNamesSalvageMailbox: a stale ACK that no Poll has taken
+// yet shows in the deadline dump, so a task parked there is visible.
+func TestDumpStateNamesSalvageMailbox(t *testing.T) {
+	k := sim.NewKernel()
+	k.SetDeadline(10_000)
+	f := lossyFabric(k, fault.Scenario{}, 32)
+	victim, thief := f.Unit(0), f.Unit(1)
+	victim.SetHandler(func(int) uint64 { return 0xF00D })
+	k.NewProc("victim", 0, func(p *sim.Proc) {
+		victim.Bind(p)
+		victim.Enable()
+		p.Delay(200) // past the thief's timeout: the ACK arrives stale
+		for i := 0; i < 200; i++ {
+			victim.Poll(p)
+			p.Delay(1)
+		}
+	})
+	k.NewProc("thief", 10, func(p *sim.Proc) {
+		thief.Bind(p)
+		thief.SendReq(p, 0) // times out; the thief never polls again
+	})
+	if err := k.Run(nil); err != nil {
+		t.Fatal(err)
+	}
+	var b strings.Builder
+	f.DumpState(&b)
+	if want := "  unit 1: enabled=false waiting=false handling=false salvage-mailbox=1\n"; !strings.Contains(b.String(), want) {
+		t.Fatalf("dump lacks %q:\n%s", want, b.String())
 	}
 }

@@ -220,7 +220,9 @@ func (u *Unit) Disable() {
 // SendReq sends a steal request from this core's thread (running on
 // proc) to the victim core and blocks until the ACK or NACK arrives —
 // or, when fabric.Timeout is armed, until the timeout fires, which the
-// thief treats as a NACK (the caller retries with backoff). It returns
+// thief treats as a NACK (the caller retries with backoff). A request
+// can be lost only with the timeout armed (the machine layer arms it
+// for every lossy scenario); a loss without one panics. It returns
 // the response payload and whether the steal was accepted. The victim's
 // handler runs on the victim's own thread (paper: "the victim steals
 // tasks on behalf of the thief").
@@ -237,13 +239,7 @@ func (u *Unit) SendReq(proc *sim.Proc, victim int) (payload uint64, ok bool) {
 	if dropped {
 		f.Stats.Drops++
 		if f.Timeout == 0 {
-			// Defensive: a drop with no timeout armed would hang the
-			// thief forever. Model the loss as an instant NACK at the
-			// would-be arrival time (the machine layer always arms the
-			// timeout for lossy scenarios, so this path is unreachable
-			// in normal configurations).
-			proc.WaitUntil(arrive)
-			return 0, false
+			panic("uli: steal request dropped with no steal timeout armed")
 		}
 	} else {
 		var r *request
@@ -359,10 +355,11 @@ func (u *Unit) deliverResp(at sim.Time, ep uint64, payload uint64, ok bool) {
 
 // timeoutFire runs in the kernel when the thief's steal timer expires.
 // The thief resumes as if NACKed; a response still in flight will be
-// recognized as stale by deliverResp. A timer never outlives its request.
+// recognized as stale by deliverResp. A timer never outlives its
+// request: deliverResp stops it.
 func (u *Unit) timeoutFire() {
 	if u.respDone {
-		return
+		panic("uli: steal timer fired after its response")
 	}
 	u.respDone = true
 	u.fabric.Stats.Timeouts++

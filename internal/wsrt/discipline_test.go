@@ -69,7 +69,7 @@ func ablationVerdict(t *testing.T, v Variant, ablate func(*discipline)) string {
 	err = rt.Run(sumTree(fid, 3, 4, out))
 	s := rt.Stats
 	switch {
-	case m.Oracle.Violations() > 0:
+	case m.Oracle.Err() != nil:
 		return "oracle"
 	case err != nil && strings.Contains(err.Error(), "deadline"):
 		return "deadline"

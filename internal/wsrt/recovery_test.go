@@ -222,7 +222,7 @@ func TestOracleCatchesSkippedStealFlush(t *testing.T) {
 	fid := rt.RegisterFunc("fib", 512)
 	out := m.Mem.AllocWords(1)
 	err := rt.Run(fibProgram(fid, 15, out))
-	if m.Oracle.Violations() == 0 {
+	if m.Oracle.Err() == nil {
 		t.Fatalf("oracle missed the skipped steal flush (err=%v, out=%d)",
 			err, m.Cache.DebugReadWord(out))
 	}
