@@ -85,10 +85,11 @@ golden-ref:
 
 # Coverage that counts the goldens (not in ci, about 40 s). First the
 # product alone: -cover builds of every main package run every golden
-# command, one open-smoke run, parallel-smoke's run and the simd smoke,
-# and their counters print per package, then every function they leave
-# at 0 % and the total. DESIGN.md "What the shipped commands run" gives
-# each of those functions a verdict. Then the same counters merged with
+# command, one open-smoke run, parallel-smoke's run and both simd
+# smokes (memory-only and with a store), and their counters print per
+# package, then every function they leave at 0 % and the total.
+# DESIGN.md "What the shipped commands run" gives each of those
+# functions a verdict. Then the same counters merged with
 # go test's: every function still at 0 % and the total. The binaries
 # take plain -cover, which instruments every package of the module:
 # with -coverpkg added, go1.24 builds write no counter files.
@@ -100,6 +101,7 @@ cover:
 	GOCOVERDIR="$$dir/run" "$$dir/bin/btsim" $(OPEN_RUN) >/dev/null && \
 	GOCOVERDIR="$$dir/run" "$$dir/bin/paperbench" $(PARALLEL_RUN) >/dev/null && \
 	GOCOVERDIR="$$dir/run" "$$dir/bin/simd" -smoke >/dev/null && \
+	GOCOVERDIR="$$dir/run" "$$dir/bin/simd" -smoke -store "$$dir/store" >/dev/null && \
 	echo "product (the shipped commands alone):" && \
 	$(GO) tool covdata percent -i="$$dir/run" && \
 	$(GO) tool covdata textfmt -i="$$dir/run" -o "$$dir/run.out" && \
@@ -160,13 +162,17 @@ fuzz-smoke:
 	$(GO) test -run xxx -fuzz FuzzTrajectoryImport -fuzztime 5s -fuzzminimizetime 1x ./internal/bench
 	$(GO) test -run xxx -fuzz FuzzJobRequest -fuzztime 5s -fuzzminimizetime 1x ./internal/serve
 
-# Service self-test: start simd on a random port with a temp store,
-# POST a tiny job under the full lossy chaos scenario, assert HTTP 200,
-# the ULI accounting identity (reqs == acks + nacks + drops) in the
-# returned JSON, and a byte-identical repeat; then drain gracefully via
-# a real SIGTERM and exit 0 (see EXPERIMENTS.md "Running the service").
+# Service self-test, twice: memory-only, then with a store in a temp
+# directory. Each run starts simd on a random port, POSTs a tiny job
+# under the full lossy chaos scenario, asserts HTTP 200, the ULI
+# accounting identity (reqs == acks + nacks + drops) in the returned
+# JSON, and a byte-identical repeat answered from memory; then drains
+# gracefully via a real SIGTERM and exits 0 (see EXPERIMENTS.md
+# "Running the service").
 serve-smoke:
 	$(SIMD) -smoke
+	@dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+	$(SIMD) -smoke -store "$$dir"
 
 # Render the BENCH.json trajectory to the committed static page
 # (inline SVG, no scripts, no external assets). Import a benchmark run

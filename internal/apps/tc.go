@@ -72,8 +72,7 @@ func setupTC(rt *wsrt.RT, size Size, grain int) *Instance {
 		a, b := vs, us
 		for a < ve && b < ue {
 			c.Compute(4)
-			x := c.Load(gc.gm.EdgeAddr(a))
-			y := c.Load(gc.gm.EdgeAddr(b))
+			x, y := c.Load2(gc.gm.EdgeAddr(a), gc.gm.EdgeAddr(b))
 			switch {
 			case x == y:
 				if int(x) > u {

@@ -203,8 +203,9 @@ func TestQuarantineStillTripsOnConsecutiveFailures(t *testing.T) {
 	}
 }
 
-// TestQuarantineStreakTable drives cellFailed/cellRecovered directly:
-// the table must quarantine on the Nth *consecutive* failure only.
+// TestQuarantineStreakTable drives cellFailed/recoveredLocked directly:
+// the table must quarantine on the Nth *consecutive* failure only, and
+// it holds failing cells only.
 func TestQuarantineStreakTable(t *testing.T) {
 	s, err := NewServer(Config{QuarantineAfter: 3})
 	if err != nil {
@@ -212,13 +213,21 @@ func TestQuarantineStreakTable(t *testing.T) {
 	}
 	key := "v1|cell"
 	fail := func() { s.cellFailed(key, errFor("boom")) }
+	recovered := func() {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		s.recoveredLocked(key)
+		if len(s.cells) != 0 {
+			t.Fatalf("the table keeps %d cells after the only one recovered", len(s.cells))
+		}
+	}
 
 	fail()
 	fail()
 	if _, q := s.cellQuarantined(key); q {
 		t.Fatal("quarantined after 2 failures with threshold 3")
 	}
-	s.cellRecovered(key)
+	recovered()
 	fail()
 	fail()
 	if _, q := s.cellQuarantined(key); q {
@@ -229,7 +238,7 @@ func TestQuarantineStreakTable(t *testing.T) {
 		t.Fatal("not quarantined after 3 consecutive failures")
 	}
 	// Recovery lifts an active quarantine too (store-hit path).
-	s.cellRecovered(key)
+	recovered()
 	if _, q := s.cellQuarantined(key); q {
 		t.Fatal("success did not lift the quarantine")
 	}

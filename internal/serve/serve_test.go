@@ -349,7 +349,10 @@ func TestWallTimeout(t *testing.T) {
 // procs, not after a fixed wall time a loaded host can spend building
 // the machine. Procs run on pooled coroutines, so starting them moves
 // no goroutine count; the test reads the parked procs off the
-// goroutines' stacks instead.
+// goroutines' stacks instead. The pool of idle carriers may grow up to
+// its cap after the baseline (a later job can start more procs before
+// its budget runs out than the first did), so idle carriers are counted
+// apart from the other goroutines.
 func TestWallTimeoutsLeakNothing(t *testing.T) {
 	s, ts := newTestServer(t, Config{Workers: 1, WallTimeout: time.Minute, QuarantineAfter: 100})
 	body, err := json.Marshal(JobRequest{Config: "bT/HCC-DTS-gwb", App: "cilk5-cs", Size: "big"})
@@ -379,9 +382,9 @@ func TestWallTimeoutsLeakNothing(t *testing.T) {
 			b, err := io.ReadAll(resp.Body)
 			answered <- answer{resp.StatusCode, b, err}
 		}()
-		// Only one proc runs at a time: once 32 stacks are inside a
-		// proc's yield, procs are parked mid-run.
-		for parkedProcs() < 32 {
+		// Only one proc runs at a time: once 32 more stacks are inside
+		// a proc's yield, this job's procs are parked mid-run.
+		for base := parkedProcs(); parkedProcs() < base+32; {
 			select {
 			case a := <-answered:
 				t.Fatalf("big job answered before its procs started: status %d, %v\n%s", a.status, a.err, a.body)
@@ -401,13 +404,21 @@ func TestWallTimeoutsLeakNothing(t *testing.T) {
 		}
 	}
 	timeOut() // also brings up the client connection's goroutines
-	before := runtime.NumGoroutine()
+	_, _, before := goroutineStacks()
 	for i := 0; i < 5; i++ {
 		timeOut()
 	}
+	parked, idle, after := goroutineStacks()
+	if parked != 0 {
+		t.Fatalf("%d procs still parked after 5 more timed-out jobs", parked)
+	}
+	// The carrier pool keeps at most 64 idle carriers (sim.carrierPoolCap).
+	if idle > 64 {
+		t.Fatalf("%d idle carriers after 5 more timed-out jobs, more than the pool keeps", idle)
+	}
 	// A leak is 64 goroutines a job; the slack is for the HTTP stack.
-	if after := runtime.NumGoroutine(); after > before+4 {
-		t.Fatalf("%d goroutines after 5 more timed-out jobs, %d before", after, before)
+	if after > before+4 {
+		t.Fatalf("%d other goroutines after 5 more timed-out jobs, %d before", after, before)
 	}
 }
 
@@ -415,14 +426,31 @@ func TestWallTimeoutsLeakNothing(t *testing.T) {
 // proc's yield: procs parked mid-run, plus the one running, if it is
 // dispatching.
 func parkedProcs() int {
+	parked, _, _ := goroutineStacks()
+	return parked
+}
+
+// goroutineStacks sorts every goroutine by its stack: parked procs (see
+// parkedProcs), idle carriers (a carrier's loop outside any proc's
+// yield) and all others.
+func goroutineStacks() (parked, idle, others int) {
 	buf := make([]byte, 1<<20)
-	for {
-		n := runtime.Stack(buf, true)
-		if n < len(buf) {
-			return strings.Count(string(buf[:n]), "bigtiny/internal/sim.(*Proc).yield(")
-		}
+	n := runtime.Stack(buf, true)
+	for n == len(buf) {
 		buf = make([]byte, 2*len(buf))
+		n = runtime.Stack(buf, true)
 	}
+	for _, g := range strings.Split(string(buf[:n]), "\n\n") {
+		switch {
+		case strings.Contains(g, "bigtiny/internal/sim.(*Proc).yield("):
+			parked++
+		case strings.Contains(g, "bigtiny/internal/sim.(*carrier).loop("):
+			idle++
+		default:
+			others++
+		}
+	}
+	return parked, idle, others
 }
 
 // TestJobDeadlineCycles: a per-job simulated-cycle deadline fails that

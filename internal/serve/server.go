@@ -16,11 +16,13 @@
 //   - Per-job deadlines: a simulated-cycle watchdog (machine-state dump
 //     on expiry) plus an optional wall-clock budget enforced by a
 //     kernel interrupt.
-//   - Crash-safe persistence: results land in a content-addressed disk
-//     store (internal/store) written atomically and verified on every
-//     disk read, so warm results survive restarts and a corrupt entry
-//     is a miss, never a lie. A bounded read-through memory in front
-//     of it answers repeats without touching the disk.
+//   - Bounded memory of results: one read-through memory, capped in
+//     bytes, answers repeats without simulating. A job's suite lives
+//     only as long as the job.
+//   - Crash-safe persistence: with a store directory, results also land
+//     in a content-addressed disk store (internal/store) written
+//     atomically and verified on every disk read, so warm results
+//     survive restarts and a corrupt entry is a miss, never a lie.
 //   - Graceful drain: Drain stops admission, lets in-flight work finish
 //     inside a budget, hard-cancels the rest, and accounts for every
 //     accepted job.
@@ -58,7 +60,7 @@ type Config struct {
 	// queue+pool capacity are rejected with 429.
 	QueueDepth int
 	// StoreDir roots the crash-safe result store ("" disables the disk
-	// tier; results then live only in the in-memory suite caches).
+	// tier; results then live only in the bounded memory).
 	StoreDir string
 	// DeadlineCycles is the default per-job simulated-cycle deadline
 	// (0: each machine configuration's own watchdog default). Requests
@@ -182,10 +184,9 @@ type Server struct {
 	open     atomic.Int64 // accepted jobs not yet finished (queued + running)
 	inflight atomic.Int64 // jobs currently simulating
 
-	mu     sync.Mutex
-	suites map[string]*bench.Suite
-	cells  map[string]*cellState
-	mem    *memTier // the store tier's memory; nil without a store
+	mu    sync.Mutex
+	cells map[string]*cellState // failing cells only
+	mem   *memTier
 
 	wg sync.WaitGroup // worker pool
 
@@ -198,11 +199,6 @@ type Server struct {
 	rejected    atomic.Uint64
 	quarantined atomic.Uint64 // requests refused because their cell is poisoned
 }
-
-// maxSuites bounds the in-memory suite cache across distinct
-// (size, grain, scenario, seed, deadline) settings; beyond it new
-// settings get throwaway suites and lean on the disk store for reuse.
-const maxSuites = 64
 
 // NewServer builds the service (and opens/creates its store directory).
 // Call Start before serving traffic.
@@ -217,11 +213,11 @@ func NewServer(cfg Config) (*Server, error) {
 		cfg.QuarantineAfter = 3
 	}
 	s := &Server{
-		cfg:    cfg,
-		queue:  make(chan *job, cfg.QueueDepth),
-		quit:   make(chan struct{}),
-		suites: make(map[string]*bench.Suite),
-		cells:  make(map[string]*cellState),
+		cfg:   cfg,
+		queue: make(chan *job, cfg.QueueDepth),
+		quit:  make(chan struct{}),
+		cells: make(map[string]*cellState),
+		mem:   newMemTier(memBudget),
 	}
 	s.baseCtx, s.baseCancel = context.WithCancel(context.Background())
 	if cfg.StoreDir != "" {
@@ -230,7 +226,6 @@ func NewServer(cfg Config) (*Server, error) {
 			return nil, err
 		}
 		s.store = st
-		s.mem = newMemTier(memBudget)
 	}
 	return s, nil
 }
@@ -430,18 +425,16 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 	}
 	key := jobKey(req)
 
-	// Store tier first: a stored result needs no pool slot and no
-	// quarantine decision — stored bytes are from a past success, which
+	// Memory and store first: a kept result needs no pool slot and no
+	// quarantine decision — kept bytes are from a past success, which
 	// also means the cell is healthy: fromStore clears its failure
-	// streak so transient pre-store failures cannot quarantine a cell
-	// the store can answer for.
-	if s.store != nil {
-		if payload, ok := s.fromStore(key); ok {
-			s.accepted.Add(1)
-			s.completed.Add(1)
-			writeResult(w, payload, "store", key)
-			return
-		}
+	// streak so transient earlier failures cannot quarantine a cell
+	// that can be answered.
+	if payload, ok := s.fromStore(key); ok {
+		s.accepted.Add(1)
+		s.completed.Add(1)
+		writeResult(w, payload, "store", key)
+		return
 	}
 
 	if msg, quarantined := s.cellQuarantined(key); quarantined {
@@ -480,7 +473,7 @@ func (s *Server) handleJobs(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusServiceUnavailable, &ErrorJSON{Error: "server draining", Kind: "draining"})
 	case <-r.Context().Done():
 		// Client gone. The worker still finishes the job so the result
-		// lands in the caches for the retry.
+		// is kept for the retry.
 	}
 }
 
@@ -493,15 +486,8 @@ func writeResult(w http.ResponseWriter, payload []byte, source, key string) {
 	w.Write(payload)
 }
 
-// suiteFor returns the (possibly shared) suite whose settings match the
-// request.
+// suiteFor builds the suite one job runs in; the job drops it after.
 func (s *Server) suiteFor(req JobRequest, size apps.Size) *bench.Suite {
-	key := fmt.Sprintf("%d|%d|%s|%d|%d", size, req.Grain, req.Faults, req.FaultSeed, req.DeadlineCycles)
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if su, ok := s.suites[key]; ok {
-		return su
-	}
 	su := bench.NewSuite(size)
 	su.Grain = req.Grain
 	su.Verify = !s.cfg.NoVerify
@@ -513,13 +499,10 @@ func (s *Server) suiteFor(req JobRequest, size apps.Size) *bench.Suite {
 	if s.cfg.suiteHook != nil {
 		s.cfg.suiteHook(su)
 	}
-	if len(s.suites) < maxSuites {
-		s.suites[key] = su
-	}
 	return su
 }
 
-// runJob executes one job on a worker: simulate (or recall), persist,
+// runJob executes one job on a worker: simulate, keep and persist,
 // classify failures, and update the cell's quarantine state.
 func (s *Server) runJob(j *job) {
 	defer s.open.Add(-1)
@@ -549,11 +532,11 @@ func (s *Server) runJob(j *job) {
 	}
 	s.completed.Add(1)
 	// Best-effort: a failed write costs only a future recompute, and the
-	// store's error counter surfaces it in /healthz. Only bytes that
-	// reached the disk are kept in memory.
-	stored := s.store != nil && s.store.Put(j.key, payload) == nil
+	// store's error counter surfaces it in /healthz. With a store, only
+	// bytes that reached the disk are kept in memory.
+	keep := s.store == nil || s.store.Put(j.key, payload) == nil
 	s.mu.Lock()
-	if stored {
+	if keep {
 		s.mem.put(j.key, payload)
 	}
 	s.recoveredLocked(j.key)
@@ -618,26 +601,16 @@ func (s *Server) cellFailed(key string, err error) {
 	}
 }
 
-// cellRecovered clears a cell's failure streak after a success.
-func (s *Server) cellRecovered(key string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.recoveredLocked(key)
-}
-
-// recoveredLocked is cellRecovered for a caller that holds s.mu.
+// recoveredLocked clears a cell's failure streak after a success,
+// dropping its entry. The caller holds s.mu.
 func (s *Server) recoveredLocked(key string) {
-	if c := s.cells[key]; c != nil {
-		c.failures = 0
-		c.quarantined = false
-		c.lastErr = ""
-	}
+	delete(s.cells, key)
 }
 
-// fromStore answers key from the store tier: from memory when the
-// bytes are held, else from a verified disk read, whose payload it then
-// keeps. Either way the cell has succeeded before, so its failure
-// streak is cleared.
+// fromStore answers key without simulating: from memory when the bytes
+// are held, else, with a store, from a verified disk read, whose
+// payload it then keeps. Either way the cell has succeeded before, so
+// its failure streak is cleared.
 func (s *Server) fromStore(key string) ([]byte, bool) {
 	s.mu.Lock()
 	payload, held := s.mem.get(key)
@@ -645,8 +618,8 @@ func (s *Server) fromStore(key string) ([]byte, bool) {
 		s.recoveredLocked(key)
 	}
 	s.mu.Unlock()
-	if held {
-		return payload, true
+	if held || s.store == nil {
+		return payload, held
 	}
 	payload, ok := s.store.Get(key)
 	if !ok {
@@ -662,20 +635,20 @@ func (s *Server) fromStore(key string) ([]byte, bool) {
 	return payload, true
 }
 
-// memBudget caps the bytes (key plus payload) the store tier keeps in
+// memBudget caps the bytes (key plus payload) the server keeps in
 // memory. Measured payloads: a test-size run result is 1.0–1.2 KB (the
 // 143 Table III cells total 157 KB) and an open result 0.6–0.75 KB, so
 // 16 MiB holds about 13 000 results, the whole Table III grid a
 // hundred times over.
 const memBudget = 16 << 20
 
-// memTier is the store tier's read-through memory: the payloads of
-// keys this process wrote to the disk store itself or read back from
-// it verified. Results are content-addressed and deterministic, and
-// nothing writes to held bytes, so a held payload is its disk entry's
-// payload without the open, read and SHA-256. A restarted daemon
-// starts empty and goes through the verified disk read again. Guarded
-// by Server.mu.
+// memTier is the server's one memory of results. Without a store it
+// keeps every result a job produced; with one, the payloads of keys
+// this process wrote to the disk store itself or read back from it
+// verified. Results are content-addressed and deterministic, and
+// nothing writes to held bytes, so a held payload is the bytes a new
+// simulation or a verified disk read would give, without either. A
+// restarted daemon starts empty. Guarded by Server.mu.
 type memTier struct {
 	budget  int // bytes, key plus payload
 	used    int
@@ -713,7 +686,7 @@ func (m *memTier) put(key string, payload []byte) {
 	m.used += n
 }
 
-// MemoryStats describes the store tier's read-through memory.
+// MemoryStats describes the server's memory of results.
 type MemoryStats struct {
 	Hits    uint64 `json:"hits"`
 	Entries int    `json:"entries"`
@@ -736,9 +709,9 @@ type Health struct {
 
 	Store        *store.Stats `json:"store,omitempty"`
 	StoreEntries int          `json:"store_entries,omitempty"`
-	// StoreMemory is the store tier's read-through memory. Its hits are
-	// store answers that Store.Hits does not count.
-	StoreMemory *MemoryStats `json:"store_memory,omitempty"`
+	// StoreMemory is the memory of results. Its hits are store answers
+	// that Store.Hits does not count.
+	StoreMemory *MemoryStats `json:"store_memory"`
 
 	Quarantined []string `json:"quarantined_cells,omitempty"`
 }
@@ -767,9 +740,7 @@ func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	s.mu.Lock()
-	if s.mem != nil {
-		h.StoreMemory = &MemoryStats{Hits: s.mem.hits, Entries: len(s.mem.entries), Bytes: s.mem.used}
-	}
+	h.StoreMemory = &MemoryStats{Hits: s.mem.hits, Entries: len(s.mem.entries), Bytes: s.mem.used}
 	for key, c := range s.cells {
 		if c.quarantined {
 			h.Quarantined = append(h.Quarantined, key)
