@@ -47,10 +47,10 @@ test:
 
 # A run stays on the goroutine that called Run (procs are coroutines it
 # switches to), so the kernel has no goroutines of its own to race. The
-# host concurrency is around it: the bench layer's singleflight caches
-# and Prewarm worker pool, the per-shape pools of released machines
-# (internal/machine), and the wsrt, openload, serve and store packages,
-# all at the default GOMAXPROCS. TestDeadlineDumpMatchesParanoid runs
+# host concurrency is around it: the bench layer's memo of finished
+# cells and Prewarm worker pool, the per-shape pools of released
+# machines (internal/machine), and the wsrt, openload, serve and store
+# packages, all at the default GOMAXPROCS. TestDeadlineDumpMatchesParanoid runs
 # one app on one goroutine, 1 290 times: it is over half the leg under
 # -race and has no host concurrency to race, so it runs in the test leg
 # only. Planted races (a lock dropped in the carrier free list, the

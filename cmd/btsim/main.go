@@ -17,7 +17,8 @@
 // task DAG (rmat-query, the one workload), and the report is
 // shed/completed accounting plus exact end-to-end latency percentiles.
 // -faults/-fault-seed/-oracle/-deadline compose with -open;
-// -app/-size/-grain do not apply.
+// -app/-size/-grain/-trace do not apply. A flag the chosen mode does
+// not read is refused (exit 2), not ignored.
 package main
 
 import (
@@ -25,6 +26,8 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
+	"strings"
 
 	"bigtiny/internal/apps"
 	"bigtiny/internal/bench"
@@ -35,6 +38,12 @@ import (
 	"bigtiny/internal/sim"
 	"bigtiny/internal/stats"
 	"bigtiny/internal/trace"
+)
+
+// closedOnly and openOnly name the flags that only one mode reads.
+var (
+	closedOnly = []string{"app", "size", "grain", "trace"}
+	openOnly   = []string{"workload", "arrival", "rate", "requests", "open-seed", "inflight", "horizon"}
 )
 
 func main() {
@@ -83,9 +92,23 @@ func main() {
 		return
 	}
 
-	// Check every setting before any simulation work (with -open too,
-	// where -app/-size/-grain go unused): a typo in a name should not
-	// silently run something else for minutes.
+	// Check every setting before any simulation work: a typo in a name
+	// or a flag of the other mode should not silently run something
+	// else for minutes.
+	others, mode := openOnly, "without -open"
+	if *openMode {
+		others, mode = closedOnly, "with -open"
+	}
+	var unread []string
+	flag.Visit(func(f *flag.Flag) {
+		if slices.Contains(others, f.Name) {
+			unread = append(unread, "-"+f.Name)
+		}
+	})
+	if len(unread) > 0 {
+		fmt.Fprintf(os.Stderr, "btsim: %s not read %s\n", strings.Join(unread, ", "), mode)
+		os.Exit(2)
+	}
 	env := openload.Options{Scenario: *faults, FaultSeed: *faultSeed, Oracle: *oracleOn, Deadline: sim.Time(*deadline)}
 	sz, err := bench.Check(*cfgName, *appName, *size, *grain, env)
 	if err != nil {

@@ -103,7 +103,6 @@ func run() int {
 	grain := flag.Int("grain", 0, "task granularity override for every target (0 = app default)")
 	jobs := flag.Int("j", 0, "host workers for the simulation fan-out (0 = all host cores, 1 = serial)")
 	verbose := flag.Bool("v", false, "print per-run progress")
-	noVerify := flag.Bool("no-verify", false, "skip output verification after each run")
 	jsonOut := flag.String("json", "", "also dump all collected metrics as JSON to this file")
 	faultList := flag.String("faults", "",
 		"comma-separated fault scenarios for the chaos target (default: the built-in sweep set)")
@@ -210,7 +209,6 @@ func run() int {
 
 	s := bench.NewSuite(sz)
 	s.Grain = *grain
-	s.Verify = !*noVerify
 	s.Env.Deadline = sim.Time(*deadline)
 	if *verbose {
 		s.Progress = os.Stderr

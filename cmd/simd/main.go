@@ -6,9 +6,12 @@
 // Usage:
 //
 //	simd [-addr host:port] [-store dir] [-workers N] [-queue N]
-//	     [-deadline cycles] [-wall-timeout d] [-drain d]
-//	     [-quarantine-after N] [-no-verify]
+//	     [-wall-timeout d] [-drain d]
 //	simd -smoke
+//
+// A job bounds itself in simulated cycles with its deadline_cycles
+// field; a cell that fails three times in a row is quarantined. Every
+// closed-loop result is checked against its serial reference.
 //
 // Endpoints:
 //

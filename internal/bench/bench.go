@@ -4,11 +4,13 @@
 // 4-8, the §VI-C ULI overhead report, and the energy comparison).
 //
 // The suite is safe for concurrent use: every cell — a simulation, a
-// Cilkview analysis or an open-system run — goes through one memo that
-// deduplicates in-flight work, so a host-parallel caller (Prewarm, the
-// parallel Chaos sweep, or plain goroutines) can fan independent
-// simulations out across host cores while every caller of the same
-// cell shares one run. Each simulation is fully contained in its own
+// Cilkview analysis or an open-system run — goes through one memo of
+// finished cells, so a host-parallel caller (Prewarm, the parallel
+// Chaos sweep, or plain goroutines) can fan independent simulations out
+// across host cores. Prewarm hands each distinct cell to one worker;
+// two callers that ask for one uncached cell at the same moment each
+// compute it, to the same bytes. Every closed cell is checked against
+// its serial reference. Each simulation is fully contained in its own
 // machine.New/wsrt.New instance; results are bit-identical regardless
 // of host parallelism.
 package bench
@@ -37,15 +39,12 @@ import (
 // tables/figures can share one set of simulations. The configuration
 // fields must be set before the first Run/View call and left alone
 // afterwards; the methods may then be called from any number of
-// goroutines. The zero Suite is a test-size suite that does not verify
-// outputs; NewSuite returns a verifying one.
+// goroutines. The zero Suite is a test-size suite.
 type Suite struct {
 	// Size selects input scale for all runs.
 	Size apps.Size
 	// Grain overrides the per-app default task granularity (0 = default).
 	Grain int
-	// Verify (default true via NewSuite) checks outputs after every run.
-	Verify bool
 	// Progress, if non-nil, receives one line per completed run. Lines
 	// are written atomically (whole lines, never interleaved) but their
 	// order depends on host scheduling when runs execute in parallel.
@@ -72,13 +71,11 @@ type Suite struct {
 	// that lost or repeated a task.
 	plant func(*wsrt.RunStats)
 
-	// mu guards cells, the memo: one entry per cell key (see key), made
-	// by the first caller and shared by every concurrent caller of the
-	// same cell (singleflight). A successful entry stays as the cache;
-	// a failed one is removed, so the next call retries the cell.
-	// Cells compute outside the lock.
+	// mu guards cells, the memo: one entry per cell key (see key), for
+	// cells that succeeded only, so the next call of a failed cell runs
+	// it again. Cells compute outside the lock.
 	mu    sync.Mutex
-	cells map[string]*flightCall
+	cells map[string]kept
 
 	// record makes the suite a recorder (see Cells): the memo notes each
 	// new cell in recorded and answers it with a zero result instead of
@@ -100,18 +97,15 @@ type Suite struct {
 	resumes         atomic.Uint64
 }
 
-// flightCall is one memo entry: a cell in flight or done. Waiters
-// block on done and then read val and err.
-type flightCall struct {
-	done chan struct{}
-	w    Work
-	val  any // *stats.Run, cilkview.Report or *openload.Result
-	err  error
+// kept is one memo entry: a finished cell and its result.
+type kept struct {
+	w   Work
+	val any // *stats.Run, cilkview.Report or *openload.Result
 }
 
-// NewSuite returns a verifying suite at the given size.
+// NewSuite returns a suite at the given size.
 func NewSuite(size apps.Size) *Suite {
-	return &Suite{Size: size, Verify: true}
+	return &Suite{Size: size}
 }
 
 // Check validates a closed-loop cell's settings, one check each:
@@ -173,47 +167,35 @@ func (s *Suite) key(w Work) string {
 	return key
 }
 
-// do returns cell w's result, computed at most once however many
-// goroutines ask for it at the same time, and remembered once it
-// succeeds. A done ctx interrupts a computation this call leads (the
-// kernel aborts with a machine-state dump) and stops waiting on one it
-// merely joined — the shared computation keeps the leader's context,
-// so one impatient waiter cannot kill a result other callers are
-// blocked on.
+// do returns cell w's result: the kept one, or a new computation that
+// is kept if it succeeds. A done ctx interrupts the computation (the
+// kernel aborts with a machine-state dump); a kept cell is returned
+// even to a dead ctx.
 func (s *Suite) do(ctx context.Context, w Work) (any, error) {
 	key := s.key(w)
 	s.mu.Lock()
+	c, ok := s.cells[key]
+	s.mu.Unlock()
+	if ok {
+		return c.val, nil
+	}
+	val, err := s.compute(ctx, w)
+	if err != nil {
+		return nil, err
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if c, ok := s.cells[key]; ok {
-		s.mu.Unlock()
-		select {
-		case <-c.done: // a finished cell is returned even to a dead ctx
-		default:
-			select {
-			case <-c.done:
-			case <-ctx.Done():
-				return nil, fmt.Errorf("bench: %s: %w", w.name(), ctx.Err())
-			}
-		}
-		return c.val, c.err
+		return c.val, nil // a concurrent caller kept the same cell first
 	}
 	if s.cells == nil {
-		s.cells = make(map[string]*flightCall)
+		s.cells = make(map[string]kept)
 	}
-	c := &flightCall{done: make(chan struct{}), w: w}
-	s.cells[key] = c
+	s.cells[key] = kept{w: w, val: val}
 	if s.record {
 		s.recorded = append(s.recorded, w)
 	}
-	s.mu.Unlock()
-
-	c.val, c.err = s.compute(ctx, w)
-	if c.err != nil {
-		s.mu.Lock()
-		delete(s.cells, key)
-		s.mu.Unlock()
-	}
-	close(c.done)
-	return c.val, c.err
+	return val, nil
 }
 
 // memo is do with the result's type: *stats.Run for a simulation,
@@ -224,22 +206,16 @@ func memo[T any](ctx context.Context, s *Suite, w Work) (T, error) {
 	return t, err
 }
 
-// finished returns the memo's successful cells in key order. A failed
-// cell leaves the memo before its done closes, so every closed entry
-// is a success.
-func (s *Suite) finished() []*flightCall {
+// finished returns the memo's cells in key order.
+func (s *Suite) finished() []kept {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	keys := make([]string, 0, len(s.cells))
-	for k, c := range s.cells {
-		select {
-		case <-c.done:
-			keys = append(keys, k)
-		default: // still in flight
-		}
+	for k := range s.cells {
+		keys = append(keys, k)
 	}
 	sort.Strings(keys)
-	out := make([]*flightCall, len(keys))
+	out := make([]kept, len(keys))
 	for i, k := range keys {
 		out[i] = s.cells[k]
 	}
@@ -250,8 +226,8 @@ func (s *Suite) finished() []*flightCall {
 // builds its own machine and runtime, so concurrent cells share no
 // mutable state. A panic anywhere in the cell — app setup, the
 // simulation, verification, a test hook — is recovered into that
-// cell's error: one poisoned cell fails its own callers (the
-// singleflight leader and every duplicate waiter) and nothing else.
+// cell's error: one poisoned cell fails its own caller and nothing
+// else.
 func (s *Suite) compute(ctx context.Context, w Work) (val any, err error) {
 	defer func() {
 		if v := recover(); v != nil {
@@ -275,15 +251,13 @@ func (s *Suite) compute(ctx context.Context, w Work) (val any, err error) {
 
 // Run simulates app on the named machine configuration (cached).
 // The "IOx1" configuration runs the app's serial variant — it is the
-// paper's "Serial IO" baseline. Concurrent callers of the same pair
-// share a single simulation.
+// paper's "Serial IO" baseline.
 func (s *Suite) Run(cfgName, appName string) (*stats.Run, error) {
 	return s.RunCtx(context.Background(), cfgName, appName)
 }
 
-// RunCtx is Run with cancellation: a done context interrupts an
-// in-flight simulation this call is leading and stops waiting on one
-// it merely joined (see do).
+// RunCtx is Run with cancellation: a done context interrupts the
+// simulation (see do).
 func (s *Suite) RunCtx(ctx context.Context, cfgName, appName string) (*stats.Run, error) {
 	return memo[*stats.Run](ctx, s, s.runWork(cfgName, appName))
 }
@@ -316,11 +290,9 @@ func (s *Suite) simulate(ctx context.Context, w Work) (*stats.Run, error) {
 	if err := rt.Run(root); err != nil {
 		return nil, fmt.Errorf("bench: %s: %w", w.name(), err)
 	}
-	if s.Verify {
-		read := func(a mem.Addr) uint64 { return m.Cache.DebugReadWord(a) }
-		if err := inst.Verify(read); err != nil {
-			return nil, fmt.Errorf("bench: %s: verification failed: %w", w.name(), err)
-		}
+	read := func(a mem.Addr) uint64 { return m.Cache.DebugReadWord(a) }
+	if err := inst.Verify(read); err != nil {
+		return nil, fmt.Errorf("bench: %s: verification failed: %w", w.name(), err)
 	}
 	if s.plant != nil {
 		s.plant(&rt.Stats)
@@ -373,8 +345,7 @@ func (s *Suite) progress(format string, args ...any) {
 }
 
 // View returns the Cilkview analysis for app at the suite's size and
-// grain (cached). Concurrent callers of the same app share a single
-// analysis.
+// grain (cached).
 func (s *Suite) View(appName string) (cilkview.Report, error) {
 	return memo[cilkview.Report](context.Background(), s, s.viewWork(appName))
 }

@@ -81,7 +81,7 @@ func TestOpenRepeatRunsIdentical(t *testing.T) {
 	}
 }
 
-// TestOpenRunCaches checks the singleflight cache: the second call for
+// TestOpenRunCaches checks the memo: the second call for
 // the same cell returns the same result pointer without re-simulating.
 func TestOpenRunCaches(t *testing.T) {
 	s := NewSuite(apps.Test)

@@ -3,7 +3,6 @@ package bench
 import (
 	"bytes"
 	"context"
-	"errors"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -257,72 +256,6 @@ func TestShardedDifferentialStress(t *testing.T) {
 		t.Run(names[app]+"/"+tr.size.String(), func(t *testing.T) {
 			serial := tr.warm(t, []string{ChaosConfig}, company[:1], 1)
 			checkSharded(t, serial, tr.warm(t, []string{ChaosConfig}, company, jobs), jobs)
-		})
-	}
-}
-
-// TestRunSingleflight: concurrent callers of one cell — a simulation,
-// a Cilkview analysis or an open-system run — share exactly one
-// computation and receive the same result, and a joiner whose context
-// is already done stops waiting without killing the leader.
-func TestRunSingleflight(t *testing.T) {
-	sp := openload.Spec{Workload: "rmat-query", Arrival: "poisson", RatePerK: 4, Requests: 8, Seed: 1}
-	for _, tc := range []struct {
-		name string
-		w    Work
-	}{
-		{"run", Work{Cfg: robustCfg, App: "cilk5-mt", Size: apps.Empty}},
-		{"view", Work{App: "cilk5-mt", Size: apps.Empty, View: true}},
-		{"open", openWork(robustCfg, "", 0, sp)},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			s := NewSuite(apps.Empty)
-			var computed atomic.Int32
-			entered := make(chan struct{})
-			release := make(chan struct{})
-			s.SimHook = func(cfg, app string) {
-				if computed.Add(1) == 1 {
-					close(entered)
-				}
-				<-release
-			}
-
-			const callers = 8
-			vals := make([]any, callers)
-			errs := make([]error, callers)
-			var wg sync.WaitGroup
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				vals[0], errs[0] = s.do(context.Background(), tc.w)
-			}()
-			<-entered // the leader is inside the cell
-			dead, cancel := context.WithCancel(context.Background())
-			cancel()
-			if _, err := s.do(dead, tc.w); !errors.Is(err, context.Canceled) {
-				t.Fatalf("joiner with a dead context: err = %v, want context.Canceled", err)
-			}
-			for i := 1; i < callers; i++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					vals[i], errs[i] = s.do(context.Background(), tc.w)
-				}()
-			}
-			close(release)
-			wg.Wait()
-
-			for i := 0; i < callers; i++ {
-				if errs[i] != nil {
-					t.Fatalf("caller %d: %v", i, errs[i])
-				}
-				if vals[i] != vals[0] {
-					t.Fatalf("caller %d got a different result than caller 0", i)
-				}
-			}
-			if n := computed.Load(); n != 1 {
-				t.Fatalf("%d computations for %d callers of one cell, want 1", n, callers)
-			}
 		})
 	}
 }

@@ -44,8 +44,8 @@ func (w Work) name() string {
 
 // Prewarm executes every work item, fanning them out over a bounded
 // pool of jobs workers (jobs <= 0 means runtime.NumCPU()). Duplicate
-// items are collapsed, and the memo dedups any remaining overlap, so
-// each distinct cell runs exactly once. Results land in the memo the
+// items are collapsed before the fan-out, so each distinct cell goes
+// to one worker and runs at most once. Results land in the memo the
 // serial render paths read; a render pass after Prewarm therefore does
 // no simulation work and emits output in its usual fixed order.
 //

@@ -24,11 +24,8 @@ func Main(args []string) int {
 	storeDir := fs.String("store", "", "crash-safe result store directory (empty = memory-only)")
 	workers := fs.Int("workers", 0, "simulation worker pool size (0 = all host cores)")
 	queueDepth := fs.Int("queue", 64, "admission queue depth; beyond it jobs get 429 + Retry-After")
-	deadline := fs.Uint64("deadline", 0, "default per-job simulated-cycle deadline (0 = each config's watchdog default)")
 	wall := fs.Duration("wall-timeout", 0, "per-job wall-clock budget, e.g. 30s (0 = none)")
 	drainBudget := fs.Duration("drain", 10*time.Second, "graceful-drain budget on SIGTERM/SIGINT")
-	quarantineAfter := fs.Int("quarantine-after", 3, "consecutive failures before a job cell is quarantined")
-	noVerify := fs.Bool("no-verify", false, "skip output verification after each run")
 	smoke := fs.Bool("smoke", false, "self-test: serve on a random port, run one job end to end, SIGTERM self, exit 0 on success")
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -41,13 +38,10 @@ func Main(args []string) int {
 		return 2
 	}
 	cfg := Config{
-		Workers:         *workers,
-		QueueDepth:      *queueDepth,
-		StoreDir:        *storeDir,
-		DeadlineCycles:  *deadline,
-		WallTimeout:     *wall,
-		QuarantineAfter: *quarantineAfter,
-		NoVerify:        *noVerify,
+		Workers:     *workers,
+		QueueDepth:  *queueDepth,
+		StoreDir:    *storeDir,
+		WallTimeout: *wall,
 	}
 	if *smoke {
 		*addr = "127.0.0.1:0"

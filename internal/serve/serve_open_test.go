@@ -130,14 +130,13 @@ func TestOpenJobValidation(t *testing.T) {
 
 // TestQuarantineCounterResetsOnSuccess proves the consecutive-failure
 // table is consecutive: two failures, a success, then two more failures
-// must NOT quarantine a cell with QuarantineAfter=3 — only a third
-// failure in a row may.
+// must NOT quarantine a cell — only a third failure in a row
+// (quarantineAfter) may.
 func TestQuarantineCounterResetsOnSuccess(t *testing.T) {
 	var failing atomic.Bool
 	failing.Store(true)
 	s, ts := newTestServer(t, Config{
-		Workers:         1,
-		QuarantineAfter: 3,
+		Workers: 1,
 		suiteHook: func(su *bench.Suite) {
 			su.SimHook = func(cfgName, appName string) {
 				if failing.Load() {
@@ -181,8 +180,7 @@ func TestQuarantineCounterResetsOnSuccess(t *testing.T) {
 // no intervening success, the threshold must still quarantine the cell.
 func TestQuarantineStillTripsOnConsecutiveFailures(t *testing.T) {
 	_, ts := newTestServer(t, Config{
-		Workers:         1,
-		QuarantineAfter: 3,
+		Workers: 1,
 		suiteHook: func(su *bench.Suite) {
 			su.SimHook = func(cfgName, appName string) { panic("induced failure") }
 		},
@@ -207,7 +205,7 @@ func TestQuarantineStillTripsOnConsecutiveFailures(t *testing.T) {
 // the table must quarantine on the Nth *consecutive* failure only, and
 // it holds failing cells only.
 func TestQuarantineStreakTable(t *testing.T) {
-	s, err := NewServer(Config{QuarantineAfter: 3})
+	s, err := NewServer(Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +247,7 @@ func TestQuarantineStreakTable(t *testing.T) {
 // stored result cannot be one transient failure away from quarantine.
 func TestStoreHitClearsFailureStreak(t *testing.T) {
 	dir := t.TempDir()
-	s, ts := newTestServer(t, Config{Workers: 1, StoreDir: dir, QuarantineAfter: 3})
+	s, ts := newTestServer(t, Config{Workers: 1, StoreDir: dir})
 	req := JobRequest{Config: testCfg, App: "cilk5-nq", Size: "empty"}
 	key := jobKey(req)
 

@@ -176,11 +176,11 @@ func TestValidation(t *testing.T) {
 
 // TestPanicIsolationAndQuarantine: a poison job panics, fails alone
 // with a structured error while the daemon keeps serving; after
-// QuarantineAfter failures its cell is refused upfront without running.
+// quarantineAfter failures its cell is refused upfront without running.
 func TestPanicIsolationAndQuarantine(t *testing.T) {
 	var poisonRuns atomic.Int32
 	_, ts := newTestServer(t, Config{
-		Workers: 2, QuarantineAfter: 2,
+		Workers: 2,
 		suiteHook: func(su *bench.Suite) {
 			su.SimHook = func(cfg, app string) {
 				if app == "cilk5-cs" {
@@ -192,7 +192,7 @@ func TestPanicIsolationAndQuarantine(t *testing.T) {
 	})
 	poison := JobRequest{Config: testCfg, App: "cilk5-cs", Size: "empty"}
 
-	for i := 0; i < 2; i++ {
+	for i := 0; i < quarantineAfter; i++ {
 		resp, body := postJob(t, ts.URL, poison)
 		if resp.StatusCode != http.StatusInternalServerError {
 			t.Fatalf("poison attempt %d: status %d, want 500\n%s", i, resp.StatusCode, body)
@@ -210,8 +210,8 @@ func TestPanicIsolationAndQuarantine(t *testing.T) {
 	if e := decodeErr(t, body); e.Kind != "quarantined" {
 		t.Fatalf("quarantined cell: kind %q, want quarantined", e.Kind)
 	}
-	if got := poisonRuns.Load(); got != 2 {
-		t.Fatalf("poison cell ran %d times, want 2 (quarantine must not run it)", got)
+	if got := poisonRuns.Load(); got != quarantineAfter {
+		t.Fatalf("poison cell ran %d times, want %d (quarantine must not run it)", got, quarantineAfter)
 	}
 
 	// The daemon survived it all: a healthy cell still completes.
@@ -230,7 +230,7 @@ func TestPanicIsolationAndQuarantine(t *testing.T) {
 		t.Fatal(err)
 	}
 	hr.Body.Close()
-	if h.Failed != 2 || h.QuarantineDenied != 1 || len(h.Quarantined) != 1 {
+	if h.Failed != quarantineAfter || h.QuarantineDenied != 1 || len(h.Quarantined) != 1 {
 		t.Fatalf("healthz counters off: %+v", h)
 	}
 	if !strings.Contains(h.Quarantined[0], "cilk5-cs") {
@@ -352,25 +352,29 @@ func TestWallTimeout(t *testing.T) {
 // goroutines' stacks instead. The pool of idle carriers may grow up to
 // its cap after the baseline (a later job can start more procs before
 // its budget runs out than the first did), so idle carriers are counted
-// apart from the other goroutines.
+// apart from the other goroutines. Each of the six jobs is a distinct
+// cell (grains 1-6), so none reaches the quarantine threshold.
 func TestWallTimeoutsLeakNothing(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 1, WallTimeout: time.Minute, QuarantineAfter: 100})
-	body, err := json.Marshal(JobRequest{Config: "bT/HCC-DTS-gwb", App: "cilk5-cs", Size: "big"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	s, ts := newTestServer(t, Config{Workers: 1, WallTimeout: time.Minute})
 	type answer struct {
 		status int
 		body   []byte
 		err    error
 	}
-	timeOut := func() {
+	timeOut := func(grain int) {
 		t.Helper()
+		body, err := json.Marshal(JobRequest{Config: "bT/HCC-DTS-gwb", App: "cilk5-cs", Size: "big", Grain: grain})
+		if err != nil {
+			t.Fatal(err)
+		}
 		// A job's wall-clock context is a child of s.baseCtx: give this
 		// job a parent the test expires. The POST below carries the write
 		// to the worker that reads it.
 		parent, expire := context.WithCancel(context.Background())
 		s.baseCtx, s.baseCancel = parent, expire
+		// Counted before the POST: on a loaded host the job can park
+		// all its procs before this goroutine runs again.
+		base := parkedProcs()
 		answered := make(chan answer, 1)
 		go func() {
 			resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(body))
@@ -384,7 +388,7 @@ func TestWallTimeoutsLeakNothing(t *testing.T) {
 		}()
 		// Only one proc runs at a time: once 32 more stacks are inside
 		// a proc's yield, this job's procs are parked mid-run.
-		for base := parkedProcs(); parkedProcs() < base+32; {
+		for parkedProcs() < base+32 {
 			select {
 			case a := <-answered:
 				t.Fatalf("big job answered before its procs started: status %d, %v\n%s", a.status, a.err, a.body)
@@ -403,10 +407,10 @@ func TestWallTimeoutsLeakNothing(t *testing.T) {
 			t.Fatalf("the timeout did not land mid-run; no proc was parked:\n%s", a.body)
 		}
 	}
-	timeOut() // also brings up the client connection's goroutines
+	timeOut(1) // also brings up the client connection's goroutines
 	_, _, before := goroutineStacks()
-	for i := 0; i < 5; i++ {
-		timeOut()
+	for grain := 2; grain <= 6; grain++ {
+		timeOut(grain)
 	}
 	parked, idle, after := goroutineStacks()
 	if parked != 0 {

@@ -10,12 +10,15 @@
 //     pool. Over capacity means 429 + Retry-After, never unbounded
 //     goroutine growth.
 //   - Poison-job isolation: a job that panics or blows its deadline
-//     fails alone with a structured error; after QuarantineAfter
+//     fails alone with a structured error; after quarantineAfter
 //     consecutive failures its cell is quarantined and refused upfront,
 //     so one poison tuple cannot monopolize the pool.
-//   - Per-job deadlines: a simulated-cycle watchdog (machine-state dump
-//     on expiry) plus an optional wall-clock budget enforced by a
-//     kernel interrupt.
+//   - Per-job deadlines: a simulated-cycle watchdog (each config's
+//     default, or the job's deadline_cycles; machine-state dump on
+//     expiry) plus an optional wall-clock budget enforced by a kernel
+//     interrupt.
+//   - Verified results: every closed-loop result is checked against
+//     its serial reference before it is answered, kept or stored.
 //   - Bounded memory of results: one read-through memory, capped in
 //     bytes, answers repeats without simulating. A job's suite lives
 //     only as long as the job.
@@ -52,7 +55,7 @@ import (
 )
 
 // Config sets the server's capacity and policy knobs. The zero value is
-// usable: all-core workers, a 64-deep queue, no disk store, verify on.
+// usable: all-core workers, a 64-deep queue, no disk store.
 type Config struct {
 	// Workers is the simulation worker-pool size (<= 0: all host cores).
 	Workers int
@@ -62,18 +65,9 @@ type Config struct {
 	// StoreDir roots the crash-safe result store ("" disables the disk
 	// tier; results then live only in the bounded memory).
 	StoreDir string
-	// DeadlineCycles is the default per-job simulated-cycle deadline
-	// (0: each machine configuration's own watchdog default). Requests
-	// may override it per job.
-	DeadlineCycles uint64
 	// WallTimeout is the per-job wall-clock budget (0: none). On expiry
 	// the job's kernel is interrupted and the job fails with a timeout.
 	WallTimeout time.Duration
-	// QuarantineAfter is the number of consecutive failures after which
-	// a cell is quarantined (<= 0: 3).
-	QuarantineAfter int
-	// NoVerify skips output verification after each run.
-	NoVerify bool
 
 	// suiteHook, when non-nil, is applied to every suite the server
 	// creates. Tests use it to install bench.Suite.SimHook failure
@@ -98,8 +92,8 @@ type JobRequest struct {
 	Grain     int    `json:"grain,omitempty"`
 	Faults    string `json:"faults,omitempty"`
 	FaultSeed uint64 `json:"fault_seed,omitempty"`
-	// DeadlineCycles overrides the server's default per-job
-	// simulated-cycle deadline for this job only.
+	// DeadlineCycles bounds this job in simulated cycles (0: the
+	// machine configuration's own watchdog default).
 	DeadlineCycles uint64 `json:"deadline_cycles,omitempty"`
 
 	// Open-system fields (Kind == "open").
@@ -122,6 +116,10 @@ func openSpec(req JobRequest) openload.Spec {
 		MaxInFlight: req.MaxInFlight,
 	}
 }
+
+// quarantineAfter is the number of consecutive failures after which a
+// cell is quarantined.
+const quarantineAfter = 3
 
 // maxOpenRequests bounds one open job's arrival count: the request
 // carries a free parameter that scales simulation work, and a bounded
@@ -208,9 +206,6 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 64
-	}
-	if cfg.QuarantineAfter <= 0 {
-		cfg.QuarantineAfter = 3
 	}
 	s := &Server{
 		cfg:   cfg,
@@ -339,9 +334,8 @@ func writeErr(w http.ResponseWriter, status int, e *ErrorJSON) {
 }
 
 // jobKey is the canonical, restart-stable cell address: it keys the
-// disk store and the quarantine table. Deadlines and verification are
-// deliberately excluded — they never change a successful result's
-// bytes.
+// disk store and the quarantine table. Deadlines are deliberately
+// excluded — they never change a successful result's bytes.
 func jobKey(req JobRequest) string {
 	if req.Kind == "open" {
 		return strings.Join([]string{
@@ -490,12 +484,7 @@ func writeResult(w http.ResponseWriter, payload []byte, source, key string) {
 func (s *Server) suiteFor(req JobRequest, size apps.Size) *bench.Suite {
 	su := bench.NewSuite(size)
 	su.Grain = req.Grain
-	su.Verify = !s.cfg.NoVerify
-	deadline := req.DeadlineCycles
-	if deadline == 0 {
-		deadline = s.cfg.DeadlineCycles
-	}
-	su.Env = openload.Options{Scenario: req.Faults, FaultSeed: req.FaultSeed, Deadline: sim.Time(deadline)}
+	su.Env = openload.Options{Scenario: req.Faults, FaultSeed: req.FaultSeed, Deadline: sim.Time(req.DeadlineCycles)}
 	if s.cfg.suiteHook != nil {
 		s.cfg.suiteHook(su)
 	}
@@ -596,7 +585,7 @@ func (s *Server) cellFailed(key string, err error) {
 	}
 	c.failures++
 	c.lastErr = msg
-	if c.failures >= s.cfg.QuarantineAfter {
+	if c.failures >= quarantineAfter {
 		c.quarantined = true
 	}
 }

@@ -1,6 +1,6 @@
 // Package store is a disk-backed, content-addressed result tier: a
-// persistent cache under the bench suite's in-memory singleflight
-// layer, designed crash-safe first.
+// persistent cache under the simulation daemon's bounded memory of
+// results (internal/serve), designed crash-safe first.
 //
 // Entries are written atomically — payload and checksummed header go to
 // a temp file, which is fsynced and then renamed over the final name —
