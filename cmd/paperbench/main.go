@@ -17,8 +17,9 @@
 // sets the task granularity of every target, as btsim's does. The chaos
 // target runs every selected app under each fault-injection scenario
 // on a small DTS machine and checks the outputs still match the serial
-// reference; it always uses test-size inputs regardless of -size. The
-// open target sweeps open-system serving load (seeded arrivals, latency
+// reference; it always uses test-size inputs regardless of -size, and
+// takes -grain, -deadline and -v as every other target does. The open
+// target sweeps open-system serving load (seeded arrivals, latency
 // percentiles, shedding) across coherence configs with and without
 // fault injection; -open-json exports the cells.
 //
@@ -239,7 +240,7 @@ func run() int {
 	for _, t := range targets {
 		var err error
 		if t == "chaos" {
-			err = bench.Chaos(out, names, chaosScenarios, *faultSeed, *jobs)
+			err = s.Chaos(out, names, chaosScenarios, *faultSeed, *jobs)
 		} else {
 			err = bench.Targets[t](s, out, names)
 		}

@@ -91,7 +91,22 @@ type App struct {
 
 var registry []*App
 
+// GrainFor is the grain Setup runs at when asked for grain: grain, or
+// DefaultGrain when grain <= 0.
+func (a *App) GrainFor(grain int) int {
+	if grain <= 0 {
+		return a.DefaultGrain
+	}
+	return grain
+}
+
+// register adds a to the registry, with its Setup resolving the grain
+// through GrainFor.
 func register(a *App) *App {
+	setup := a.Setup
+	a.Setup = func(rt *wsrt.RT, size Size, grain int) *Instance {
+		return setup(rt, size, a.GrainFor(grain))
+	}
 	registry = append(registry, a)
 	return a
 }
@@ -137,14 +152,6 @@ func tableOrder(name string) int {
 		}
 	}
 	return len(order)
-}
-
-// grainOr returns g if positive, else the app default.
-func grainOr(g, def int) int {
-	if g > 0 {
-		return g
-	}
-	return def
 }
 
 // word returns the address of the i-th word of a simulated array.

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"bigtiny/internal/cache"
+	"bigtiny/internal/cilkview"
 	"bigtiny/internal/machine"
 	"bigtiny/internal/mem"
 	"bigtiny/internal/wsrt"
@@ -141,5 +142,18 @@ func TestSerialVariants(t *testing.T) {
 			m := machine.New(cfg)
 			runApp(t, a, m, wsrt.HW, true)
 		})
+	}
+}
+
+// TestZeroGrainIsDefaultGrain: Setup resolves a grain <= 0 to the app's
+// DefaultGrain, so both build the same task DAG.
+func TestZeroGrainIsDefaultGrain(t *testing.T) {
+	for _, a := range All() {
+		view := func(grain int) cilkview.Report {
+			return cilkview.Analyze(func(rt *wsrt.RT) wsrt.Body { return a.Setup(rt, Test, grain).Root })
+		}
+		if zero, def := view(0), view(a.DefaultGrain); zero != def {
+			t.Errorf("%s: grain 0 analyses to %+v, DefaultGrain %d to %+v", a.Name, zero, a.DefaultGrain, def)
+		}
 	}
 }

@@ -65,7 +65,6 @@ func nativeBC(g *graph.Graph, src int) []float64 {
 
 func setupBC(rt *wsrt.RT, size Size, grain int) *Instance {
 	gc := newGctxHeavy(rt, size, true)
-	grain = grainOr(grain, 32)
 	m := rt.Mem()
 	n := gc.g.N
 	level := m.AllocWords(n) // BFS level (unvisited = MAX)

@@ -43,7 +43,6 @@ func nativeSSSP(g *graph.Graph, src int) []uint64 {
 
 func setupBF(rt *wsrt.RT, size Size, grain int) *Instance {
 	gc := newGctx(rt, size)
-	grain = grainOr(grain, 32)
 	m := rt.Mem()
 	n := gc.g.N
 	dist := m.AllocWords(n)

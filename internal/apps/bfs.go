@@ -44,7 +44,6 @@ func nativeBFSLevels(g *graph.Graph, src int) []uint64 {
 
 func setupBFS(rt *wsrt.RT, size Size, grain int) *Instance {
 	gc := newGctx(rt, size)
-	grain = grainOr(grain, 32)
 	m := rt.Mem()
 	n := gc.g.N
 	parent := m.AllocWords(n)
@@ -106,7 +105,6 @@ func setupBFS(rt *wsrt.RT, size Size, grain int) *Instance {
 
 func setupBFSBV(rt *wsrt.RT, size Size, grain int) *Instance {
 	gc := newGctx(rt, size)
-	grain = grainOr(grain, 4)
 	m := rt.Mem()
 	n := gc.g.N
 	nw := (n + 63) / 64

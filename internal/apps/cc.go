@@ -41,7 +41,6 @@ func nativeComponents(g *graph.Graph) []uint64 {
 
 func setupCC(rt *wsrt.RT, size Size, grain int) *Instance {
 	gc := newGctx(rt, size)
-	grain = grainOr(grain, 32)
 	m := rt.Mem()
 	n := gc.g.N
 	ids := m.AllocWords(n)

@@ -30,9 +30,8 @@ func init() {
 	})
 }
 
-func setupLU(rt *wsrt.RT, size Size, grain int) *Instance {
+func setupLU(rt *wsrt.RT, size Size, blk int) *Instance {
 	n := map[Size]int{Test: 32, Ref: 128, Big: 128, Empty: 0, Unit: 1}[size]
-	blk := grainOr(grain, 8)
 	m := rt.Mem()
 	A := m.AllocWords(n * n)
 	rng := sim.NewRand(0x10)

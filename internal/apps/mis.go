@@ -33,7 +33,6 @@ func misPriority(v int) uint64 {
 
 func setupMIS(rt *wsrt.RT, size Size, grain int) *Instance {
 	gc := newGctx(rt, size)
-	grain = grainOr(grain, 32)
 	m := rt.Mem()
 	n := gc.g.N
 	status := m.AllocWords(n)

@@ -22,9 +22,8 @@ func init() {
 	})
 }
 
-func setupMM(rt *wsrt.RT, size Size, grain int) *Instance {
+func setupMM(rt *wsrt.RT, size Size, blk int) *Instance {
 	n := map[Size]int{Test: 32, Ref: 64, Big: 128, Empty: 0, Unit: 1}[size]
-	blk := grainOr(grain, 8)
 	m := rt.Mem()
 	A := m.AllocWords(n * n)
 	B := m.AllocWords(n * n)

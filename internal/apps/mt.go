@@ -20,9 +20,8 @@ func init() {
 	})
 }
 
-func setupMT(rt *wsrt.RT, size Size, grain int) *Instance {
+func setupMT(rt *wsrt.RT, size Size, blk int) *Instance {
 	n := map[Size]int{Test: 64, Ref: 256, Big: 512, Empty: 0, Unit: 1}[size]
-	blk := grainOr(grain, 16)
 	m := rt.Mem()
 	A := m.AllocWords(n * n)
 	B := m.AllocWords(n * n)

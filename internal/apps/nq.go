@@ -54,7 +54,6 @@ func nqCount(n int) uint64 {
 
 func setupNQ(rt *wsrt.RT, size Size, grain int) *Instance {
 	n := map[Size]int{Test: 7, Ref: 9, Big: 10, Empty: 0, Unit: 1}[size]
-	grain = grainOr(grain, 1)
 	m := rt.Mem()
 	countAddr := m.AllocWords(1)
 	want := nqCount(n)

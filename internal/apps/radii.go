@@ -79,7 +79,6 @@ func nativeRadii(g *graph.Graph, srcs []int) []uint64 {
 
 func setupRadii(rt *wsrt.RT, size Size, grain int) *Instance {
 	gc := newGctxHeavy(rt, size, true)
-	grain = grainOr(grain, 32)
 	m := rt.Mem()
 	n := gc.g.N
 	k := 64

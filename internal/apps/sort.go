@@ -26,7 +26,6 @@ func init() {
 
 func setupSort(rt *wsrt.RT, size Size, grain int) *Instance {
 	n := map[Size]int{Test: 512, Ref: 8192, Big: 32768, Empty: 0, Unit: 1}[size]
-	grain = grainOr(grain, 64)
 	m := rt.Mem()
 	data := m.AllocWords(n)
 	tmp := m.AllocWords(n)

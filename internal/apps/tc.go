@@ -57,7 +57,6 @@ func nativeTriangles(g *graph.Graph) uint64 {
 
 func setupTC(rt *wsrt.RT, size Size, grain int) *Instance {
 	gc := newGctxHeavy(rt, size, true)
-	grain = grainOr(grain, 16)
 	m := rt.Mem()
 	n := gc.g.N
 	total := m.AllocWords(1)

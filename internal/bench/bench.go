@@ -280,7 +280,6 @@ func (s *Suite) simulate(ctx context.Context, w Work) (*stats.Run, error) {
 	// Wall-clock cancellation, released on every exit path.
 	defer m.InterruptOn(ctx, w.name())()
 	rt := wsrt.New(m, wsrt.AutoVariant(m))
-	rt.Grain = grainFor(app, w.Grain)
 	rt.Tracer = s.Tracer
 	inst := app.Setup(rt, w.Size, w.Grain)
 	root := inst.Root
@@ -301,10 +300,7 @@ func (s *Suite) simulate(ctx context.Context, w Work) (*stats.Run, error) {
 		return nil, fmt.Errorf("bench: %s: %w", w.name(), err)
 	}
 	r := stats.Collect(m, rt, w.App)
-	s.eventsScheduled.Add(m.Kernel.Scheduled())
-	s.eventsFired.Add(m.Kernel.Fired())
-	s.fastWaits.Add(m.Kernel.FastWaits())
-	s.resumes.Add(m.Kernel.Resumes())
+	s.count(m.Kernel.Scheduled(), m.Kernel.Fired(), m.Kernel.FastWaits(), m.Kernel.Resumes())
 	m.Release()
 	s.progress("ran %-14s on %-16s: %12d cycles\n", w.App, w.Cfg, r.Cycles)
 	return r, nil
@@ -319,6 +315,14 @@ func exactlyOnce(s wsrt.RunStats) error {
 			s.LocalExecs, s.StolenExec, s.Spawns)
 	}
 	return nil
+}
+
+// count adds one simulation's kernel counts to the host counters.
+func (s *Suite) count(scheduled, fired, fastWaits, resumes uint64) {
+	s.eventsScheduled.Add(scheduled)
+	s.eventsFired.Add(fired)
+	s.fastWaits.Add(fastWaits)
+	s.resumes.Add(resumes)
 }
 
 // HostCounters returns the kernel host-performance totals (events
@@ -362,16 +366,8 @@ func (s *Suite) analyze(w Work) (cilkview.Report, error) {
 		return cilkview.Report{}, err
 	}
 	return cilkview.Analyze(func(rt *wsrt.RT) wsrt.Body {
-		rt.Grain = grainFor(app, w.Grain)
 		return app.Setup(rt, w.Size, w.Grain).Root
 	}), nil
-}
-
-func grainFor(app *apps.App, override int) int {
-	if override > 0 {
-		return override
-	}
-	return app.DefaultGrain
 }
 
 // AppNames returns the apps under test (all 13 by default).

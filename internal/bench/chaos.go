@@ -17,16 +17,19 @@ import (
 const ChaosConfig = "bT8/HCC-DTS-gwb"
 
 // RunChaos runs one app under a named fault scenario as a test-size
-// cell on ChaosConfig, shadowed by the memory-ordering oracle: faults
-// must never produce a load no legal per-location order allows. The
-// cell checks that the run finishes within its deadline and that the
-// output equals the serial reference; RunChaos adds that a non-empty
-// scenario injected at least one fault. Determinism is the caller's
+// cell on ChaosConfig at s's Grain and Env.Deadline, shadowed by the
+// memory-ordering oracle: faults must never produce a load no legal
+// per-location order allows. The cell checks that the run finishes
+// within its deadline and that the output equals the serial reference;
+// RunChaos adds that a non-empty scenario injected at least one fault.
+// The cell runs in a suite of its own, keyed on its scenario; its
+// progress line and kernel counts go to s. Determinism is the caller's
 // check: the same (app, scenario, seed) always yields the same Cycles.
-func RunChaos(appName, scenarioName string, seed uint64) (*stats.Run, error) {
-	s := NewSuite(apps.Test)
-	s.Env = openload.Options{Scenario: scenarioName, FaultSeed: seed, Oracle: true}
-	r, err := s.Run(ChaosConfig, appName)
+func (s *Suite) RunChaos(appName, scenarioName string, seed uint64) (*stats.Run, error) {
+	c := &Suite{Size: apps.Test, Grain: s.Grain, Env: openload.Options{
+		Scenario: scenarioName, FaultSeed: seed, Oracle: true, Deadline: s.Env.Deadline}}
+	r, err := c.Run(ChaosConfig, appName)
+	s.count(c.eventsScheduled.Load(), c.eventsFired.Load(), c.fastWaits.Load(), c.resumes.Load())
 	if err != nil {
 		return nil, fmt.Errorf("chaos: %s (seed %d): %w", scenarioName, seed, err)
 	}
@@ -36,6 +39,7 @@ func RunChaos(appName, scenarioName string, seed uint64) (*stats.Run, error) {
 		return nil, fmt.Errorf("chaos: %s under %s (seed %d): scenario injected no faults",
 			appName, scenarioName, seed)
 	}
+	s.progress("ran %-14s on %-16s: %12d cycles under %s\n", appName, ChaosConfig, r.Cycles, scenarioName)
 	return r, nil
 }
 
@@ -69,14 +73,15 @@ var ChaosScenarios = func() []string {
 }()
 
 // Chaos runs every app under every named scenario (ChaosScenarios when
-// scenarios is nil) and writes a per-run table: cycles, fault count,
-// and the cycle inflation versus the fault-free run of the same app.
+// scenarios is nil) through RunChaos and writes a per-run table: cycles,
+// fault count, and the cycle inflation versus the fault-free run of the
+// same app.
 // Runs fan out over a bounded pool of jobs host workers (jobs <= 0
 // means runtime.NumCPU()); each run is an independent simulation, so
 // the table is identical at any jobs count. The table itself is
 // rendered serially, in fixed (app, scenario) order, after all runs
 // finish.
-func Chaos(w io.Writer, appNames, scenarios []string, seed uint64, jobs int) error {
+func (s *Suite) Chaos(w io.Writer, appNames, scenarios []string, seed uint64, jobs int) error {
 	if scenarios == nil {
 		scenarios = ChaosScenarios
 	}
@@ -97,7 +102,7 @@ func Chaos(w io.Writer, appNames, scenarios []string, seed uint64, jobs int) err
 	runs := make([]*stats.Run, len(cells))
 	errs := make([]error, len(cells))
 	forEach(len(cells), jobs, func(i int) {
-		runs[i], errs[i] = RunChaos(cells[i].app, cells[i].scenario, seed)
+		runs[i], errs[i] = s.RunChaos(cells[i].app, cells[i].scenario, seed)
 	})
 
 	fmt.Fprintf(w, "Chaos invariance (config %s, size test, seed %d)\n", ChaosConfig, seed)

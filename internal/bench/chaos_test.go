@@ -21,7 +21,7 @@ func TestChaosInvariance(t *testing.T) {
 	for _, appName := range AppNames() {
 		for _, scName := range scenarios {
 			t.Run(appName+"/"+scName, func(t *testing.T) {
-				if _, err := RunChaos(appName, scName, 1); err != nil {
+				if _, err := new(Suite).RunChaos(appName, scName, 1); err != nil {
 					t.Fatal(err)
 				}
 			})
@@ -33,7 +33,7 @@ func TestChaosInvariance(t *testing.T) {
 // representative subset (one app per family).
 func TestChaosAllScenario(t *testing.T) {
 	for _, appName := range []string{"cilk5-cs", "ligra-bfs", "cilk5-nq"} {
-		r, err := RunChaos(appName, "chaos-all", 3)
+		r, err := new(Suite).RunChaos(appName, "chaos-all", 3)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -53,7 +53,7 @@ func TestChaosLossyInvariance(t *testing.T) {
 	for _, appName := range AppNames() {
 		for _, scName := range []string{"lossy-uli", "core-loss", "chaos-lossy-all"} {
 			t.Run(appName+"/"+scName, func(t *testing.T) {
-				r, err := RunChaos(appName, scName, 1)
+				r, err := new(Suite).RunChaos(appName, scName, 1)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -78,7 +78,7 @@ func TestChaosLossyInvariance(t *testing.T) {
 func TestULIAccountingInvariant(t *testing.T) {
 	for _, scName := range []string{"chaos-all", "lossy-uli", "chaos-lossy-all"} {
 		for _, appName := range []string{"cilk5-cs", "cilk5-mm", "ligra-bfs"} {
-			r, err := RunChaos(appName, scName, 2)
+			r, err := new(Suite).RunChaos(appName, scName, 2)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -102,11 +102,11 @@ func TestULIAccountingInvariant(t *testing.T) {
 // bit-identical cycle counts, and a different seed must perturb them.
 func TestChaosSeedReproducible(t *testing.T) {
 	for _, scName := range []string{"chaos-all", "chaos-lossy-all"} {
-		a, err := RunChaos("cilk5-cs", scName, 7)
+		a, err := new(Suite).RunChaos("cilk5-cs", scName, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := RunChaos("cilk5-cs", scName, 7)
+		b, err := new(Suite).RunChaos("cilk5-cs", scName, 7)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,7 +114,7 @@ func TestChaosSeedReproducible(t *testing.T) {
 			t.Fatalf("%s: same seed diverged: %d/%d cycles, %d/%d faults",
 				scName, a.Cycles, b.Cycles, a.FaultTotal, b.FaultTotal)
 		}
-		c, err := RunChaos("cilk5-cs", scName, 8)
+		c, err := new(Suite).RunChaos("cilk5-cs", scName, 8)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,7 +195,7 @@ func TestLateAckSalvage(t *testing.T) {
 func TestNoneScenarioMatchesBaseline(t *testing.T) {
 	for _, appName := range []string{"cilk5-cs", "ligra-bfs"} {
 		bare := runBare(t, appName)
-		none, err := RunChaos(appName, "none", 1)
+		none, err := new(Suite).RunChaos(appName, "none", 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -238,5 +238,40 @@ func TestSuiteFaultScenario(t *testing.T) {
 	s.Env.Scenario = "nonesuch"
 	if _, err := s.Run(ChaosConfig, "ligra-bc"); err == nil {
 		t.Fatal("unknown scenario accepted")
+	}
+}
+
+// TestChaosKeepsSuiteSettings: a chaos cell runs at its suite's grain
+// and deadline, and its progress line and kernel counts go to the suite.
+func TestChaosKeepsSuiteSettings(t *testing.T) {
+	var progress strings.Builder
+	s := &Suite{Grain: 256, Progress: &progress}
+	r, err := s.RunChaos("cilk5-cs", "none", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := (&Suite{Grain: 256}).Run(ChaosConfig, "cilk5-cs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	def, err := new(Suite).RunChaos("cilk5-cs", "none", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Cycles != want.Cycles || r.Cycles == def.Cycles {
+		t.Errorf("chaos cell at grain 256 ran %d cycles; want %d (the default grain runs %d)",
+			r.Cycles, want.Cycles, def.Cycles)
+	}
+	if !strings.Contains(progress.String(), "cilk5-cs") {
+		t.Errorf("no progress line for the chaos cell: %q", progress.String())
+	}
+	if scheduled, _, _ := s.HostCounters(); scheduled == 0 || s.Resumes() == 0 {
+		t.Errorf("chaos cell counted %d events and %d resumes", scheduled, s.Resumes())
+	}
+
+	short := &Suite{}
+	short.Env.Deadline = 1000
+	if _, err := short.RunChaos("cilk5-cs", "none", 1); err == nil || !strings.Contains(err.Error(), "deadline") {
+		t.Fatalf("a %d-cycle chaos cell passed a 1000-cycle deadline (err %v)", def.Cycles, err)
 	}
 }

@@ -35,7 +35,6 @@ func runKernelMode(t *testing.T, cfgName, appName string, size apps.Size, parano
 	}
 	m := machine.New(cfg)
 	rt := wsrt.New(m, wsrt.AutoVariant(m))
-	rt.Grain = grainFor(app, 0)
 	inst := app.Setup(rt, size, 0)
 	root := inst.Root
 	if cfgName == "IOx1" {
@@ -162,7 +161,7 @@ func TestChaosQueuedMatchesParanoid(t *testing.T) {
 				prev := sim.KernelParanoid
 				sim.KernelParanoid = paranoid
 				defer func() { sim.KernelParanoid = prev }()
-				r, err := RunChaos("cilk5-cs", scenario, 1)
+				r, err := new(Suite).RunChaos("cilk5-cs", scenario, 1)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -197,7 +196,6 @@ func TestDeadlineDumpMatchesParanoid(t *testing.T) {
 		}
 		m := machine.New(cfg)
 		rt := wsrt.New(m, wsrt.AutoVariant(m))
-		rt.Grain = grainFor(app, 0)
 		err = rt.Run(app.Setup(rt, apps.Test, 0).Root)
 		if err == nil {
 			return "finished"

@@ -148,10 +148,10 @@ func TestChaosParallelMatchesSerial(t *testing.T) {
 	apps := []string{"cilk5-cs"}
 	scenarios := []string{"noc-jitter", "lossy-uli"}
 	var serial, parallel strings.Builder
-	if err := Chaos(&serial, apps, scenarios, 1, 1); err != nil {
+	if err := new(Suite).Chaos(&serial, apps, scenarios, 1, 1); err != nil {
 		t.Fatal(err)
 	}
-	if err := Chaos(&parallel, apps, scenarios, 1, 4); err != nil {
+	if err := new(Suite).Chaos(&parallel, apps, scenarios, 1, 4); err != nil {
 		t.Fatal(err)
 	}
 	if serial.String() != parallel.String() {

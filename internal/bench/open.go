@@ -48,6 +48,7 @@ func (s *Suite) simulateOpen(ctx context.Context, w Work) (*openload.Result, err
 	if err != nil {
 		return nil, err
 	}
+	s.count(r.Scheduled, r.Fired, r.FastWaits, r.Resumes)
 	scen := w.OpenScenario
 	if scen == "" {
 		scen = "none"

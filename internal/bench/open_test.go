@@ -111,6 +111,25 @@ func TestOpenRunCaches(t *testing.T) {
 	}
 }
 
+// TestOpenCellsCountKernelEvents: an open cell's kernel counts join the
+// suite's host counters, as a closed cell's do.
+func TestOpenCellsCountKernelEvents(t *testing.T) {
+	s := NewSuite(apps.Test)
+	sp := openload.Spec{Workload: "rmat-query", Arrival: "poisson", RatePerK: 4, Requests: 8, Seed: 1}
+	r, err := s.OpenRun("bT8/HCC-DTS-gwb", "", 0, sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scheduled, fired, fastWaits := s.HostCounters()
+	if scheduled == 0 || fired == 0 || s.Resumes() == 0 {
+		t.Fatalf("an open cell counted %d scheduled, %d fired, %d resumes", scheduled, fired, s.Resumes())
+	}
+	if scheduled != r.Scheduled || fired != r.Fired || fastWaits != r.FastWaits || s.Resumes() != r.Resumes {
+		t.Fatalf("suite counted %d/%d/%d/%d, the run %d/%d/%d/%d", scheduled, fired, fastWaits, s.Resumes(),
+			r.Scheduled, r.Fired, r.FastWaits, r.Resumes)
+	}
+}
+
 // TestOpenResultJSONStable checks the serving-path export is
 // deterministic across suites (what the daemon's store relies on).
 func TestOpenResultJSONStable(t *testing.T) {

@@ -215,7 +215,7 @@ func (s *Suite) ViewReport(w io.Writer, appNames []string) error {
 			return err
 		}
 		fmt.Fprintf(w, "%-12s %6d %12d %12d %8.1f %10.1f %8d\n",
-			app, grainFor(a, s.Grain), v.Work, v.Span, v.Parallelism(), v.IPT(), v.Tasks)
+			app, a.GrainFor(s.Grain), v.Work, v.Span, v.Parallelism(), v.IPT(), v.Tasks)
 	}
 	return nil
 }

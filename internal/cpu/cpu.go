@@ -85,7 +85,8 @@ func BigConfig() Config {
 // the kernel walks — so the queue changes how often the thread is
 // switched to, never what the machine does. That holds while the
 // thread reads no state another core or the kernel writes between a
-// queued op and the next drain; wsrt.Body and prog.Env state the rules.
+// queued op and the next drain. A Core is what a wsrt task body's ops
+// go to; wsrt.Body and wsrt's env interface state the rules.
 type Core struct {
 	ID  int
 	Cfg Config

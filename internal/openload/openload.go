@@ -187,6 +187,10 @@ type Result struct {
 	FaultTotal uint64
 	RT         wsrt.RunStats
 	OracleOps  uint64
+
+	// The kernel's host-side counts (sim.Kernel Scheduled, Fired,
+	// FastWaits, Resumes), for a caller's totals; no export carries them.
+	Scheduled, Fired, FastWaits, Resumes uint64
 }
 
 // Arrivals lists the supported arrival process names.
@@ -327,6 +331,8 @@ func Run(ctx context.Context, cfgName string, sp Spec, opt Options) (*Result, er
 	if m.Oracle != nil {
 		r.OracleOps = m.Oracle.Ops
 	}
+	k := m.Kernel
+	r.Scheduled, r.Fired, r.FastWaits, r.Resumes = k.Scheduled(), k.Fired(), k.FastWaits(), k.Resumes()
 	m.Release()
 	return r, nil
 }

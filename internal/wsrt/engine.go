@@ -14,43 +14,43 @@ import (
 
 // enq pushes a task on the tail (owner side, LIFO end).
 func (c *Ctx) enq(d deque, task mem.Addr) {
-	c.env.Compute(c.rt.Costs.DequeOp)
-	tail, head := c.env.Load2(d.tailAddr(), d.headAddr())
+	c.core.Compute(c.rt.Costs.DequeOp)
+	tail, head := c.core.Load2(d.tailAddr(), d.headAddr())
 	if tail-head >= dequeCapacity {
 		panic("wsrt: task deque overflow")
 	}
-	c.env.Store(d.slotAddr(tail), uint64(task))
-	c.env.Store(d.tailAddr(), tail+1)
+	c.core.Store(d.slotAddr(tail), uint64(task))
+	c.core.Store(d.tailAddr(), tail+1)
 }
 
 // deq pops from the tail (owner side, LIFO order); 0 when empty.
 func (c *Ctx) deq(d deque) mem.Addr {
-	c.env.Compute(c.rt.Costs.DequeOp)
-	tail, head := c.env.Load2(d.tailAddr(), d.headAddr())
+	c.core.Compute(c.rt.Costs.DequeOp)
+	tail, head := c.core.Load2(d.tailAddr(), d.headAddr())
 	if head == tail {
 		return 0
 	}
-	t := c.env.Load(d.slotAddr(tail - 1))
-	c.env.Store(d.tailAddr(), tail-1)
+	t := c.core.Load(d.slotAddr(tail - 1))
+	c.core.Store(d.tailAddr(), tail-1)
 	return mem.Addr(t)
 }
 
 // stealHead pops from the head (thief side, FIFO order); 0 when empty.
 func (c *Ctx) stealHead(d deque) mem.Addr {
-	c.env.Compute(c.rt.Costs.DequeOp)
-	head, tail := c.env.Load2(d.headAddr(), d.tailAddr())
+	c.core.Compute(c.rt.Costs.DequeOp)
+	head, tail := c.core.Load2(d.headAddr(), d.tailAddr())
 	if head == tail {
 		return 0
 	}
-	t := c.env.Load(d.slotAddr(head))
-	c.env.Store(d.headAddr(), head+1)
+	t := c.core.Load(d.slotAddr(head))
+	c.core.Store(d.headAddr(), head+1)
 	return mem.Addr(t)
 }
 
 // chooseVictim picks a uniformly random other thread, the paper's
 // "random victim selection".
 func (c *Ctx) chooseVictim() int {
-	c.env.Compute(c.rt.Costs.VictimSelect)
+	c.core.Compute(c.rt.Costs.VictimSelect)
 	if c.rt.nthreads == 1 {
 		return c.tid // single-threaded: only the (empty) own deque exists
 	}
@@ -96,8 +96,8 @@ func (c *Ctx) avoidQuarantined(v int) int {
 func (c *Ctx) acquire(row *discipline, d deque) {
 	switch row.guard {
 	case lockGuard:
-		for c.env.Amo(d.lockAddr(), cache.AmoOr, 1, 0) != 0 {
-			c.env.Compute(4) // spin backoff
+		for c.core.Amo(d.lockAddr(), cache.AmoOr, 1, 0) != 0 {
+			c.core.Compute(4) // spin backoff
 		}
 	case maskULI:
 		c.core.ULIDisable()
@@ -130,7 +130,7 @@ func (c *Ctx) spawnTask(t mem.Addr) {
 	c.core.SetFunc(fidRuntime, rt.footprint(fidRuntime))
 	rt.Stats.Spawns++
 	c.trace(trace.Spawn, uint64(t))
-	c.env.Compute(c.rt.Costs.Spawn)
+	c.core.Compute(c.rt.Costs.Spawn)
 	d := rt.deques[c.tid]
 	c.acquire(&rt.disc, d)
 	c.enq(d, t)
@@ -150,8 +150,8 @@ func (c *Ctx) popLocal() mem.Addr {
 // probeEmpty checks a victim's deque without taking its guard, with
 // plain loads of head and tail (see discipline.probeInv).
 func (c *Ctx) probeEmpty(d deque) bool {
-	c.env.Compute(2)
-	head, tail := c.env.Load2(d.headAddr(), d.tailAddr())
+	c.core.Compute(2)
+	head, tail := c.core.Load2(d.headAddr(), d.tailAddr())
 	return head == tail
 }
 
@@ -258,9 +258,9 @@ func (c *Ctx) reclaimFrom(vid int) mem.Addr {
 	// The dead owner can no longer set its parents' stolen flags from
 	// the inside (the DTS plain-store optimization needs the parent on
 	// the victim's own thread); publish the steal coherently instead.
-	parent := mem.Addr(c.env.Load(t + descParent*8))
+	parent := mem.Addr(c.core.Load(t + descParent*8))
 	if parent != 0 {
-		c.env.Amo(parent+descStolen*8, cache.AmoOr, 1, 0)
+		c.core.Amo(parent+descStolen*8, cache.AmoOr, 1, 0)
 	}
 	return t
 }
@@ -269,16 +269,16 @@ func (c *Ctx) reclaimFrom(vid int) mem.Addr {
 // on the victim's thread at an interrupt boundary; the returned payload
 // is the response message's single word.
 func (c *Ctx) uliHandler(thief int) uint64 {
-	c.env.Compute(c.rt.Costs.HandlerBody)
+	c.core.Compute(c.rt.Costs.HandlerBody)
 	t := c.deq(c.rt.deques[c.tid])
 	if t == 0 {
 		return 0
 	}
 	// Mark the parent so it switches to AMO-based synchronization
 	// (plain store: the parent task runs on this very thread, §IV-C).
-	parent := mem.Addr(c.env.Load(t + descParent*8))
+	parent := mem.Addr(c.core.Load(t + descParent*8))
 	if parent != 0 {
-		c.env.Store(parent+descStolen*8, 1)
+		c.core.Store(parent+descStolen*8, 1)
 	}
 	if c.rt.disc.stealFlush {
 		c.core.Flush()
@@ -362,13 +362,13 @@ func (c *Ctx) executeTask(t mem.Addr, stolen bool) {
 	prev := c.cur
 	c.cur = t
 	c.core.SetFunc(rec.fid, rt.footprint(rec.fid))
-	c.env.Compute(c.rt.Costs.TaskProlog)
+	c.core.Compute(c.rt.Costs.TaskProlog)
 	rec.body(c)
 	c.cur = prev
 	c.trace(trace.ExecEnd, uint64(t))
 	c.core.SetFunc(fidRuntime, rt.footprint(fidRuntime))
 
-	parent := mem.Addr(c.env.Load(t + descParent*8))
+	parent := mem.Addr(c.core.Load(t + descParent*8))
 	if fence {
 		c.core.Flush()
 	}
@@ -377,8 +377,8 @@ func (c *Ctx) executeTask(t mem.Addr, stolen bool) {
 		if (stolen && rt.disc.join != never) || c.holds(rt.disc.join, parent) {
 			c.core.AmoQueued(rcAddr, cache.AmoAdd, ^uint64(0), 0) // amo_sub(rc, 1)
 		} else {
-			rc := c.env.Load(rcAddr)
-			c.env.Store(rcAddr, rc-1)
+			rc := c.core.Load(rcAddr)
+			c.core.Store(rcAddr, rc-1)
 		}
 	}
 	c.freeTask(t)
@@ -391,7 +391,7 @@ func (c *Ctx) holds(w when, p mem.Addr) bool {
 	case always:
 		return true
 	case ifStolen:
-		return c.env.Load(p+descStolen*8) != 0
+		return c.core.Load(p+descStolen*8) != 0
 	}
 	return false
 }
@@ -400,9 +400,9 @@ func (c *Ctx) holds(w when, p mem.Addr) bool {
 func (c *Ctx) readRC(p mem.Addr) uint64 {
 	rcAddr := p + descRC*8
 	if c.holds(c.rt.disc.readRC, p) {
-		return c.env.Amo(rcAddr, cache.AmoOr, 0, 0)
+		return c.core.Amo(rcAddr, cache.AmoOr, 0, 0)
 	}
-	return c.env.Load(rcAddr)
+	return c.core.Load(rcAddr)
 }
 
 // wait blocks until all of p's children have joined, executing local
@@ -423,7 +423,7 @@ func (c *Ctx) waitDeadline(p mem.Addr, deadline sim.Time) bool {
 			drained = false
 			break
 		}
-		c.env.Compute(c.rt.Costs.WaitIter)
+		c.core.Compute(c.rt.Costs.WaitIter)
 		if t := c.popLocal(); t != 0 {
 			c.execLocal(t)
 			continue
@@ -477,9 +477,9 @@ func (c *Ctx) workerLoop() {
 func (c *Ctx) checkDone(iter uint64) bool {
 	rt := c.rt
 	if n := rt.disc.doneAMOEvery; n != 0 {
-		return iter%n == 0 && c.env.Amo(rt.doneAddr, cache.AmoOr, 0, 0) != 0
+		return iter%n == 0 && c.core.Amo(rt.doneAddr, cache.AmoOr, 0, 0) != 0
 	}
-	return c.env.Load(rt.doneAddr) != 0
+	return c.core.Load(rt.doneAddr) != 0
 }
 
 // idleBackoff burns exponentially growing compute after consecutive

@@ -1,4 +1,4 @@
-package prog
+package wsrt
 
 import (
 	"testing"
@@ -10,10 +10,17 @@ import (
 	"bigtiny/internal/sim"
 )
 
+// nativeCtx is the context RT.Analyze runs a body in, over a fresh
+// memory, and its env.
+func nativeCtx() (*Ctx, *nativeEnv) {
+	rt := NewNative(mem.New())
+	e := &nativeEnv{mem: rt.Mem()}
+	return &Ctx{rt: rt, env: e}, e
+}
+
 func TestNativeEnvBasics(t *testing.T) {
-	m := mem.New()
-	e := NewNativeEnv(m)
-	a := e.Alloc(4)
+	c, e := nativeCtx()
+	a := c.Alloc(4)
 	e.Store(a, 7)
 	if e.Load(a) != 7 {
 		t.Fatal("native load/store broken")
@@ -30,26 +37,31 @@ func TestNativeEnvBasics(t *testing.T) {
 	if old := e.Amo(a, cache.AmoCAS, 10, 1); old != 42 || e.Load(a) != 42 {
 		t.Fatal("failed CAS wrote")
 	}
-	before := e.Insts
+	before := e.insts
 	e.Compute(100)
-	if e.Insts != before+100 {
-		t.Fatalf("compute counted %d insts, want 100", e.Insts-before)
+	if e.insts != before+100 {
+		t.Fatalf("compute counted %d insts, want 100", e.insts-before)
 	}
 }
 
 func TestNativeAmoInstCount(t *testing.T) {
-	e := NewNativeEnv(mem.New())
-	a := e.Alloc(1)
-	before := e.Insts
+	c, e := nativeCtx()
+	a := c.Alloc(1)
+	if e.insts != 0 {
+		t.Fatalf("native Alloc counted %d insts, want 0", e.insts)
+	}
+	before := e.insts
 	e.Load(a)
 	e.Store(a, 1)
 	e.Amo(a, cache.AmoOr, 0, 0)
-	if e.Insts != before+3 {
-		t.Fatalf("memory ops counted %d insts, want 3", e.Insts-before)
+	if e.insts != before+3 {
+		t.Fatalf("memory ops counted %d insts, want 3", e.insts-before)
 	}
 }
 
-func TestSimEnvRoundTrip(t *testing.T) {
+// TestCoreCtxRoundTrip: a simulated context's ops, Alloc included, reach
+// the machine through its core.
+func TestCoreCtxRoundTrip(t *testing.T) {
 	cfg, err := machine.Lookup("bT/HCC-DTS-gwb")
 	if err != nil {
 		t.Fatal(err)
@@ -58,18 +70,19 @@ func TestSimEnvRoundTrip(t *testing.T) {
 	cfg.Rows, cfg.Cols = 1, 4
 	cfg.NumBanks = 2
 	m := machine.New(cfg)
+	rt := New(m, HCC)
 	a := m.Mem.AllocWords(1)
 	var loaded, stored uint64
 	var now sim.Time
 	m.Spawn(2, func(core *cpu.Core) {
-		e := NewSimEnv(core, m.Mem)
-		e.Compute(10)
-		e.Store(a, 5)
-		e.Amo(a, cache.AmoAdd, 2, 0)
-		loaded = e.Load(a)
-		b := e.Alloc(8)
-		e.Store(b, 1)
-		stored = e.Load(b)
+		c := handCtx(rt, core)
+		c.Compute(10)
+		c.Store(a, 5)
+		c.Amo(a, cache.AmoAdd, 2, 0)
+		loaded = c.Load(a)
+		b := c.Alloc(8)
+		c.Store(b, 1)
+		stored = c.Load(b)
 		now = core.Now()
 	})
 	if err := m.Run(); err != nil {
@@ -85,7 +98,7 @@ func TestSimEnvRoundTrip(t *testing.T) {
 
 // pairProgram runs Load2 and Copy on e over the four words at base,
 // which hold 3, 4, 5, 6, and returns what Load2 read.
-func pairProgram(e Env, base mem.Addr) (uint64, uint64) {
+func pairProgram(e env, base mem.Addr) (uint64, uint64) {
 	e.Copy(base+16, base)   // words: 3, 4, 3, 6
 	e.Copy(base+8, base+24) // 3, 6, 3, 6
 	e.Store(base, 9)        // 9, 6, 3, 6
@@ -94,9 +107,9 @@ func pairProgram(e Env, base mem.Addr) (uint64, uint64) {
 	return x, y
 }
 
-// TestEnvPairParity: NativeEnv and SimEnv agree on Load2's values and on
-// the memory Copy leaves, and NativeEnv counts each form as the two
-// memory ops it stands for.
+// TestEnvPairParity: the native env and a simulated core agree on
+// Load2's values and on the memory Copy leaves, and the native env
+// counts each form as the two memory ops it stands for.
 func TestEnvPairParity(t *testing.T) {
 	words := []uint64{3, 4, 5, 6}
 	init := func(m *mem.Memory) mem.Addr {
@@ -106,11 +119,11 @@ func TestEnvPairParity(t *testing.T) {
 		}
 		return base
 	}
-	native := NewNativeEnv(mem.New())
-	nbase := init(native.Mem)
+	native := &nativeEnv{mem: mem.New()}
+	nbase := init(native.mem)
 	nx, ny := pairProgram(native, nbase)
-	if native.Insts != 2+2+1+2+2 {
-		t.Fatalf("native counted %d insts, want 9", native.Insts)
+	if native.insts != 2+2+1+2+2 {
+		t.Fatalf("native counted %d insts, want 9", native.insts)
 	}
 
 	cfg, err := machine.Lookup("bT/HCC-DTS-gwb")
@@ -120,7 +133,7 @@ func TestEnvPairParity(t *testing.T) {
 	m := machine.New(cfg)
 	sbase := init(m.Mem)
 	var sx, sy uint64
-	m.Spawn(0, func(core *cpu.Core) { sx, sy = pairProgram(NewSimEnv(core, m.Mem), sbase) })
+	m.Spawn(0, func(core *cpu.Core) { sx, sy = pairProgram(core, sbase) })
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +142,7 @@ func TestEnvPairParity(t *testing.T) {
 	}
 	for i := range words {
 		a := mem.Addr(8 * i)
-		if s, n := m.Cache.DebugReadWord(sbase+a), native.Mem.ReadWord(nbase+a); s != n {
+		if s, n := m.Cache.DebugReadWord(sbase+a), native.mem.ReadWord(nbase+a); s != n {
 			t.Fatalf("word %d: %d simulated, %d native", i, s, n)
 		}
 	}

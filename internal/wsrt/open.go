@@ -33,7 +33,7 @@ func (c *Ctx) IdleUntil(t sim.Time) { c.core.IdleUntil(t) }
 // and local plain-RMW decrements happen on this same thread).
 func (c *Ctx) SpawnAsync(fid int, body Body) {
 	p := c.cur
-	c.env.Amo(p+descRC*8, cache.AmoAdd, 1, 0)
+	c.core.Amo(p+descRC*8, cache.AmoAdd, 1, 0)
 	t := c.newTask(fid, body)
 	c.spawnTask(t)
 }

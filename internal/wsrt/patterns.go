@@ -8,30 +8,30 @@ import "bigtiny/internal/mem"
 // written once with plain stores *before* any child becomes visible,
 // so no atomicity is needed for the initialization.
 func (c *Ctx) Fork(fid int, bodies ...Body) {
-	if r := c.spanRec; r != nil {
+	if e, ok := c.env.(*nativeEnv); ok {
 		// Native mode (RT.Analyze), with Cilkview-style span
 		// accounting: the fork's span is the serial prefix plus the
 		// maximum child span.
-		r.sync()
-		s0 := r.cur
+		e.sync()
+		s0 := e.span
 		var maxChild uint64
 		for _, b := range bodies {
-			r.tasks++
-			r.cur = 0
+			e.tasks++
+			e.span = 0
 			b(c)
-			r.sync()
-			if r.cur > maxChild {
-				maxChild = r.cur
+			e.sync()
+			if e.span > maxChild {
+				maxChild = e.span
 			}
 		}
-		r.cur = s0 + maxChild
+		e.span = s0 + maxChild
 		return
 	}
 	if len(bodies) == 0 {
 		return
 	}
 	p := c.cur
-	c.env.Store(p+descRC*8, uint64(len(bodies)))
+	c.core.Store(p+descRC*8, uint64(len(bodies)))
 	tasks := make([]mem.Addr, len(bodies))
 	for i, b := range bodies {
 		tasks[i] = c.newTask(fid, b)

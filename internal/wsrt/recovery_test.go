@@ -9,7 +9,7 @@ import (
 	"bigtiny/internal/fault"
 	"bigtiny/internal/machine"
 	"bigtiny/internal/mem"
-	"bigtiny/internal/prog"
+	"bigtiny/internal/sim"
 	"bigtiny/internal/uli"
 )
 
@@ -91,12 +91,12 @@ func TestReclaimStrandedTask(t *testing.T) {
 			c.Compute(100)
 		}
 		// The root is one join short until the planted task executes.
-		c.env.Store(c.cur+descRC*8, 1)
+		c.core.Store(c.cur+descRC*8, 1)
 		task := c.newTask(fidRuntime, func(cc *Ctx) { cc.Store(out, 7) })
 		c.enq(rt.deques[victim], task)
 		// Wait for a survivor to reclaim and run it; poll with an AMO so
 		// the read is coherent regardless of who flushed what when.
-		for c.env.Amo(out, cache.AmoOr, 0, 0) == 0 {
+		for c.Amo(out, cache.AmoOr, 0, 0) == 0 {
 			c.Compute(100)
 		}
 	})
@@ -117,7 +117,57 @@ func TestReclaimStrandedTask(t *testing.T) {
 // handCtx is a scheduler context for a hand-driven thread: a test
 // spawns the thread's body itself instead of running the worker loop.
 func handCtx(rt *RT, cc *cpu.Core) *Ctx {
-	return &Ctx{rt: rt, env: prog.NewSimEnv(cc, rt.M.Mem), core: cc, tid: cc.ID}
+	return &Ctx{rt: rt, env: cc, core: cc, tid: cc.ID}
+}
+
+// TestOfflineMarkAfterFlush: a fail-stopping core marks itself offline
+// only once its shutdown flush has issued, so a thief that reads the
+// mark inside the flush still sees the core alive. Thread 2 dirties
+// lines and enters the offline state; thread 3 reads the mark every
+// cycle or so until it is set.
+func TestOfflineMarkAfterFlush(t *testing.T) {
+	m := smallMachine(t, "gwb", false)
+	rt := New(m, HCC)
+	const dying, thief = 2, 3
+	buf := m.Mem.AllocWords(64 * mem.LineSize / 8)
+	var flushStart, flushEnd sim.Time
+	m.Spawn(dying, func(cc *cpu.Core) {
+		c := handCtx(rt, cc)
+		for i := 0; i < 64; i++ {
+			c.Store(buf+mem.Addr(i)*mem.LineSize, 1)
+		}
+		flushStart = cc.Now()
+		c.enterOffline()
+		flushEnd = cc.Now()
+	})
+	var alive []sim.Time // cycles at which the thief read the core alive
+	var markedAt sim.Time
+	m.Spawn(thief, func(cc *cpu.Core) {
+		for {
+			now := cc.Now()
+			if rt.offlineMark[dying] {
+				markedAt = now
+				return
+			}
+			alive = append(alive, now)
+			cc.Compute(1)
+		}
+	})
+	if err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	inFlush := 0
+	for _, now := range alive {
+		if now > flushStart && now < flushEnd {
+			inFlush++
+		}
+	}
+	if markedAt < flushEnd {
+		t.Fatalf("the thief read offlineMark set at cycle %d, inside the flush [%d, %d)", markedAt, flushStart, flushEnd)
+	}
+	if inFlush < 10 {
+		t.Fatalf("the thief read the mark %d times inside the flush [%d, %d)", inFlush, flushStart, flushEnd)
+	}
 }
 
 // TestReclaimTakesLateAck: a task can also be stranded in a dead

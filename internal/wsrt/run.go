@@ -4,7 +4,6 @@ import (
 	"bigtiny/internal/cache"
 	"bigtiny/internal/cpu"
 	"bigtiny/internal/mem"
-	"bigtiny/internal/prog"
 	"bigtiny/internal/sim"
 	"bigtiny/internal/trace"
 )
@@ -24,7 +23,7 @@ func (rt *RT) Run(root Body) error {
 		core := core
 		rt.M.Spawn(core, func(cc *cpu.Core) {
 			c := &Ctx{
-				rt: rt, env: prog.NewSimEnv(cc, rt.M.Mem), core: cc, tid: core,
+				rt: rt, env: cc, core: cc, tid: core,
 				rng: sim.NewRand(uint64(cc.ID)*2654435761 + 12345),
 			}
 			if rt.disc.uli {
@@ -60,11 +59,11 @@ func (rt *RT) runMain(c *Ctx, root Body) {
 	rootDesc := c.newTask(fidRuntime, root)
 	c.cur = rootDesc
 	c.core.SetFunc(fidRuntime, rt.footprint(fidRuntime))
-	c.env.Compute(c.rt.Costs.TaskProlog)
+	c.core.Compute(c.rt.Costs.TaskProlog)
 	root(c)
 	c.freeTask(rootDesc)
 	// Signal termination with a coherent write.
-	c.env.Amo(rt.doneAddr, cache.AmoOr, 1, 0)
+	c.core.Amo(rt.doneAddr, cache.AmoOr, 1, 0)
 	c.trace(trace.Done, 0)
 	rt.Stats.LocalExecs++
 }

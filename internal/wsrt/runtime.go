@@ -8,7 +8,6 @@ import (
 	"bigtiny/internal/cpu"
 	"bigtiny/internal/machine"
 	"bigtiny/internal/mem"
-	"bigtiny/internal/prog"
 	"bigtiny/internal/sim"
 	"bigtiny/internal/trace"
 )
@@ -241,12 +240,10 @@ func (rt *RT) Mem() *mem.Memory {
 // and returns total work, critical-path span (both in abstract
 // instructions), and the number of tasks created.
 func (rt *RT) Analyze(root Body) (work, span, tasks uint64) {
-	env := prog.NewNativeEnv(rt.Mem())
-	rec := &spanRecorder{insts: func() uint64 { return env.Insts }}
-	c := &Ctx{rt: rt, env: env, spanRec: rec}
-	root(c)
-	rec.sync()
-	return env.Insts, rec.cur, rec.tasks
+	e := &nativeEnv{mem: rt.Mem()}
+	root(&Ctx{rt: rt, env: e})
+	e.sync()
+	return e.insts, e.span, e.tasks
 }
 
 // RegisterFunc declares an application task function (for instruction
@@ -265,15 +262,17 @@ func (rt *RT) footprint(fid int) int {
 
 // Ctx is a thread's execution context: the paper's "worker thread".
 // Task bodies receive it to spawn children, wait, and access simulated
-// memory.
+// memory: Compute, Load, Load2, Store, Copy and Amo are its env's (see
+// env), Alloc its own.
 type Ctx struct {
+	// env is the thread's core, or the *nativeEnv of RT.Analyze.
+	env
 	rt *RT
-	// env is what task bodies reach through Load/Store/Amo/Compute/Alloc.
-	env prog.Env
-	// core is the simulated core the runtime drives directly for
-	// cache_invalidate/cache_flush, ULI, the instruction-cache context
-	// and idle spinning. It is nil in native mode, which executes
-	// fork-join structure depth-first with zero cost (analysis).
+	// core is the simulated core. The runtime drives it directly for its
+	// own deque and descriptor ops, cache_invalidate/cache_flush, ULI,
+	// the instruction-cache context and idle spinning. It is nil in
+	// native mode, which executes fork-join structure depth-first with
+	// zero cost (analysis).
 	core *cpu.Core
 	// rng is the thread's deterministic PRNG (victim selection).
 	rng *sim.Rand
@@ -281,26 +280,34 @@ type Ctx struct {
 	cur mem.Addr // descriptor of the currently executing task
 	// failStreak counts consecutive failed steals for backoff.
 	failStreak int
-	// spanRec performs Cilkview-style work/span accounting in native
-	// mode. It is set exactly when core is nil: the one native context
-	// is the one RT.Analyze makes.
-	spanRec *spanRecorder
 }
 
-// spanRecorder tracks the critical path through the fork-join DAG.
-type spanRecorder struct {
-	insts func() uint64 // live global instruction counter
-	last  uint64        // instruction count at the last sync point
-	cur   uint64        // span along the current strand
-	tasks uint64        // tasks (fork branches) created
-}
-
-// sync attributes instructions executed since the last sync to the
-// current strand.
-func (r *spanRecorder) sync() {
-	now := r.insts()
-	r.cur += now - r.last
-	r.last = now
+// env is what a task body can do: timed loads, stores and atomics, and
+// abstract compute instructions. *cpu.Core has exactly this method set.
+// All application and runtime data that crosses task boundaries must
+// live in simulated memory and be accessed through it — that is what
+// makes coherence behaviour (and its bugs) real.
+//
+// On a simulated core, Compute, Store and Copy return before they
+// issue: the core queues them and issues them, in order and at the
+// cycles they would have had, when the thread next needs a value (Load,
+// Load2, Amo) or the clock. So between one of them and the next op that
+// returns something, the caller may touch only its own Go state. Go
+// state that another core or the kernel reads or writes (a runtime
+// table, a counter an observer samples mid-run) is read or written only
+// after an op that drains: a Load, a Load2, an Amo, or cpu.Core.Now. A
+// ULI handler and the runtime's salvage and restitute hooks run ahead
+// of the ops they interrupt; their own ops issue at once.
+type env interface {
+	// Compute executes n abstract non-memory instructions.
+	Compute(n int)
+	Load(a mem.Addr) uint64
+	// Load2 is Load(a), Load(b), with one wait for both.
+	Load2(a, b mem.Addr) (uint64, uint64)
+	Store(a mem.Addr, v uint64)
+	// Copy is Store(dst, Load(src)), with no wait.
+	Copy(dst, src mem.Addr)
+	Amo(a mem.Addr, op cache.AmoOp, arg1, arg2 uint64) uint64
 }
 
 // trace records a scheduler event when a tracer is attached. The clock
@@ -312,30 +319,18 @@ func (c *Ctx) trace(k trace.Kind, arg uint64) {
 	}
 }
 
-// Convenience memory forwarding.
-
-// Load reads a simulated word.
-func (c *Ctx) Load(a mem.Addr) uint64 { return c.env.Load(a) }
-
-// Load2 reads two simulated words that do not depend on each other.
-func (c *Ctx) Load2(a, b mem.Addr) (uint64, uint64) { return c.env.Load2(a, b) }
-
-// Store writes a simulated word.
-func (c *Ctx) Store(a mem.Addr, v uint64) { c.env.Store(a, v) }
-
-// Copy copies the simulated word at src to dst.
-func (c *Ctx) Copy(dst, src mem.Addr) { c.env.Copy(dst, src) }
-
-// Amo performs a simulated atomic.
-func (c *Ctx) Amo(a mem.Addr, op cache.AmoOp, a1, a2 uint64) uint64 {
-	return c.env.Amo(a, op, a1, a2)
+// Alloc reserves n words of simulated memory (the software heap). On a
+// core the bump allocation itself is a few instructions; cold-miss
+// costs are paid on first touch like any other memory. The bump pointer
+// is machine-wide, so the instructions issue before it moves. Natively
+// it costs nothing.
+func (c *Ctx) Alloc(nwords int) mem.Addr {
+	if c.core != nil {
+		c.core.Compute(4)
+		c.core.Drain()
+	}
+	return c.rt.Mem().AllocWords(nwords)
 }
-
-// Compute burns n abstract instructions.
-func (c *Ctx) Compute(n int) { c.env.Compute(n) }
-
-// Alloc reserves simulated memory.
-func (c *Ctx) Alloc(nwords int) mem.Addr { return c.env.Alloc(nwords) }
 
 // --- task descriptor management ---
 
@@ -347,15 +342,15 @@ func (c *Ctx) newTask(fid int, body Body) mem.Addr {
 		d = fl[len(fl)-1]
 		rt.free[c.tid] = fl[:len(fl)-1]
 	} else {
-		d = c.env.Alloc(descWords)
+		d = c.Alloc(descWords)
 	}
 	rt.tasks[d] = &taskRec{body: body, fid: fid}
 	// Initialize the descriptor (plain stores: the child is not yet
 	// visible to anyone).
-	c.env.Store(d+descParent*8, uint64(c.cur))
-	c.env.Store(d+descRC*8, 0)
-	c.env.Store(d+descStolen*8, 0)
-	c.env.Store(d+descFID*8, uint64(fid))
+	c.core.Store(d+descParent*8, uint64(c.cur))
+	c.core.Store(d+descRC*8, 0)
+	c.core.Store(d+descStolen*8, 0)
+	c.core.Store(d+descFID*8, uint64(fid))
 	return d
 }
 

@@ -7,8 +7,8 @@
 //
 // Task descriptors, task queues (deques), and all data shared between
 // parent and child tasks live in *simulated* memory and are accessed
-// through prog.Env, and the runtime issues cache_invalidate and
-// cache_flush on the thread's core, so every invalidate, flush, and AMO
+// through the thread's core, and the runtime issues cache_invalidate
+// and cache_flush on that core, so every invalidate, flush, and AMO
 // the pseudocode performs has its real coherence cost — and omitting
 // one produces genuinely wrong answers on the software-centric
 // protocols.
@@ -37,7 +37,7 @@ const (
 // variables that another task mutates.
 //
 // A body's Compute, Store and Copy are queued on its core and issue
-// later, at the cycles they would have had (see prog.Env), so the body
+// later, at the cycles they would have had (see env), so the body
 // runs ahead of its own ops until it next needs a value. Go state shared
 // with other cores is read or written only after a Load, a Load2, an
 // Amo or Now; the runtime, whose fences, lock releases and joins queue
