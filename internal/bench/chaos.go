@@ -75,7 +75,8 @@ var ChaosScenarios = func() []string {
 // Chaos runs every app under every named scenario (ChaosScenarios when
 // scenarios is nil) through RunChaos and writes a per-run table: cycles,
 // fault count, and the cycle inflation versus the fault-free run of the
-// same app.
+// same app. The header names the grain when s overrides the apps'
+// defaults.
 // Runs fan out over a bounded pool of jobs host workers (jobs <= 0
 // means runtime.NumCPU()); each run is an independent simulation, so
 // the table is identical at any jobs count. The table itself is
@@ -105,7 +106,11 @@ func (s *Suite) Chaos(w io.Writer, appNames, scenarios []string, seed uint64, jo
 		runs[i], errs[i] = s.RunChaos(cells[i].app, cells[i].scenario, seed)
 	})
 
-	fmt.Fprintf(w, "Chaos invariance (config %s, size test, seed %d)\n", ChaosConfig, seed)
+	grain := ""
+	if s.Grain > 0 {
+		grain = fmt.Sprintf(", grain %d", s.Grain)
+	}
+	fmt.Fprintf(w, "Chaos invariance (config %s, size test%s, seed %d)\n", ChaosConfig, grain, seed)
 	fmt.Fprintf(w, "%-14s %-16s %12s %8s %9s\n", "app", "scenario", "cycles", "faults", "slowdown")
 	var base *stats.Run
 	for i, c := range cells {

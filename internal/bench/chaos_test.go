@@ -275,3 +275,23 @@ func TestChaosKeepsSuiteSettings(t *testing.T) {
 		t.Fatalf("a %d-cycle chaos cell passed a 1000-cycle deadline (err %v)", def.Cycles, err)
 	}
 }
+
+// TestChaosHeaderNamesGrain: a chaos table run at a grain override says
+// so in its header, since its cycles are not the default grain's; at
+// the apps' default grains the header is the golden's.
+func TestChaosHeaderNamesGrain(t *testing.T) {
+	header := func(grain int) string {
+		var out strings.Builder
+		if err := (&Suite{Grain: grain}).Chaos(&out, []string{"cilk5-cs"}, []string{}, 1, 1); err != nil {
+			t.Fatal(err)
+		}
+		first, _, _ := strings.Cut(out.String(), "\n")
+		return first
+	}
+	if got, want := header(256), "Chaos invariance (config bT8/HCC-DTS-gwb, size test, grain 256, seed 1)"; got != want {
+		t.Errorf("grain 256 header %q, want %q", got, want)
+	}
+	if got, want := header(0), "Chaos invariance (config bT8/HCC-DTS-gwb, size test, seed 1)"; got != want {
+		t.Errorf("default-grain header %q, want %q", got, want)
+	}
+}

@@ -51,19 +51,21 @@ func runKernelMode(t *testing.T, cfgName, appName string, size apps.Size, parano
 }
 
 // TestFastPathMatchesParanoid is the kernel fast path's ground truth:
-// every app, at the Empty and Unit sizes, on a DTS and a non-DTS
-// configuration, must produce bit-identical results with the fast path
-// on and off — total cycles, the per-class cycle attribution big and
-// tiny, and every other collected statistic (cache, NoC, DRAM, ULI,
-// runtime counters). Any divergence means the wait elision changed the
-// simulation, not just its host speed. The same pairs are the ground
-// truth for wait chains and queued issue: every core drains its queued
-// ops through a sim.Proc.WaitChain (cpu.Core.Drain; an idle thief's
-// backoff is one too), whose steps the dispatcher walks with the fast
-// path on. In paranoid mode no core queues an op: each one blocks, and
-// the proc itself waits out every step.
+// every app, at the Empty and Unit sizes, on a configuration of each
+// runtime row (DTS, HCC, and HW on MESI, whose scheduling loop takes
+// the deque lock and no fence), must produce bit-identical results with
+// the fast path on and off — total cycles, the per-class cycle
+// attribution big and tiny, and every other collected statistic (cache,
+// NoC, DRAM, ULI, runtime counters). Any divergence means the wait
+// elision changed the simulation, not just its host speed. The same
+// pairs are the ground truth for wait chains, queued issue and the
+// scheduling loop's steps: every core drains its queued ops through a
+// sim.Proc.WaitChain (cpu.Core.Drain), whose steps the dispatcher walks
+// with the fast path on, and an idle thread's failed rounds run as
+// steps of that chain (cpu.Core.Drive). In paranoid mode no core queues
+// an op: each one blocks, and the thread runs every step itself.
 func TestFastPathMatchesParanoid(t *testing.T) {
-	configs := []string{"bT/HCC-DTS-gwb", "bT/HCC-gwt"}
+	configs := []string{"bT/HCC-DTS-gwb", "bT/HCC-gwt", "bT/MESI"}
 	for _, size := range []apps.Size{apps.Empty, apps.Unit} {
 		for _, cfgName := range configs {
 			for _, appName := range AppNames() {
@@ -109,13 +111,16 @@ func TestFastPathMatchesParanoidTestSize(t *testing.T) {
 }
 
 // TestQueuedIssueSavesResumes: a cell with the cores' op queues (and the
-// kernel's fast path and wait chains) on takes exactly the waits of the
-// paranoid run, where every op blocks and every wait is an event: the
-// paranoid run's events are the queued run's events plus its elided
-// waits. Only the switches into the cores' threads fall: by at least
-// 40 % on a test-size cilk5-cs cell on bT/MESI, and by at least half on
-// a unit-size one on the 64-core DTS machine, whose mostly idle workers
-// run the deque loop of lock AMOs, fences and ULI enables.
+// kernel's fast path and wait chains, and the scheduling loop's steps)
+// on takes exactly the waits of the paranoid run, where every op blocks
+// and every wait is an event: the paranoid run's events are the queued
+// run's events plus its elided waits. Only the switches into the cores'
+// threads fall: to at most 15 % of the paranoid run's on a test-size
+// cilk5-cs cell on bT/MESI and on a unit-size one on the 64-core DTS
+// machine, and to at most 12 % on the unit-size HCC one. The mostly idle
+// workers of a unit cell run the loop's failed rounds (lock AMOs,
+// fences, ULI requests) without a switch: what is left is about one
+// start and one exit per thread, the tasks, and the ULI handlers.
 func TestQueuedIssueSavesResumes(t *testing.T) {
 	counts := func(size apps.Size, cfgName string, paranoid bool) (scheduled, fired, fastWaits, resumes uint64) {
 		prev := sim.KernelParanoid
@@ -133,8 +138,9 @@ func TestQueuedIssueSavesResumes(t *testing.T) {
 		cfg        string
 		maxPercent uint64
 	}{
-		{apps.Test, "bT/MESI", 60},
-		{apps.Unit, "bT/HCC-DTS-gwb", 50},
+		{apps.Test, "bT/MESI", 15},
+		{apps.Unit, "bT/HCC-DTS-gwb", 15},
+		{apps.Unit, "bT/HCC-gwb", 12},
 	} {
 		qs, qf, qw, qr := counts(cell.size, cell.cfg, false)
 		ps, pf, pw, pr := counts(cell.size, cell.cfg, true)
@@ -142,6 +148,7 @@ func TestQueuedIssueSavesResumes(t *testing.T) {
 			t.Fatalf("%s %s: paranoid scheduled/fired/elided %d/%d/%d, queued %d/%d/%d: the waits differ",
 				cell.size, cell.cfg, ps, pf, pw, qs, qf, qw)
 		}
+		t.Logf("%s %s: %d resumes queued, %d paranoid (%.1f %%)", cell.size, cell.cfg, qr, pr, float64(qr)*100/float64(pr))
 		if qr*100 > pr*cell.maxPercent {
 			t.Fatalf("%s %s: queued issue resumed %d times, paranoid %d: want at most %d %%",
 				cell.size, cell.cfg, qr, pr, cell.maxPercent)

@@ -79,11 +79,12 @@ func BigConfig() Config {
 // returns nothing and reads no clock (all but Load, Load2, Amo, SetFunc
 // and IdleUntil) is queued and the thread runs on; every other op joins
 // the queue and drains it, and a proc body drains before it returns
-// (Drain). Draining issues each queued op at the cycle, and at the
-// place in the event order, its
-// blocking call would have — through one sim.Proc.WaitChain whose steps
-// the kernel walks — so the queue changes how often the thread is
-// switched to, never what the machine does. That holds while the
+// (Drain). A scheduling loop run by Drive posts value ops too, and reads
+// their values at its next step. Draining issues each queued op at the
+// cycle, and at the place in the event order, its blocking call would
+// have — through one sim.Proc.WaitChain whose steps the kernel walks —
+// so the queue changes how often the thread is switched to, never what
+// the machine does. That holds while the
 // thread reads no state another core or the kernel writes between a
 // queued op and the next drain. A Core is what a wsrt task body's ops
 // go to; wsrt.Body and wsrt's env interface state the rules.
@@ -124,9 +125,12 @@ type Core struct {
 	// instead: set for good under KernelParanoid, and while a ULI handler
 	// or hook runs, whose ops go to the machine ahead of the ops it
 	// interrupted. val[0] is what the last Load or Amo returned, val[1]
-	// what Load2 or Copy keeps for its second op (kept across a poll).
+	// what Load2 or Copy keeps for its second op (kept across a poll);
+	// a ULI send leaves its payload in val[1] and 1 for an ACK in val[0].
+	// loop is the step Drive runs whenever the queue runs dry.
 	qHead, qLen int
 	chain       func() (sim.Time, bool)
+	loop        func() bool
 	direct      bool
 	val         [2]uint64
 
@@ -163,7 +167,8 @@ const (
 	opSetFunc
 	opULIEnable
 	opULIDisable
-	opIdle // IdleUntil
+	opIdle    // IdleUntil
+	opULISend // ULISendQueued
 )
 
 // op is one core op and how far it has got: phase counts the steps its
@@ -176,6 +181,7 @@ const (
 //	Amo:       a, n the cache.AmoOp, v and w its operands
 //	SetFunc:   n the function id, v the footprint
 //	IdleUntil: w the cycle to wake at
+//	ULISend:   n the victim, w the cycle the request went out
 type op struct {
 	kind  opKind
 	phase uint8
@@ -237,8 +243,11 @@ func (c *Core) Bind(p *sim.Proc) {
 }
 
 // Now returns the core's current cycle, once every queued op has issued.
+// With the queue empty, as in every step Drive runs, it drains nothing.
 func (c *Core) Now() sim.Time {
-	c.Drain()
+	if c.qLen > 0 {
+		c.Drain()
+	}
 	return c.proc.Now()
 }
 
@@ -268,6 +277,26 @@ func (c *Core) call(kind opKind, n int, a mem.Addr, v, w uint64) {
 	c.Drain()
 }
 
+// Drive runs a scheduling loop as a step machine: step is called each
+// time the op queue runs dry, posts the next ops, reads what earlier ones
+// returned from Val and Val2, and reports false to end the loop (its
+// ops still issue). Queued, the steps run inside the drain's wait chain,
+// on whichever stack walks it, at the dispatch position where the thread
+// would have run that Go code; the thread is switched to only for a poll
+// that has something to deliver, and when the loop ends. So a step never
+// drains, blocks or waits: it reads the clock with Now, which drains
+// nothing on its empty queue, and posts at most a few ops. Direct, the
+// steps run on the thread and each op blocks.
+func (c *Core) Drive(step func() bool) {
+	if c.direct {
+		for step() {
+		}
+		return
+	}
+	c.loop = step
+	c.Drain()
+}
+
 // Drain issues every queued op and returns when the last one is over.
 // A thread's body must drain before it returns (machine.Spawn does);
 // each op that returns a value or reads the clock drains by itself.
@@ -278,7 +307,7 @@ func (c *Core) Drain() {
 		return
 	}
 	for {
-		if t, ok := c.next(); ok && c.qLen == 0 {
+		if t, ok := c.next(); ok && c.qLen == 0 && c.loop == nil {
 			c.proc.WaitUntil(t) // the last op's last wait: nothing to chain
 		} else if ok {
 			c.proc.WaitChain(t, c.chain)
@@ -292,12 +321,19 @@ func (c *Core) Drain() {
 }
 
 // next is the drain's chain step: it issues the queue's next piece of
-// work and returns when the wait it implies ends. It reports false when
-// the queue is empty or its head op stands at an interrupt boundary with
-// something to deliver, which only the thread may take.
+// work and returns when the wait it implies ends, first running Drive's
+// loop steps for as long as the queue is empty. It reports false when
+// the queue is empty with no loop left, or its head op stands at an
+// interrupt boundary with something to deliver, which only the thread
+// may take.
 func (c *Core) next() (sim.Time, bool) {
-	if c.qLen == 0 {
-		return 0, false
+	for c.qLen == 0 {
+		if c.loop == nil {
+			return 0, false
+		}
+		if !c.loop() {
+			c.loop = nil
+		}
 	}
 	t, st := c.step(&c.q[c.qHead])
 	switch st {
@@ -401,6 +437,20 @@ func (c *Core) step(o *op) (sim.Time, stepState) {
 		c.Insts++
 		c.ULI.Disable()
 		return c.charge(ClassOther, now+1), stepDone
+	case opULISend: // no interrupt boundary: the queue ahead had theirs
+		if o.phase == 0 {
+			c.Insts++
+			o.w, o.phase = uint64(now), 1
+			c.ULI.Send(o.n)
+			return sim.Forever, stepWait // parked until the response
+		}
+		payload, ok := c.ULI.Finish()
+		c.val[1], c.val[0] = payload, 0
+		if ok {
+			c.val[0] = 1
+		}
+		c.Cycles[ClassOther] += uint64(now) - o.w
+		return now, stepDone
 	}
 	// The memory ops: an interrupt boundary, then the op; the fences
 	// wait for the store buffer first.
@@ -626,10 +676,27 @@ func (c *Core) Load(a mem.Addr) uint64 {
 // Load2 performs a timed load of a, then one of b, and returns both
 // values: Load(a), Load(b) with one drain for the two.
 func (c *Core) Load2(a, b mem.Addr) (uint64, uint64) {
-	c.post(opLoad, 1, a, 0, 0)
-	c.call(opLoad, 0, b, 0, 0)
-	return c.val[1], c.val[0]
+	c.Load2Queued(a, b)
+	c.Drain()
+	return c.Val2()
 }
+
+// LoadQueued is Load, queued: the value is Val once it has issued.
+func (c *Core) LoadQueued(a mem.Addr) { c.post(opLoad, 0, a, 0, 0) }
+
+// Load2Queued is Load2, queued: the values are Val2 once both have
+// issued.
+func (c *Core) Load2Queued(a, b mem.Addr) {
+	c.post(opLoad, 1, a, 0, 0)
+	c.post(opLoad, 0, b, 0, 0)
+}
+
+// Val returns what the last Load or Amo loaded, once it has issued.
+func (c *Core) Val() uint64 { return c.val[0] }
+
+// Val2 returns Load2Queued's two values, or a ULI send's payload and 1
+// for an ACK (0 for a NACK), once the ops have issued.
+func (c *Core) Val2() (uint64, uint64) { return c.val[1], c.val[0] }
 
 // Copy stores the word at src to dst: Store(dst, Load(src)), queued.
 func (c *Core) Copy(dst, src mem.Addr) {
@@ -698,7 +765,7 @@ func (c *Core) Amo(a mem.Addr, amo cache.AmoOp, arg1, arg2 uint64) uint64 {
 	return c.val[0]
 }
 
-// AmoQueued is Amo for a caller that drops the old value: queued.
+// AmoQueued is Amo, queued: the old value is Val once it has issued.
 func (c *Core) AmoQueued(a mem.Addr, amo cache.AmoOp, arg1, arg2 uint64) {
 	c.post(opAmo, int(amo), a, arg1, arg2)
 }
@@ -717,13 +784,8 @@ func (c *Core) ULIEnable() { c.post(opULIEnable, 0, 0, 0, 0) }
 // ULIDisable disables user-level interrupts (1 cycle).
 func (c *Core) ULIDisable() { c.post(opULIDisable, 0, 0, 0, 0) }
 
-// ULISendReq drains, then sends a steal request and blocks for the
-// response.
-func (c *Core) ULISendReq(victim int) (payload uint64, ok bool) {
-	c.Drain()
-	c.Insts++
-	before := c.proc.Now()
-	payload, ok = c.ULI.SendReq(c.proc, victim)
-	c.Cycles[ClassOther] += uint64(c.proc.Now() - before)
-	return payload, ok
-}
+// ULISendQueued sends a steal request to victim once the ops ahead of
+// it have issued, and waits for the response or the timeout, parked (see
+// uli.Unit.Send): the wait is charged to Others, and Val2 is the
+// payload and whether it was an ACK. It is queued.
+func (c *Core) ULISendQueued(victim int) { c.post(opULISend, victim, 0, 0, 0) }

@@ -22,6 +22,15 @@ type queueOutcome struct {
 	resumes                     uint64
 }
 
+// sendReq is a steal request a thread takes outside a scheduling loop:
+// queued, drained, then read.
+func (c *Core) sendReq(victim int) (payload uint64, ok bool) {
+	c.ULISendQueued(victim)
+	c.Drain()
+	payload, ack := c.Val2()
+	return payload, ack != 0
+}
+
 // queueRun has core 0 queue Compute and Store ops — stores to fresh
 // lines, so the store buffer fills and the queue drains through real
 // waits — while core 1 sends it a ULI steal request part-way through.
@@ -55,7 +64,7 @@ func queueRun(t *testing.T, blocking bool) queueOutcome {
 		c := cores[1]
 		c.Bind(p)
 		c.Compute(300)
-		if v, ok := c.ULISendReq(0); !ok || v != 42 {
+		if v, ok := c.sendReq(0); !ok || v != 42 {
 			t.Errorf("steal = %d, %v; want 42, true", v, ok)
 		}
 		out.stolenAt = c.Now()
@@ -177,7 +186,7 @@ func formRun(t *testing.T, f formCase, blocking bool, sendAt sim.Time) formOutco
 		c.Bind(p)
 		if sendAt > 0 {
 			p.WaitUntil(sendAt)
-			c.ULISendReq(0)
+			c.sendReq(0)
 		}
 		for i := 0; i < 3000; i++ {
 			p.Delay(1)

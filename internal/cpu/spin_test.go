@@ -90,7 +90,7 @@ func spinRun(t *testing.T, cfg Config, faults *fault.Injector, n, chunk int, use
 		atNeighbourStart = k.Resumes()
 		for i := 0; i < n/4; i++ {
 			if steal && i == n/16 {
-				if v, ok := c.ULISendReq(0); !ok || v != 42 {
+				if v, ok := c.sendReq(0); !ok || v != 42 {
 					t.Errorf("steal from the spinner = %d, %v", v, ok)
 				}
 				out.stolenAt = c.Now()

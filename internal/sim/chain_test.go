@@ -31,20 +31,72 @@ func chainWalk(p *Proc, chained bool, note func()) {
 	}
 }
 
-// chainScenario surrounds a chain walker with what can interleave with
-// it: a proc on a different period (so each is the other's dispatcher
-// in turn), an armed-and-stopped timer, and a self-rearming callback
-// that outlives that proc (so the walker ends up popping its own
-// resumes). It returns the observation log and the kernel.
-func chainScenario(t *testing.T, chained, paranoid bool, setup func(k *Kernel)) (string, *Kernel, error) {
+// parkDeltas is the wait sequence of the parking tests: park marks a
+// wait until Forever, which parks the walker until a callback armed with
+// it Unblocks it; parks come alone, twice in a row, and last.
+const park = Forever
+
+var parkDeltas = []Time{3, park, 5, 0, park, park, 9, 1, park}
+
+// parkWalk runs parkDeltas as one WaitChain (chained) or as the loop it
+// stands for, of WaitUntils and Blocks, calling note after every wait.
+// Each park arms a callback 7 cycles on that Unblocks the walker 2
+// cycles after it runs.
+func parkWalk(p *Proc, chained bool, note func(string)) {
+	k, i := p.k, 0
+	wait := func() Time {
+		if parkDeltas[i] != park {
+			return p.Now() + parkDeltas[i]
+		}
+		k.At(p.Now()+7, func() {
+			note("u")
+			p.Unblock(k.Now() + 2)
+		})
+		return Forever
+	}
+	step := func() (Time, bool) {
+		note("w")
+		if i++; i == len(parkDeltas) {
+			return 0, false
+		}
+		return wait(), true
+	}
+	t := wait()
+	if chained {
+		p.WaitChain(t, step)
+		return
+	}
+	for ok := true; ok; t, ok = step() {
+		if t == Forever {
+			p.Block()
+		} else {
+			p.WaitUntil(t)
+		}
+	}
+}
+
+// walkFunc is chainWalk or parkWalk.
+type walkFunc func(p *Proc, chained bool, note func(string))
+
+func chainWalker(p *Proc, chained bool, note func(string)) {
+	chainWalk(p, chained, func() { note("w") })
+}
+
+// chainScenario surrounds a walker with what can interleave with it: a
+// proc on a different period (so each is the other's dispatcher in
+// turn), an armed-and-stopped timer, and a self-rearming callback that
+// outlives that proc (so the walker ends up popping its own resumes),
+// which logs the walker's blocked-since cycle as it goes. It returns the
+// observation log and the kernel.
+func chainScenario(t *testing.T, walk walkFunc, chained, paranoid bool, setup func(k *Kernel)) (string, *Kernel, error) {
 	k := NewKernel()
 	k.SetParanoid(paranoid)
 	var log []string
 	note := func(who string) { log = append(log, fmt.Sprintf("%s@%d", who, k.Now())) }
-	k.NewProc("walker", 0, func(p *Proc) {
+	walker := k.NewProc("walker", 0, func(p *Proc) {
 		defer note("walker gone")
 		for round := 0; round < 3; round++ {
-			chainWalk(p, chained, func() { note("w") })
+			walk(p, chained, note)
 			note("W")
 		}
 	})
@@ -59,7 +111,7 @@ func chainScenario(t *testing.T, chained, paranoid bool, setup func(k *Kernel)) 
 	var tick func()
 	ticks := 0
 	tick = func() {
-		note("t")
+		note(fmt.Sprint("t", walker.blockedSince))
 		if ticks++; ticks < 40 {
 			k.At(k.Now()+5, tick)
 		}
@@ -77,13 +129,21 @@ func chainScenario(t *testing.T, chained, paranoid bool, setup func(k *Kernel)) 
 // same clocks, same scheduled/fired/elided counts — with and without
 // KernelParanoid, where the steps run on the proc. What it saves is
 // coroutine resumes.
-func TestWaitChainMatchesLoop(t *testing.T) {
+func TestWaitChainMatchesLoop(t *testing.T) { testChainMatchesLoop(t, chainWalker) }
+
+// TestParkedChainMatchesBlock: a chain step that parks the proc (a wait
+// until Forever) and a callback's Unblock that resumes it are the loop's
+// Block and Unblock: the same log, events and blocked-since cycles, in
+// both kernel modes.
+func TestParkedChainMatchesBlock(t *testing.T) { testChainMatchesLoop(t, parkWalk) }
+
+func testChainMatchesLoop(t *testing.T, walk walkFunc) {
 	forEachKernelMode(t, func(t *testing.T, m kernelMode) {
-		loopLog, lk, err := chainScenario(t, false, m.paranoid, nil)
+		loopLog, lk, err := chainScenario(t, walk, false, m.paranoid, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		chainLog, ck, err := chainScenario(t, true, m.paranoid, nil)
+		chainLog, ck, err := chainScenario(t, walk, true, m.paranoid, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -109,22 +169,41 @@ func TestWaitChainMatchesLoop(t *testing.T) {
 // elsewhere that land while a proc is mid-chain report exactly what
 // they report against the loop — the same next event, the same
 // blocked-since cycle for every proc — and unwind the walker.
-func TestWaitChainAbortsLikeLoop(t *testing.T) {
+func TestWaitChainAbortsLikeLoop(t *testing.T) { testChainAbortsLikeLoop(t, chainWalker, 57, "") }
+
+// TestParkedChainAbortsLikeBlock: a deadline, an interrupt and a crash
+// elsewhere that land while a chain has parked its proc (from cycle 26
+// to 35 of the first round) report what they report against Block, and
+// the reap unwinds the parked walker and returns every carrier.
+func TestParkedChainAbortsLikeBlock(t *testing.T) {
+	testChainAbortsLikeLoop(t, parkWalk, 30, `proc "walker": blocked since cycle 26`)
+}
+
+// testChainAbortsLikeLoop aborts the scenario at cycle at; the chain's
+// error must be the loop's, and a deadline's or an interrupt's dump must
+// name want.
+func testChainAbortsLikeLoop(t *testing.T, walk walkFunc, at Time, want string) {
 	aborts := map[string]func(k *Kernel){
-		"deadline":  func(k *Kernel) { k.SetDeadline(57) },
-		"interrupt": func(k *Kernel) { k.At(57, func() { k.Interrupt("enough") }) },
-		"crash":     func(k *Kernel) { k.NewProc("bad", 57, func(*Proc) { panic("kaput") }) },
+		"deadline":  func(k *Kernel) { k.SetDeadline(at) },
+		"interrupt": func(k *Kernel) { k.At(at, func() { k.Interrupt("enough") }) },
+		"crash":     func(k *Kernel) { k.NewProc("bad", at, func(*Proc) { panic("kaput") }) },
 	}
 	for name, abort := range aborts {
 		t.Run(name, func(t *testing.T) {
 			forEachKernelMode(t, func(t *testing.T, m kernelMode) {
-				loopLog, _, loopErr := chainScenario(t, false, m.paranoid, abort)
-				chainLog, _, chainErr := chainScenario(t, true, m.paranoid, abort)
-				if loopErr == nil || fmt.Sprint(chainErr) != fmt.Sprint(loopErr) {
-					t.Fatalf("chain error\n%v\nloop error\n%v", chainErr, loopErr)
+				loopLog, _, loopErr := chainScenario(t, walk, false, m.paranoid, abort)
+				chainLog, ck, chainErr := chainScenario(t, walk, true, m.paranoid, abort)
+				dumped := name == "crash" || strings.Contains(fmt.Sprint(chainErr), want)
+				if loopErr == nil || fmt.Sprint(chainErr) != fmt.Sprint(loopErr) || !dumped {
+					t.Fatalf("chain error\n%v\nloop error\n%v\nwant %q in it", chainErr, loopErr, want)
 				}
 				if chainLog != loopLog || !strings.Contains(chainLog, "walker gone@") {
 					t.Fatalf("chain log\n%v\nloop log\n%v", chainLog, loopLog)
+				}
+				for _, p := range ck.procs {
+					if p.carrier != nil {
+						t.Fatalf("proc %q kept its carrier after the abort", p.name)
+					}
 				}
 			})
 		})

@@ -432,9 +432,10 @@ func (k *Kernel) resume(p *Proc) dispatchOutcome {
 // walk runs p's chain steps (see Proc.WaitChain) on the caller's stack,
 // from a wait that just ended — the dispatcher popped its resume, or it
 // was elided — taking every further wait it can in place. It returns
-// true once a wait had to be queued (or a step panicked, trapped as in
-// fire): p stays parked and the dispatcher moves on through its
-// top-of-loop checks, as after p's own yield. False: the chain is over.
+// true once a wait had to be queued, or parks p until Unblock (or a step
+// panicked, trapped as in fire): p stays parked and the dispatcher moves
+// on through its top-of-loop checks, as after p's own yield. False: the
+// chain is over.
 func (k *Kernel) walk(p *Proc) (queued bool) {
 	defer func() {
 		if r := recover(); r != nil {

@@ -84,11 +84,18 @@ func (p *Proc) WaitUntil(t Time) { p.wait(t, true) }
 
 // wait is WaitUntil when yield is set. When it is not, a wait that has
 // to go through the queue is only queued, and reported unfinished: the
-// caller will yield, or is a dispatcher acting for p (Kernel.walk).
+// caller will yield, or is a dispatcher acting for p (Kernel.walk). A
+// wait until Forever queues nothing: the proc is parked until Unblock.
 func (p *Proc) wait(t Time, yield bool) (done bool) {
 	k := p.k
 	if t <= k.now {
 		return true
+	}
+	if t == Forever {
+		if yield {
+			p.yield()
+		}
+		return yield
 	}
 	if !k.paranoid && t <= k.maxTime && k.err == nil &&
 		k.intrReason.Load() == nil && (k.stop == nil || !k.stop()) {
@@ -114,7 +121,9 @@ func (p *Proc) wait(t Time, yield bool) (done bool) {
 // switched to only when the chain ends. Every wait still schedules the
 // event the loop would, so only Kernel.Resumes can tell the two apart.
 // A step must not wait, block, or care whose stack it is on; a time at
-// or before now is a zero-length wait.
+// or before now is a zero-length wait, and Forever parks the proc, as
+// Block does, until something calls Unblock: the next step runs at that
+// resume.
 func (p *Proc) WaitChain(t Time, step func() (next Time, ok bool)) {
 	k := p.k
 	if k.paranoid {
@@ -134,11 +143,13 @@ func (p *Proc) WaitChain(t Time, step func() (next Time, ok bool)) {
 func (p *Proc) Delay(d Time) { p.WaitUntil(p.k.now + d) }
 
 // Block parks the proc indefinitely; something else must call Unblock.
-// Used for interrupt-style wakeups (e.g. a ULI response arriving).
+// Used for interrupt-style wakeups (e.g. a ULI response arriving). It is
+// WaitUntil(Forever).
 func (p *Proc) Block() { p.yield() }
 
 // Unblock schedules the proc to resume at time t. Must only be called
-// for a proc parked with Block.
+// for a proc parked with Block, or by a chain step's wait until Forever
+// (see WaitChain).
 func (p *Proc) Unblock(t Time) {
 	p.k.scheduleResume(t, p)
 }

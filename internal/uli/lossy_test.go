@@ -19,7 +19,7 @@ func lossyFabric(k *sim.Kernel, sc fault.Scenario, timeout sim.Time) *Fabric {
 }
 
 // TestDroppedRequestTimesOut: when the steal request vanishes on the
-// mesh, the thief's timer fires and SendReq returns a NACK-equivalent
+// mesh, the thief's timer fires and sendReq returns a NACK-equivalent
 // failure at exactly sentAt+Timeout.
 func TestDroppedRequestTimesOut(t *testing.T) {
 	k := sim.NewKernel()
@@ -41,7 +41,7 @@ func TestDroppedRequestTimesOut(t *testing.T) {
 	var resumedAt sim.Time
 	k.NewProc("thief", 10, func(p *sim.Proc) {
 		thief.Bind(p)
-		_, ok = thief.SendReq(p, 0)
+		_, ok = thief.sendReq(p, 0)
 		resumedAt = p.Now()
 	})
 	if err := k.Run(nil); err != nil {
@@ -87,7 +87,7 @@ func TestDroppedAckRestitution(t *testing.T) {
 	var ok bool
 	k.NewProc("thief", 10, func(p *sim.Proc) {
 		thief.Bind(p)
-		_, ok = thief.SendReq(p, 0)
+		_, ok = thief.sendReq(p, 0)
 	})
 	if err := k.Run(nil); err != nil {
 		t.Fatal(err)
@@ -137,7 +137,7 @@ func TestLateAckSalvaged(t *testing.T) {
 	k.NewProc("thief", 10, func(p *sim.Proc) {
 		thief.Bind(p)
 		thief.Enable()
-		_, ok = thief.SendReq(p, 0)
+		_, ok = thief.sendReq(p, 0)
 		// Keep polling: the stale ACK arrives later and must be salvaged.
 		for i := 0; i < 400; i++ {
 			thief.Poll(p)
@@ -197,7 +197,7 @@ func TestRetryAfterDropsEventuallySucceeds(t *testing.T) {
 	k.NewProc("thief", 10, func(p *sim.Proc) {
 		thief.Bind(p)
 		for i := 0; i < 200; i++ {
-			if payload, ok := thief.SendReq(p, 0); ok && payload != 0 {
+			if payload, ok := thief.sendReq(p, 0); ok && payload != 0 {
 				got = payload
 				break
 			}
@@ -286,7 +286,7 @@ func TestSendReqAllocatesNothing(t *testing.T) {
 			mode = i % 3
 			i++
 			p.Delay(2) // the victim sees the mode before the request lands
-			thief.SendReq(p, 0)
+			thief.sendReq(p, 0)
 			for j := 0; j < 100; j++ {
 				thief.Poll(p)
 				p.Delay(1)
@@ -328,7 +328,7 @@ func TestULIInvariantPanics(t *testing.T) {
 				thief := f.Unit(1)
 				k.NewProc("thief", 10, func(p *sim.Proc) {
 					thief.Bind(p)
-					thief.SendReq(p, 0)
+					thief.sendReq(p, 0)
 				})
 			},
 		},
@@ -351,7 +351,7 @@ func TestULIInvariantPanics(t *testing.T) {
 				})
 				k.NewProc("thief", 10, func(p *sim.Proc) {
 					thief.Bind(p)
-					thief.SendReq(p, 0)
+					thief.sendReq(p, 0)
 				})
 			},
 		},
@@ -370,7 +370,7 @@ func TestULIInvariantPanics(t *testing.T) {
 						p.Delay(1)
 					}
 				})
-				k.NewProc("thief", 10, func(p *sim.Proc) { thief.SendReq(p, 0) })
+				k.NewProc("thief", 10, func(p *sim.Proc) { thief.sendReq(p, 0) })
 			},
 		},
 	}
@@ -431,7 +431,7 @@ func TestDumpStateNamesSalvageMailbox(t *testing.T) {
 	})
 	k.NewProc("thief", 10, func(p *sim.Proc) {
 		thief.Bind(p)
-		thief.SendReq(p, 0) // times out; the thief never polls again
+		thief.sendReq(p, 0) // times out; the thief never polls again
 	})
 	if err := k.Run(nil); err != nil {
 		t.Fatal(err)

@@ -46,7 +46,7 @@ func TestNackStormForwardProgress(t *testing.T) {
 			u.Bind(p)
 			start := p.Now()
 			for {
-				payload, ok := u.SendReq(p, 0)
+				payload, ok := u.sendReq(p, 0)
 				if ok {
 					if payload != 0xBEEF {
 						t.Errorf("thief %d payload %#x", u.core, payload)

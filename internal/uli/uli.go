@@ -74,7 +74,7 @@ type Fabric struct {
 	// steal-path drops (see internal/fault).
 	Faults *fault.Injector
 
-	// Timeout, when nonzero, bounds how long SendReq waits for a
+	// Timeout, when nonzero, bounds how long a thief waits for a
 	// response before treating the steal as NACKed. Zero (the default)
 	// keeps the original lossless protocol: no timer is ever armed and
 	// responses write the thief's registers at victim send time, so
@@ -127,7 +127,7 @@ type Unit struct {
 	pending *request
 	// handling marks that the handler is currently running.
 	handling bool
-	// waiting marks that this core is blocked inside SendReq; incoming
+	// waiting marks that this core is between Send and Finish; incoming
 	// requests are NACKed (interrupts deferred during an in-flight send,
 	// which also rules out thief/thief deadlock).
 	waiting bool
@@ -139,10 +139,9 @@ type Unit struct {
 	EntryLat sim.Time
 
 	// respPayload/respOK hold the hardware response register while the
-	// sender is blocked.
+	// sender is parked.
 	respPayload uint64
 	respOK      bool
-	respAt      sim.Time
 
 	// epoch stamps each outgoing request so a response that limps in
 	// after the thief timed out (or after a newer request went out) is
@@ -217,20 +216,20 @@ func (u *Unit) Disable() {
 	}
 }
 
-// SendReq sends a steal request from this core's thread (running on
-// proc) to the victim core and blocks until the ACK or NACK arrives —
-// or, when fabric.Timeout is armed, until the timeout fires, which the
-// thief treats as a NACK (the caller retries with backoff). A request
-// can be lost only with the timeout armed (the machine layer arms it
-// for every lossy scenario); a loss without one panics. It returns
-// the response payload and whether the steal was accepted. The victim's
-// handler runs on the victim's own thread (paper: "the victim steals
-// tasks on behalf of the thief").
-func (u *Unit) SendReq(proc *sim.Proc, victim int) (payload uint64, ok bool) {
+// Send is the send half of a steal request from this core's thread to
+// the victim core. The thread then stays parked (sim.Proc.Block, or a
+// chain step's wait until sim.Forever) until the ACK or NACK arrives
+// and Unblocks it — or, when fabric.Timeout is armed, until the timeout
+// fires, which the thief treats as a NACK (the caller retries with
+// backoff) — and calls Finish. A request can be lost only with the
+// timeout armed (the machine layer arms it for every lossy scenario); a
+// loss without one panics. The victim's handler runs on the victim's own
+// thread (paper: "the victim steals tasks on behalf of the thief").
+func (u *Unit) Send(victim int) {
 	f := u.fabric
 	f.Stats.Reqs++
 	v := f.units[victim]
-	sentAt := proc.Now()
+	sentAt := f.kernel.Now()
 	arrive, dropped := f.mesh.SendLossy(sentAt, u.node, v.node, msgBytes, noc.SyncReq, f.Faults)
 	arrive += f.Faults.ULIDelay(arrive)
 	u.epoch++
@@ -259,10 +258,14 @@ func (u *Unit) SendReq(proc *sim.Proc, victim int) (payload uint64, ok bool) {
 		}
 		f.kernel.ArmTimer(&u.timer, sentAt+f.Timeout, u.onTimeout)
 	}
-	proc.Block() // resumed by the response delivery or the timeout
+}
+
+// Finish is the finish half of a steal request, run by the thread once
+// the response or the timeout has resumed it (at the cycle it arrived):
+// it returns the response payload and whether the steal was accepted.
+func (u *Unit) Finish() (payload uint64, ok bool) {
 	u.waiting = false
 	u.timer.Stop()
-	proc.WaitUntil(u.respAt)
 	return u.respPayload, u.respOK
 }
 
@@ -323,7 +326,7 @@ func (f *Fabric) respond(now sim.Time, victim *Unit, req *request, payload uint6
 		f.Stats.Nacks++
 	}
 	if f.Timeout == 0 {
-		t.respPayload, t.respOK, t.respAt = payload, ok, arrive
+		t.respPayload, t.respOK = payload, ok
 		t.unblockAt(arrive)
 		f.free = append(f.free, req)
 	} else {
@@ -349,7 +352,7 @@ func (u *Unit) deliverResp(at sim.Time, ep uint64, payload uint64, ok bool) {
 	}
 	u.respDone = true
 	u.timer.Stop()
-	u.respPayload, u.respOK, u.respAt = payload, ok, at
+	u.respPayload, u.respOK = payload, ok
 	u.unblockAt(at)
 }
 
@@ -364,11 +367,11 @@ func (u *Unit) timeoutFire() {
 	u.respDone = true
 	u.fabric.Stats.Timeouts++
 	now := u.fabric.kernel.Now()
-	u.respPayload, u.respOK, u.respAt = 0, false, now
+	u.respPayload, u.respOK = 0, false
 	u.unblockAt(now)
 }
 
-// unblockAt wakes the blocked sending thread at time at.
+// unblockAt wakes the parked sending thread at time at.
 func (u *Unit) unblockAt(at sim.Time) {
 	if u.proc == nil {
 		panic("uli: response for a core with no thread")
@@ -440,7 +443,7 @@ func (u *Unit) Poll(proc *sim.Proc) {
 }
 
 // DumpState writes the fabric's diagnostic state: aggregate stats plus
-// every unit that is mid-protocol (waiting in SendReq, running a
+// every unit that is mid-protocol (between Send and Finish, running a
 // handler, or holding a buffered request) — the state needed to debug a
 // steal livelock. Registered as a kernel dump hook by the machine
 // layer.

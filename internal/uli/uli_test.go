@@ -7,6 +7,15 @@ import (
 	"bigtiny/internal/sim"
 )
 
+// sendReq is a blocking steal request, the way a thread without a wait
+// chain takes one: Send, parked until the response or the timeout
+// resumes it, then Finish.
+func (u *Unit) sendReq(p *sim.Proc, victim int) (payload uint64, ok bool) {
+	u.Send(victim)
+	p.Block()
+	return u.Finish()
+}
+
 // testRig wires a fabric with n cores on a 1xN mesh, each running a
 // configurable loop.
 func newFabric(k *sim.Kernel, n int) *Fabric {
@@ -44,7 +53,7 @@ func TestStealRoundTrip(t *testing.T) {
 	k.NewProc("thief", 10, func(p *sim.Proc) {
 		thief.Bind(p)
 		thief.Enable()
-		gotPayload, gotOK = thief.SendReq(p, 0)
+		gotPayload, gotOK = thief.sendReq(p, 0)
 	})
 	if err := k.Run(nil); err != nil {
 		t.Fatal(err)
@@ -74,7 +83,7 @@ func TestNackWhenDisabled(t *testing.T) {
 	})
 	k.NewProc("thief", 10, func(p *sim.Proc) {
 		thief.Bind(p)
-		_, ok = thief.SendReq(p, 0)
+		_, ok = thief.sendReq(p, 0)
 	})
 	if err := k.Run(nil); err != nil {
 		t.Fatal(err)
@@ -101,7 +110,7 @@ func TestMutualStealNoDeadlock(t *testing.T) {
 		k.NewProc("core", 0, func(p *sim.Proc) {
 			u.Bind(p)
 			u.Enable()
-			_, results[i] = u.SendReq(p, 1-i)
+			_, results[i] = u.sendReq(p, 1-i)
 			// Keep polling a while so a retry could succeed.
 			for j := 0; j < 100; j++ {
 				u.Poll(p)
@@ -144,7 +153,7 @@ func TestBusyHandlerNacksSecondThief(t *testing.T) {
 		u := f.Unit(i)
 		k.NewProc("thief", 5, func(p *sim.Proc) {
 			u.Bind(p)
-			_, oks[i] = u.SendReq(p, 0)
+			_, oks[i] = u.sendReq(p, 0)
 		})
 	}
 	if err := k.Run(nil); err != nil {
@@ -180,7 +189,7 @@ func TestDisableNacksPendingRequest(t *testing.T) {
 	})
 	k.NewProc("thief", 5, func(p *sim.Proc) {
 		thief.Bind(p)
-		_, ok = thief.SendReq(p, 0)
+		_, ok = thief.sendReq(p, 0)
 		returned = true
 	})
 	if err := k.Run(nil); err != nil {
@@ -216,7 +225,7 @@ func TestHandlerCostsVictimTime(t *testing.T) {
 	})
 	k.NewProc("thief", 0, func(p *sim.Proc) {
 		thief.Bind(p)
-		thief.SendReq(p, 0)
+		thief.sendReq(p, 0)
 	})
 	if err := k.Run(nil); err != nil {
 		t.Fatal(err)

@@ -3,6 +3,7 @@ package wsrt
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"bigtiny/internal/cpu"
@@ -30,6 +31,19 @@ func TestDequeRandomInterleavings(t *testing.T) {
 	}
 }
 
+// until runs the scheduling loop's steps from first on a hand-driven
+// thread, the way cpu.Core.Drive runs them, until the next step would be
+// stop, and returns the task the round holds: a pop, a steal or a
+// reclaim on its own.
+func (c *Ctx) until(first, stop step) mem.Addr {
+	at := reflect.ValueOf(stop).Pointer()
+	c.pc = first
+	c.core.Drive(func() bool {
+		return reflect.ValueOf(c.pc).Pointer() != at && c.pc(c)
+	})
+	return c.got
+}
+
 func runDequeStress(t *testing.T, proto string, v Variant, seed int64) {
 	m := smallMachine(t, proto, false)
 	rt := New(m, v)
@@ -49,7 +63,7 @@ func runDequeStress(t *testing.T, proto string, v Variant, seed int64) {
 			if rng.Intn(3) != 0 { // 2/3 push, 1/3 pop
 				c.spawnTask(mem.Addr(next))
 				next++
-			} else if task := c.popLocal(); task != 0 {
+			} else if task := c.until((*Ctx).popLocal, (*Ctx).popped); task != 0 {
 				got[uint64(task)]++
 			}
 			c.Compute(1 + rng.Intn(7))
@@ -65,7 +79,8 @@ func runDequeStress(t *testing.T, proto string, v Variant, seed int64) {
 			got := map[uint64]int{}
 			taken[th] = got
 			for {
-				if task := c.stealFrom(0); task != 0 {
+				c.vid = 0
+				if task := c.until((*Ctx).stealFrom, (*Ctx).stealt); task != 0 {
 					got[uint64(task)]++
 				} else if ownerDone {
 					// A steal under the lock (after an invalidate, under

@@ -35,32 +35,6 @@ func (c *Ctx) deq(d deque) mem.Addr {
 	return mem.Addr(t)
 }
 
-// stealHead pops from the head (thief side, FIFO order); 0 when empty.
-func (c *Ctx) stealHead(d deque) mem.Addr {
-	c.core.Compute(c.rt.Costs.DequeOp)
-	head, tail := c.core.Load2(d.headAddr(), d.tailAddr())
-	if head == tail {
-		return 0
-	}
-	t := c.core.Load(d.slotAddr(head))
-	c.core.Store(d.headAddr(), head+1)
-	return mem.Addr(t)
-}
-
-// chooseVictim picks a uniformly random other thread, the paper's
-// "random victim selection".
-func (c *Ctx) chooseVictim() int {
-	c.core.Compute(c.rt.Costs.VictimSelect)
-	if c.rt.nthreads == 1 {
-		return c.tid // single-threaded: only the (empty) own deque exists
-	}
-	v := c.otherThread()
-	if c.rt.lossy {
-		v = c.avoidQuarantined(v)
-	}
-	return v
-}
-
 // otherThread draws a thread other than this one, uniformly.
 func (c *Ctx) otherThread() int {
 	v := c.rng.Intn(c.rt.nthreads - 1)
@@ -74,11 +48,10 @@ func (c *Ctx) otherThread() int {
 // quarantined (persistently failing but not known offline — offline
 // victims must stay choosable so their stranded work gets reclaimed).
 // Bounded redraws keep victim selection cheap and preserve liveness
-// when every victim is quarantined at once.
+// when every victim is quarantined at once. It runs in a step (see
+// chooseVictim), so offlineMark is read once the ops before it issued.
 func (c *Ctx) avoidQuarantined(v int) int {
 	rt := c.rt
-	// The clock first: it drains the core's queued ops, so offlineMark is
-	// read at the cycle it would be without the queue.
 	now := c.core.Now()
 	for retry := 0; retry < 3; retry++ {
 		if rt.offlineMark[v] || now >= rt.quarUntil[v] {
@@ -92,7 +65,8 @@ func (c *Ctx) avoidQuarantined(v int) int {
 // --- spawn: Figure 3 lines 1-7 ---
 
 // acquire takes row's guard on deque d, then invalidates if the row
-// fences. The lock is a test-and-set built from amo_or.
+// fences. The lock is a test-and-set built from amo_or. It blocks: the
+// scheduling loop's own form is lock.
 func (c *Ctx) acquire(row *discipline, d deque) {
 	switch row.guard {
 	case lockGuard:
@@ -137,92 +111,6 @@ func (c *Ctx) spawnTask(t mem.Addr) {
 	c.release(&rt.disc, d, rt.disc.fence)
 }
 
-// popLocal dequeues from the thread's own deque.
-func (c *Ctx) popLocal() mem.Addr {
-	rt := c.rt
-	d := rt.deques[c.tid]
-	c.acquire(&rt.disc, d)
-	t := c.deq(d)
-	c.release(&rt.disc, d, rt.disc.fence)
-	return t
-}
-
-// probeEmpty checks a victim's deque without taking its guard, with
-// plain loads of head and tail (see discipline.probeInv).
-func (c *Ctx) probeEmpty(d deque) bool {
-	c.core.Compute(2)
-	head, tail := c.core.Load2(d.headAddr(), d.tailAddr())
-	return head == tail
-}
-
-// trySteal attempts one steal per the variant; returns the stolen task
-// descriptor or 0.
-func (c *Ctx) trySteal() mem.Addr {
-	rt := c.rt
-	c.core.Drain() // the queued release and backoff, before a dumped counter moves
-	rt.Stats.StealTries++
-	vid := c.chooseVictim()
-	c.trace(trace.StealTry, uint64(vid))
-	t := c.stealFrom(vid)
-	if t != 0 && rt.lossy {
-		rt.vfails[vid] = 0
-		if rt.offlineMark[vid] {
-			rt.Stats.Reclaims++
-			c.trace(trace.Reclaim, uint64(t))
-		}
-	}
-	if t != 0 {
-		c.trace(trace.StealHit, uint64(t))
-	} else {
-		c.trace(trace.StealMiss, uint64(vid))
-	}
-	return t
-}
-
-// stealFrom performs one steal against victim vid: from its deque in
-// shared memory (Fig. 3a/b lines 19-30, with a lock-free emptiness
-// probe first) or by uli_send_req and a mailbox read (Fig. 3c lines
-// 24-27).
-func (c *Ctx) stealFrom(vid int) mem.Addr {
-	rt := c.rt
-	if !rt.disc.uli {
-		return c.stealShared(&rt.disc, rt.deques[vid])
-	}
-	if rt.lossy && rt.offlineMark[vid] {
-		// The victim's scheduling loop is dead: its ULI unit only
-		// NACKs. Go in through shared memory instead.
-		return c.reclaimFrom(vid)
-	}
-	payload, ok := c.core.ULISendReq(vid)
-	if !ok {
-		rt.Stats.StealNacks++
-		c.noteVictimFailure(vid)
-		return 0
-	}
-	if payload != 0 {
-		rt.Stats.StealHits++
-	}
-	return mem.Addr(payload)
-}
-
-// stealShared takes the head task of deque d under row's discipline.
-func (c *Ctx) stealShared(row *discipline, d deque) mem.Addr {
-	if row.probeInv {
-		c.core.Invalidate()
-	}
-	if c.probeEmpty(d) {
-		return 0
-	}
-	c.acquire(row, d)
-	t := c.stealHead(d)
-	c.release(row, d, row.stealFlush)
-	if t != 0 {
-		c.core.Drain() // the queued release, before a dumped counter moves
-		c.rt.Stats.StealHits++
-	}
-	return t
-}
-
 // noteVictimFailure feeds the quarantine: enough consecutive NACKs or
 // timeouts against one victim (across all thieves) and victim selection
 // stops wasting round trips on it for a while.
@@ -236,33 +124,6 @@ func (c *Ctx) noteVictimFailure(vid int) {
 		rt.quarUntil[vid] = c.core.Now() + quarantineCycles
 		rt.vfails[vid] = 0
 	}
-}
-
-// reclaimFrom takes stranded work from a fail-stopped victim. The
-// victim's deque is private under DTS, but it lives in shared memory;
-// with the owner dead, reclaimers coordinate among themselves using the
-// deque's lock line (allocated but unused by the DTS variant) and the
-// full HCC steal discipline. Tasks can also be stranded in the dead
-// core's ULI salvage mailbox (an ACK that arrived after its last
-// timeout); those are rescued first via a memory-mapped mailbox read.
-func (c *Ctx) reclaimFrom(vid int) mem.Addr {
-	rt := c.rt
-	if p, ok := rt.M.ULI.Unit(vid).TakeLate(); ok && p != 0 {
-		rt.Stats.StealHits++
-		return mem.Addr(p)
-	}
-	t := c.stealShared(&disciplines[HCC], rt.deques[vid])
-	if t == 0 {
-		return 0
-	}
-	// The dead owner can no longer set its parents' stolen flags from
-	// the inside (the DTS plain-store optimization needs the parent on
-	// the victim's own thread); publish the steal coherently instead.
-	parent := mem.Addr(c.core.Load(t + descParent*8))
-	if parent != 0 {
-		c.core.Amo(parent+descStolen*8, cache.AmoOr, 1, 0)
-	}
-	return t
 }
 
 // uliHandler is the DTS steal handler (Fig 3(c) lines 47-54). It runs
@@ -396,15 +257,6 @@ func (c *Ctx) holds(w when, p mem.Addr) bool {
 	return false
 }
 
-// readRC reads the waiting task's reference count.
-func (c *Ctx) readRC(p mem.Addr) uint64 {
-	rcAddr := p + descRC*8
-	if c.holds(c.rt.disc.readRC, p) {
-		return c.core.Amo(rcAddr, cache.AmoOr, 0, 0)
-	}
-	return c.core.Load(rcAddr)
-}
-
 // wait blocks until all of p's children have joined, executing local
 // and stolen tasks meanwhile (Fig 3's wait functions).
 func (c *Ctx) wait(p mem.Addr) { c.waitDeadline(p, 0) }
@@ -416,25 +268,8 @@ func (c *Ctx) wait(p mem.Addr) { c.waitDeadline(p, 0) }
 // branch costs no simulated cycles, so the hot path is unchanged.
 func (c *Ctx) waitDeadline(p mem.Addr, deadline sim.Time) bool {
 	rt := c.rt
-	drained := true
 	c.core.SetFunc(fidRuntime, rt.footprint(fidRuntime))
-	for c.readRC(p) > 0 {
-		if deadline != 0 && c.core.Now() >= deadline {
-			drained = false
-			break
-		}
-		c.core.Compute(c.rt.Costs.WaitIter)
-		if t := c.popLocal(); t != 0 {
-			c.execLocal(t)
-			continue
-		}
-		if t := c.trySteal(); t != 0 {
-			c.executeTask(t, true)
-			c.failStreak = 0
-		} else {
-			c.idleBackoff()
-		}
-	}
+	drained := c.schedule((*Ctx).waitTop, p, deadline) == loopDone
 	if c.holds(rt.disc.waitInv, p) {
 		c.core.Invalidate()
 	}
@@ -444,42 +279,12 @@ func (c *Ctx) waitDeadline(p mem.Addr, deadline sim.Time) bool {
 
 // workerLoop is the top-level scheduling loop of a non-main thread: it
 // executes local work (appearing after it steals a spawner) and steals
-// until the program sets the done flag.
+// until the program sets the done flag, or until its core fail-stops.
 func (c *Ctx) workerLoop() {
-	rt := c.rt
-	c.core.SetFunc(fidRuntime, rt.footprint(fidRuntime))
-	for iter := uint64(0); ; iter++ {
-		// Fail-stop check at the scheduling-loop boundary: the core dies
-		// between tasks, never mid-task (its current task's nested joins
-		// must complete or the program could never finish). The check
-		// reads a Go-side latch and costs no simulated cycles.
-		if c.core.Offline() {
-			c.enterOffline()
-			return
-		}
-		if c.checkDone(iter) {
-			return
-		}
-		if t := c.popLocal(); t != 0 {
-			c.execLocal(t)
-			continue
-		}
-		if t := c.trySteal(); t != 0 {
-			c.executeTask(t, true)
-			c.failStreak = 0
-		} else {
-			c.idleBackoff()
-		}
+	c.core.SetFunc(fidRuntime, c.rt.footprint(fidRuntime))
+	if c.schedule((*Ctx).workerTop, 0, 0) == loopOffline {
+		c.enterOffline()
 	}
-}
-
-// checkDone polls the termination flag (see discipline.doneAMOEvery).
-func (c *Ctx) checkDone(iter uint64) bool {
-	rt := c.rt
-	if n := rt.disc.doneAMOEvery; n != 0 {
-		return iter%n == 0 && c.core.Amo(rt.doneAddr, cache.AmoOr, 0, 0) != 0
-	}
-	return c.core.Load(rt.doneAddr) != 0
 }
 
 // idleBackoff burns exponentially growing compute after consecutive

@@ -195,14 +195,18 @@ func TestReclaimTakesLateAck(t *testing.T) {
 	})
 	m.Spawn(dead, func(cc *cpu.Core) {
 		cc.IdleUntil(500) // the victim has enabled ULIs and is spinning
-		if _, ok := cc.ULISendReq(victim); ok {
+		cc.ULISendQueued(victim)
+		cc.Drain()
+		if _, ack := cc.Val2(); ack != 0 {
 			t.Error("a steal from a victim that cannot be interrupted did not time out")
 		}
 		rt.offlineMark[dead] = true
 	})
 	m.Spawn(reclaimer, func(cc *cpu.Core) {
 		cc.IdleUntil(4 * uli.DefaultStealTimeout)
-		got = handCtx(rt, cc).reclaimFrom(dead)
+		c := handCtx(rt, cc)
+		c.vid = dead
+		got = c.until((*Ctx).reclaim, (*Ctx).stealt)
 	})
 	if err := m.Run(); err != nil {
 		t.Fatal(err)
@@ -235,19 +239,20 @@ func TestReclaimFindsDequeEmptied(t *testing.T) {
 		c.enq(d, task)
 		cc.Flush()
 		c.Compute(5_000)
-		if c.stealHead(d) != task {
+		c.row, c.d = hcc, d
+		if c.until((*Ctx).takeHead, (*Ctx).stealReleased) != task {
 			t.Error("the holder did not get its own task back")
 		}
-		c.release(hcc, d, true)
 	})
 	m.Spawn(reclaimer, func(cc *cpu.Core) {
 		c := handCtx(rt, cc)
 		cc.IdleUntil(1_000)
-		cc.Invalidate()
-		if c.probeEmpty(d) {
+		c.vid = dead
+		c.until((*Ctx).reclaim, (*Ctx).probed)
+		if head, tail := cc.Val2(); head == tail {
 			t.Error("the reclaimer's probe missed the planted task")
 		}
-		if got := c.reclaimFrom(dead); got != 0 {
+		if got := c.until((*Ctx).probed, (*Ctx).stealt); got != 0 {
 			t.Errorf("reclaimed %#x from a deque the holder emptied", got)
 		}
 		if now := cc.Now(); now < 5_000 {

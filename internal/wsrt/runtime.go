@@ -280,6 +280,25 @@ type Ctx struct {
 	cur mem.Addr // descriptor of the currently executing task
 	// failStreak counts consecutive failed steals for backoff.
 	failStreak int
+
+	// The scheduling loop's step machine (sched.go): the step to run
+	// next, the loop's top, the waited-for task and its deadline (zero in
+	// the worker loop), the worker's round count, and what a round
+	// carries from step to step: the victim, the deque and row it holds
+	// a guard under and the step after the guard, a deque index, the task
+	// it found, and how the loop ended. sched runs c.pc.
+	pc, top  step
+	wp       mem.Addr
+	deadline sim.Time
+	iter     uint64
+	vid      int
+	row      *discipline
+	d        deque
+	locked   step
+	idx      uint64
+	got      mem.Addr
+	out      outcome
+	sched    func() bool
 }
 
 // env is what a task body can do: timed loads, stores and atomics, and
@@ -311,8 +330,9 @@ type env interface {
 }
 
 // trace records a scheduler event when a tracer is attached. The clock
-// is read only then: reading it drains the core's queued ops, which
-// would cost the thread a switch at every spawn and task end.
+// is read only then: on the thread, reading it drains the core's queued
+// ops, which would cost a switch at every spawn and task end. In a
+// scheduling-loop step the queue is empty, and the read drains nothing.
 func (c *Ctx) trace(k trace.Kind, arg uint64) {
 	if c.rt.Tracer != nil {
 		c.rt.Tracer.Emit(c.core.Now(), c.tid, k, arg)
