@@ -127,10 +127,10 @@ type Core struct {
 	// interrupted. val[0] is what the last Load or Amo returned, val[1]
 	// what Load2 or Copy keeps for its second op (kept across a poll);
 	// a ULI send leaves its payload in val[1] and 1 for an ACK in val[0].
-	// loop is the step Drive runs whenever the queue runs dry.
+	// loop is what Drive runs a step of whenever the queue runs dry.
 	qHead, qLen int
 	chain       func() (sim.Time, bool)
-	loop        func() bool
+	loop        Loop
 	direct      bool
 	val         [2]uint64
 
@@ -277,23 +277,30 @@ func (c *Core) call(kind opKind, n int, a mem.Addr, v, w uint64) {
 	c.Drain()
 }
 
-// Drive runs a scheduling loop as a step machine: step is called each
-// time the op queue runs dry, posts the next ops, reads what earlier ones
-// returned from Val and Val2, and reports false to end the loop (its
-// ops still issue). Queued, the steps run inside the drain's wait chain,
+// A Loop is a scheduling loop as a step machine (see Drive). It is an
+// interface, not a func, so that a thread hands its loop over without
+// allocating a closure.
+type Loop interface {
+	// Step runs one step; false ends the loop.
+	Step() bool
+}
+
+// Drive runs l: l.Step is called each time the op queue runs dry, posts
+// the next ops, reads what earlier ones returned from Val and Val2, and
+// reports false to end the loop (its ops still issue). Queued, the steps run inside the drain's wait chain,
 // on whichever stack walks it, at the dispatch position where the thread
 // would have run that Go code; the thread is switched to only for a poll
 // that has something to deliver, and when the loop ends. So a step never
 // drains, blocks or waits: it reads the clock with Now, which drains
 // nothing on its empty queue, and posts at most a few ops. Direct, the
 // steps run on the thread and each op blocks.
-func (c *Core) Drive(step func() bool) {
+func (c *Core) Drive(l Loop) {
 	if c.direct {
-		for step() {
+		for l.Step() {
 		}
 		return
 	}
-	c.loop = step
+	c.loop = l
 	c.Drain()
 }
 
@@ -331,7 +338,7 @@ func (c *Core) next() (sim.Time, bool) {
 		if c.loop == nil {
 			return 0, false
 		}
-		if !c.loop() {
+		if !c.loop.Step() {
 			c.loop = nil
 		}
 	}

@@ -38,11 +38,16 @@ func TestDequeRandomInterleavings(t *testing.T) {
 func (c *Ctx) until(first, stop step) mem.Addr {
 	at := reflect.ValueOf(stop).Pointer()
 	c.pc = first
-	c.core.Drive(func() bool {
+	c.core.Drive(loopFunc(func() bool {
 		return reflect.ValueOf(c.pc).Pointer() != at && c.pc(c)
-	})
+	}))
 	return c.got
 }
+
+// loopFunc is a func as a cpu.Loop.
+type loopFunc func() bool
+
+func (f loopFunc) Step() bool { return f() }
 
 func runDequeStress(t *testing.T, proto string, v Variant, seed int64) {
 	m := smallMachine(t, proto, false)

@@ -286,7 +286,7 @@ type Ctx struct {
 	// the worker loop), the worker's round count, and what a round
 	// carries from step to step: the victim, the deque and row it holds
 	// a guard under and the step after the guard, a deque index, the task
-	// it found, and how the loop ended. sched runs c.pc.
+	// it found, and how the loop ended.
 	pc, top  step
 	wp       mem.Addr
 	deadline sim.Time
@@ -298,7 +298,6 @@ type Ctx struct {
 	idx      uint64
 	got      mem.Addr
 	out      outcome
-	sched    func() bool
 }
 
 // env is what a task body can do: timed loads, stores and atomics, and

@@ -44,12 +44,9 @@ const (
 // they are set again after each task, whose own waits run the loop
 // nested.
 func (c *Ctx) schedule(top step, p mem.Addr, deadline sim.Time) outcome {
-	if c.sched == nil {
-		c.sched = func() bool { return c.pc(c) }
-	}
 	for {
 		c.pc, c.top, c.wp, c.deadline = top, top, p, deadline
-		c.core.Drive(c.sched)
+		c.core.Drive((*loop)(c))
 		switch c.out {
 		case foundLocal:
 			c.execLocal(c.got)
@@ -60,6 +57,16 @@ func (c *Ctx) schedule(top step, p mem.Addr, deadline sim.Time) outcome {
 			return c.out
 		}
 	}
+}
+
+// loop is a Ctx as the cpu.Loop that Drive runs; converting c to it
+// allocates nothing.
+type loop Ctx
+
+// Step runs the step c.pc names.
+func (l *loop) Step() bool {
+	c := (*Ctx)(l)
+	return c.pc(c)
 }
 
 // goTo makes s the next step.
