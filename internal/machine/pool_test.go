@@ -81,7 +81,7 @@ func TestReleaseKeepsOnlyFinishedRuns(t *testing.T) {
 		}},
 		{"deadlock", false, func(m *Machine) {
 			m.Spawn(0, func(c *cpu.Core) { c.Compute(100) })
-			m.Kernel.NewProc("parked", 0, func(p *sim.Proc) { p.Block() })
+			m.Kernel.NewProc("parked", 0, func(p *sim.Proc) { p.WaitUntil(sim.Forever) })
 			if err := m.Run(); err == nil {
 				t.Fatal("no deadlock error")
 			}

@@ -119,7 +119,7 @@ func TestReapedCarriersServeNextKernel(t *testing.T) {
 		"deadline":       func(k *Kernel) { k.SetDeadline(50) },
 		"interrupt":      func(k *Kernel) { k.At(50, func() { k.Interrupt("enough") }) },
 		"crash":          func(k *Kernel) { k.NewProc("bad", 50, func(*Proc) { panic("kaput") }) },
-		"deadlock":       func(k *Kernel) { k.NewProc("stuck", 50, func(p *Proc) { p.Block() }) },
+		"deadlock":       func(k *Kernel) { k.NewProc("stuck", 50, func(p *Proc) { p.WaitUntil(Forever) }) },
 		"callback panic": func(k *Kernel) { k.At(50, func() { panic("bug") }) },
 	}
 	for name, abort := range aborts {
@@ -132,7 +132,7 @@ func TestReapedCarriersServeNextKernel(t *testing.T) {
 							for j := 0; name != "deadlock" || j < 10; j++ {
 								p.Delay(Time(1 + (i+j)%3))
 							}
-							p.Block()
+							p.WaitUntil(Forever)
 						})
 					}
 					abort(k)
@@ -224,7 +224,7 @@ func TestPooledCarriersPinNothing(t *testing.T) {
 						p.Delay(Time(1 + i))
 						procObj[i]++
 						if deadlock {
-							p.Block()
+							p.WaitUntil(Forever)
 						}
 					})
 				}
@@ -251,7 +251,7 @@ func TestPooledCarriersPinNothing(t *testing.T) {
 // later DumpState still reports it blocked, not never started.
 func TestDumpAfterReapSaysBlocked(t *testing.T) {
 	k := NewKernel()
-	k.NewProc("parked", 0, func(p *Proc) { p.Delay(2); p.Block() })
+	k.NewProc("parked", 0, func(p *Proc) { p.Delay(2); p.WaitUntil(Forever) })
 	k.NewProc("late", 10, func(p *Proc) {})
 	k.SetDeadline(5)
 	if err := k.Run(nil); err == nil {

@@ -39,7 +39,7 @@ const park = Forever
 var parkDeltas = []Time{3, park, 5, 0, park, park, 9, 1, park}
 
 // parkWalk runs parkDeltas as one WaitChain (chained) or as the loop it
-// stands for, of WaitUntils and Blocks, calling note after every wait.
+// stands for, of WaitUntils, calling note after every wait.
 // Each park arms a callback 7 cycles on that Unblocks the walker 2
 // cycles after it runs.
 func parkWalk(p *Proc, chained bool, note func(string)) {
@@ -67,11 +67,7 @@ func parkWalk(p *Proc, chained bool, note func(string)) {
 		return
 	}
 	for ok := true; ok; t, ok = step() {
-		if t == Forever {
-			p.Block()
-		} else {
-			p.WaitUntil(t)
-		}
+		p.WaitUntil(t)
 	}
 }
 
@@ -131,11 +127,11 @@ func chainScenario(t *testing.T, walk walkFunc, chained, paranoid bool, setup fu
 // coroutine resumes.
 func TestWaitChainMatchesLoop(t *testing.T) { testChainMatchesLoop(t, chainWalker) }
 
-// TestParkedChainMatchesBlock: a chain step that parks the proc (a wait
+// TestParkedChainMatchesLoop: a chain step that parks the proc (a wait
 // until Forever) and a callback's Unblock that resumes it are the loop's
-// Block and Unblock: the same log, events and blocked-since cycles, in
-// both kernel modes.
-func TestParkedChainMatchesBlock(t *testing.T) { testChainMatchesLoop(t, parkWalk) }
+// WaitUntil(Forever) and Unblock: the same log, events and blocked-since
+// cycles, in both kernel modes.
+func TestParkedChainMatchesLoop(t *testing.T) { testChainMatchesLoop(t, parkWalk) }
 
 func testChainMatchesLoop(t *testing.T, walk walkFunc) {
 	forEachKernelMode(t, func(t *testing.T, m kernelMode) {
@@ -171,11 +167,11 @@ func testChainMatchesLoop(t *testing.T, walk walkFunc) {
 // blocked-since cycle for every proc — and unwind the walker.
 func TestWaitChainAbortsLikeLoop(t *testing.T) { testChainAbortsLikeLoop(t, chainWalker, 57, "") }
 
-// TestParkedChainAbortsLikeBlock: a deadline, an interrupt and a crash
+// TestParkedChainAbortsLikeLoop: a deadline, an interrupt and a crash
 // elsewhere that land while a chain has parked its proc (from cycle 26
-// to 35 of the first round) report what they report against Block, and
-// the reap unwinds the parked walker and returns every carrier.
-func TestParkedChainAbortsLikeBlock(t *testing.T) {
+// to 35 of the first round) report what they report against the loop,
+// and the reap unwinds the parked walker and returns every carrier.
+func TestParkedChainAbortsLikeLoop(t *testing.T) {
 	testChainAbortsLikeLoop(t, parkWalk, 30, `proc "walker": blocked since cycle 26`)
 }
 

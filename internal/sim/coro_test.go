@@ -198,7 +198,7 @@ func TestReapReRaisesInDeferredWaits(t *testing.T) {
 		defer func() { trail = append(trail, "outer") }()
 		defer func() {
 			trail = append(trail, "block")
-			p.Block()
+			p.WaitUntil(Forever)
 			trail = append(trail, "after block")
 		}()
 		defer func() {
@@ -206,7 +206,7 @@ func TestReapReRaisesInDeferredWaits(t *testing.T) {
 			p.Delay(5)
 			trail = append(trail, "after delay")
 		}()
-		p.Block()
+		p.WaitUntil(Forever)
 		trail = append(trail, "resumed")
 	})
 	if err := k.Run(nil); err == nil || !strings.Contains(err.Error(), "deadlock") {
@@ -230,7 +230,7 @@ func TestAbortedRunsLeakNothing(t *testing.T) {
 		"deadline":  func(k *Kernel) { k.SetDeadline(50) },
 		"interrupt": func(k *Kernel) { k.At(50, func() { k.Interrupt("enough") }) },
 		"crash":     func(k *Kernel) { k.NewProc("bad", 50, func(*Proc) { panic("kaput") }) },
-		"deadlock":  func(k *Kernel) { k.NewProc("stuck", 50, func(p *Proc) { p.Block() }) },
+		"deadlock":  func(k *Kernel) { k.NewProc("stuck", 50, func(p *Proc) { p.WaitUntil(Forever) }) },
 		"callback panic": func(k *Kernel) {
 			k.At(50, func() { panic("bug") })
 		},
@@ -247,7 +247,7 @@ func TestAbortedRunsLeakNothing(t *testing.T) {
 								p.Delay(Time(1 + j%3))
 								ballast[j%len(ballast)]++
 							}
-							p.Block()
+							p.WaitUntil(Forever)
 						})
 					}
 					abort(k)

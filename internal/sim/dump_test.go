@@ -10,7 +10,7 @@ import (
 func TestDumpStateReportsProcsAndHooks(t *testing.T) {
 	k := NewKernel()
 	k.NewProc("runner", 0, func(p *Proc) { p.Delay(10) })
-	k.NewProc("parked", 0, func(p *Proc) { p.Block() })
+	k.NewProc("parked", 0, func(p *Proc) { p.WaitUntil(Forever) })
 	k.AddDumpHook(func(w io.Writer) { fmt.Fprintln(w, "hook: extra state") })
 	err := k.Run(nil)
 	if err == nil {
@@ -57,7 +57,7 @@ func TestBlockedSinceTracksLastYield(t *testing.T) {
 	var b strings.Builder
 	k.NewProc("waiter", 0, func(p *Proc) {
 		p.Delay(123)
-		p.Block()
+		p.WaitUntil(Forever)
 	})
 	if err := k.Run(nil); err == nil {
 		t.Fatal("expected deadlock error")

@@ -21,7 +21,7 @@ func traceRun(t *testing.T, paranoid bool) ([]string, Time) {
 	var sleeper *Proc
 	sleeper = k.NewProc("sleeper", 0, func(p *Proc) {
 		note("s0", p)
-		p.Block()
+		p.WaitUntil(Forever)
 		note("s1", p)
 		p.Delay(5)
 		note("s2", p)

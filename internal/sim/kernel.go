@@ -337,7 +337,7 @@ const (
 
 // dispatch is the event loop, runnable by whoever holds the control
 // token: the goroutine inside Run (self nil), or a proc yielding in
-// WaitUntil/Block (self = that proc). Exactly one of them runs it at a
+// WaitUntil (self = that proc). Exactly one of them runs it at a
 // time — the token only moves by a coroutine switch — so it may touch
 // all kernel state lock-free.
 //

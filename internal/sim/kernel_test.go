@@ -147,7 +147,7 @@ func TestBlockUnblock(t *testing.T) {
 	var woke Time
 	var p *Proc
 	p = k.NewProc("sleeper", 0, func(pp *Proc) {
-		pp.Block()
+		pp.WaitUntil(Forever)
 		woke = pp.Now()
 	})
 	k.At(42, func() { p.Unblock(42) })
@@ -161,7 +161,7 @@ func TestBlockUnblock(t *testing.T) {
 
 func TestDeadlockDetected(t *testing.T) {
 	k := NewKernel()
-	k.NewProc("stuck", 0, func(p *Proc) { p.Block() })
+	k.NewProc("stuck", 0, func(p *Proc) { p.WaitUntil(Forever) })
 	if err := k.Run(nil); err == nil {
 		t.Fatal("expected deadlock error")
 	}

@@ -6,9 +6,10 @@ import "fmt"
 // on a pooled coroutine (a carrier, taken when the proc first runs) and
 // only ever executes while it holds the kernel's control token, so
 // Proc code may freely mutate shared simulator state. A Proc gives up
-// control by calling WaitUntil/Delay (advancing its local time), by
-// calling Block, or by returning from its body; in the first two cases
-// it runs the dispatcher itself (see Kernel.dispatch).
+// control by calling WaitUntil/Delay (advancing its local time, or
+// parking until Unblock with WaitUntil(Forever)), or by returning from
+// its body; in the first case it runs the dispatcher itself (see
+// Kernel.dispatch).
 type Proc struct {
 	k    *Kernel
 	name string
@@ -122,8 +123,8 @@ func (p *Proc) wait(t Time, yield bool) (done bool) {
 // event the loop would, so only Kernel.Resumes can tell the two apart.
 // A step must not wait, block, or care whose stack it is on; a time at
 // or before now is a zero-length wait, and Forever parks the proc, as
-// Block does, until something calls Unblock: the next step runs at that
-// resume.
+// WaitUntil(Forever) does, until something calls Unblock: the next step
+// runs at that resume.
 func (p *Proc) WaitChain(t Time, step func() (next Time, ok bool)) {
 	k := p.k
 	if k.paranoid {
@@ -142,14 +143,9 @@ func (p *Proc) WaitChain(t Time, step func() (next Time, ok bool)) {
 // Delay blocks the simulated thread for d cycles.
 func (p *Proc) Delay(d Time) { p.WaitUntil(p.k.now + d) }
 
-// Block parks the proc indefinitely; something else must call Unblock.
-// Used for interrupt-style wakeups (e.g. a ULI response arriving). It is
-// WaitUntil(Forever).
-func (p *Proc) Block() { p.yield() }
-
 // Unblock schedules the proc to resume at time t. Must only be called
-// for a proc parked with Block, or by a chain step's wait until Forever
-// (see WaitChain).
+// for a proc parked by a wait until Forever (WaitUntil, or a WaitChain
+// step): something else, such as a ULI response arriving, wakes it.
 func (p *Proc) Unblock(t Time) {
 	p.k.scheduleResume(t, p)
 }

@@ -217,8 +217,8 @@ func (u *Unit) Disable() {
 }
 
 // Send is the send half of a steal request from this core's thread to
-// the victim core. The thread then stays parked (sim.Proc.Block, or a
-// chain step's wait until sim.Forever) until the ACK or NACK arrives
+// the victim core. The thread then stays parked (a wait until
+// sim.Forever, on the thread or in a chain step) until the ACK or NACK arrives
 // and Unblocks it — or, when fabric.Timeout is armed, until the timeout
 // fires, which the thief treats as a NACK (the caller retries with
 // backoff) — and calls Finish. A request can be lost only with the

@@ -12,7 +12,7 @@ import (
 // resumes it, then Finish.
 func (u *Unit) sendReq(p *sim.Proc, victim int) (payload uint64, ok bool) {
 	u.Send(victim)
-	p.Block()
+	p.WaitUntil(sim.Forever)
 	return u.Finish()
 }
 

@@ -40,7 +40,7 @@ func TestWatchdogDiagnostics(t *testing.T) {
 func TestWatchdogDeadlockReport(t *testing.T) {
 	m := smallMachine(t, "gwb", true)
 	m.Kernel.NewProc("stuck-proc", 0, func(p *sim.Proc) {
-		p.Block()
+		p.WaitUntil(sim.Forever)
 	})
 	err := m.Kernel.Run(nil)
 	if err == nil {
